@@ -21,6 +21,7 @@ Cache::Cache(CacheGeometry geometry, std::shared_ptr<const FoldKernel> kernel,
       slots_(PageAllocator<Slot>(geometry.huge_pages)),
       tags_(PageAllocator<std::uint8_t>(geometry.huge_pages)) {
   if (kernel_ == nullptr) throw ConfigError{"Cache: null kernel"};
+  initial_ = kernel_->initial_state();
   if (bucket_scale_ == 0) throw ConfigError{"Cache: zero bucket scale"};
   const std::uint64_t total = geometry_.total_slots();
   if (total == 0) throw ConfigError{"Cache: zero slots"};
@@ -159,7 +160,7 @@ void Cache::process(const Key& key, const Rec& rec) {
 
   Slot& slot = slots_[idx];
   slot.key = key;
-  slot.state = kernel_->initial_state();
+  slot.state = initial_;
   slot.packets = 0;
   slot.first_tin = rec.tin;
   tags_[idx] = tag;
@@ -261,17 +262,13 @@ EvictedValue Cache::evicted_fields(std::uint32_t slot_idx, Nanos now,
   ev.first_tin = slot.first_tin;
   ev.evict_time = now;
   ev.final_flush = final_flush;
-  if (!aux_.empty()) {
-    const LinearAux& aux = aux_[slot_idx];
-    ev.product = aux.product;
-    ev.state_after_h = aux.state_after_h;
-  } else {
-    ev.product = SmallMatrix::identity(kernel_->state_dims());
-    ev.state_after_h = kernel_->initial_state();  // h = 0: S_h is S_0
+  // Only a kLinear merge reads the running product; S_h is S_0 unless the
+  // fold reads history (h > 0).
+  if (kernel_->linearity() == Linearity::kLinear) {
+    ev.product = aux_[slot_idx].product;
   }
-  if (kernel_->history_window() == 0) {
-    ev.state_after_h = kernel_->initial_state();
-  }
+  ev.state_after_h =
+      kernel_->history_window() == 0 ? initial_ : aux_[slot_idx].state_after_h;
   return ev;
 }
 

@@ -62,7 +62,7 @@ namespace perfq::kv {
 struct EvictedValue {
   Key key;
   StateVector state;     ///< S_new: accumulator at eviction time
-  SmallMatrix product;   ///< P over packets h+1..N (kLinear kernels only)
+  SmallMatrix product;   ///< P over packets h+1..N; filled for kLinear kernels only
   std::uint64_t packets = 0;  ///< N: records folded this epoch
   StateVector state_after_h;  ///< S_h: state after the first h records
   std::vector<PacketRecord> boundary;  ///< first min(h, N) records of the epoch
@@ -239,6 +239,7 @@ class Cache {
   std::uint64_t hash_seed_;
   std::uint64_t seed_mix_;  ///< mix64(hash_seed_), precomputed
   EvictionPolicy policy_;
+  StateVector initial_;  ///< kernel_->initial_state(), read once
   std::uint64_t bucket_scale_ = 1;  ///< shard slice scale (see constructor)
   std::uint64_t victim_rng_state_;  ///< xorshift state for kRandom
   /// Slot arena and tag row are page-allocated so CacheGeometry::huge_pages

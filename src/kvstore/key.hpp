@@ -24,7 +24,7 @@ namespace perfq::kv {
 /// Hot-path design: the 64-bit hash of the key bytes is computed ONCE at
 /// construction and carried with the key (`raw_hash()`). Every downstream
 /// consumer — the cache's bucket index, the per-bucket probe tag, and the
-/// backing store's `std::unordered_map` — derives its value by mixing the
+/// backing store's index — derives its value by mixing the
 /// cached hash with its own seed instead of rehashing the bytes, so a packet
 /// pays for exactly one byte-level hash no matter how many structures it
 /// touches (§3.3's "one hash" per-packet budget).
@@ -147,11 +147,11 @@ class Key {
   std::uint8_t len_ = 0;
 };
 
-/// Seed for `std::hash<Key>` (backing store and any other map users). Chosen
-/// distinct from Cache's default bucket seed (0x5eedcafe) AND from the raw
-/// seed-0 hash, so hash-map bucket placement is decorrelated from the SRAM
-/// cache's bucket placement: a pathological trace that collides in one
-/// structure does not automatically collide in the other.
+/// Seed of the backing store's probe hash and of `std::hash<Key>` (any map
+/// user). Chosen distinct from Cache's default bucket seed (0x5eedcafe) AND
+/// from the raw seed-0 hash, so backing-store placement is decorrelated from
+/// the SRAM cache's bucket placement: a pathological trace that collides in
+/// one structure does not automatically collide in the other.
 inline constexpr std::uint64_t kStdHashSeed = 0x9e3779b97f4a7c15ULL;
 
 }  // namespace perfq::kv

@@ -37,6 +37,8 @@ class KeyValueStore {
 
   /// Authoritative read: the paper specifies results are pulled from the
   /// backing store (the cache's copy is partial for previously-evicted keys).
+  /// The pointer stays valid only until the next process() or flush(),
+  /// either of which may absorb an eviction and move the backing entries.
   [[nodiscard]] const StateVector* read(const Key& key) const {
     return backing_.lookup(key);
   }

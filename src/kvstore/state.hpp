@@ -88,28 +88,38 @@ class SmallMatrix {
   }
 
   /// this ← other · this (compose a new per-packet transform on the left,
-  /// maintaining the running product P = A_N ··· A_1).
+  /// maintaining the running product P = A_N ··· A_1). Reads and writes the
+  /// dims×dims block only; the rest of the storage stays zero.
   void left_multiply(const SmallMatrix& other) {
     check(dims_ == other.dims_, "SmallMatrix: dims mismatch");
-    std::array<double, kMaxStateDims * kMaxStateDims> out{};
+    // Only the dims×dims block of `out` is written, and only it is read.
+    std::array<double, kMaxStateDims * kMaxStateDims> out;
     for (std::size_t r = 0; r < dims_; ++r) {
+      double* row = &out[r * kMaxStateDims];
+      for (std::size_t c = 0; c < dims_; ++c) row[c] = 0.0;
       for (std::size_t k = 0; k < dims_; ++k) {
         const double a = other.at(r, k);
         if (a == 0.0) continue;
-        for (std::size_t c = 0; c < dims_; ++c) {
-          out[r * kMaxStateDims + c] += a * at(k, c);
-        }
+        for (std::size_t c = 0; c < dims_; ++c) row[c] += a * at(k, c);
       }
     }
-    m_ = out;
+    for (std::size_t r = 0; r < dims_; ++r) {
+      for (std::size_t c = 0; c < dims_; ++c) at(r, c) = out[r * kMaxStateDims + c];
+    }
   }
 
+  /// this · v. Zero coefficients are skipped, as in left_multiply(): a zero
+  /// entry contributes nothing, even against an infinite component of v
+  /// (0 × ∞ would be NaN and poison every other column of the row).
   [[nodiscard]] StateVector apply(const StateVector& v) const {
     check(dims_ == v.dims(), "SmallMatrix::apply: dims mismatch");
     StateVector out(dims_);
     for (std::size_t r = 0; r < dims_; ++r) {
       double acc = 0.0;
-      for (std::size_t c = 0; c < dims_; ++c) acc += at(r, c) * v[c];
+      for (std::size_t c = 0; c < dims_; ++c) {
+        const double a = at(r, c);
+        if (a != 0.0) acc += a * v[c];
+      }
       out[r] = acc;
     }
     return out;
@@ -121,15 +131,9 @@ class SmallMatrix {
     SmallMatrix result = identity(dims_);
     SmallMatrix base = *this;
     while (n > 0) {
-      if (n & 1) {
-        // result ← base · result
-        result.left_multiply(base);
-      }
-      // base ← base · base
-      SmallMatrix sq = base;
-      sq.left_multiply(base);
-      base = sq;
+      if (n & 1) result.left_multiply(base);  // result ← base · result
       n >>= 1;
+      if (n > 0) base.left_multiply(base);    // base ← base · base
     }
     return result;
   }

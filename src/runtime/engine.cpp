@@ -8,6 +8,21 @@
 #include "runtime/collection.hpp"
 
 namespace perfq::runtime {
+namespace {
+
+/// A copy of `store`'s backing store with its live cache entries merged in
+/// through the ordinary exact-merge absorb: bit for bit what a flush at `now`
+/// would leave there, with neither structure disturbed. Room for every
+/// resident key is reserved up front, so the overlay never regrows the copy.
+kv::BackingStore overlay_cache(const kv::KeyValueStore& store, Nanos now) {
+  kv::BackingStore merged = store.backing();
+  merged.reserve(merged.key_count() + store.cache().occupancy());
+  store.cache().snapshot_into(
+      now, [&merged](kv::EvictedValue&& ev) { merged.absorb(ev); });
+  return merged;
+}
+
+}  // namespace
 
 QueryEngine::QueryEngine(compiler::CompiledProgram program, EngineConfig config)
     : program_(std::move(program)),
@@ -237,16 +252,12 @@ EngineSnapshot QueryEngine::snapshot(std::string_view query_name, Nanos now) {
   // usage error, not an engine fault, and must not poison the engine.
   for (auto& sw : switches_) {
     if (sw.plan->name != query_name) continue;
-    // The application pull (§3.2): overlay the live cache on a copy of the
-    // backing store through the ordinary exact-merge absorb — bit-for-bit
-    // what finish(now) would materialize for this query, without disturbing
-    // either structure.
+    // The application pull (§3.2): bit-for-bit what finish(now) would
+    // materialize for this query.
     ++snapshots_;
     const std::uint64_t t0 = obs::kTelemetryEnabled ? obs::now_ns() : 0;
     return guarded([&] {
-      kv::BackingStore merged = sw.store->backing();
-      sw.store->cache().snapshot_into(
-          now, [&merged](kv::EvictedValue&& ev) { merged.absorb(ev); });
+      const kv::BackingStore merged = overlay_cache(*sw.store, now);
       const compiler::CompiledProgram& prog =
           sw.attached != nullptr ? *sw.attached : program_;
       EngineSnapshot snap{materialize_switch_table(prog, *sw.plan, merged),
@@ -275,10 +286,7 @@ kv::StoreExport QueryEngine::export_store(std::string_view query_name,
         out.entries = sw.store->backing().export_entries();
       } else {
         // Mid-run: same record-boundary merge snapshot() performs.
-        kv::BackingStore merged = sw.store->backing();
-        sw.store->cache().snapshot_into(
-            now, [&merged](kv::EvictedValue&& ev) { merged.absorb(ev); });
-        out.entries = merged.export_entries();
+        out.entries = overlay_cache(*sw.store, now).export_entries();
       }
       return out;
     });

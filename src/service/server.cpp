@@ -16,12 +16,15 @@ namespace perfq::service {
 
 namespace {
 
-/// write() the whole buffer, looping over short writes. Returns false on a
+/// Send the whole buffer, looping over short writes. Returns false on a
 /// closed/broken connection (the client went away; not an error).
+/// MSG_NOSIGNAL: a client that closes with replies still pending must cost
+/// only its own session (EPIPE), not SIGPIPE the whole process.
 bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -129,6 +132,8 @@ void QueryServer::session_loop(int fd) {
     std::size_t start = 0;
     for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
+      // An over-long line is refused below, like one that never ends.
+      if (nl - start > kMaxLineBytes) break;
       std::string_view line{buffer.data() + start, nl - start};
       if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
       start = nl + 1;
@@ -144,6 +149,11 @@ void QueryServer::session_loop(int fd) {
       }
     }
     buffer.erase(0, start);
+    if (buffer.size() > kMaxLineBytes) {
+      write_all(fd, "ERR request line longer than " +
+                        std::to_string(kMaxLineBytes) + " bytes\n");
+      return;
+    }
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return;  // disconnect, or stop() shut the socket down

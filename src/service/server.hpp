@@ -23,6 +23,12 @@ namespace perfq::service {
 
 class QueryServer {
  public:
+  /// Longest request line a session buffers. ATTACH carries a whole program
+  /// on one line, and 64 KiB is far past any real one. A longer line, with
+  /// or without its newline, gets ERR and the session is closed, so no
+  /// client can grow the server's memory without bound.
+  static constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
   /// Binds 127.0.0.1:`port` and starts accepting (port 0 = ephemeral; read
   /// the bound port back with port()). Throws ConfigError on bind failure.
   /// `service` must outlive the server.

@@ -2,9 +2,11 @@
 // must hold for EVERY (geometry, policy, workload skew) combination.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <tuple>
 
+#include "common/rng.hpp"
 #include "kvstore/builtin_folds.hpp"
 #include "kvstore/kvstore.hpp"
 #include "trace/simple.hpp"
@@ -110,6 +112,181 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CacheInvariantTest,
                          ::testing::ValuesIn(sweep_cases()),
                          [](const ::testing::TestParamInfo<SweepCase>& p) {
                            return p.param.name;
+                         });
+
+// ---- BackingStore container contract ---------------------------------------
+// The backing store is a flat entry array under an open-addressing index that
+// grows by re-indexing. A seeded schedule of direct absorbs over more than
+// 10^5 keys, with re-absorbs, crosses a dozen index growths and is checked
+// against a std::map model after every phase.
+
+/// Per-key model of one store: the merged (count, bytes) of a linear fold and
+/// the number of absorbs, which is the segment count of a non-linear one.
+struct ModelEntry {
+  double count = 0;
+  double bytes = 0;
+  std::size_t absorbs = 0;
+};
+using Model = std::map<std::uint64_t, ModelEntry>;
+
+Key model_key(std::uint64_t id) {
+  const std::uint64_t v[] = {id};
+  const std::uint8_t w[] = {8};
+  return Key::pack(v, w);
+}
+
+/// One eviction of `id` carrying `n` packets of `len` bytes each, as a
+/// const-A, h = 0 fold (S_h = S_0 = 0) evicts it.
+EvictedValue model_eviction(std::uint64_t id, std::uint64_t n, double len) {
+  EvictedValue ev;
+  ev.key = model_key(id);
+  ev.state = StateVector(2);
+  ev.state[0] = static_cast<double>(n);
+  ev.state[1] = static_cast<double>(n) * len;
+  ev.state_after_h = StateVector(2);
+  ev.packets = n;
+  ev.first_tin = Nanos{static_cast<std::int64_t>(id)};
+  ev.evict_time = Nanos{static_cast<std::int64_t>(id) + 1};
+  return ev;
+}
+
+struct Absorb {
+  std::uint64_t id;
+  std::uint64_t n;
+  double len;
+};
+
+constexpr std::uint64_t kIds = 120'000;
+
+/// 3·10^5 absorbs over ids [0, kIds): ~1.1·10^5 distinct keys, most of them
+/// absorbed more than once.
+std::vector<Absorb> absorb_schedule(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Absorb> out(300'000);
+  for (Absorb& a : out) {
+    a = Absorb{rng.below(kIds), 1 + rng.below(50),
+               static_cast<double>(64 + rng.below(1400))};
+  }
+  return out;
+}
+
+void absorb_all(BackingStore& store, Model& model, std::span<const Absorb> schedule) {
+  for (const Absorb& a : schedule) {
+    store.absorb(model_eviction(a.id, a.n, a.len));
+    ModelEntry& m = model[a.id];
+    m.count += static_cast<double>(a.n);
+    m.bytes += static_cast<double>(a.n) * a.len;
+    ++m.absorbs;
+  }
+}
+
+/// Every contract the engines read the store through, against the model.
+void expect_matches(const BackingStore& store, const Model& model, bool linear) {
+  std::size_t valid = 0;
+  for (const auto& [id, m] : model) valid += linear || m.absorbs == 1;
+  EXPECT_EQ(store.key_count(), model.size());
+  EXPECT_EQ(store.accuracy().total_keys, model.size());
+  EXPECT_EQ(store.accuracy().valid_keys, valid);
+
+  std::vector<int> visits(kIds);
+  const auto id_of = [](const Key& key) {
+    std::uint64_t id = 0;
+    for (const std::byte b : key.bytes()) id = (id << 8) | std::to_integer<std::uint64_t>(b);
+    return id;
+  };
+  store.for_each([&](const Key& key, const StateVector& v, bool ok) {
+    const std::uint64_t id = id_of(key);
+    const auto it = model.find(id);
+    ASSERT_NE(it, model.end()) << "for_each visited a key never absorbed";
+    ++visits[id];
+    EXPECT_EQ(ok, linear || it->second.absorbs == 1);
+    if (linear) {
+      EXPECT_EQ(v[0], it->second.count);
+      EXPECT_EQ(v[1], it->second.bytes);
+    }
+  });
+  for (const auto& [id, m] : model) {
+    ASSERT_EQ(visits[id], 1) << "for_each visited key " << id << " " << visits[id] << " times";
+  }
+
+  const std::vector<ExportedEntry> exported = store.export_entries();
+  ASSERT_EQ(exported.size(), model.size());
+  std::vector<int> exports(kIds);
+  for (const ExportedEntry& e : exported) {
+    const std::uint64_t id = id_of(e.key);
+    const ModelEntry& m = model.at(id);
+    ASSERT_EQ(++exports[id], 1) << "export_entries repeated key " << id;
+    EXPECT_EQ(e.valid, linear || m.absorbs == 1);
+    EXPECT_EQ(e.segments.size(), linear ? 0 : m.absorbs);
+    if (linear) {
+      EXPECT_EQ(e.value[0], m.count);
+      EXPECT_EQ(e.value[1], m.bytes);
+    }
+  }
+
+  for (const auto& [id, m] : model) {
+    const Key key = model_key(id);
+    const StateVector* v = store.lookup(key);
+    ASSERT_NE(v, nullptr) << "absorbed key " << id << " reads as absent";
+    if (linear) {
+      EXPECT_EQ((*v)[0], m.count);
+      EXPECT_EQ((*v)[1], m.bytes);
+    } else {
+      ASSERT_NE(store.segments(key), nullptr);
+      EXPECT_EQ(store.segments(key)->size(), m.absorbs);
+    }
+    EXPECT_EQ(store.valid(key), linear || m.absorbs == 1);
+  }
+  // Every id of the schedule's range the model never saw, and some past it.
+  for (std::uint64_t id = 0; id < kIds + 10'000; ++id) {
+    if (model.count(id) != 0) continue;
+    const Key key = model_key(id);
+    ASSERT_EQ(store.lookup(key), nullptr) << "absent key " << id << " reads as present";
+    EXPECT_EQ(store.segments(key), nullptr);
+    EXPECT_FALSE(store.valid(key));
+  }
+}
+
+class BackingStoreContractTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(BackingStoreContractTest, MatchesMapModelAcrossGrowthAndCopies) {
+  const bool linear = GetParam();
+  const std::shared_ptr<const FoldKernel> kernel =
+      linear ? std::shared_ptr<const FoldKernel>(std::make_shared<CountSumKernel>())
+             : std::make_shared<NonMonotonicKernel>();
+  const std::vector<Absorb> schedule = absorb_schedule(0xB5);
+  const std::span<const Absorb> first(schedule.data(), schedule.size() / 2);
+  const std::span<const Absorb> second(schedule.data() + first.size(),
+                                       schedule.size() - first.size());
+
+  BackingStore store(kernel);
+  Model model;
+  absorb_all(store, model, first);
+  expect_matches(store, model, linear);
+
+  // The snapshot path: absorb into a copy (reserved, as the engines do, and
+  // plain); the original must not change.
+  BackingStore reserved = store;
+  reserved.reserve(store.key_count() + 4096);
+  BackingStore plain = store;
+  Model copy_model = model;
+  absorb_all(reserved, copy_model, second);
+  Model plain_model = model;
+  absorb_all(plain, plain_model, second);
+  expect_matches(store, model, linear);
+  expect_matches(reserved, copy_model, linear);
+  expect_matches(plain, plain_model, linear);
+  EXPECT_GE(copy_model.size(), 100'000u) << "schedule must cover 10^5 keys";
+
+  absorb_all(store, model, second);
+  expect_matches(store, model, linear);
+  EXPECT_EQ(store.writes(), schedule.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Folds, BackingStoreContractTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                           return p.param ? std::string{"linear"}
+                                          : std::string{"nonlinear"};
                          });
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 #include <optional>
@@ -633,6 +634,109 @@ TEST(QueryServer, LoopbackSocketRoundTrip) {
   EXPECT_FALSE(server.shutdown_requested());
   server.stop();
   EXPECT_EQ(svc.tenants().size(), 1u);
+}
+
+/// A loopback client connection to `port` (fails the test on error). Reads
+/// time out after 10 s, so a server that never answers fails the test
+/// instead of hanging it.
+int connect_client(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
+void send_all(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    off += static_cast<std::size_t>(n);
+  }
+}
+
+/// Everything the server sends until it closes the connection.
+std::string read_to_eof(int fd) {
+  std::string reply;
+  char chunk[4096];
+  for (ssize_t n; (n = ::read(fd, chunk, sizeof(chunk))) > 0;) {
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  return reply;
+}
+
+/// One fresh session: send `request`, half-close, return the whole reply.
+std::string round_trip(std::uint16_t port, const std::string& request) {
+  const int fd = connect_client(port);
+  send_all(fd, request);
+  ::shutdown(fd, SHUT_WR);
+  std::string reply = read_to_eof(fd);
+  ::close(fd);
+  return reply;
+}
+
+TEST(QueryServer, ClientClosingWithRepliesPendingCostsOnlyItsSession) {
+  // Pipeline 2000 PROM requests and half-close, then close with the replies
+  // unread. The close resets a connection the server already saw end
+  // (CLOSE_WAIT), so the server's next send fails with EPIPE, which must end
+  // that one session, not SIGPIPE the whole process.
+  service::QueryService svc = make_service();
+  svc.process_batch(test_workload());
+  service::QueryServer server(svc, /*port=*/0);
+
+  const int fd = connect_client(server.port());
+  std::string burst;
+  for (int i = 0; i < 2000; ++i) burst += "PROM\n";
+  send_all(fd, burst);
+  ::shutdown(fd, SHUT_WR);
+  char first[2];
+  ASSERT_EQ(::read(fd, first, sizeof(first)), 2);  // the server is replying
+  ::close(fd);
+
+  // Fresh clients keep getting served while the dead session unwinds.
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(round_trip(server.port(), "PING\n"), "OK 0\n");
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  server.stop();
+}
+
+TEST(QueryServer, OverLongLineGetsErrAndOtherSessionsKeepWorking) {
+  service::QueryService svc = make_service();
+  svc.process_batch(test_workload());
+  service::QueryServer server(svc, /*port=*/0);
+  const int bystander = connect_client(server.port());
+
+  // One byte past the cap, no newline: ERR, then the server hangs up.
+  const std::string unterminated(service::QueryServer::kMaxLineBytes + 1, 'A');
+  const int fd = connect_client(server.port());
+  send_all(fd, "PING\n" + unterminated);
+  const std::string reply = read_to_eof(fd);
+  ::close(fd);
+  EXPECT_EQ(reply.rfind("OK 0\nERR ", 0), 0u) << reply;
+  EXPECT_NE(reply.find("longer than"), std::string::npos) << reply;
+
+  // A terminated line past the cap is refused the same way.
+  const std::string terminated =
+      round_trip(server.port(), std::string(service::QueryServer::kMaxLineBytes + 1, 'B') + "\n");
+  EXPECT_EQ(terminated.rfind("ERR ", 0), 0u) << terminated;
+  EXPECT_NE(terminated.find("longer than"), std::string::npos) << terminated;
+
+  // The session opened before, and a fresh one, are unaffected.
+  send_all(bystander, "PING\n");
+  ::shutdown(bystander, SHUT_WR);
+  EXPECT_EQ(read_to_eof(bystander), "OK 0\n");
+  ::close(bystander);
+  EXPECT_EQ(round_trip(server.port(), "PING\n"), "OK 0\n");
+  server.stop();
 }
 
 }  // namespace
