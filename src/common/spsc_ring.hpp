@@ -1,6 +1,7 @@
 // Fixed-capacity single-producer/single-consumer ring buffer.
 //
-// This is the record conduit of the sharded runtime (src/runtime/sharded):
+// This is the record conduit of the threaded executor
+// (src/runtime/threaded_executor.hpp):
 // the dispatcher thread is the sole producer of each shard's ring and the
 // shard worker its sole consumer, so the ring needs no locks — just one
 // release store per publish and one acquire load per consume (the classic

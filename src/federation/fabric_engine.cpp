@@ -282,6 +282,7 @@ void merge_store_stats(runtime::StoreStats& dst,
   dst.accuracy.valid_keys += src.accuracy.valid_keys;
   dst.accuracy.total_keys += src.accuracy.total_keys;
   dst.backing_writes += src.backing_writes;
+  dst.backing_packets += src.backing_packets;
   dst.backing_capacity_writes += src.backing_capacity_writes;
   dst.keys += src.keys;
   dst.attached = dst.attached || src.attached;

@@ -2,8 +2,8 @@
 //
 // The paper's deployment model (§3.1) runs the on-switch half of a query in
 // every switch of the fabric and merges at a central collector. FabricEngine
-// is that model over the simulator: it attaches one runtime::Engine (serial
-// or sharded — a per-switch deployment knob) to every switch of a
+// is that model over the simulator: it attaches one runtime::Engine (inline
+// or sharded executor — a per-switch deployment knob) to every switch of a
 // netsim::Network via per-node telemetry taps, so each engine folds exactly
 // the records of its own switch's queues, and federates their stores through
 // federation::Collector into network-wide result tables.
@@ -52,7 +52,7 @@ namespace perfq::federation {
 struct FabricOptions {
   /// Switches to instrument; empty = every non-host node of the network.
   std::vector<net::NodeId> switches;
-  /// Per-switch engine sharding (0 = serial QueryEngine on every switch).
+  /// Per-switch engine sharding (0 = the inline executor on every switch).
   std::size_t shards = 0;
   /// Per-switch cache geometry; engine default when unset.
   std::optional<kv::CacheGeometry> geometry;
@@ -71,7 +71,9 @@ struct FabricOptions {
 /// {"switch": label} base label).
 struct FabricMetrics {
   std::vector<std::pair<std::string, runtime::EngineMetrics>> switches;
-  runtime::EngineMetrics rollup;  ///< engine = "fabric"; counters summed
+  /// engine = "fabric"; counters summed (a mid-run fabric snapshot() is one
+  /// pull per switch engine, whatever its executor).
+  runtime::EngineMetrics rollup;
 };
 
 class FabricEngine {

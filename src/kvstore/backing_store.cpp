@@ -77,6 +77,7 @@ StateVector BackingStore::replay(StateVector state,
 void BackingStore::absorb(const EvictedValue& ev) {
   ++writes_;
   if (!ev.final_flush) ++capacity_writes_;
+  packets_ += ev.packets;
 
   const auto [pos, inserted] = find_or_append(ev.key);
   Entry& entry = entries_[pos];

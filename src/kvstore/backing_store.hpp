@@ -111,6 +111,8 @@ class BackingStore {
   [[nodiscard]] std::size_t key_count() const { return key_count_; }
   [[nodiscard]] std::uint64_t writes() const { return writes_; }
   [[nodiscard]] std::uint64_t capacity_writes() const { return capacity_writes_; }
+  /// Packets merged in so far: how fresh the store is against the cache.
+  [[nodiscard]] std::uint64_t packets() const { return packets_; }
 
   /// Visit (key, merged value, valid) for result collection, each key once,
   /// in the order keys were first absorbed.
@@ -177,6 +179,7 @@ class BackingStore {
   /// safe to read from a metrics thread while absorbs continue.
   obs::RelaxedU64 writes_;
   obs::RelaxedU64 capacity_writes_;
+  obs::RelaxedU64 packets_;
   obs::RelaxedU64 key_count_;
   obs::RelaxedU64 valid_keys_;
 };

@@ -63,31 +63,4 @@ AccuracyStats ShardedBackingStore::accuracy() const {
   return total;
 }
 
-std::size_t ShardedBackingStore::key_count() const {
-  std::size_t n = 0;
-  for (const auto& sub : subs_) {
-    const std::lock_guard<std::mutex> lock(sub->mu);
-    n += sub->store.key_count();
-  }
-  return n;
-}
-
-std::uint64_t ShardedBackingStore::writes() const {
-  std::uint64_t n = 0;
-  for (const auto& sub : subs_) {
-    const std::lock_guard<std::mutex> lock(sub->mu);
-    n += sub->store.writes();
-  }
-  return n;
-}
-
-std::uint64_t ShardedBackingStore::capacity_writes() const {
-  std::uint64_t n = 0;
-  for (const auto& sub : subs_) {
-    const std::lock_guard<std::mutex> lock(sub->mu);
-    n += sub->store.capacity_writes();
-  }
-  return n;
-}
-
 }  // namespace perfq::kv

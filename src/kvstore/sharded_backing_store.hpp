@@ -53,9 +53,18 @@ class ShardedBackingStore {
   [[nodiscard]] bool valid(const Key& key) const;
 
   [[nodiscard]] AccuracyStats accuracy() const;
-  [[nodiscard]] std::size_t key_count() const;
-  [[nodiscard]] std::uint64_t writes() const;
-  [[nodiscard]] std::uint64_t capacity_writes() const;
+  [[nodiscard]] std::size_t key_count() const {
+    return sum(&BackingStore::key_count);
+  }
+  [[nodiscard]] std::uint64_t writes() const {
+    return sum(&BackingStore::writes);
+  }
+  [[nodiscard]] std::uint64_t capacity_writes() const {
+    return sum(&BackingStore::capacity_writes);
+  }
+  [[nodiscard]] std::uint64_t packets() const {
+    return sum(&BackingStore::packets);
+  }
   [[nodiscard]] std::size_t shard_count() const { return subs_.size(); }
   [[nodiscard]] const FoldKernel& kernel() const { return *kernel_; }
 
@@ -89,6 +98,18 @@ class ShardedBackingStore {
     mutable std::mutex mu;
     BackingStore store;
   };
+
+  /// A BackingStore counter summed over the sub-stores, each read under
+  /// its own lock.
+  template <typename Counter>
+  [[nodiscard]] std::uint64_t sum(Counter counter) const {
+    std::uint64_t n = 0;
+    for (const auto& sub : subs_) {
+      const std::lock_guard<std::mutex> lock(sub->mu);
+      n += (sub->store.*counter)();
+    }
+    return n;
+  }
 
   [[nodiscard]] Sub& sub_of(const Key& key) const {
     return *subs_[reduce_range(key.hash(kStdHashSeed), subs_.size())];

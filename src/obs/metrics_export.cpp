@@ -63,6 +63,8 @@ void visit_metrics(const runtime::EngineMetrics& m, const MetricFn& fn) {
     fn("store_backing_writes", labels, static_cast<double>(q.backing_writes));
     fn("store_backing_capacity_writes", labels,
        static_cast<double>(q.backing_capacity_writes));
+    fn("store_backing_packets", labels,
+       static_cast<double>(q.backing_packets));
     fn("store_keys", labels, static_cast<double>(q.keys));
     fn("store_valid_keys", labels,
        static_cast<double>(q.accuracy.valid_keys));

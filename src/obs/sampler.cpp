@@ -4,47 +4,44 @@
 
 namespace perfq::obs {
 
-SampledEngine::SampledEngine(std::unique_ptr<runtime::Engine> inner,
-                             std::chrono::milliseconds interval,
-                             std::size_t capacity)
-    : inner_(std::move(inner)),
+MetricsSampler::MetricsSampler(const runtime::Engine& engine,
+                               std::chrono::milliseconds interval,
+                               std::size_t capacity)
+    : engine_(engine),
       interval_(interval),
       capacity_(capacity),
       start_(std::chrono::steady_clock::now()) {
-  if (inner_ == nullptr) throw ConfigError{"SampledEngine: null engine"};
   if (interval_.count() <= 0) {
-    throw ConfigError{"SampledEngine: sampling interval must be positive"};
+    throw ConfigError{"MetricsSampler: sampling interval must be positive"};
   }
   if (capacity_ == 0) {
-    throw ConfigError{"SampledEngine: zero sample capacity"};
+    throw ConfigError{"MetricsSampler: zero sample capacity"};
   }
   thread_ = std::thread([this] { sampler_loop(); });
 }
 
-SampledEngine::~SampledEngine() {
+MetricsSampler::~MetricsSampler() {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-  // inner_ destructs after the sampler is gone — no metrics() call can race
-  // the wrapped engine's teardown.
 }
 
-void SampledEngine::sampler_loop() {
+void MetricsSampler::sampler_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     if (cv_.wait_for(lock, interval_, [this] { return stop_; })) return;
     lock.unlock();
-    runtime::MetricsSample sample;
+    MetricsSample sample;
     sample.elapsed_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start_)
             .count());
     bool ok = true;
     try {
-      sample.metrics = inner_->metrics();
+      sample.metrics = engine_.metrics();
     } catch (...) {
       // metrics() is contractually non-throwing on engine faults; anything
       // escaping anyway (allocation failure under pressure) just skips the
@@ -59,7 +56,7 @@ void SampledEngine::sampler_loop() {
   }
 }
 
-std::vector<runtime::MetricsSample> SampledEngine::metrics_series() const {
+std::vector<MetricsSample> MetricsSampler::series() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return {series_.begin(), series_.end()};
 }

@@ -1,107 +1,58 @@
-// Background metrics sampling: a decorating Engine that polls the wrapped
-// engine's metrics() on its own thread at a fixed interval and keeps a
-// bounded time series — the "metrics over the run" view a monitoring UI or
-// a post-hoc analysis wants, without the caller having to thread a poller
-// through its processing loop.
+// Background metrics sampling: a poller that reads an engine's metrics() on
+// its own thread at a fixed interval and keeps a bounded time series — the
+// "metrics over the run" view a monitoring UI or a post-hoc analysis wants,
+// without the caller having to thread a poller through its processing loop.
 //
-// Enabled by EngineBuilder::metrics_sampler(interval[, capacity]); the
-// builder wraps whichever engine it built. Everything else forwards, so the
-// wrapper is invisible to drivers: process_batch/finish/snapshot/metrics hit
-// the inner engine directly (metrics() itself is NOT sampled — it stays the
-// live view). The sampler thread only ever calls metrics(), which the
-// coherence contract (engine_api.hpp) makes safe from any thread, including
-// while the caller processes and even after a fault poisons the engine.
+// The poller only ever calls metrics(), which the coherence contract
+// (runtime/engine_api.hpp) makes safe from any thread, including while the
+// caller processes and even after a fault poisons the engine. The engine
+// must outlive the sampler.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "runtime/engine_api.hpp"
 
 namespace perfq::obs {
 
-class SampledEngine final : public runtime::Engine {
+/// One timestamped EngineMetrics from the sampler.
+struct MetricsSample {
+  std::uint64_t elapsed_ns = 0;  ///< since the sampler started
+  runtime::EngineMetrics metrics;
+};
+
+class MetricsSampler {
  public:
-  /// Wraps `inner`; samples inner->metrics() every `interval` into a ring of
-  /// at most `capacity` samples (oldest dropped).
-  SampledEngine(std::unique_ptr<runtime::Engine> inner,
-                std::chrono::milliseconds interval, std::size_t capacity);
-  ~SampledEngine() override;
+  /// Samples engine.metrics() every `interval` into a series of at most
+  /// `capacity` samples (oldest dropped). Throws ConfigError on a
+  /// non-positive interval or a zero capacity.
+  MetricsSampler(const runtime::Engine& engine,
+                 std::chrono::milliseconds interval, std::size_t capacity);
+  /// Stops and joins the sampler thread.
+  ~MetricsSampler();
+  MetricsSampler(const MetricsSampler&) = delete;
+  MetricsSampler& operator=(const MetricsSampler&) = delete;
 
-  void process_batch(std::span<const PacketRecord> records) override {
-    inner_->process_batch(records);
-  }
-  trace::IngestStats process_wire_batch(
-      std::span<const FrameObservation> frames) override {
-    return inner_->process_wire_batch(frames);
-  }
-  void finish(Nanos now) override { inner_->finish(now); }
-  [[nodiscard]] const runtime::ResultTable& result() const override {
-    return inner_->result();
-  }
-  [[nodiscard]] const runtime::ResultTable& table(
-      std::string_view name) const override {
-    return inner_->table(name);
-  }
-  using runtime::Engine::snapshot;
-  [[nodiscard]] runtime::EngineSnapshot snapshot(std::string_view query_name,
-                                                 Nanos now) override {
-    return inner_->snapshot(query_name, now);
-  }
-  [[nodiscard]] kv::StoreExport export_store(std::string_view query_name,
-                                             Nanos now) override {
-    return inner_->export_store(query_name, now);
-  }
-  void attach_query(compiler::CompiledProgram program,
-                    const runtime::AttachOptions& options) override {
-    inner_->attach_query(std::move(program), options);
-  }
-  runtime::ResultTable detach_query(std::string_view name, Nanos now) override {
-    return inner_->detach_query(name, now);
-  }
-  [[nodiscard]] std::vector<runtime::StoreStats> store_stats() const override {
-    return inner_->store_stats();
-  }
-  [[nodiscard]] std::uint64_t records_processed() const override {
-    return inner_->records_processed();
-  }
-  [[nodiscard]] std::uint64_t refresh_count() const override {
-    return inner_->refresh_count();
-  }
-  [[nodiscard]] const compiler::CompiledProgram& program() const override {
-    return inner_->program();
-  }
-  [[nodiscard]] runtime::EngineMetrics metrics() const override {
-    return inner_->metrics();
-  }
-  void record_ingest(const trace::IngestStats& stats) override {
-    inner_->record_ingest(stats);
-  }
-  void record_replay(std::uint64_t records, std::uint64_t nanos) override {
-    inner_->record_replay(records, nanos);
-  }
-
-  /// The collected time series so far (oldest first). Thread-safe; the
-  /// sampler keeps running until destruction, so finish() does not end it.
-  [[nodiscard]] std::vector<runtime::MetricsSample> metrics_series()
-      const override;
+  /// The collected time series so far (oldest first). Thread-safe.
+  [[nodiscard]] std::vector<MetricsSample> series() const;
 
  private:
   void sampler_loop();
 
-  std::unique_ptr<runtime::Engine> inner_;
+  const runtime::Engine& engine_;
   std::chrono::milliseconds interval_;
   std::size_t capacity_;
   std::chrono::steady_clock::time_point start_;
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  ///< guards stop_ and series_
   std::condition_variable cv_;
   bool stop_ = false;
-  std::deque<runtime::MetricsSample> series_;
+  std::deque<MetricsSample> series_;
   std::thread thread_;  ///< last member: starts after everything is ready
 };
 

@@ -134,12 +134,9 @@ std::size_t check_frame(std::span<const std::byte> bytes, ParseError* error,
   return kEthHeaderLen + kIpv4HeaderLen + l4_len;
 }
 
-std::optional<ParseResult> try_parse(std::span<const std::byte> bytes,
-                                     ParseError* error, bool verify_checksum) {
-  const std::size_t header_bytes = check_frame(bytes, error, verify_checksum);
-  if (header_bytes == 0) return std::nullopt;
-
-  // Validation passed: every offset below is in bounds and self-consistent.
+Packet decode(std::span<const std::byte> bytes) {
+  // check_frame passed: every offset below is in bounds and self-consistent,
+  // and the protocol is TCP or UDP.
   const std::byte* p = bytes.data() + kEthHeaderLen;
   Packet pkt;
   const std::uint16_t ip_total = load_u16(p + 2);
@@ -152,14 +149,22 @@ std::optional<ParseResult> try_parse(std::span<const std::byte> bytes,
 
   pkt.flow.src_port = load_u16(p + 0);
   pkt.flow.dst_port = load_u16(p + 2);
-  const std::size_t l4_len = header_bytes - kEthHeaderLen - kIpv4HeaderLen;
-  if (l4_len == kTcpHeaderLen) {
+  const bool tcp = pkt.flow.proto == static_cast<std::uint8_t>(IpProto::kTcp);
+  const std::size_t l4_len = tcp ? kTcpHeaderLen : kUdpHeaderLen;
+  if (tcp) {
     pkt.tcp_seq = load_u32(p + 4);
     pkt.tcp_flags = std::to_integer<std::uint8_t>(p[13]);
   }
   pkt.payload_len = static_cast<std::uint32_t>(ip_total - kIpv4HeaderLen - l4_len);
   pkt.pkt_len = static_cast<std::uint32_t>(kEthHeaderLen + ip_total);
-  return ParseResult{pkt, header_bytes};
+  return pkt;
+}
+
+std::optional<ParseResult> try_parse(std::span<const std::byte> bytes,
+                                     ParseError* error, bool verify_checksum) {
+  const std::size_t header_bytes = check_frame(bytes, error, verify_checksum);
+  if (header_bytes == 0) return std::nullopt;
+  return ParseResult{decode(bytes), header_bytes};
 }
 
 ParseResult parse(std::span<const std::byte> bytes) {

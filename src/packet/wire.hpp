@@ -86,6 +86,10 @@ enum class ParseError : std::uint8_t {
                                       ParseError* error = nullptr,
                                       bool verify_checksum = false);
 
+/// Decode a frame that passed check_frame (a precondition, not re-checked):
+/// the extraction half of try_parse, for callers that validated first.
+[[nodiscard]] Packet decode(std::span<const std::byte> bytes);
+
 /// Parse wire bytes into a Packet without throwing: nullopt on malformed
 /// input, with the reason written to `error` when non-null. The truncation
 /// contract is exact: any prefix shorter than the frame's header bytes is

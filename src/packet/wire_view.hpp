@@ -60,11 +60,11 @@ struct WireRecordView {
            static_cast<std::uint8_t>(IpProto::kTcp);
   }
 
-  /// The eager reference representation of this frame (precondition: the
-  /// bytes passed check_frame, so parse cannot fail).
+  /// The eager reference representation of this frame (the bytes passed
+  /// check_frame, so they decode without a second check).
   [[nodiscard]] PacketRecord materialize() const {
     PacketRecord rec;
-    rec.pkt = wire::parse(bytes).pkt;
+    rec.pkt = wire::decode(bytes);
     rec.qid = qid;
     rec.tin = tin;
     rec.tout = tout;

@@ -1,5 +1,5 @@
-// The collection layer, shared by QueryEngine and ShardedEngine: soft
-// SELECTs over materialized aggregates, soft GROUPBYs, JOINs (§3.1's
+// The collection layer that runtime::Engine runs at finish(): soft SELECTs
+// over materialized aggregates, soft GROUPBYs, JOINs (§3.1's
 // "everything downstream of the switch runs at the collector"), plus the
 // canonical materialization of on-switch GROUPBY results out of a backing
 // store.
@@ -28,9 +28,9 @@ void run_collection_query(const compiler::CompiledProgram& program, int index,
 /// (anything with `for_each(fn(key, value, valid))`: BackingStore or
 /// ShardedBackingStore). Rows are sorted into canonical key order so the
 /// result is independent of map iteration and eviction interleaving — this
-/// is what lets the sharded engine's downstream collection queries (which
-/// accumulate in row order) reproduce the single-threaded engine's floating-
-/// point results bit-for-bit.
+/// is what lets downstream collection queries (which accumulate in row
+/// order) reproduce the same floating-point results bit-for-bit whichever
+/// executor folded the store.
 template <typename Backing>
 [[nodiscard]] ResultTable materialize_switch_table(
     const compiler::CompiledProgram& program,

@@ -1,189 +1,211 @@
-#include "runtime/engine.hpp"
+#include "runtime/engine_api.hpp"
 
-#include <algorithm>
-#include <array>
 #include <utility>
+#include <variant>
+#include <vector>
 
 #include "common/error.hpp"
 #include "runtime/collection.hpp"
+#include "runtime/inline_executor.hpp"
+#include "runtime/stream_stage.hpp"
+#include "runtime/threaded_executor.hpp"
 
 namespace perfq::runtime {
 namespace {
 
-/// A copy of `store`'s backing store with its live cache entries merged in
-/// through the ordinary exact-merge absorb: bit for bit what a flush at `now`
-/// would leave there, with neither structure disturbed. Room for every
-/// resident key is reserved up front, so the overlay never regrows the copy.
-kv::BackingStore overlay_cache(const kv::KeyValueStore& store, Nanos now) {
-  kv::BackingStore merged = store.backing();
-  merged.reserve(merged.key_count() + store.cache().occupancy());
-  store.cache().snapshot_into(
-      now, [&merged](kv::EvictedValue&& ev) { merged.absorb(ev); });
-  return merged;
+/// Call `fn` with the engine's executor: one switch per call, no virtual
+/// dispatch, and each executor's hot path is compiled in directly.
+template <typename Exec, typename Fn>
+decltype(auto) on_executor(Exec& exec, Fn&& fn) {
+  return std::visit([&](auto& ex) -> decltype(auto) { return fn(*ex); }, exec);
 }
 
 }  // namespace
 
-QueryEngine::QueryEngine(compiler::CompiledProgram program, EngineConfig config)
+AttachKind attachable_kind(const compiler::CompiledProgram& program) {
+  const auto& queries = program.analysis.queries;
+  if (queries.empty()) {
+    throw ConfigError{"attach: program has no queries"};
+  }
+  const std::vector<int> streams = stream_sink_queries(program);
+  const int last = static_cast<int>(queries.size()) - 1;
+  if (program.switch_plans.size() == 1) {
+    if (program.switch_plans.front().query_index != last) {
+      throw ConfigError{
+          "attach: program runs a collection layer downstream of its GROUPBY; "
+          "attachable programs end at the on-switch aggregate"};
+    }
+    if (!streams.empty()) {
+      throw ConfigError{
+          "attach: program mixes an on-switch GROUPBY with a stream SELECT; "
+          "attach them as separate queries"};
+    }
+    return AttachKind::kSwitchQuery;
+  }
+  if (program.switch_plans.empty() && streams.size() == 1 &&
+      streams.front() == last) {
+    return AttachKind::kStreamSelect;
+  }
+  throw ConfigError{
+      "attach: program must be exactly one on-switch GROUPBY chain or one "
+      "stream SELECT"};
+}
+
+Engine::Engine(compiler::CompiledProgram program, EngineConfig config,
+               const std::optional<ThreadedConfig>& threaded)
     : program_(std::move(program)),
       config_(std::move(config)),
-      stream_(program_, config_) {
-  wire_verify_checksums_ = config_.verify_checksums;
-  // Key-value store per on-switch GROUPBY.
-  for (const auto& plan : program_.switch_plans) {
-    kv::CacheGeometry geometry = config_.geometry;
-    if (const auto it = config_.per_query_geometry.find(plan.name);
-        it != config_.per_query_geometry.end()) {
-      geometry = it->second;
-    }
-    auto store = std::make_unique<kv::KeyValueStore>(
-        geometry, plan.kernel, config_.hash_seed, config_.eviction_policy);
-    auto core = std::make_unique<SwitchFoldCore>(plan, store->cache());
-    switches_.push_back(
-        SwitchInstance{&plan, std::move(store), std::move(core), nullptr, 0});
+      refresh_(config_.refresh_interval),
+      stream_(std::make_unique<StreamStage>(program_, config_)) {
+  if (threaded) {
+    exec_ = std::make_unique<ThreadedExecutor>(config_, *threaded, refresh_,
+                                               *stream_, fault_);
+  } else {
+    exec_ = std::make_unique<InlineExecutor>(config_, refresh_, *stream_);
   }
-}
-
-void QueryEngine::throw_if_faulted() const {
-  if (fault_.faulted()) fault_.raise();
-}
-
-void QueryEngine::process_batch(std::span<const PacketRecord> records) {
-  throw_if_faulted();
-  check(!finished_, "QueryEngine: process after finish");
-  ++batches_;
-  const bool timed =
-      obs::kTelemetryEnabled &&
-      (records.size() >= obs::kAlwaysTimeBatch ||
-       (batch_tick_++ & obs::kSmallBatchSampleMask) == 0);
-  const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-  // An exception escaping mid-batch (stream-sink callback, injected
-  // failpoint, allocation) leaves some records folded and others not:
-  // guarded() poisons the engine so the partial state can never be read.
-  guarded([&] { process_batch_impl(records); });
-  if (timed) batch_ns_.record(obs::now_ns() - t0);
-}
-
-template <typename Rec>
-void QueryEngine::process_chunk(std::span<const Rec> chunk) {
-  const std::size_t n = chunk.size();
-  const bool streams = !stream_.empty();
-
-  // Pass 1: evaluate prefilters and extract every key (computing its
-  // cached hash once), prefetching the owning cache bucket so its tag row
-  // and slots are resident by the time pass 2 folds the record.
-  for (auto& sw : switches_) {
-    for (std::size_t i = 0; i < n; ++i) sw.core->prepare(i, chunk[i]);
-  }
-
-  // Pass 2: fold records in time order (refresh boundaries included;
-  // prefetches above have no side effects, so ordering is preserved).
-  for (std::size_t i = 0; i < n; ++i) {
-    const Rec& rec = chunk[i];
-    if (config_.refresh_interval > Nanos{0}) {
-      if (next_refresh_ == Nanos{0}) {
-        next_refresh_ = rec.tin + config_.refresh_interval;
-      }
-      if (rec.tin >= next_refresh_) {
-        // Periodic backing-store refresh (§3.2): exact for linear folds,
-        // and non-linear folds record one more segment (accounted in
-        // accuracy).
-        for (auto& sw : switches_) sw.store->flush(rec.tin);
-        ++refreshes_;
-        next_refresh_ = rec.tin + config_.refresh_interval;
-      }
-    }
-    for (auto& sw : switches_) sw.core->fold(i, rec);
-    if (streams) stream_.observe(rec);
-  }
-}
-
-void QueryEngine::process_batch_impl(std::span<const PacketRecord> records) {
-  records_ += records.size();
-  for (std::size_t base = 0; base < records.size(); base += kBatchChunk) {
-    const std::size_t n = std::min(kBatchChunk, records.size() - base);
-    process_chunk(records.subspan(base, n));
-  }
-  // Stream rows buffered above leave the engine here: one delivery per
-  // process_batch call (the sink batch-boundary contract).
-  if (!stream_.empty()) stream_.deliver();
-}
-
-trace::IngestStats QueryEngine::process_wire_batch(
-    std::span<const FrameObservation> frames) {
-  throw_if_faulted();
-  check(!finished_, "QueryEngine: process after finish");
-  ++batches_;
-  const bool timed =
-      obs::kTelemetryEnabled &&
-      (frames.size() >= obs::kAlwaysTimeBatch ||
-       (batch_tick_++ & obs::kSmallBatchSampleMask) == 0);
-  const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-  trace::IngestStats stats;
-  guarded([&] { process_wire_batch_impl(frames, stats); });
-  record_ingest(stats);
-  if (timed) batch_ns_.record(obs::now_ns() - t0);
-  return stats;
-}
-
-void QueryEngine::process_wire_batch_impl(
-    std::span<const FrameObservation> frames, trace::IngestStats& stats) {
-  // Fused validate + dispatch: fill a chunk of lazy views (damaged frames
-  // skip-and-count, preserving time order across the survivors), run the
-  // same two-pass pipeline process_batch uses, repeat. Frame bytes are only
-  // read twice per record: the header validation and the lazy field loads
-  // the program actually performs.
-  std::array<WireRecordView, kBatchChunk> views;
-  std::size_t n = 0;
-  for (const FrameObservation& frame : frames) {
-    wire::ParseError err{};
-    if (wire::check_frame(frame.bytes, &err, wire_verify_checksums_) == 0) {
-      trace::count_parse_error(stats, err);
-      continue;
-    }
-    ++stats.parsed;
-    views[n++] = wire_record_view(frame);
-    if (n == kBatchChunk) {
-      process_chunk(std::span<const WireRecordView>{views.data(), n});
-      n = 0;
-    }
-  }
-  if (n > 0) process_chunk(std::span<const WireRecordView>{views.data(), n});
-  records_ += stats.parsed;
-  if (!stream_.empty()) stream_.deliver();
-}
-
-void QueryEngine::finish(Nanos now) {
-  throw_if_faulted();
-  check(!finished_, "QueryEngine: finish called twice");
-  finished_ = true;
-  guarded([&] {
-    for (auto& sw : switches_) sw.store->flush(now);
-    materialize_switch_tables();
-    stream_.finish(tables_, attached_tables_);
-    for (std::size_t i = 0; i < program_.analysis.queries.size(); ++i) {
-      if (tables_.count(static_cast<int>(i)) > 0) continue;
-      run_collection_query(program_, static_cast<int>(i), tables_);
+  // Nothing has been dispatched yet, so the base queries install without a
+  // boundary.
+  on_executor(exec_, [&](auto& ex) {
+    for (const auto& plan : program_.switch_plans) {
+      const std::size_t slot = queries_.size();
+      const kv::CacheGeometry geometry = geometry_for(plan.name, std::nullopt);
+      ex.install(slot, plan, ex.prepare(slot, plan, geometry));
+      queries_.push_back(Query{&plan, nullptr, 0});
     }
   });
 }
 
-void QueryEngine::attach_query(compiler::CompiledProgram program,
-                               const AttachOptions& options) {
+Engine::~Engine() = default;
+
+// ---- the fault gate ---------------------------------------------------------
+
+void Engine::throw_if_faulted() const {
+  if (fault_.faulted()) fault_.raise();
+}
+
+template <typename Fn>
+decltype(auto) Engine::guarded(Fn&& body) {
+  try {
+    return body();
+  } catch (const EngineFaultError&) {
+    throw;
+  } catch (const std::exception& e) {
+    fault_.record(ThreadRole::kCaller, kNoShard, e.what());
+    fault_.raise();
+  } catch (...) {
+    fault_.record(ThreadRole::kCaller, kNoShard, "unknown exception");
+    fault_.raise();
+  }
+}
+
+// ---- ingest -----------------------------------------------------------------
+
+template <typename Body>
+void Engine::run_batch(std::size_t size, Body&& body) {
   throw_if_faulted();
-  check(!finished_, "QueryEngine: attach after finish");
+  check(!finished_, "Engine: process after finish");
+  ++batches_;
+  const bool timed = obs::kTelemetryEnabled &&
+                     (size >= obs::kAlwaysTimeBatch ||
+                      (batch_tick_++ & obs::kSmallBatchSampleMask) == 0);
+  const std::uint64_t t0 = timed ? obs::now_ns() : 0;
+  // An exception escaping mid-batch (stream-sink callback, injected
+  // failpoint, allocation) leaves some records folded and others not:
+  // guarded() poisons the engine so the partial state can never be read.
+  guarded([&] {
+    body();
+    // Stream rows leave the engine here: one delivery per batch call (the
+    // sink batch-boundary contract).
+    if (!stream_->empty()) stream_->deliver();
+  });
+  if (timed) batch_ns_.record(obs::now_ns() - t0);
+  // A fault on a pipeline thread during this batch (worker, merge or
+  // dispatcher death, watchdog expiry) may have abandoned dispatch: surface
+  // it at the batch boundary rather than on the next call.
+  throw_if_faulted();
+}
+
+void Engine::process_batch(std::span<const PacketRecord> records) {
+  run_batch(records.size(), [&] {
+    on_executor(exec_, [&](auto& ex) { ex.fold(records, records_); });
+    records_ += records.size();
+  });
+}
+
+trace::IngestStats Engine::process_wire_batch(
+    std::span<const FrameObservation> frames) {
+  trace::IngestStats stats;
+  run_batch(frames.size(), [&] {
+    on_executor(exec_, [&](auto& ex) {
+      ex.fold_wire(frames, config_.verify_checksums, stats, records_);
+    });
+    records_ += stats.parsed;
+  });
+  record_ingest(stats);
+  return stats;
+}
+
+void Engine::record_ingest(const trace::IngestStats& stats) {
+  ingest_telemetry_.parsed += stats.parsed;
+  ingest_telemetry_.truncated += stats.truncated;
+  ingest_telemetry_.unsupported += stats.unsupported;
+  ingest_telemetry_.bad_length += stats.bad_length;
+  ingest_telemetry_.bad_checksum += stats.bad_checksum;
+}
+
+void Engine::record_replay(std::uint64_t records, std::uint64_t nanos) {
+  ingest_telemetry_.replay_records += records;
+  ingest_telemetry_.replay_nanos += nanos;
+}
+
+// ---- the query registry -----------------------------------------------------
+
+std::size_t Engine::find_slot(std::string_view name) const {
+  for (std::size_t slot = 0; slot < queries_.size(); ++slot) {
+    if (queries_[slot].plan != nullptr && queries_[slot].plan->name == name) {
+      return slot;
+    }
+  }
+  return queries_.size();
+}
+
+std::size_t Engine::resolve(std::string_view name, const char* what) const {
+  // Name resolution stays outside the fault machinery: an unknown query is
+  // a usage error, not an engine fault, and must not poison the engine.
+  const std::size_t slot = find_slot(name);
+  if (slot == queries_.size()) {
+    throw QueryError{"result", std::string{what} +
+                                   ": no on-switch GROUPBY named '" +
+                                   std::string{name} + "'"};
+  }
+  return slot;
+}
+
+const compiler::CompiledProgram& Engine::program_of(const Query& query) const {
+  return query.attached != nullptr ? *query.attached : program_;
+}
+
+kv::CacheGeometry Engine::geometry_for(
+    const std::string& name,
+    const std::optional<kv::CacheGeometry>& override) const {
+  if (override.has_value()) return *override;
+  const auto it = config_.per_query_geometry.find(name);
+  return it != config_.per_query_geometry.end() ? it->second
+                                                 : config_.geometry;
+}
+
+void Engine::attach_query(compiler::CompiledProgram program,
+                          const AttachOptions& options) {
+  throw_if_faulted();
+  check(!finished_, "Engine: attach after finish");
   // Validation throws (ConfigError) before ANY state change: a rejected
   // attach leaves the engine exactly as it was.
   const AttachKind kind = attachable_kind(program);
   if (options.name.empty()) {
     throw ConfigError{"attach: query name must not be empty"};
   }
-  for (const auto& sw : switches_) {
-    if (sw.plan->name == options.name) {
-      throw ConfigError{"attach: query '" + options.name + "' already exists"};
-    }
-  }
-  if (stream_.has(options.name) ||
+  if (find_slot(options.name) != queries_.size() ||
+      stream_->has(options.name) ||
       program_.analysis.query_index(options.name) >= 0) {
     throw ConfigError{"attach: query '" + options.name + "' already exists"};
   }
@@ -191,142 +213,164 @@ void QueryEngine::attach_query(compiler::CompiledProgram program,
   auto owned = std::make_shared<compiler::CompiledProgram>(std::move(program));
   owned->analysis.queries.back().def.result_name = options.name;
   if (kind == AttachKind::kStreamSelect) {
+    // Stream tenants live on the caller only: no boundary to reach, just
+    // the topology lock against metrics readers.
     std::lock_guard<std::mutex> lock(topology_mu_);
-    stream_.attach(std::move(owned), options.name, options.sink, config_,
-                   records_);
+    stream_->attach(std::move(owned), options.name, options.sink, config_,
+                    records_);
     return;
   }
   compiler::SwitchQueryPlan& plan = owned->switch_plans.front();
   plan.name = options.name;
-  kv::CacheGeometry geometry = config_.geometry;
-  if (const auto it = config_.per_query_geometry.find(options.name);
-      it != config_.per_query_geometry.end()) {
-    geometry = it->second;
+  const kv::CacheGeometry geometry =
+      geometry_for(options.name, options.geometry);
+  std::size_t slot = 0;
+  while (slot < queries_.size() && queries_[slot].plan != nullptr) ++slot;
+  on_executor(exec_, [&](auto& ex) {
+    // Built (and validated) before anything shared is touched; then the
+    // executor reaches the record boundary, so nothing is in flight while
+    // the slot is installed.
+    auto prepared = ex.prepare(slot, plan, geometry);
+    guarded([&] { ex.reach_boundary(records_); });
+    std::lock_guard<std::mutex> lock(topology_mu_);
+    ex.install(slot, plan, std::move(prepared));
+    if (slot == queries_.size()) queries_.emplace_back();
+    queries_[slot] = Query{&plan, std::move(owned), records_};
+  });
+}
+
+ResultTable Engine::detach_query(std::string_view name, Nanos now) {
+  throw_if_faulted();
+  check(!finished_, "Engine: detach after finish");
+  const std::size_t slot = find_slot(name);
+  if (slot == queries_.size()) {
+    if (!stream_->has(name)) {
+      throw QueryError{"result",
+                       "detach: unknown query '" + std::string{name} + "'"};
+    }
+    if (!stream_->has_attached(name)) {
+      throw ConfigError{"detach: '" + std::string{name} +
+                        "' is a base-program query and cannot be detached"};
+    }
+    std::lock_guard<std::mutex> lock(topology_mu_);
+    return guarded([&] { return stream_->detach(name); });
   }
-  if (options.geometry.has_value()) geometry = *options.geometry;
-  auto store = std::make_unique<kv::KeyValueStore>(
-      geometry, plan.kernel, config_.hash_seed, config_.eviction_policy);
-  auto core = std::make_unique<SwitchFoldCore>(plan, store->cache());
+  const Query& query = queries_[slot];
+  if (query.attached == nullptr) {
+    throw ConfigError{"detach: '" + std::string{name} +
+                      "' is a base-program query and cannot be detached"};
+  }
+  // End this one query's window at the record boundary: its final table is
+  // the pull at `now`, which leaves resident queries untouched. Then free
+  // everything the attach allocated.
+  ResultTable table = guarded([&] {
+    return on_executor(exec_, [&](auto& ex) {
+      return ex.merged_store(slot, records_, now, [&](const auto& merged) {
+        return materialize_switch_table(*query.attached, *query.plan, merged);
+      });
+    });
+  });
   std::lock_guard<std::mutex> lock(topology_mu_);
-  switches_.push_back(SwitchInstance{&plan, std::move(store), std::move(core),
-                                     std::move(owned), records_});
+  on_executor(exec_, [&](auto& ex) { ex.remove(slot); });
+  queries_[slot] = Query{};
+  return table;
 }
 
-ResultTable QueryEngine::detach_query(std::string_view name, Nanos now) {
-  throw_if_faulted();
-  check(!finished_, "QueryEngine: detach after finish");
-  for (auto it = switches_.begin(); it != switches_.end(); ++it) {
-    if (it->plan->name != name) continue;
-    if (it->attached == nullptr) {
-      throw ConfigError{"detach: '" + std::string{name} +
-                        "' is a base-program query and cannot be detached"};
-    }
-    // End this one query's window: flush its cache slice, materialize the
-    // final table, then free everything the attach allocated. Resident
-    // queries' stores are untouched.
-    ResultTable table = guarded([&] {
-      it->store->flush(now);
-      return materialize_switch_table(*it->attached, *it->plan,
-                                      it->store->backing());
+// ---- pulls and results ------------------------------------------------------
+
+template <typename Fn>
+decltype(auto) Engine::pull(std::size_t slot, Nanos now, Fn&& fn) {
+  ++snapshots_;
+  const std::uint64_t t0 = obs::kTelemetryEnabled ? obs::now_ns() : 0;
+  return guarded([&] {
+    return on_executor(exec_, [&](auto& ex) {
+      return ex.merged_store(slot, records_, now, [&](const auto& merged) {
+        if (obs::kTelemetryEnabled) snapshot_ns_.record(obs::now_ns() - t0);
+        return fn(merged);
+      });
     });
-    std::lock_guard<std::mutex> lock(topology_mu_);
-    switches_.erase(it);
-    return table;
-  }
-  if (stream_.has(name)) {
-    if (!stream_.has_attached(name)) {
-      throw ConfigError{"detach: '" + std::string{name} +
-                        "' is a base-program query and cannot be detached"};
-    }
-    std::lock_guard<std::mutex> lock(topology_mu_);
-    return guarded([&] { return stream_.detach(name); });
-  }
-  throw QueryError{"result",
-                   "detach: unknown query '" + std::string{name} + "'"};
+  });
 }
 
-EngineSnapshot QueryEngine::snapshot(std::string_view query_name, Nanos now) {
+EngineSnapshot Engine::snapshot(std::string_view query_name, Nanos now) {
   throw_if_faulted();
-  check(!finished_, "QueryEngine: snapshot after finish");
-  // Name resolution stays outside the fault machinery: an unknown query is a
-  // usage error, not an engine fault, and must not poison the engine.
-  for (auto& sw : switches_) {
-    if (sw.plan->name != query_name) continue;
-    // The application pull (§3.2): bit-for-bit what finish(now) would
-    // materialize for this query.
-    ++snapshots_;
-    const std::uint64_t t0 = obs::kTelemetryEnabled ? obs::now_ns() : 0;
-    return guarded([&] {
-      const kv::BackingStore merged = overlay_cache(*sw.store, now);
-      const compiler::CompiledProgram& prog =
-          sw.attached != nullptr ? *sw.attached : program_;
-      EngineSnapshot snap{materialize_switch_table(prog, *sw.plan, merged),
-                          records_, now};
-      if (obs::kTelemetryEnabled) snapshot_ns_.record(obs::now_ns() - t0);
-      return snap;
+  check(!finished_, "Engine: snapshot after finish");
+  const std::size_t slot = resolve(query_name, "snapshot");
+  const Query& query = queries_[slot];
+  // The application pull (§3.2): bit-for-bit what finish(now) would
+  // materialize for this query.
+  return pull(slot, now, [&](const auto& merged) {
+    return EngineSnapshot{
+        materialize_switch_table(program_of(query), *query.plan, merged),
+        records_, now};
+  });
+}
+
+kv::StoreExport Engine::export_store(std::string_view query_name, Nanos now) {
+  throw_if_faulted();
+  const std::size_t slot = resolve(query_name, "export_store");
+  kv::StoreExport out;
+  out.query = std::string{query_name};
+  out.records = records_;
+  out.time = now;
+  const auto entries = [](const auto& store) {
+    return store.export_entries();
+  };
+  if (finished_) {
+    // Caches already flushed by finish(); the backing store IS the result.
+    out.entries = guarded([&] {
+      return on_executor(
+          exec_, [&](auto& ex) { return ex.with_backing(slot, entries); });
     });
+  } else {
+    out.entries = pull(slot, now, entries);
   }
-  throw QueryError{"result", "snapshot: no on-switch GROUPBY named '" +
-                                 std::string{query_name} + "'"};
+  return out;
 }
 
-kv::StoreExport QueryEngine::export_store(std::string_view query_name,
-                                          Nanos now) {
+void Engine::finish(Nanos now) {
   throw_if_faulted();
-  // Name resolution stays outside the fault machinery, like snapshot().
-  for (auto& sw : switches_) {
-    if (sw.plan->name != query_name) continue;
-    return guarded([&] {
-      kv::StoreExport out;
-      out.query = std::string{query_name};
-      out.records = records_;
-      out.time = now;
-      if (finished_) {
-        // Caches already flushed by finish(); the backing store IS the result.
-        out.entries = sw.store->backing().export_entries();
-      } else {
-        // Mid-run: same record-boundary merge snapshot() performs.
-        out.entries = overlay_cache(*sw.store, now).export_entries();
+  check(!finished_, "Engine: finish called twice");
+  finished_ = true;
+  guarded([&] {
+    on_executor(exec_, [&](auto& ex) {
+      ex.close(now, records_);
+      for (std::size_t slot = 0; slot < queries_.size(); ++slot) {
+        const Query& query = queries_[slot];
+        if (query.plan == nullptr) continue;
+        ResultTable table = ex.with_backing(slot, [&](const auto& backing) {
+          return materialize_switch_table(program_of(query), *query.plan,
+                                          backing);
+        });
+        if (query.attached != nullptr) {
+          // Attached queries end with the window; their query indices belong
+          // to their own programs, so their tables file by name.
+          attached_tables_.emplace(query.plan->name, std::move(table));
+        } else {
+          tables_.emplace(query.plan->query_index, std::move(table));
+        }
       }
-      return out;
     });
-  }
-  throw QueryError{"result", "export_store: no on-switch GROUPBY named '" +
-                                 std::string{query_name} + "'"};
-}
-
-void QueryEngine::materialize_switch_tables() {
-  for (auto& sw : switches_) {
-    if (sw.attached != nullptr) {
-      // Attached queries end with the window; their query indices belong to
-      // their own programs, so their tables file by name.
-      attached_tables_.emplace(
-          sw.plan->name,
-          materialize_switch_table(*sw.attached, *sw.plan, sw.store->backing()));
-    } else {
-      tables_.emplace(
-          sw.plan->query_index,
-          materialize_switch_table(program_, *sw.plan, sw.store->backing()));
+    stream_->finish(tables_, attached_tables_);
+    for (std::size_t i = 0; i < program_.analysis.queries.size(); ++i) {
+      if (tables_.count(static_cast<int>(i)) > 0) continue;
+      run_collection_query(program_, static_cast<int>(i), tables_);
     }
-  }
+  });
 }
 
-const ResultTable* QueryEngine::find_table(int index) const {
-  return find_collection_table(tables_, index);
-}
-
-const ResultTable& QueryEngine::result() const {
+const ResultTable& Engine::result() const {
   throw_if_faulted();
-  check(finished_, "QueryEngine: result before finish");
+  check(finished_, "Engine: result before finish");
   const int last = static_cast<int>(program_.analysis.queries.size()) - 1;
-  const ResultTable* t = find_table(last);
-  check(t != nullptr, "QueryEngine: program result not materialized");
+  const ResultTable* t = find_collection_table(tables_, last);
+  check(t != nullptr, "Engine: program result not materialized");
   return *t;
 }
 
-const ResultTable& QueryEngine::table(std::string_view name) const {
+const ResultTable& Engine::table(std::string_view name) const {
   throw_if_faulted();
-  check(finished_, "QueryEngine: table before finish");
+  check(finished_, "Engine: table before finish");
   if (const auto it = attached_tables_.find(name);
       it != attached_tables_.end()) {
     return it->second;
@@ -335,7 +379,7 @@ const ResultTable& QueryEngine::table(std::string_view name) const {
   if (idx < 0) {
     throw QueryError{"result", "unknown table '" + std::string{name} + "'"};
   }
-  const ResultTable* t = find_table(idx);
+  const ResultTable* t = find_collection_table(tables_, idx);
   if (t == nullptr) {
     throw QueryError{"result", "table '" + std::string{name} +
                                    "' is a stream intermediate and was not "
@@ -344,57 +388,68 @@ const ResultTable& QueryEngine::table(std::string_view name) const {
   return *t;
 }
 
-std::vector<StoreStats> QueryEngine::store_stats() const {
+// ---- telemetry --------------------------------------------------------------
+
+std::vector<StoreStats> Engine::store_stats() const {
   throw_if_faulted();
   std::lock_guard<std::mutex> lock(topology_mu_);
   return collect_store_stats();
 }
 
-std::vector<StoreStats> QueryEngine::collect_store_stats() const {
+std::vector<StoreStats> Engine::collect_store_stats() const {
   std::vector<StoreStats> out;
-  for (const auto& sw : switches_) {
-    StoreStats s;
-    s.name = sw.plan->name;
-    s.linearity = sw.plan->linearity;
-    s.cache = sw.store->cache().stats();
-    s.accuracy = sw.store->backing().accuracy();
-    s.backing_writes = sw.store->backing().writes();
-    s.backing_capacity_writes = sw.store->backing().capacity_writes();
-    s.keys = sw.store->backing().key_count();
-    s.attached = sw.attached != nullptr;
-    s.attach_records = sw.attach_records;
-    out.push_back(std::move(s));
-  }
+  on_executor(exec_, [&](const auto& ex) {
+    for (std::size_t slot = 0; slot < queries_.size(); ++slot) {
+      const Query& query = queries_[slot];
+      if (query.plan == nullptr) continue;
+      StoreStats s;
+      s.name = query.plan->name;
+      s.linearity = query.plan->linearity;
+      s.cache = ex.cache_stats(slot);
+      ex.with_backing(slot, [&s](const auto& backing) {
+        s.accuracy = backing.accuracy();
+        s.backing_writes = backing.writes();
+        s.backing_capacity_writes = backing.capacity_writes();
+        s.backing_packets = backing.packets();
+        s.keys = backing.key_count();
+      });
+      s.attached = query.attached != nullptr;
+      s.attach_records = query.attach_records;
+      out.push_back(std::move(s));
+    }
+  });
   return out;
 }
 
-EngineMetrics QueryEngine::metrics() const {
+EngineMetrics Engine::metrics() const {
   EngineMetrics m;
-  m.engine = "serial";
+  on_executor(exec_, [&m](const auto& ex) {
+    m.engine = std::decay_t<decltype(ex)>::kName;
+    ex.collect_pipeline(m);
+  });
   m.records = records_;
   m.batches = batches_;
-  m.refreshes = refreshes_;
+  m.refreshes = refresh_.count();
   m.snapshots = snapshots_;
   m.faulted = fault_.faulted();
   {
-    // Topology lock: attach/detach mutate switches_/stream_ entries on the
-    // caller thread; the element internals stay lock-free relaxed slots.
+    // Topology lock: attach/detach mutate the registry and the executor's
+    // per-slot structures on the caller thread; the element internals stay
+    // lock-free relaxed slots.
     std::lock_guard<std::mutex> lock(topology_mu_);
     m.queries = collect_store_stats();
-    stream_.collect(m.streams);
+    stream_->collect(m.streams);
   }
   m.batch_ns = batch_ns_.snapshot();
   m.snapshot_ns = snapshot_ns_.snapshot();
-  fill_driver_metrics(m);
+  m.ingest.parsed = ingest_telemetry_.parsed;
+  m.ingest.truncated = ingest_telemetry_.truncated;
+  m.ingest.unsupported = ingest_telemetry_.unsupported;
+  m.ingest.bad_length = ingest_telemetry_.bad_length;
+  m.ingest.bad_checksum = ingest_telemetry_.bad_checksum;
+  m.replay_records = ingest_telemetry_.replay_records;
+  m.replay_nanos = ingest_telemetry_.replay_nanos;
   return m;
-}
-
-const kv::KeyValueStore& QueryEngine::store(std::string_view query_name) const {
-  for (const auto& sw : switches_) {
-    if (sw.plan->name == query_name) return *sw.store;
-  }
-  throw QueryError{"result",
-                   "no switch query named '" + std::string{query_name} + "'"};
 }
 
 }  // namespace perfq::runtime

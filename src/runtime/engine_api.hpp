@@ -1,12 +1,21 @@
-// The one engine surface.
+// The one engine.
 //
-// Everything that runs a compiled program over packet records — the serial
-// QueryEngine and the sharded multi-core ShardedEngine — implements this
-// interface, and every driver (trace replay, the network simulator's
-// telemetry sink, the REPL, the benches) targets it. The serial/sharded
-// choice is a construction-time config knob (EngineBuilder::sharded), not a
-// type decision: callers hold a std::unique_ptr<Engine> and never name the
-// concrete engine.
+// runtime::Engine runs a compiled program over packet records, and every
+// driver (trace replay, the network simulator's telemetry sink, the REPL,
+// the benches, the service) targets it. It is one mechanism — the paper's
+// programmable key-value store (§3.2) — over two executors, the places
+// where folding happens:
+//   - InlineExecutor (the default): the caller folds each record into one
+//     KeyValueStore per on-switch GROUPBY; evictions absorb directly.
+//   - ThreadedExecutor (EngineBuilder::sharded(N)): D dispatchers route
+//     records through a D×N ring matrix to N shard workers, and a merge
+//     thread absorbs their evictions into concurrent backing stores.
+// Everything above the fold is written once, in Engine: the query registry,
+// attach validation, refresh-boundary detection, stream delivery, the wire
+// front, finish and the collection layer, result/table, telemetry and the
+// fault gate. The executor is chosen at construction (EngineBuilder is the
+// only way to build an engine) and dispatched per batch without a virtual
+// call; results are the same either way (bit-identical for linear kernels).
 //
 // Lifecycle:  build (EngineBuilder) → process_batch()* → finish(now) →
 // result()/table(). Two reads work MID-RUN, before finish():
@@ -24,8 +33,8 @@
 //     live cache contents are merged over the backing store with the same
 //     exact-merge machinery finish() uses, so for linear-in-state kernels the
 //     returned table is bit-for-bit the table a fresh engine fed the same
-//     record prefix would produce from finish(now). This holds for the serial
-//     AND the sharded engine (which reaches the boundary by draining its
+//     record prefix would produce from finish(now). This holds for both
+//     executors (the threaded one reaches the boundary by draining its
 //     in-flight rings and eviction queues for the snapshot — no thread is
 //     stopped, folding resumes immediately after).
 //   - Kernels that are NOT linear in state have no merge function (§3.2):
@@ -47,13 +56,13 @@
 // StreamSink, a fault injected through common/failpoint.hpp, a crashed shard
 // worker or merge thread — leaves the state at an arbitrary point inside a
 // batch. There is no way to resume without silently corrupting results, so
-// both engines implement the same poisoned-state protocol (engine_fault.hpp):
+// the engine implements one poisoned-state protocol (engine_fault.hpp):
 //
 //   - The FIRST failure wins: its description is captured in a FaultSlot
 //     (role + shard + cause); later failures during the unwind are dropped.
-//     On the sharded engine the recording thread also raises the pipeline
-//     stop flag, so dispatchers, workers and the merge thread unwind promptly
-//     instead of spinning on rings that will never drain.
+//     The slot is also the threaded executor's stop flag, so dispatchers,
+//     workers and the merge thread unwind promptly instead of spinning on
+//     rings that will never drain.
 //   - The call that observes the fault throws EngineFaultError (an Error
 //     subclass) carrying the faulting role ("worker", "merge", ...), the
 //     shard index if any, and the original cause. Watchdog faults append a
@@ -65,7 +74,7 @@
 //   - Argument errors thrown BEFORE any state changes (unknown snapshot
 //     name, double finish, process after finish) stay ordinary
 //     QueryError/ConfigError and do NOT poison the engine.
-//   - The sharded engine bounds every internal wait by the builder's
+//   - The threaded executor bounds every internal wait by the builder's
 //     drain_timeout (default 10 s, sharded-only knob): if the pipeline
 //     cannot make progress within the deadline — a wedged ring, a stuck
 //     snapshot rendezvous — a watchdog records a fault with a diagnostic
@@ -86,22 +95,21 @@
 //     instantaneous approximations.
 //   - CROSS-counter invariants (cache hits + initializations == packets;
 //     shard evictions pushed == absorbed) hold exactly at quiescent points —
-//     between process_batch() calls on the serial engine, and after finish()
-//     (or a snapshot drain barrier) on the sharded one. Mid-run they hold up
-//     to the records currently in flight.
+//     between process_batch() calls with the inline executor, and after
+//     finish() (or a snapshot drain barrier) with the threaded one. Mid-run
+//     they hold up to the records currently in flight.
 //   - metrics() on a POISONED engine does NOT throw: a monitor must be able
 //     to observe a wedged or crashed pipeline. `faulted` is set and the
 //     per-thread exit flags show which role died.
 //
 // metrics_to_json() / metrics_to_prometheus() (obs/metrics_export.hpp) render
 // the same enumeration of metrics — anything metrics() carries appears in
-// both, by construction. EngineBuilder::metrics_sampler(interval) wraps the
-// engine so a background thread appends EngineMetrics samples to a bounded
-// ring, readable via metrics_series().
+// both, by construction. obs::MetricsSampler (obs/sampler.hpp) polls
+// metrics() on its own thread into a bounded time series.
 //
 // ---- Query lifecycle contract (dynamic attach/detach) ----------------------
 //
-// The engines host a RESIDENT program: queries can be attached and detached
+// The engine hosts a RESIDENT program: queries can be attached and detached
 // mid-stream (the paper's §3.2 operating model — operators submit queries
 // while traffic flows), without stopping ingest and without perturbing the
 // queries already running. src/service/query_service.hpp is the intended
@@ -113,7 +121,7 @@
 //     to options.name (which must be unique across every resident query and
 //     base-program table; collisions are a ConfigError). Anything else —
 //     multi-query programs, collection-layer queries, invalid geometry (the
-//     sharded engine still requires num_buckets % num_shards == 0) — is a
+//     threaded executor still requires num_buckets % num_shards == 0) — is a
 //     clean ConfigError thrown BEFORE any state changes: a rejected attach
 //     leaves the engine exactly as it was, never with degraded results.
 //   - The ATTACH EPOCH is the record boundary at which attach_query returns:
@@ -156,10 +164,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "compiler/program.hpp"
@@ -167,14 +177,16 @@
 #include "kvstore/kvstore.hpp"
 #include "obs/metrics.hpp"
 #include "packet/wire_view.hpp"
+#include "runtime/engine_fault.hpp"
+#include "runtime/fold_core.hpp"
 #include "runtime/stream_sink.hpp"
 #include "runtime/table.hpp"
 #include "trace/ingest_stats.hpp"
 
 namespace perfq::runtime {
 
-/// Construction-time settings shared by both engines (EngineBuilder fills
-/// one; the sharded engine wraps it with its topology knobs).
+/// Construction-time settings of the engine (EngineBuilder fills one; the
+/// threaded executor adds ThreadedConfig).
 struct EngineConfig {
   /// Cache geometry for every on-switch GROUPBY (overridable per query).
   kv::CacheGeometry geometry = kv::CacheGeometry::set_associative(1u << 16, 8);
@@ -224,54 +236,8 @@ enum class AttachKind : std::uint8_t { kSwitchQuery, kStreamSelect };
 /// SELECT chain. Throws ConfigError for everything else — multi-result
 /// programs, collection-layer queries (joins, soft GROUPBYs, SELECTs over
 /// aggregate results) have no per-record resident form.
-[[nodiscard]] inline AttachKind attachable_kind(
-    const compiler::CompiledProgram& program) {
-  const auto& queries = program.analysis.queries;
-  if (queries.empty()) {
-    throw ConfigError{"attach: program has no queries"};
-  }
-  // Unconsumed stream SELECTs, by the same rule StreamStage applies.
-  std::vector<char> consumed(queries.size(), 0);
-  const auto mark = [&](int i) {
-    if (i >= 0 && static_cast<std::size_t>(i) < queries.size()) consumed[i] = 1;
-  };
-  for (const auto& q : queries) {
-    mark(q.input);
-    mark(q.left);
-    mark(q.right);
-  }
-  std::size_t stream_selects = 0;
-  int last_stream = -1;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto& q = queries[i];
-    if (q.def.kind == lang::QueryDef::Kind::kSelect &&
-        q.output.stream_over_base && consumed[i] == 0) {
-      ++stream_selects;
-      last_stream = static_cast<int>(i);
-    }
-  }
-  const int last = static_cast<int>(queries.size()) - 1;
-  if (program.switch_plans.size() == 1) {
-    if (program.switch_plans.front().query_index != last) {
-      throw ConfigError{
-          "attach: program runs a collection layer downstream of its GROUPBY; "
-          "attachable programs end at the on-switch aggregate"};
-    }
-    if (stream_selects != 0) {
-      throw ConfigError{
-          "attach: program mixes an on-switch GROUPBY with a stream SELECT; "
-          "attach them as separate queries"};
-    }
-    return AttachKind::kSwitchQuery;
-  }
-  if (program.switch_plans.empty() && stream_selects == 1 &&
-      last_stream == last) {
-    return AttachKind::kStreamSelect;
-  }
-  throw ConfigError{
-      "attach: program must be exactly one on-switch GROUPBY chain or one "
-      "stream SELECT"};
-}
+[[nodiscard]] AttachKind attachable_kind(
+    const compiler::CompiledProgram& program);
 
 /// Per-switch-query statistics surfaced to the evaluation harnesses.
 struct StoreStats {
@@ -281,6 +247,9 @@ struct StoreStats {
   kv::AccuracyStats accuracy;
   std::uint64_t backing_writes = 0;
   std::uint64_t backing_capacity_writes = 0;
+  /// Packets merged into the backing store so far (it lags cache.packets
+  /// by what is cache-resident or in flight to it).
+  std::uint64_t backing_packets = 0;
   std::size_t keys = 0;
   bool attached = false;              ///< dynamically attached (vs base program)
   std::uint64_t attach_records = 0;   ///< attach epoch (records seen before it)
@@ -303,7 +272,7 @@ struct StreamSinkMetrics {
   std::uint64_t attach_records = 0;  ///< attach epoch (records seen before it)
 };
 
-/// Per-shard pipeline accounting (sharded engine only).
+/// Per-shard pipeline accounting (threaded executor only).
 struct ShardMetrics {
   std::size_t shard = 0;
   std::uint64_t evictions_pushed = 0;    ///< evictions enqueued by the worker
@@ -311,8 +280,8 @@ struct ShardMetrics {
   bool worker_exited = false;
 };
 
-/// Per-dispatcher accounting (sharded engine, dispatchers >= 2 only — with a
-/// single dispatcher the caller thread dispatches inline).
+/// Per-dispatcher accounting (threaded executor, dispatchers >= 2 only —
+/// with a single dispatcher the caller thread dispatches inline).
 struct DispatcherMetrics {
   std::size_t dispatcher = 0;
   std::uint64_t batches_posted = 0;
@@ -334,20 +303,21 @@ struct RingMetrics {
 /// plain values (safe to ship across threads, serialize, diff). See the
 /// metrics coherence contract in the file comment.
 struct EngineMetrics {
-  std::string engine;  ///< "serial" or "sharded"
+  std::string engine;  ///< executor: "serial" (inline) or "sharded" (threaded)
 
   // Driver-level counters.
   std::uint64_t records = 0;    ///< records accepted by process_batch()
   std::uint64_t batches = 0;    ///< process_batch() calls
   std::uint64_t refreshes = 0;  ///< periodic cache refreshes performed
-  std::uint64_t snapshots = 0;  ///< mid-run snapshot() pulls served
+  /// Mid-run pulls served: snapshot() and mid-run export_store() calls.
+  std::uint64_t snapshots = 0;
   bool faulted = false;         ///< poisoned-state protocol engaged
 
   // Per-query store stats (same shape store_stats() returns; valid mid-run).
   std::vector<StoreStats> queries;
   std::vector<StreamSinkMetrics> streams;
 
-  // Sharded pipeline state (empty on the serial engine).
+  // Threaded pipeline state (empty with the inline executor).
   std::vector<ShardMetrics> shards;
   std::vector<DispatcherMetrics> dispatchers;
   std::vector<RingMetrics> rings;
@@ -355,7 +325,10 @@ struct EngineMetrics {
 
   // Latency histograms (log2-ns buckets; see obs::HistogramSnapshot).
   obs::HistogramSnapshot batch_ns;     ///< process_batch() wall time (sampled)
-  obs::HistogramSnapshot snapshot_ns;  ///< snapshot() rendezvous+drain latency
+  /// Latency of each pull's shared primitive: reach the record boundary and
+  /// overlay the live cache on a copy of the backing store (materializing
+  /// or exporting the result is not included).
+  obs::HistogramSnapshot snapshot_ns;
   obs::HistogramSnapshot absorb_ns;    ///< merge-thread absorb sweep latency
 
   // Ingest/replay accounting recorded by the trace layer (record_ingest /
@@ -365,19 +338,28 @@ struct EngineMetrics {
   std::uint64_t replay_nanos = 0;
 };
 
-/// One timestamped EngineMetrics from the background sampler
-/// (EngineBuilder::metrics_sampler; read back via Engine::metrics_series()).
-struct MetricsSample {
-  std::uint64_t elapsed_ns = 0;  ///< since the sampler started
-  EngineMetrics metrics;
+/// The threaded executor's topology knobs, as the EngineBuilder setters of
+/// the same names document them.
+struct ThreadedConfig {
+  std::size_t num_shards = 4;
+  std::size_t num_dispatchers = 1;
+  std::size_t ring_capacity = 4096;  ///< messages, rounded up to a power of 2
+  std::size_t dispatch_batch = 256;
+  std::size_t backing_shards = 0;  ///< 0 = num_shards
+  std::size_t eviction_batch = 128;
+  std::chrono::milliseconds drain_timeout{10'000};  ///< zero disables
 };
+
+class EngineBuilder;
+class InlineExecutor;
+class StreamStage;
+class ThreadedExecutor;
 
 class Engine {
  public:
-  Engine() = default;
+  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-  virtual ~Engine() = default;
 
   /// Feed one packet observation (call once per record, in time order).
   /// Thin wrapper over process_batch for a single record.
@@ -385,61 +367,36 @@ class Engine {
 
   /// Feed a batch of packet observations (time-ordered). Results are
   /// identical to calling process() per record; batches only enable the
-  /// engines' prefetch/dispatch pipelining. Stream sinks receive matching
+  /// executors' prefetch/dispatch pipelining. Stream sinks receive matching
   /// rows in one delivery per call (stream_sink.hpp).
-  virtual void process_batch(std::span<const PacketRecord> records) = 0;
+  void process_batch(std::span<const PacketRecord> records);
 
-  /// Feed a burst of raw captured frames (time-ordered), fused with
-  /// dispatch: validation, field decode and fold happen in one pass per
-  /// frame. Damaged frames are SKIPPED AND COUNTED (never thrown on) into
-  /// the returned stats, which also accumulate into metrics().ingest.
-  /// Results over the surviving frames are bit-identical to parsing each
-  /// frame into a PacketRecord and calling process_batch() — the engines'
-  /// lazy overrides decode only the fields the compiled program reads
-  /// (CompiledProgram::field_usage), straight off the frame bytes. The base
-  /// implementation is the eager reference path.
-  virtual trace::IngestStats process_wire_batch(
-      std::span<const FrameObservation> frames) {
-    trace::IngestStats stats;
-    std::vector<PacketRecord> pending;
-    pending.reserve(frames.size());
-    for (const FrameObservation& frame : frames) {
-      wire::ParseError err{};
-      const auto parsed =
-          wire::try_parse(frame.bytes, &err, wire_verify_checksums_);
-      if (!parsed) {
-        trace::count_parse_error(stats, err);
-        continue;
-      }
-      PacketRecord& rec = pending.emplace_back();
-      rec.pkt = parsed->pkt;
-      rec.qid = frame.qid;
-      rec.tin = frame.tin;
-      rec.tout = frame.tout;
-      rec.qsize = frame.qsize;
-      ++stats.parsed;
-    }
-    process_batch(pending);
-    record_ingest(stats);
-    return stats;
-  }
+  /// Feed a burst of raw captured frames (time-ordered). Each frame is
+  /// validated (wire::check_frame); damaged frames are SKIPPED AND COUNTED
+  /// (never thrown on) into the returned stats, which also accumulate into
+  /// metrics().ingest. Results over the surviving frames are bit-identical
+  /// to parsing each frame into a PacketRecord and calling process_batch().
+  /// The inline executor folds straight off the frame bytes, decoding only
+  /// the fields the program reads (CompiledProgram::field_usage).
+  trace::IngestStats process_wire_batch(
+      std::span<const FrameObservation> frames);
 
   /// End the query window: flush caches, close stream sinks, run the
   /// collection layer. Must be called exactly once before result()/table().
-  virtual void finish(Nanos now) = 0;
+  void finish(Nanos now);
 
   /// The program's primary result (its last query). Only after finish().
-  [[nodiscard]] virtual const ResultTable& result() const = 0;
+  [[nodiscard]] const ResultTable& result() const;
 
   /// A named intermediate/final table ("R1"). Throws if unknown or a stream
   /// intermediate that was not materialized. Only after finish().
-  [[nodiscard]] virtual const ResultTable& table(std::string_view name) const = 0;
+  [[nodiscard]] const ResultTable& table(std::string_view name) const;
 
   /// Mid-run result pull for one on-switch GROUPBY (see the consistency
   /// contract in the file comment). `now` stamps the open epoch's end (it
   /// only affects non-linear kernels' segment intervals).
-  [[nodiscard]] virtual EngineSnapshot snapshot(std::string_view query_name,
-                                                Nanos now) = 0;
+  [[nodiscard]] EngineSnapshot snapshot(std::string_view query_name,
+                                        Nanos now);
   [[nodiscard]] EngineSnapshot snapshot(std::string_view query_name) {
     return snapshot(query_name, Nanos{0});
   }
@@ -447,94 +404,136 @@ class Engine {
   /// Lift one on-switch GROUPBY's merged store out of the engine as the
   /// cross-engine federation unit (kvstore/federated.hpp): every key's
   /// merged value/segments, stamped with the engine's record count and
-  /// `now`. Mid-run it observes the same record boundary as snapshot() —
-  /// live cache contents merged over a copy of the backing store, engine
-  /// unperturbed; after finish() it reads the final backing store directly
-  /// (the one read that works both mid-run and post-finish). Same
-  /// serialization and poisoned-engine rules as snapshot(). The default
-  /// throws ConfigError: engines without a federated surface opt out.
-  [[nodiscard]] virtual kv::StoreExport export_store(std::string_view query_name,
-                                                     Nanos now) {
-    (void)query_name;
-    (void)now;
-    throw ConfigError{"export_store: engine does not support federated export"};
-  }
+  /// `now`. Mid-run it is a pull like snapshot() — live cache contents
+  /// merged over a copy of the backing store at the record boundary, engine
+  /// unperturbed; after finish() it reads the final backing store directly.
+  /// Same serialization and poisoned-engine rules as snapshot().
+  [[nodiscard]] kv::StoreExport export_store(std::string_view query_name,
+                                             Nanos now);
 
   /// Attach one dynamically compiled query mid-stream (see the query
   /// lifecycle contract in the file comment). The program must be attachable
-  /// — attachable_kind() below — and options.name unique among live queries;
-  /// violations are ConfigError with no state change. Folding starts at the
-  /// current record boundary (the attach epoch). Must be serialized with
-  /// process_batch()/finish()/snapshot() by the caller.
-  virtual void attach_query(compiler::CompiledProgram program,
-                            const AttachOptions& options) = 0;
+  /// — attachable_kind() above — and options.name unique among live
+  /// queries; violations are ConfigError with no state change. Folding
+  /// starts at the current record boundary (the attach epoch). Must be
+  /// serialized with process_batch()/finish()/snapshot() by the caller.
+  void attach_query(compiler::CompiledProgram program,
+                    const AttachOptions& options);
 
-  /// Detach a dynamically attached query: flush its cache slice at `now`,
-  /// return its final table, free every resource the attach allocated.
-  /// Unknown or base-program names are a QueryError/ConfigError with no
-  /// state change. Must be serialized like attach_query().
-  virtual ResultTable detach_query(std::string_view name, Nanos now) = 0;
+  /// Detach a dynamically attached query: its final table is the pull at
+  /// `now` (what a flush at `now` would leave), then every resource the
+  /// attach allocated is freed. Unknown or base-program names are a
+  /// QueryError/ConfigError with no state change. Must be serialized like
+  /// attach_query().
+  ResultTable detach_query(std::string_view name, Nanos now);
 
-  /// Per-query store stats. Valid mid-run on both engines (mid-run values
-  /// obey the metrics coherence contract); throws EngineFaultError if the
-  /// engine is poisoned.
-  [[nodiscard]] virtual std::vector<StoreStats> store_stats() const = 0;
-  [[nodiscard]] virtual std::uint64_t records_processed() const = 0;
-  [[nodiscard]] virtual std::uint64_t refresh_count() const = 0;
-  [[nodiscard]] virtual const compiler::CompiledProgram& program() const = 0;
+  /// Per-query store stats. Valid mid-run (mid-run values obey the metrics
+  /// coherence contract); throws EngineFaultError if the engine is poisoned.
+  [[nodiscard]] std::vector<StoreStats> store_stats() const;
+  [[nodiscard]] std::uint64_t records_processed() const { return records_; }
+  [[nodiscard]] std::uint64_t refresh_count() const {
+    return refresh_.count();
+  }
+  [[nodiscard]] const compiler::CompiledProgram& program() const {
+    return program_;
+  }
 
   /// The engine's self-telemetry. Callable from any thread at any time,
   /// including on a poisoned engine (see the metrics coherence contract).
-  [[nodiscard]] virtual EngineMetrics metrics() const = 0;
-
-  /// Samples collected by the background metrics sampler; empty unless the
-  /// engine was built with EngineBuilder::metrics_sampler().
-  [[nodiscard]] virtual std::vector<MetricsSample> metrics_series() const {
-    return {};
-  }
+  [[nodiscard]] EngineMetrics metrics() const;
 
   /// Fold one feed's ingest accounting into metrics().ingest. Drivers that
   /// parse wire-format input (trace::replay_frames, TraceReader loops) call
   /// this when the feed ends; callable multiple times (stats accumulate).
-  virtual void record_ingest(const trace::IngestStats& stats) {
-    ingest_telemetry_.parsed += stats.parsed;
-    ingest_telemetry_.truncated += stats.truncated;
-    ingest_telemetry_.unsupported += stats.unsupported;
-    ingest_telemetry_.bad_length += stats.bad_length;
-    ingest_telemetry_.bad_checksum += stats.bad_checksum;
-  }
+  void record_ingest(const trace::IngestStats& stats);
 
   /// Record one replay pass (trace::replay) for metrics().replay_*.
-  virtual void record_replay(std::uint64_t records, std::uint64_t nanos) {
-    ingest_telemetry_.replay_records += records;
-    ingest_telemetry_.replay_nanos += nanos;
-  }
+  void record_replay(std::uint64_t records, std::uint64_t nanos);
 
- protected:
-  /// Ingest/replay slots shared by both engines. Written by the driver
-  /// (caller) thread, read by metrics() — single-writer relaxed, like every
-  /// other slot.
+ private:
+  friend class EngineBuilder;
+
+  /// With `threaded`, the threaded executor; otherwise the inline one.
+  Engine(compiler::CompiledProgram program, EngineConfig config,
+         const std::optional<ThreadedConfig>& threaded);
+
+  /// One on-switch GROUPBY of the registry. Its index is its stable slot in
+  /// both executors; a free slot has a null plan and is reused by attach.
+  struct Query {
+    const compiler::SwitchQueryPlan* plan = nullptr;
+    /// Owner of an attached query's program (the plan points into it); null
+    /// for base-program queries.
+    std::shared_ptr<const compiler::CompiledProgram> attached;
+    std::uint64_t attach_records = 0;  ///< attach epoch
+  };
+
+  /// Driver-fed ingest/replay slots. Written by the driver (caller) thread,
+  /// read by metrics() — single-writer relaxed, like every other slot.
   struct IngestTelemetry {
     obs::RelaxedU64 parsed, truncated, unsupported, bad_length, bad_checksum;
     obs::RelaxedU64 replay_records, replay_nanos;
   };
+
+  /// The poisoned-state gate at every mutating entry point.
+  void throw_if_faulted() const;
+  /// Run `body` under the poisoned-state machinery: any escaping exception
+  /// other than an EngineFaultError is recorded as a kCaller fault and
+  /// rethrown structured.
+  template <typename Fn>
+  decltype(auto) guarded(Fn&& body);
+  /// The batch frame shared by both ingest paths: gate, batch telemetry,
+  /// the fault machinery, and one stream delivery per call.
+  template <typename Body>
+  void run_batch(std::size_t size, Body&& body);
+  /// A mid-run pull of `slot` (snapshot, export): counted, with the shared
+  /// primitive timed into snapshot_ns; `fn` receives the merged store.
+  template <typename Fn>
+  decltype(auto) pull(std::size_t slot, Nanos now, Fn&& fn);
+  /// The registry slot of a live on-switch GROUPBY, or queries_.size().
+  [[nodiscard]] std::size_t find_slot(std::string_view name) const;
+  /// find_slot() that throws QueryError for an unknown name.
+  [[nodiscard]] std::size_t resolve(std::string_view name,
+                                    const char* what) const;
+  [[nodiscard]] const compiler::CompiledProgram& program_of(
+      const Query& query) const;
+  /// EngineConfig::geometry, then per_query_geometry, then `override`.
+  [[nodiscard]] kv::CacheGeometry geometry_for(
+      const std::string& name,
+      const std::optional<kv::CacheGeometry>& override) const;
+  /// store_stats() minus the fault gate and lock (metrics() works poisoned).
+  [[nodiscard]] std::vector<StoreStats> collect_store_stats() const;
+
+  compiler::CompiledProgram program_;
+  EngineConfig config_;
+  RefreshClock refresh_;
+  std::unique_ptr<StreamStage> stream_;
+  /// First-exception-wins poisoned state; also the threaded executor's stop
+  /// flag.
+  FaultSlot fault_;
+  std::vector<Query> queries_;
+  std::map<int, ResultTable> tables_;  ///< by query index
+  /// Final tables of queries still attached at finish(), by name (their
+  /// query indices belong to their own programs).
+  std::map<std::string, ResultTable, std::less<>> attached_tables_;
+  /// Guards the query TOPOLOGY (the registry, the executor's per-slot
+  /// structures, stream entries) against metrics()/store_stats() readers on
+  /// other threads. The hot path never takes it: attach/detach are
+  /// serialized with process_batch() by the caller (lifecycle contract).
+  mutable std::mutex topology_mu_;
+  /// Telemetry slots (single writer: the caller thread; metrics() reads).
+  obs::RelaxedU64 records_;
+  obs::RelaxedU64 batches_;
+  obs::RelaxedU64 snapshots_;
+  std::uint32_t batch_tick_ = 0;  ///< sampling phase for small-batch timing
+  obs::LatencyHistogram batch_ns_;
+  obs::LatencyHistogram snapshot_ns_;
   IngestTelemetry ingest_telemetry_;
-
-  /// Whether the wire ingest path verifies IPv4 header checksums. Concrete
-  /// engines set this from EngineConfig::verify_checksums at construction.
-  bool wire_verify_checksums_ = false;
-
-  /// Copy the driver-side slots into a metrics result (concrete engines call
-  /// this from their metrics()).
-  void fill_driver_metrics(EngineMetrics& m) const {
-    m.ingest.parsed = ingest_telemetry_.parsed;
-    m.ingest.truncated = ingest_telemetry_.truncated;
-    m.ingest.unsupported = ingest_telemetry_.unsupported;
-    m.ingest.bad_length = ingest_telemetry_.bad_length;
-    m.ingest.bad_checksum = ingest_telemetry_.bad_checksum;
-    m.replay_records = ingest_telemetry_.replay_records;
-    m.replay_nanos = ingest_telemetry_.replay_nanos;
-  }
+  bool finished_ = false;
+  /// Chosen once at construction; last, so it is destroyed (and its
+  /// threads joined) before everything it references.
+  std::variant<std::unique_ptr<InlineExecutor>,
+               std::unique_ptr<ThreadedExecutor>>
+      exec_;
 };
 
 }  // namespace perfq::runtime

@@ -3,25 +3,8 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "obs/sampler.hpp"
-#include "runtime/engine.hpp"
-#include "runtime/sharded/sharded_engine.hpp"
 
 namespace perfq::runtime {
-
-namespace {
-
-/// Wrap the built engine with the background sampler when requested.
-std::unique_ptr<Engine> maybe_sample(
-    std::unique_ptr<Engine> engine,
-    const std::optional<std::chrono::milliseconds>& interval,
-    std::size_t capacity) {
-  if (!interval) return engine;
-  return std::make_unique<obs::SampledEngine>(std::move(engine), *interval,
-                                              capacity);
-}
-
-}  // namespace
 
 std::unique_ptr<Engine> EngineBuilder::build() {
   if (built_) {
@@ -29,43 +12,21 @@ std::unique_ptr<Engine> EngineBuilder::build() {
                       "program was already consumed)"};
   }
   built_ = true;
-  if (sampler_interval_ && sampler_interval_->count() <= 0) {
-    throw ConfigError{"EngineBuilder: metrics_sampler interval must be "
-                      "positive"};
+  std::optional<ThreadedConfig> threaded;
+  if (shards_) {
+    if (*shards_ == 0) {
+      throw ConfigError{"EngineBuilder: sharded(N) needs at least one shard; "
+                        "omit it to fold on the caller"};
+    }
+    threaded = threaded_;
+    threaded->num_shards = *shards_;
+  } else if (threaded_knob_ != nullptr) {
+    throw ConfigError{std::string{"EngineBuilder: "} + threaded_knob_ +
+                      " is a sharded-engine knob; call sharded(N) first"};
   }
-  if (sampler_interval_ && sampler_capacity_ == 0) {
-    throw ConfigError{"EngineBuilder: metrics_sampler capacity must be "
-                      "positive"};
-  }
-  if (shards_ == 0) {
-    const auto reject = [](bool set, const char* knob) {
-      if (set) {
-        throw ConfigError{std::string{"EngineBuilder: "} + knob +
-                          " is a sharded-engine knob; call sharded(N) first"};
-      }
-    };
-    reject(dispatchers_.has_value(), "dispatchers()");
-    reject(ring_capacity_.has_value(), "ring_capacity()");
-    reject(dispatch_batch_.has_value(), "dispatch_batch()");
-    reject(backing_shards_.has_value(), "backing_shards()");
-    reject(eviction_batch_.has_value(), "eviction_batch()");
-    reject(drain_timeout_.has_value(), "drain_timeout()");
-    return maybe_sample(std::make_unique<QueryEngine>(std::move(program_),
-                                                      std::move(config_)),
-                        sampler_interval_, sampler_capacity_);
-  }
-  ShardedEngineConfig config;
-  config.engine = std::move(config_);
-  config.num_shards = shards_;
-  if (dispatchers_) config.num_dispatchers = *dispatchers_;
-  if (ring_capacity_) config.ring_capacity = *ring_capacity_;
-  if (dispatch_batch_) config.dispatch_batch = *dispatch_batch_;
-  if (backing_shards_) config.backing_shards = *backing_shards_;
-  if (eviction_batch_) config.eviction_batch = *eviction_batch_;
-  if (drain_timeout_) config.drain_timeout = *drain_timeout_;
-  return maybe_sample(std::make_unique<ShardedEngine>(std::move(program_),
-                                                      std::move(config)),
-                      sampler_interval_, sampler_capacity_);
+  // The engine's constructor is private to this builder.
+  return std::unique_ptr<Engine>(
+      new Engine(std::move(program_), std::move(config_), threaded));
 }
 
 }  // namespace perfq::runtime

@@ -1,4 +1,4 @@
-// Fluent construction of any Engine — the single entry point of the runtime.
+// Fluent construction of the Engine — the only way to build one.
 //
 //   auto engine = runtime::EngineBuilder(compiler::compile_source(src))
 //                     .geometry(kv::CacheGeometry::set_associative(4096, 8))
@@ -6,10 +6,10 @@
 //                     .sharded(8).dispatchers(2)
 //                     .build();   // std::unique_ptr<Engine>
 //
-// Without sharded(N) the builder produces the serial QueryEngine; with it,
-// the multi-core ShardedEngine — same results either way (the sharded
-// runtime is bit-identical for linear kernels), so the choice is purely a
-// deployment knob. Sharded-only tuning knobs (dispatchers, ring_capacity,
+// Without sharded(N) the engine folds on the caller (the inline executor);
+// with it, on N shard worker threads (the threaded executor) — same results
+// either way (bit-identical for linear kernels), so the choice is purely a
+// deployment knob. Threaded-only tuning knobs (dispatchers, ring_capacity,
 // dispatch_batch, backing_shards, eviction_batch, drain_timeout) are
 // rejected at build() when no sharding was requested, so a config can't
 // silently misapply.
@@ -30,8 +30,8 @@ class EngineBuilder {
   explicit EngineBuilder(compiler::CompiledProgram program)
       : program_(std::move(program)) {}
 
-  /// Cache geometry for every on-switch GROUPBY (total budget; the sharded
-  /// engine slices it across shards).
+  /// Cache geometry for every on-switch GROUPBY (total budget; the threaded
+  /// executor slices it across shards).
   EngineBuilder& geometry(const kv::CacheGeometry& g) {
     config_.geometry = g;
     return *this;
@@ -74,8 +74,9 @@ class EngineBuilder {
     return *this;
   }
 
-  /// Scale the store across `num_shards` worker cores (0 = serial engine,
-  /// the default). Requires num_buckets % num_shards == 0 per geometry.
+  /// Scale the store across `num_shards` worker cores (at least one; without
+  /// this call the engine folds on the caller). Requires
+  /// num_buckets % num_shards == 0 per geometry.
   EngineBuilder& sharded(std::size_t num_shards) {
     shards_ = num_shards;
     return *this;
@@ -83,64 +84,53 @@ class EngineBuilder {
   /// Dispatcher thread count D (sharded only; default 1 = the caller thread
   /// dispatches alone). D > 1 routes batch slices concurrently.
   EngineBuilder& dispatchers(std::size_t num_dispatchers) {
-    dispatchers_ = num_dispatchers;
-    return *this;
+    threaded_.num_dispatchers = num_dispatchers;
+    return threaded_knob("dispatchers()");
   }
   /// Capacity of each (dispatcher, shard) record ring, in messages.
   EngineBuilder& ring_capacity(std::size_t messages) {
-    ring_capacity_ = messages;
-    return *this;
+    threaded_.ring_capacity = messages;
+    return threaded_knob("ring_capacity()");
   }
   /// Records a dispatcher stages per shard before publishing.
   EngineBuilder& dispatch_batch(std::size_t records) {
-    dispatch_batch_ = records;
-    return *this;
+    threaded_.dispatch_batch = records;
+    return threaded_knob("dispatch_batch()");
   }
   /// Sub-stores per query in the concurrent backing store (0 = num_shards).
   EngineBuilder& backing_shards(std::size_t stores) {
-    backing_shards_ = stores;
-    return *this;
+    threaded_.backing_shards = stores;
+    return threaded_knob("backing_shards()");
   }
   /// Evictions a shard worker buffers before handing them to the merger.
   EngineBuilder& eviction_batch(std::size_t evictions) {
-    eviction_batch_ = evictions;
-    return *this;
+    threaded_.eviction_batch = evictions;
+    return threaded_knob("eviction_batch()");
   }
-  /// Drain watchdog deadline for every caller-side wait on the sharded
+  /// Drain watchdog deadline for every caller-side wait on the threaded
   /// pipeline (full-ring pushes, batch completion, snapshot barriers, the
   /// finish() joins). On expiry the blocked call throws EngineFaultError
   /// with a pipeline diagnostic instead of hanging. Zero disables.
   EngineBuilder& drain_timeout(std::chrono::milliseconds deadline) {
-    drain_timeout_ = deadline;
-    return *this;
-  }
-  /// Background metrics sampling (either engine): a sampler thread polls
-  /// Engine::metrics() every `interval` into a bounded ring of `capacity`
-  /// samples (oldest dropped), readable via Engine::metrics_series(). The
-  /// live metrics() surface is always on regardless — this knob only adds
-  /// the time-series view.
-  EngineBuilder& metrics_sampler(std::chrono::milliseconds interval,
-                                 std::size_t capacity = 256) {
-    sampler_interval_ = interval;
-    sampler_capacity_ = capacity;
-    return *this;
+    threaded_.drain_timeout = deadline;
+    return threaded_knob("drain_timeout()");
   }
 
   /// Construct the engine. Consumes the builder's program: call once.
   [[nodiscard]] std::unique_ptr<Engine> build();
 
  private:
+  EngineBuilder& threaded_knob(const char* name) {
+    if (threaded_knob_ == nullptr) threaded_knob_ = name;
+    return *this;
+  }
+
   compiler::CompiledProgram program_;
   EngineConfig config_;
-  std::size_t shards_ = 0;  ///< 0 = serial QueryEngine
-  std::optional<std::size_t> dispatchers_;
-  std::optional<std::size_t> ring_capacity_;
-  std::optional<std::size_t> dispatch_batch_;
-  std::optional<std::size_t> backing_shards_;
-  std::optional<std::size_t> eviction_batch_;
-  std::optional<std::chrono::milliseconds> drain_timeout_;
-  std::optional<std::chrono::milliseconds> sampler_interval_;
-  std::size_t sampler_capacity_ = 256;
+  std::optional<std::size_t> shards_;  ///< unset = the inline executor
+  ThreadedConfig threaded_;
+  /// The first threaded-only knob set; build() rejects it without sharded().
+  const char* threaded_knob_ = nullptr;
   bool built_ = false;
 };
 

@@ -1,8 +1,8 @@
 // Structured engine faults: the failure-domain contract of the runtime.
 //
-// Both engines convert ANY exception escaping their processing machinery —
-// a worker/dispatcher/merge thread body in the sharded engine, the fold or
-// stream-sink path in the serial one, or a drain-watchdog expiry — into one
+// The engine converts ANY exception escaping its processing machinery — a
+// worker/dispatcher/merge thread body of the threaded executor, the fold or
+// stream-sink path on the caller, or a drain-watchdog expiry — into one
 // permanent poisoned state: the first exception wins the engine's FaultSlot,
 // every sibling thread unwinds cleanly (no std::terminate, no wedged peer),
 // and every subsequent engine call (process_batch / finish / snapshot /
@@ -120,9 +120,6 @@ class FaultSlot {
   [[noreturn]] void raise() const {
     throw EngineFaultError{role_, shard_, cause_, diagnostic_};
   }
-
-  [[nodiscard]] ThreadRole role() const { return role_; }
-  [[nodiscard]] std::size_t shard() const { return shard_; }
 
  private:
   enum : int { kClear, kWriting, kSet };

@@ -1,25 +1,60 @@
-// The per-switch-query fold core: the line-rate hot path of one on-switch
-// GROUPBY, factored out of QueryEngine so the same code drives both the
-// single-threaded engine and the sharded runtime's shard workers.
+// The fold hot path shared by both executors of runtime::Engine: the
+// per-switch-query fold core, the refresh clock and the wire front. The
+// inline executor runs them on the caller; the threaded executor runs the
+// core on its shard workers and the clock and wire front on the caller.
 //
 // The core owns the chunked two-pass scratch of the batched path:
 //   pass 1  prepare(): prefilter, key extraction (computing the cached hash
 //           once), software-prefetch of the owning cache bucket;
 //   pass 2  fold():    the actual cache operation, in record order.
 // so the bucket fetch of record i+k overlaps the fold of record i. The
-// sharded path uses prepare_extracted(): its dispatcher has already evaluated
-// the prefilter and extracted the key (it needed the hash to route), so the
-// worker only prefetches and folds.
+// threaded executor uses prepare_extracted(): its dispatcher has already
+// evaluated the prefilter and extracted the key (it needed the hash to
+// route), so the worker only prefetches and folds.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <span>
 
 #include "common/failpoint.hpp"
 #include "compiler/program.hpp"
 #include "kvstore/cache.hpp"
+#include "obs/metrics.hpp"
+#include "packet/wire.hpp"
+#include "packet/wire_view.hpp"
+#include "trace/ingest_stats.hpp"
 
 namespace perfq::runtime {
+
+/// Periodic refresh boundaries (§3.2), detected once in global record
+/// order: a refresh fires before the first record whose tin reaches one
+/// interval past the previous refresh (the first interval starts at the
+/// engine's first record).
+class RefreshClock {
+ public:
+  explicit RefreshClock(Nanos interval) : interval_(interval) {}
+
+  [[nodiscard]] bool enabled() const { return interval_ > Nanos{0}; }
+
+  /// Whether a refresh fires before the record stamped `tin` (call once per
+  /// record, in order, and only when enabled()).
+  bool due(Nanos tin) {
+    if (next_ == Nanos{0}) next_ = tin + interval_;
+    if (tin < next_) return false;
+    next_ = tin + interval_;
+    ++count_;
+    return true;
+  }
+
+  /// Refreshes fired so far; readable from any thread.
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+
+ private:
+  Nanos interval_;
+  Nanos next_{0};
+  obs::RelaxedU64 count_;
+};
 
 class SwitchFoldCore {
  public:
@@ -48,8 +83,8 @@ class SwitchFoldCore {
     return pass_[i];
   }
 
-  /// Pass 1 variant for the sharded path: the admit decision and the key
-  /// arrive from the dispatcher, so only the prefetch remains.
+  /// Pass 1 variant for the threaded executor: the admit decision and the
+  /// key arrive from the dispatcher, so only the prefetch remains.
   void prepare_extracted(std::size_t i, const kv::Key& key) {
     pass_[i] = true;
     keys_[i] = key;
@@ -65,15 +100,29 @@ class SwitchFoldCore {
 
   void flush(Nanos now) { cache_->flush(now); }
 
-  [[nodiscard]] const compiler::SwitchQueryPlan& plan() const { return *plan_; }
-  [[nodiscard]] kv::Cache& cache() { return *cache_; }
-  [[nodiscard]] const kv::Cache& cache() const { return *cache_; }
-
  private:
   const compiler::SwitchQueryPlan* plan_;
   kv::Cache* cache_;
   std::array<kv::Key, kChunk> keys_;
   std::array<bool, kChunk> pass_{};
 };
+
+/// The wire front: validate each frame (damaged ones are skipped and
+/// counted into `stats`, never thrown on) and hand each survivor, in order,
+/// to `on_frame` as a lazy view while its header bytes are still hot.
+template <typename OnFrame>
+void for_each_valid_frame(std::span<const FrameObservation> frames,
+                          bool verify_checksums, trace::IngestStats& stats,
+                          OnFrame&& on_frame) {
+  for (const FrameObservation& frame : frames) {
+    wire::ParseError err{};
+    if (wire::check_frame(frame.bytes, &err, verify_checksums) == 0) {
+      trace::count_parse_error(stats, err);
+      continue;
+    }
+    ++stats.parsed;
+    on_frame(wire_record_view(frame));
+  }
+}
 
 }  // namespace perfq::runtime

@@ -3,7 +3,7 @@
 //
 // Every stream SELECT a program leaves unconsumed gets a StreamSink. The
 // engine evaluates the query's filter/projections per record (in record
-// order, on the caller thread for both the serial and sharded engines) and
+// order, on the caller thread whichever executor folds) and
 // delivers the matching rows in batches: exactly one on_batch() call per
 // engine-level process_batch() call that produced at least one row, carrying
 // the rows of exactly those records, in record order. finish() flushes any

@@ -7,25 +7,32 @@
 
 namespace perfq::runtime {
 
-StreamStage::StreamStage(const compiler::CompiledProgram& program,
-                         const EngineConfig& config) {
-  // Stream SELECT sinks: stream selects no other query consumes.
+std::vector<int> stream_sink_queries(const compiler::CompiledProgram& program) {
+  const auto& queries = program.analysis.queries;
   std::set<int> consumed;
-  for (const auto& q : program.analysis.queries) {
+  for (const auto& q : queries) {
     consumed.insert(q.input);
     consumed.insert(q.left);
     consumed.insert(q.right);
   }
-  std::set<std::string> matched;
-  for (std::size_t i = 0; i < program.analysis.queries.size(); ++i) {
-    const auto& q = program.analysis.queries[i];
-    if (q.def.kind != lang::QueryDef::Kind::kSelect ||
-        !q.output.stream_over_base || consumed.count(static_cast<int>(i)) > 0) {
-      continue;
+  std::vector<int> out;
+  for (int i = 0; i < static_cast<int>(queries.size()); ++i) {
+    const auto& q = queries[static_cast<std::size_t>(i)];
+    if (q.def.kind == lang::QueryDef::Kind::kSelect &&
+        q.output.stream_over_base && consumed.count(i) == 0) {
+      out.push_back(i);
     }
+  }
+  return out;
+}
+
+StreamStage::StreamStage(const compiler::CompiledProgram& program,
+                         const EngineConfig& config) {
+  std::set<std::string> matched;
+  for (const int i : stream_sink_queries(program)) {
+    const auto& q = program.analysis.queries[static_cast<std::size_t>(i)];
     Entry entry;
-    entry.compiled =
-        compiler::compile_stream_select(program.analysis, static_cast<int>(i));
+    entry.compiled = compiler::compile_stream_select(program.analysis, i);
     entry.name = q.def.result_name;
     entry.schema = q.output;
     if (const auto it = config.stream_sinks.find(entry.name);

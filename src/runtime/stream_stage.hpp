@@ -1,9 +1,9 @@
-// The engine-internal driver of stream SELECT sinks, shared by QueryEngine
-// and ShardedEngine: finds the program's unconsumed stream SELECTs, wires
-// each to its StreamSink (user-provided via EngineConfig::stream_sinks, or a
-// default TableStreamSink), evaluates filters/projections per record on the
-// caller thread (row appends are order-sensitive and must match the serial
-// engine exactly), and delivers the buffered rows once per engine-level
+// The engine-internal driver of stream SELECT sinks: finds the program's
+// unconsumed stream SELECTs, wires each to its StreamSink (user-provided via
+// EngineConfig::stream_sinks, or a default TableStreamSink), evaluates
+// filters/projections per record on the caller thread (row appends are
+// order-sensitive, so both executors observe records there, in record
+// order), and delivers the buffered rows once per engine-level
 // process_batch() call.
 #pragma once
 
@@ -18,6 +18,11 @@
 #include "runtime/table.hpp"
 
 namespace perfq::runtime {
+
+/// Indices of the program's stream SELECTs that no other query consumes —
+/// the queries that get a StreamSink — in program order.
+[[nodiscard]] std::vector<int> stream_sink_queries(
+    const compiler::CompiledProgram& program);
 
 class StreamStage {
  public:

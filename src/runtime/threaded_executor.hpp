@@ -1,0 +1,417 @@
+// The threaded executor of runtime::Engine (EngineBuilder::sharded(N)): the
+// place where folding happens when the store is scaled across cores. The
+// engine above it (registry, attach validation, refresh detection, stream
+// delivery, results, telemetry, the fault gate) is the same as for the
+// inline executor.
+//
+// Topology (dispatchers → D×N ring matrix → shard workers → eviction queues
+// → merge thread → concurrent backing store):
+//
+//   D dispatcher threads (the caller thread is dispatcher 0; D-1 helpers)
+//     - each owns a disjoint contiguous slice of every input batch: it
+//       evaluates each switch query's prefilter, computes the key's hash
+//       straight from the record (record-direct routing — for plain-field
+//       keys the compiler::KeyRouter packs and hashes on the stack, no
+//       kv::Key materialized) and routes the record to shard = high bits of
+//       the cache-placement hash (RSS-style);
+//     - publishes batched messages into its own per-shard SPSC ring — ring
+//       (d, s) has exactly one producer (dispatcher d) and one consumer
+//       (worker s), so the D×N matrix needs no locks anywhere;
+//     - stamps every message with a global sequence number (the record's
+//       position in the stream), and ends every batch slice with a watermark
+//       so consumers know the ring has gone quiet up to a bound.
+//   N shard workers
+//     - each merges its D input rings in sequence order (smallest seq whose
+//       safety bound proves no other ring can still deliver an earlier one),
+//       re-packs the key on its own core (reusing the dispatcher's hash via
+//       Key::pack_prehashed — the byte-level hash is still computed once per
+//       record), and folds through the same SwitchFoldCore hot path the
+//       inline executor uses against its private bucket-slice cache;
+//     - cache evictions are buffered and enqueued onto the shard's MPSC
+//       eviction queue instead of synchronously touching the backing store.
+//   1 merge thread
+//     - drains the eviction queues into the per-query ShardedBackingStore
+//       (sharded by key, one mutex per sub-store), so the paper's periodic
+//       refresh keeps the backing store fresh while workers keep folding.
+//
+// Determinism: the sequence-ordered merge means every worker folds exactly
+// the record subsequence — in exactly the global order — that a single
+// serial dispatcher would have fed it, so that guarantee carries over
+// unchanged for every D: shard s's cache is exactly the bucket slice
+// [s·n/N, (s+1)·n/N) of the single engine's n-bucket cache — same bucket
+// contents, same LRU order, same capacity evictions, same flush times — and
+// results are bit-identical to the inline executor's for every linear-kernel
+// query (identical value-segment sets and AccuracyStats for non-linear
+// kernels). Refresh boundaries are detected once, in global record order, by
+// the caller's pre-scan over the engine's RefreshClock and shipped in-band
+// with the sequence number of the record they precede. Requires
+// num_buckets % num_shards == 0 per query
+// geometry (and LRU/FIFO eviction; kRandom draws per-shard RNG streams and
+// is only statistically equivalent).
+//
+// Failure domains: every worker/dispatcher/merge thread body is wrapped so
+// the first escaping exception is captured into the engine's FaultSlot. The
+// slot doubles as the stop flag: once it is set, every inter-thread spin
+// (ring push/pop, lane merge, job completion, snapshot rendezvous) unwinds
+// instead of waiting on a dead peer, and the engine's gate throws the
+// structured EngineFaultError — never a hang, never std::terminate.
+// Caller-side drains are additionally guarded by a configurable watchdog
+// (drain_timeout) that converts a wedged pipeline into a fault carrying a
+// diagnostic dump. See engine_fault.hpp and engine_api.hpp ("Failure
+// semantics").
+#pragma once
+
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <span>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "common/mpsc_queue.hpp"
+#include "common/spsc_ring.hpp"
+#include "compiler/key_router.hpp"
+#include "compiler/program.hpp"
+#include "kvstore/sharded_backing_store.hpp"
+#include "runtime/engine_api.hpp"
+#include "runtime/engine_fault.hpp"
+#include "runtime/fold_core.hpp"
+#include "runtime/stream_stage.hpp"
+
+namespace perfq::runtime {
+
+class ThreadedExecutor {
+ public:
+  static constexpr const char* kName = "sharded";
+
+  /// One query's per-shard cache slices, fold cores and backing store,
+  /// built before it is installed.
+  struct Prepared {
+    std::vector<std::unique_ptr<kv::Cache>> caches;  ///< one per shard
+    std::vector<std::unique_ptr<SwitchFoldCore>> cores;
+    std::unique_ptr<kv::ShardedBackingStore> backing;
+  };
+
+  /// Starts the worker, merge and helper-dispatcher threads. `refresh`,
+  /// `stream` and `fault` belong to the engine and outlive the executor.
+  ThreadedExecutor(const EngineConfig& engine, ThreadedConfig config,
+                   RefreshClock& refresh, StreamStage& stream,
+                   FaultSlot& fault);
+  /// Tears the pipeline down without the final flush (bench, abort and
+  /// poisoned paths); joins are unbounded here but every thread is
+  /// stop-aware.
+  ~ThreadedExecutor();
+  ThreadedExecutor(const ThreadedExecutor&) = delete;
+  ThreadedExecutor& operator=(const ThreadedExecutor&) = delete;
+
+  /// Validate `geometry` against the shard count and build a query for slot
+  /// `slot`. Touches no executor state, so a ConfigError (num_buckets not
+  /// divisible by num_shards, slot past the message index range) leaves the
+  /// engine as it was.
+  [[nodiscard]] Prepared prepare(std::size_t slot,
+                                 const compiler::SwitchQueryPlan& plan,
+                                 const kv::CacheGeometry& geometry);
+  /// Install a prepared query at `slot`. Call with nothing in flight: before
+  /// the first batch, or after reach_boundary(). The workers see the new
+  /// entries through the next ring publish/pop pair.
+  void install(std::size_t slot, const compiler::SwitchQueryPlan& plan,
+               Prepared&& prepared);
+  /// Free slot `slot` in place (resident indices never move). Call with
+  /// nothing in flight for it: after merged_store() or reach_boundary().
+  void remove(std::size_t slot);
+
+  /// Dispatch a batch whose first record has global index `base`: refresh
+  /// pre-scan, routing through the D×N ring matrix, and the caller-side
+  /// stream evaluation. Returns once every record is staged or published;
+  /// folding proceeds on the workers.
+  void fold(std::span<const PacketRecord> records, std::uint64_t base);
+
+  /// The wire front's survivors, decoded once into a reusable caller-owned
+  /// buffer (records travel BY VALUE through the rings, since workers
+  /// outlive the caller's frame buffers), then dispatched like fold().
+  void fold_wire(std::span<const FrameObservation> frames,
+                 bool verify_checksums, trace::IngestStats& stats,
+                 std::uint64_t base);
+
+  /// Quiesce at the record boundary after `records` records: an in-band
+  /// marker through the caller's rings, every worker's ack, then the
+  /// eviction drain barrier. On return nothing is in flight and the backing
+  /// stores are boundary-exact; folding resumes with the next batch. Throws
+  /// EngineFaultError if the pipeline faults or the watchdog expires.
+  void reach_boundary(std::uint64_t records);
+
+  /// The shared pull primitive without stopping the pipeline: the same
+  /// in-band rendezvous as reach_boundary(), but each worker also writes a
+  /// non-destructive epoch-stamped copy of `slot`'s live cache slice; the
+  /// copies are overlaid on a clone of the concurrent backing store with the
+  /// exact-merge machinery and `fn` receives the clone. No thread is joined
+  /// or stopped.
+  template <typename Fn>
+  decltype(auto) merged_store(std::size_t slot, std::uint64_t records,
+                              Nanos now, Fn&& fn) {
+    rendezvous(slot, records, now);
+    // Keys are disjoint across shards (each key folds on exactly one
+    // worker), so shard order cannot matter.
+    const std::unique_ptr<kv::ShardedBackingStore> merged =
+        backings_[slot]->clone();
+    for (auto& shard : shards_) {
+      for (TaggedEviction& t : shard->snapshot_out) merged->absorb(t.ev);
+    }
+    return fn(std::as_const(*merged));
+  }
+
+  /// End the window after `records` records: final in-band flush, drain
+  /// rings and eviction queues, join every thread. Throws EngineFaultError
+  /// if the drain faults.
+  void close(Nanos now, std::uint64_t records);
+
+  /// `fn` receives `slot`'s concurrent backing store. Mid-run it lags by
+  /// whatever is cache-resident or still in flight to the merge thread.
+  template <typename Fn>
+  decltype(auto) with_backing(std::size_t slot, Fn&& fn) const {
+    return fn(std::as_const(*backings_[slot]));
+  }
+
+  /// `slot`'s cache counters, summed across shards.
+  [[nodiscard]] kv::CacheStats cache_stats(std::size_t slot) const;
+
+  /// Fill the pipeline part of an EngineMetrics (shards, dispatchers,
+  /// rings, merge state, absorb latency). Lock-free — also safe from the
+  /// watchdog's diagnostic path while threads are wedged.
+  void collect_pipeline(EngineMetrics& m) const;
+
+ private:
+  /// Idle backoff for the worker/merge/co-dispatcher poll loops: yield for
+  /// this many empty polls (bursty traffic), then park in short sleeps
+  /// (truly idle).
+  static constexpr std::uint32_t kIdlePollsBeforeSleep = 256;
+  static constexpr std::chrono::microseconds kIdleSleep{100};
+  /// Messages a worker pops from one ring per refill pass.
+  static constexpr std::size_t kPopChunk = 64;
+  /// kSnapshot's query when the rendezvous collects no cache copy.
+  static constexpr std::uint16_t kNoQuery = 0xffff;
+
+  // Sequence numbering (the merge order): the record at global stream index
+  // g carries seq 2g+1; a refresh flush firing *before* record g carries
+  // seq 2g; a watermark bounding a batch that ends at index g carries 2g; a
+  // snapshot marker at the record boundary after g records carries 2g too
+  // (it can never collide with a flush: flushes always precede a record, so
+  // their seq stays below the boundary's). Every processable message seq is
+  // unique across a worker's D rings (one dispatcher owns each record and
+  // each flush; snapshots come only from the caller's ring), so a candidate
+  // is safe as soon as every other ring's next-possible seq is >= it.
+  struct ShardMsg {
+    enum class Kind : std::uint8_t {
+      kRecord,
+      kFlush,
+      /// Record-boundary rendezvous: the worker pushes its pending
+      /// evictions, copies the live slice of `query` (unless kNoQuery) and
+      /// acks the generation carried in raw_hash through snapshot_ready.
+      kSnapshot,
+      kWatermark,
+      kStop
+    };
+    Kind kind = Kind::kRecord;
+    std::uint16_t query = 0;     ///< switch-query slot (kRecord/kSnapshot)
+    std::uint64_t seq = 0;       ///< global merge order (see above)
+    std::uint64_t raw_hash = 0;  ///< key's seed-0 byte hash (kRecord); the
+                                 ///< rendezvous generation (kSnapshot)
+    PacketRecord rec;  ///< the record; rec.tin carries flush/snapshot time
+  };
+
+  struct TaggedEviction {
+    std::uint16_t query = 0;
+    kv::EvictedValue ev;
+  };
+
+  struct Shard {
+    /// rings[d]: the SPSC conduit from dispatcher d (sole producer) to this
+    /// shard's worker (sole consumer).
+    std::vector<std::unique_ptr<SpscRing<ShardMsg>>> rings;
+    MpscQueue<TaggedEviction> evictions;
+    /// Per switch-query slot; null when the slot is free (the message
+    /// `query` field indexes these directly).
+    std::vector<std::unique_ptr<kv::Cache>> caches;
+    std::vector<std::unique_ptr<SwitchFoldCore>> cores;  ///< parallel to caches
+    std::vector<TaggedEviction> evict_buf;  ///< worker-local staging
+    /// Rendezvous: the worker writes a non-destructive copy of the requested
+    /// query's resident entries here, then publishes the generation through
+    /// `snapshot_ready` (release); the caller spins on it (acquire). Only
+    /// ever touched between those two fences, so no lock is needed.
+    std::vector<TaggedEviction> snapshot_out;
+    alignas(kCacheLineBytes) std::atomic<std::uint64_t> snapshot_ready{0};
+    /// Eviction flow accounting for the snapshot's drain barrier: the worker
+    /// counts evictions handed to the MPSC queue, the merge thread counts
+    /// absorptions; pushed == absorbed means the backing store has caught
+    /// up with everything this worker produced.
+    alignas(kCacheLineBytes) std::atomic<std::uint64_t> evictions_pushed{0};
+    alignas(kCacheLineBytes) std::atomic<std::uint64_t> evictions_absorbed{0};
+    std::size_t index = 0;  ///< shard id, for fault attribution
+    /// Set by the worker thread on its way out (normal exit, fault unwind,
+    /// or stop-flag abandon). The watchdog-guarded joins wait on this so a
+    /// wedged thread can be reported instead of hanging finish().
+    std::atomic<bool> exited{false};
+    std::thread thread;
+  };
+
+  /// A refresh boundary detected by the caller's serial pre-scan: the flush
+  /// fires before the record at global stream index `pos`.
+  struct FlushEvent {
+    std::uint64_t pos = 0;
+    Nanos time;
+  };
+
+  struct Dispatcher {
+    /// Per-shard staging buffers (published to rings[this dispatcher]).
+    std::vector<std::vector<ShardMsg>> staging;
+    // Job slot for helper dispatchers (d >= 1): the caller writes the job
+    // fields, then publishes them with a release store to `posted`; the
+    // helper acknowledges through `completed`.
+    std::span<const PacketRecord> job_slice;
+    std::uint64_t job_base = 0;
+    std::span<const FlushEvent> job_flushes;
+    std::uint64_t job_watermark = 0;
+    alignas(kCacheLineBytes) std::atomic<std::uint64_t> posted{0};
+    alignas(kCacheLineBytes) std::atomic<std::uint64_t> completed{0};
+    std::atomic<bool> exit{false};  ///< orderly shutdown request
+    std::atomic<bool> exited{false};  ///< thread body finished (see Shard)
+    /// Per-shard ring telemetry for this dispatcher's rings (single writer:
+    /// this dispatcher — only thread d publishes to rings[d]). Stalls count
+    /// publish() calls that blocked on a full ring at least once; the
+    /// high-water mark samples ring occupancy after each publish.
+    std::vector<obs::RelaxedU64> ring_stalls;
+    std::vector<obs::RelaxedU64> ring_hwm;
+    std::thread thread;  ///< helpers only; dispatcher 0 is the caller
+  };
+
+  /// One worker-side view of one input ring: messages drained FIFO into an
+  /// unbounded local buffer (the worker always drains even when the merge
+  /// is blocked on another ring — that keeps dispatchers from wedging on a
+  /// full ring) plus the ring's proven lower bound on future seqs.
+  struct Lane {
+    std::vector<ShardMsg> buf;
+    std::size_t head = 0;
+    std::uint64_t bound = 0;  ///< future msgs from this ring have seq >= bound
+    bool stopped = false;
+  };
+
+  /// Caller-side spin bookkeeping: bounded backoff plus the lazily armed
+  /// drain-watchdog deadline (armed on the first blocked poll, so unblocked
+  /// paths never read the clock).
+  struct SpinState {
+    std::uint32_t idle_polls = 0;
+    std::chrono::steady_clock::time_point deadline{};
+    bool armed = false;
+    /// Whether `timeout` (zero = never) has passed since the deadline was
+    /// armed; each expiry re-arms it for one more period.
+    bool expired(std::chrono::milliseconds timeout);
+  };
+
+  void worker_loop(Shard& shard);
+  /// D = 1 fast path: one ring, already in global sequence order — pop
+  /// straight into the fold chunk with no lane buffering or merge.
+  void worker_loop_single_lane(Shard& shard);
+  /// The two-pass fold over a chunk of sequence-ordered messages, shared by
+  /// both worker loops. Returns false once it reaches kStop (nothing
+  /// follows a stop message).
+  bool fold_chunk(Shard& shard, std::span<ShardMsg> chunk);
+  /// Pass 1 of a chunk slot: re-pack the record's key on this core and
+  /// prefetch its cache bucket.
+  void worker_prepare(Shard& shard, std::size_t i, const ShardMsg& msg);
+  /// Pass 2 of a chunk slot: fold a record or execute a control message.
+  void worker_process(Shard& shard, std::size_t i, ShardMsg& msg);
+  void merge_loop();
+  void co_dispatcher_loop(std::size_t d);
+  /// Thread entry wrapper: run the loop, record any escaping exception in
+  /// the fault slot (first exception wins; every stop-aware loop then
+  /// unwinds), and flag exit — an engine thread can never reach
+  /// std::terminate or die silently while its peers spin on it.
+  template <typename Loop>
+  void thread_main(ThreadRole role, std::size_t shard, const std::string& who,
+                   std::atomic<bool>& exited, Loop&& loop) noexcept;
+  /// The stop flag: set by the first fault and never cleared.
+  [[nodiscard]] bool stopping() const { return fault_.faulted(); }
+  /// One step of the idle backoff every poll loop shares.
+  static void idle_wait(std::uint32_t& idle_polls);
+  /// One backoff step of a caller-side drain spin. When `what` is non-null
+  /// the spin is watchdog-guarded: past the drain deadline it records a
+  /// kWatchdog fault carrying pipeline_diagnostic() (it does NOT throw —
+  /// callers that must keep waiting for span safety check the fault
+  /// themselves).
+  void spin_backoff(SpinState& spin, const char* what);
+  /// Record a kWatchdog fault for the wait named `what`, with the dump.
+  void record_watchdog(const char* what);
+  /// The watchdog's dump: per-ring occupancy, per-shard eviction
+  /// pushed/absorbed counters, and thread exit states.
+  [[nodiscard]] std::string pipeline_diagnostic(const char* what) const;
+  /// Watchdog-guarded wait for a thread's exit flag (finish() path). Returns
+  /// true when the thread exited (safe to join instantly); false when the
+  /// deadline plus one grace period expired with the thread still wedged —
+  /// the join is then deferred to the destructor.
+  bool wait_exited(const std::atomic<bool>& exited, const char* what);
+  /// Dispatch one contiguous slice as dispatcher d: route records, emit
+  /// in-slice flushes, publish staging, and (for D > 1) end with a
+  /// watermark carrying `watermark_seq`.
+  void dispatch_slice(std::size_t d, std::span<const PacketRecord> slice,
+                      std::uint64_t base, std::span<const FlushEvent> flushes,
+                      std::uint64_t watermark_seq);
+  /// Wait until every helper dispatcher finished (or abandoned) its slice of
+  /// the current batch: the batch span is borrowed from the caller.
+  void wait_helpers();
+  /// Hand the worker's staged evictions to the merge thread, maintaining
+  /// the pushed counter the drain barrier reads.
+  static void push_evictions(Shard& sh);
+  void stage(std::size_t d, std::size_t shard, ShardMsg&& msg);
+  /// Push dispatcher d's staging for `shard` to its ring, backing off while
+  /// the ring is full. Stop-aware (the rest is dropped once the engine is
+  /// poisoned); the caller's pushes are watchdog-guarded.
+  void publish(std::size_t d, std::size_t shard);
+  /// The record-boundary rendezvous behind reach_boundary() and
+  /// merged_store(): broadcast kSnapshot at seq 2·records through the
+  /// caller's rings, wait for every worker's ack (each copies `query`'s
+  /// live slice first unless kNoQuery), then the eviction drain barrier.
+  void rendezvous(std::size_t query, std::uint64_t records, Nanos now);
+  /// Absorb one drained sweep into the backing stores (merge thread).
+  void absorb_sweep(Shard& shard, std::vector<TaggedEviction>& drained);
+  /// Send final kFlush (optionally) + kStop through every ring (helpers
+  /// push their own on exit) and join all threads. `watchdog` guards the
+  /// joins with the drain deadline (finish() path); the destructor passes
+  /// false and joins unboundedly.
+  void stop_pipeline(bool flush, Nanos now, std::uint64_t records,
+                     bool watchdog);
+  /// The cache-placement hash from a key's raw (seed-0) hash; identical to
+  /// kv::placement_hash(key, hash_seed) without needing the key.
+  [[nodiscard]] std::uint64_t placement_of_raw(std::uint64_t raw) const;
+
+  const EngineConfig& engine_;
+  ThreadedConfig config_;
+  RefreshClock& refresh_;
+  StreamStage& stream_;
+  /// The engine's first-exception-wins slot: every thread records into it,
+  /// and it is the pipeline's stop flag (stopping()).
+  FaultSlot& fault_;
+  std::uint64_t seed_mix_ = 0;  ///< mix64(hash_seed), precomputed
+  /// Per switch-query slot; a free slot's entries are null. Message `query`
+  /// fields and eviction-sink closures index these vectors, so a resident
+  /// query's index never moves.
+  std::vector<const compiler::SwitchQueryPlan*> plans_;
+  /// Record-direct router per plan; nullopt = computed key, expression path.
+  std::vector<std::optional<compiler::KeyRouter>> routers_;
+  std::vector<std::unique_ptr<kv::ShardedBackingStore>> backings_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Dispatcher>> dispatchers_;
+  std::vector<FlushEvent> flush_events_;  ///< per-batch scratch (caller only)
+  std::vector<PacketRecord> wire_pending_;  ///< wire-burst scratch (caller only)
+  obs::LatencyHistogram absorb_ns_;  ///< merge-thread absorb sweep latency
+  std::uint64_t snapshot_gen_ = 0;  ///< caller-side rendezvous generation
+  std::atomic<bool> merge_stop_{false};
+  std::atomic<bool> merge_exited_{false};
+  bool threads_stopped_ = false;
+  std::thread merge_thread_;  ///< after everything the merge thread reads
+};
+
+}  // namespace perfq::runtime

@@ -4,10 +4,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <system_error>
 
 #include "common/error.hpp"
 #include "service/line_protocol.hpp"
@@ -81,20 +82,23 @@ void QueryServer::stop() {
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   {
     const std::scoped_lock lock(clients_mu_);
-    for (const int fd : client_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const Session& s : sessions_) {
+      if (!s.done) ::shutdown(s.fd, SHUT_RDWR);
+    }
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  std::vector<std::thread> threads;
+  // The accept thread is gone, so no session is added any more.
+  std::list<Session> sessions;
   {
     const std::scoped_lock lock(clients_mu_);
-    threads.swap(client_threads_);
+    sessions.swap(sessions_);
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
+  for (Session& s : sessions) {
+    if (s.thread.joinable()) s.thread.join();
   }
 }
 
@@ -105,23 +109,61 @@ void QueryServer::accept_loop() {
       if (errno == EINTR) continue;
       return;  // listener closed by stop()
     }
-    const std::scoped_lock lock(clients_mu_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      return;
-    }
-    client_fds_.push_back(fd);
-    client_threads_.emplace_back([this, fd] { serve_client(fd); });
+    admit(fd);
   }
 }
 
-void QueryServer::serve_client(int fd) {
-  session_loop(fd);
-  // Deregister under the same lock stop() shuts sockets down under, so the
-  // fd is never closed (and possibly reused) while stop() still holds it.
+void QueryServer::admit(int fd) {
+  std::list<Session> finished;
+  std::unique_lock<std::mutex> lock(clients_mu_);
+  // Checked under the lock stop() shuts sessions down under: a session
+  // registered after that point would never be shut down.
+  if (stopping_.load(std::memory_order_acquire)) {
+    lock.unlock();
+    ::close(fd);
+    return;
+  }
+  std::size_t live = 0;
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
+    const auto next = std::next(it);
+    if (it->done) {
+      finished.splice(finished.end(), sessions_, it);
+    } else {
+      ++live;
+    }
+    it = next;
+  }
+  std::string refusal;
+  if (live >= kMaxSessions) {
+    refusal = "too many sessions (at most " + std::to_string(kMaxSessions) +
+              ")";
+  } else {
+    Session& session = sessions_.emplace_back();
+    session.fd = fd;
+    try {
+      session.thread =
+          std::thread([this, &session] { serve_client(session); });
+    } catch (const std::system_error& e) {
+      sessions_.pop_back();
+      refusal = std::string{"cannot start a session: "} + e.what();
+    }
+  }
+  lock.unlock();
+  if (!refusal.empty()) {
+    write_all(fd, "ERR " + refusal + "\n");
+    ::close(fd);
+  }
+  // Finished threads only return from serve_client; join them unlocked.
+  for (Session& s : finished) s.thread.join();
+}
+
+void QueryServer::serve_client(Session& session) {
+  session_loop(session.fd);
+  // Close under the same lock stop() shuts sockets down under, so the fd is
+  // never closed (and possibly reused) while stop() still holds it.
   const std::scoped_lock lock(clients_mu_);
-  client_fds_.erase(std::find(client_fds_.begin(), client_fds_.end(), fd));
-  ::close(fd);
+  ::close(session.fd);
+  session.done = true;
 }
 
 void QueryServer::session_loop(int fd) {

@@ -6,16 +6,18 @@
 //
 // Deliberately minimal plumbing: plain POSIX sockets bound to 127.0.0.1
 // only (an operator console, not an exposed service), one thread per client
-// (command rates are human-scale), blocking I/O with the listener closed to
-// unblock accept() on stop(). All concurrency control lives in the service.
+// (command rates are human-scale) up to kMaxSessions live at once, blocking
+// I/O with the listener closed to unblock accept() on stop(). Finished
+// sessions are joined as new clients arrive, so a long-running server holds
+// no dead threads beyond the cap. All concurrency control lives in the
+// service.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
+#include <list>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "service/query_service.hpp"
 
@@ -28,6 +30,11 @@ class QueryServer {
   /// or without its newline, gets ERR and the session is closed, so no
   /// client can grow the server's memory without bound.
   static constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
+  /// Most sessions served at once. A client past the cap gets ERR and is
+  /// closed; so is one whose session thread cannot be started. Either costs
+  /// only that connection.
+  static constexpr std::size_t kMaxSessions = 64;
 
   /// Binds 127.0.0.1:`port` and starts accepting (port 0 = ephemeral; read
   /// the bound port back with port()). Throws ConfigError on bind failure.
@@ -51,8 +58,20 @@ class QueryServer {
   void stop();
 
  private:
+  /// One client connection. `done` is set (under clients_mu_) when its
+  /// thread no longer touches the session, so the thread can be joined.
+  struct Session {
+    int fd = -1;
+    bool done = false;
+    std::thread thread;
+  };
+
   void accept_loop();
-  void serve_client(int fd);
+  /// Admit a fresh connection: reap finished sessions, then start a session
+  /// thread, or answer ERR and close when the cap is reached or the thread
+  /// cannot start.
+  void admit(int fd);
+  void serve_client(Session& session);
   void session_loop(int fd);
 
   QueryService& service_;
@@ -60,9 +79,8 @@ class QueryServer {
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> shutdown_{false};
-  std::mutex clients_mu_;  ///< guards client_fds_/client_threads_
-  std::vector<int> client_fds_;
-  std::vector<std::thread> client_threads_;
+  std::mutex clients_mu_;  ///< guards sessions_
+  std::list<Session> sessions_;  ///< stable addresses for the threads
   std::thread accept_thread_;
 };
 

@@ -4,8 +4,8 @@
 //   predicate is match-expressible, ALU fallback otherwise) -> stateful
 //   key-value store stage -> (record continues to the queue/telemetry path).
 //
-// SwitchPipeline is the architectural counterpart of runtime::QueryEngine's
-// processing loop: it consumes raw frames plus the queue metadata the
+// SwitchPipeline is the architectural counterpart of runtime::Engine's inline
+// executor loop: it consumes raw frames plus the queue metadata the
 // traffic manager supplies (enqueue/dequeue timestamps, depth — §3.1 notes
 // these "are provided by metadata available on programmable switches"), and
 // must produce byte-identical aggregation state. Tests assert exactly that.

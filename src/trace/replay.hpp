@@ -1,8 +1,8 @@
 // Trace replay driver: stream a record trace into any engine.
 //
 // Drives any runtime::Engine — pass the engine by reference (dereference the
-// unique_ptr EngineBuilder::build() returns): the serial and sharded engines
-// are interchangeable here, which is exactly how the scaling bench and the
+// unique_ptr EngineBuilder::build() returns): inline and sharded engines are
+// interchangeable here, which is exactly how the scaling bench and the
 // shard equivalence tests use it. Statically polymorphic (a template, not
 // Engine&) so the trace layer keeps zero dependency on the runtime and
 // anything else exposing process_batch() — e.g. a test double — works too.

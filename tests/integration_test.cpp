@@ -6,22 +6,22 @@
 #include <map>
 
 #include "netsim/network.hpp"
-#include "runtime/engine.hpp"
+#include "runtime/engine_builder.hpp"
 
 namespace perfq {
 namespace {
-
-using runtime::QueryEngine;
 
 TEST(Integration, DropQueryMatchesQueueCountersExactly) {
   net::Network network(21);
   net::LinkConfig edge{10.0, 1000_ns, 16};
   const net::LeafSpine topo = net::build_leaf_spine(network, 2, 1, 4, edge, edge);
 
-  QueryEngine engine(
-      compiler::compile_source("SELECT COUNT GROUPBY qid WHERE tout == infinity"));
+  auto engine = runtime::EngineBuilder(
+                    compiler::compile_source(
+                        "SELECT COUNT GROUPBY qid WHERE tout == infinity"))
+                    .build();
   network.set_telemetry_sink(
-      [&engine](const PacketRecord& rec) { engine.process(rec); });
+      [&engine](const PacketRecord& rec) { engine->process(rec); });
 
   // Overdrive two hosts on leaf 1 from everyone on leaf 0.
   int port = 0;
@@ -34,11 +34,11 @@ TEST(Integration, DropQueryMatchesQueueCountersExactly) {
     }
   }
   network.run_until(50_ms);
-  engine.finish(network.now());
+  engine->finish(network.now());
 
   // The query's per-qid counts must equal the simulator's drop counters for
   // every queue (zero-drop queues are simply absent from the table).
-  const runtime::ResultTable& result = engine.result();
+  const runtime::ResultTable& result = engine->result();
   std::map<std::uint32_t, double> measured;
   for (const auto& row : result.rows()) {
     measured[static_cast<std::uint32_t>(row[result.column("qid")])] =
@@ -71,27 +71,28 @@ TEST(Integration, RetransmissionsShowUpInNonMonotonicQuery) {
   network.connect(b, sw, tight);
   network.finalize_routes();
 
-  QueryEngine engine(compiler::compile_source(R"(
+  auto engine = runtime::EngineBuilder(compiler::compile_source(R"(
 def nonmt ((maxseq, nm_count), (tcpseq)):
     if maxseq > tcpseq: nm_count = nm_count + 1
     maxseq = max(maxseq, tcpseq)
 
 SELECT 5tuple, nonmt GROUPBY 5tuple WHERE proto == TCP
-)"));
+)"))
+                    .build();
   network.set_telemetry_sink(
-      [&engine](const PacketRecord& rec) { engine.process(rec); });
+      [&engine](const PacketRecord& rec) { engine->process(rec); });
 
   FiveTuple flow{ipv4_from_string("10.0.0.1"), ipv4_from_string("10.0.0.2"),
                  7777, 80, static_cast<std::uint8_t>(IpProto::kTcp)};
   network.add_window_flow(flow, 0_ns, 400, 1200, 24, 1_ms);
   network.run_until(1_s);
-  engine.finish(network.now());
+  engine->finish(network.now());
 
   const net::FlowStats& truth = network.flow_stats(flow);
   EXPECT_TRUE(truth.completed);
   EXPECT_GT(truth.retransmits, 0u) << "tight queue must force retransmissions";
 
-  const runtime::ResultTable& result = engine.result();
+  const runtime::ResultTable& result = engine->result();
   double nm_total = 0;
   for (const auto& row : result.rows()) {
     if (static_cast<std::uint32_t>(row[result.column("srcip")]) ==
@@ -169,11 +170,13 @@ TEST(Integration, PerQueueByteCountsMatchSimulator) {
   network.connect(b, sw, roomy);
   network.finalize_routes();
 
-  QueryEngine engine(compiler::compile_source(
-      "SELECT COUNT, SUM(pkt_len) GROUPBY qid"));
+  auto engine = runtime::EngineBuilder(
+                    compiler::compile_source(
+                        "SELECT COUNT, SUM(pkt_len) GROUPBY qid"))
+                    .build();
   std::map<std::uint32_t, std::pair<double, double>> truth;
   network.set_telemetry_sink([&](const PacketRecord& rec) {
-    engine.process(rec);
+    engine->process(rec);
     if (!rec.dropped()) {
       truth[rec.qid].first += 1.0;
       truth[rec.qid].second += rec.pkt.pkt_len;
@@ -184,9 +187,9 @@ TEST(Integration, PerQueueByteCountsMatchSimulator) {
                  1234, 80, static_cast<std::uint8_t>(IpProto::kUdp)};
   network.add_udp_flow(flow, 0_ns, 2000, 900, 1e5);
   network.run_until(100_ms);
-  engine.finish(network.now());
+  engine->finish(network.now());
 
-  const runtime::ResultTable& result = engine.result();
+  const runtime::ResultTable& result = engine->result();
   EXPECT_EQ(result.row_count(), truth.size());
   for (const auto& row : result.rows()) {
     const auto qid = static_cast<std::uint32_t>(row[result.column("qid")]);

@@ -19,6 +19,7 @@
 #include "common/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_export.hpp"
+#include "obs/sampler.hpp"
 #include "runtime/engine_builder.hpp"
 #include "runtime/stream_sink.hpp"
 #include "runtime_test_util.hpp"
@@ -100,22 +101,12 @@ TEST(CommonHistogram, AddCountMatchesRepeatedAdd) {
 
 // ---- counter exactness against the oracle -----------------------------------
 
-struct Topology {
-  const char* name;
-  std::size_t shards;       // 0 = serial
-  std::size_t dispatchers;  // ignored when serial
-};
-const Topology kTopologies[] = {
-    {"serial", 0, 0},       {"d1s1", 1, 1}, {"d1s4", 4, 1},
-    {"d2s1", 1, 2},         {"d2s4", 4, 2},
-};
-
 std::unique_ptr<Engine> build_count_engine(const Topology& topo,
                                            kv::CacheGeometry geometry) {
-  EngineBuilder builder(compiler::compile_source("SELECT COUNT GROUPBY 5tuple"));
-  builder.geometry(geometry);
-  if (topo.shards > 0) builder.sharded(topo.shards).dispatchers(topo.dispatchers);
-  return builder.build();
+  EngineConfig config;
+  config.geometry = geometry;
+  return build_engine(compiler::compile_source("SELECT COUNT GROUPBY 5tuple"),
+                      topo, config);
 }
 
 TEST(MetricsExactness, CountersMatchOracleAtQuiescentPoints) {
@@ -195,7 +186,7 @@ TEST(MetricsExactness, SmallGeometryShowsEvictionPressure) {
 TEST(MetricsExactness, MidRunReadsAreMonotoneAndQuiescentExact) {
   const auto records = test_workload();
   const std::span<const PacketRecord> span(records);
-  auto engine = build_count_engine(kTopologies[0],  // serial
+  auto engine = build_count_engine(kSerial,
                                    kv::CacheGeometry::set_associative(1024, 8));
   engine->process_batch(span.first(span.size() / 2));
   const EngineMetrics m1 = engine->metrics();
@@ -211,10 +202,33 @@ TEST(MetricsExactness, MidRunReadsAreMonotoneAndQuiescentExact) {
   engine->finish(11_s);
 }
 
+TEST(MetricsExactness, EveryMidRunPullCountsOnce) {
+  // A mid-run export_store() is a pull like snapshot(): both count in
+  // `snapshots` and time the shared primitive into snapshot_ns, on every
+  // topology alike.
+  const auto records = test_workload();
+  for (const Topology& topo : kTopologies) {
+    SCOPED_TRACE(topo.name);
+    auto engine =
+        build_count_engine(topo, kv::CacheGeometry::set_associative(64, 4));
+    engine->process_batch(records);
+    const std::string name = engine->program().switch_plans.at(0).name;
+    (void)engine->snapshot(name, 11_s);
+    (void)engine->export_store(name, 11_s);
+    const EngineMetrics m = engine->metrics();
+    EXPECT_EQ(m.snapshots, 2u);
+    EXPECT_EQ(m.snapshot_ns.count, 2u);
+    engine->finish(11_s);
+    // Reading the final store after finish() is not a pull.
+    (void)engine->export_store(name, 11_s);
+    EXPECT_EQ(engine->metrics().snapshots, 2u);
+  }
+}
+
 // ---- ingest / replay accounting ---------------------------------------------
 
 TEST(MetricsIngest, RecordIngestAccumulatesAcrossFeeds) {
-  auto engine = build_count_engine(kTopologies[0],
+  auto engine = build_count_engine(kSerial,
                                    kv::CacheGeometry::set_associative(1024, 8));
   trace::IngestStats a;
   a.parsed = 10;
@@ -233,7 +247,7 @@ TEST(MetricsIngest, RecordIngestAccumulatesAcrossFeeds) {
 
 TEST(MetricsIngest, ReplayDriverRecordsItself) {
   const auto records = test_workload();
-  auto engine = build_count_engine(kTopologies[0],
+  auto engine = build_count_engine(kSerial,
                                    kv::CacheGeometry::set_associative(1024, 8));
   const auto stats = trace::replay_into(*engine, records, /*batch=*/512);
   const EngineMetrics m = engine->metrics();
@@ -344,19 +358,21 @@ R1 = SELECT 5tuple, counter GROUPBY 5tuple
 
 TEST(MetricsSampler, CollectsABoundedMonotoneSeries) {
   const auto records = test_workload();
-  auto engine =
-      EngineBuilder(compiler::compile_source("SELECT COUNT GROUPBY 5tuple"))
-          .geometry(kv::CacheGeometry::set_associative(1024, 8))
-          .metrics_sampler(std::chrono::milliseconds(1), /*capacity=*/8)
-          .build();
+  auto engine = build_count_engine(kSerial,
+                                   kv::CacheGeometry::set_associative(1024, 8));
   const std::span<const PacketRecord> span(records);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(60);
-  while (std::chrono::steady_clock::now() < deadline) {
-    engine->process_batch(span.first(256));
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  std::vector<obs::MetricsSample> series;
+  {
+    obs::MetricsSampler sampler(*engine, std::chrono::milliseconds(1),
+                                /*capacity=*/8);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(60);
+    while (std::chrono::steady_clock::now() < deadline) {
+      engine->process_batch(span.first(256));
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    series = sampler.series();
   }
-  const auto series = engine->metrics_series();
   ASSERT_FALSE(series.empty());
   EXPECT_LE(series.size(), 8u);  // bounded: oldest samples dropped
   for (std::size_t i = 1; i < series.size(); ++i) {
@@ -364,21 +380,16 @@ TEST(MetricsSampler, CollectsABoundedMonotoneSeries) {
     EXPECT_GE(series[i].metrics.records, series[i - 1].metrics.records);
   }
   engine->finish(11_s);
-  // The wrapper is invisible to the driver surface.
   EXPECT_EQ(engine->metrics().records, engine->records_processed());
 }
 
 TEST(MetricsSampler, RejectsBadConfig) {
-  EXPECT_THROW(
-      EngineBuilder(compiler::compile_source("SELECT COUNT GROUPBY srcip"))
-          .metrics_sampler(std::chrono::milliseconds(0))
-          .build(),
-      ConfigError);
-  EXPECT_THROW(
-      EngineBuilder(compiler::compile_source("SELECT COUNT GROUPBY srcip"))
-          .metrics_sampler(std::chrono::milliseconds(1), /*capacity=*/0)
-          .build(),
-      ConfigError);
+  auto engine = build_count_engine(kSerial,
+                                   kv::CacheGeometry::set_associative(1024, 8));
+  EXPECT_THROW(obs::MetricsSampler(*engine, std::chrono::milliseconds(0), 8),
+               ConfigError);
+  EXPECT_THROW(obs::MetricsSampler(*engine, std::chrono::milliseconds(1), 0),
+               ConfigError);
 }
 
 // ---- concurrent reads (the TSan test) ---------------------------------------

@@ -1,8 +1,8 @@
-// The unified engine surface: EngineBuilder (one construction path for the
-// serial and sharded engines), the polymorphic runtime::Engine interface,
-// and the pluggable StreamSink layer (default table sink semantics, user
-// sink overflow, callback batch boundaries, ring sink, and sink equivalence
-// across both engines over the Fig. 2 fold corpus).
+// The one engine surface: EngineBuilder (the only construction path, for
+// both executors), runtime::Engine, and the pluggable StreamSink layer
+// (default table sink semantics, user sink overflow, callback batch
+// boundaries, ring sink, and sink equivalence across both executors over the
+// Fig. 2 fold corpus).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,9 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "runtime/engine.hpp"
 #include "runtime/engine_builder.hpp"
-#include "runtime/sharded/sharded_engine.hpp"
 #include "runtime_test_util.hpp"
 #include "trace/flow_session.hpp"
 
@@ -35,17 +33,20 @@ TEST(EngineBuilder, BuildsSerialEngineByDefaultAndShardedOnRequest) {
   auto serial = EngineBuilder(compiler::compile_source("SELECT COUNT GROUPBY srcip"))
                     .geometry(small_geometry())
                     .build();
-  EXPECT_NE(dynamic_cast<QueryEngine*>(serial.get()), nullptr);
+  const EngineMetrics inline_metrics = serial->metrics();
+  EXPECT_EQ(inline_metrics.engine, "serial");
+  EXPECT_TRUE(inline_metrics.shards.empty());
+  EXPECT_TRUE(inline_metrics.rings.empty());
 
   auto sharded = EngineBuilder(compiler::compile_source("SELECT COUNT GROUPBY srcip"))
                      .geometry(small_geometry())
                      .sharded(4)
                      .dispatchers(2)
                      .build();
-  auto* concrete = dynamic_cast<ShardedEngine*>(sharded.get());
-  ASSERT_NE(concrete, nullptr);
-  EXPECT_EQ(concrete->num_shards(), 4u);
-  EXPECT_EQ(concrete->num_dispatchers(), 2u);
+  const EngineMetrics threaded_metrics = sharded->metrics();
+  EXPECT_EQ(threaded_metrics.engine, "sharded");
+  EXPECT_EQ(threaded_metrics.shards.size(), 4u);
+  EXPECT_EQ(threaded_metrics.rings.size(), 2u * 4u);  // D × N
   // Tear the sharded pipeline down cleanly without a finish().
 }
 

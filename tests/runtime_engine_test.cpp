@@ -7,7 +7,7 @@
 #include <map>
 
 #include "common/error.hpp"
-#include "runtime/engine.hpp"
+#include "runtime_test_util.hpp"
 #include "trace/simple.hpp"
 
 namespace perfq::runtime {
@@ -47,19 +47,20 @@ std::vector<PacketRecord> mixed_workload(std::uint64_t count, std::uint32_t flow
 }
 
 TEST(Engine, PerFlowCountersMatchGroundTruth) {
-  QueryEngine engine(compile_source("SELECT COUNT, SUM(pkt_len) GROUPBY srcip"),
-                     small_cache_config());
+  auto engine = build_engine(
+      compile_source("SELECT COUNT, SUM(pkt_len) GROUPBY srcip"), kSerial,
+      small_cache_config());
   const auto records = mixed_workload(5000, 40, 1);
   std::map<std::uint32_t, std::pair<std::uint64_t, std::uint64_t>> truth;
   for (const auto& rec : records) {
-    engine.process(rec);
+    engine->process(rec);
     auto& [cnt, bytes] = truth[rec.pkt.flow.src_ip];
     ++cnt;
     bytes += rec.pkt.pkt_len;
   }
-  engine.finish(Nanos{1'000'000'000});
+  engine->finish(Nanos{1'000'000'000});
 
-  const ResultTable& result = engine.result();
+  const ResultTable& result = engine->result();
   EXPECT_EQ(result.row_count(), truth.size());
   const std::size_t ip_col = result.column("srcip");
   const std::size_t cnt_col = result.column("COUNT");
@@ -71,35 +72,35 @@ TEST(Engine, PerFlowCountersMatchGroundTruth) {
     EXPECT_DOUBLE_EQ(row[sum_col], static_cast<double>(truth[ip].second));
   }
   // Sanity: the tiny cache actually evicted.
-  EXPECT_GT(engine.store_stats()[0].cache.evictions, 0u);
+  EXPECT_GT(engine->store_stats()[0].cache.evictions, 0u);
 }
 
 TEST(Engine, LatencyEwmaQueryRunsAndIsLinear) {
-  QueryEngine engine(compile_source(R"(
+  auto engine = build_engine(compile_source(R"(
 def ewma (lat_est, (tin, tout)):
     lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)
 
 SELECT 5tuple, ewma GROUPBY 5tuple
 )",
-                                    {{"alpha", 0.25}}),
-                     small_cache_config());
+                                            {{"alpha", 0.25}}),
+                             kSerial, small_cache_config());
   // No drops: the literal fold would fold infinities into the average.
   const auto records = mixed_workload(4000, 25, 2, /*drop_prob=*/0.0);
   std::map<FiveTuple, double> truth;
   for (const auto& rec : records) {
-    engine.process(rec);
+    engine->process(rec);
     auto [it, inserted] = truth.try_emplace(rec.pkt.flow, 0.0);
     it->second = 0.75 * it->second +
                  0.25 * static_cast<double>((rec.tout - rec.tin).count());
   }
-  engine.finish(Nanos{1});
+  engine->finish(Nanos{1});
 
-  const auto stats = engine.store_stats();
+  const auto stats = engine->store_stats();
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_TRUE(kv::is_linear(stats[0].linearity));
   EXPECT_GT(stats[0].cache.evictions, 0u);
 
-  const ResultTable& result = engine.result();
+  const ResultTable& result = engine->result();
   EXPECT_EQ(result.row_count(), truth.size());
   const std::size_t srcip = result.column("srcip");
   const std::size_t lat = result.column("lat_est");
@@ -117,39 +118,38 @@ SELECT 5tuple, ewma GROUPBY 5tuple
 }
 
 TEST(Engine, WhereFiltersInput) {
-  QueryEngine engine(
-      compile_source("SELECT COUNT GROUPBY srcip WHERE proto == TCP"),
+  auto engine = build_engine(
+      compile_source("SELECT COUNT GROUPBY srcip WHERE proto == TCP"), kSerial,
       small_cache_config());
   auto tcp = trace::RecordBuilder{}.flow_index(1).build();
   auto udp = trace::RecordBuilder{}.flow_index(2).build();
   udp.pkt.flow.proto = static_cast<std::uint8_t>(IpProto::kUdp);
-  engine.process(tcp);
-  engine.process(udp);
-  engine.process(tcp);
-  engine.finish(Nanos{1});
-  EXPECT_EQ(engine.result().row_count(), 1u);
-  EXPECT_DOUBLE_EQ(engine.result().rows()[0][1], 2.0);
+  engine->process(tcp);
+  engine->process(udp);
+  engine->process(tcp);
+  engine->finish(Nanos{1});
+  EXPECT_EQ(engine->result().row_count(), 1u);
+  EXPECT_DOUBLE_EQ(engine->result().rows()[0][1], 2.0);
 }
 
 TEST(Engine, PerFlowLossRateJoin) {
   // Fig. 2 "Per-flow loss rate": R2.COUNT / R1.COUNT via JOIN.
-  QueryEngine engine(compile_source(R"(
+  auto engine = build_engine(compile_source(R"(
 R1 = SELECT COUNT GROUPBY 5tuple
 R2 = SELECT COUNT GROUPBY 5tuple WHERE tout == infinity
 R3 = SELECT R2.COUNT / R1.COUNT FROM R1 JOIN R2 ON 5tuple
-)"),
-                     small_cache_config());
+)"), kSerial, small_cache_config());
   const auto records = mixed_workload(6000, 30, 3, /*drop_prob=*/0.1);
   std::map<FiveTuple, std::pair<double, double>> truth;  // total, dropped
   for (const auto& rec : records) {
-    engine.process(rec);
+    engine->process(rec);
     auto& [total, dropped] = truth[rec.pkt.flow];
     total += 1.0;
     if (rec.dropped()) dropped += 1.0;
   }
-  engine.finish(Nanos{1});
+  engine->finish(Nanos{1});
 
-  const ResultTable& r3 = engine.result();
+  const ResultTable& r3 = engine->result();
   const std::size_t srcip = r3.column("srcip");
   const std::size_t ratio = r3.column("R2.COUNT / R1.COUNT");
   std::size_t with_drops = 0;
@@ -173,24 +173,23 @@ R3 = SELECT R2.COUNT / R1.COUNT FROM R1 JOIN R2 ON 5tuple
 TEST(Engine, HighLatencyFlowsComposition) {
   // Fig. 2 "Per-flow high latency packets": GROUPBY pkt_uniq on the switch,
   // then GROUPBY 5tuple over the result in the collection layer.
-  QueryEngine engine(compile_source(R"(
+  auto engine = build_engine(compile_source(R"(
 def sum_lat (lat, (tin, tout)): lat = lat + tout - tin
 
 R1 = SELECT pkt_uniq, sum_lat GROUPBY pkt_uniq
 R2 = SELECT 5tuple FROM R1 GROUPBY 5tuple WHERE lat > 1500
-)"),
-                     small_cache_config());
+)"), kSerial, small_cache_config());
   const auto records = mixed_workload(3000, 20, 4, /*drop_prob=*/0.0);
   std::map<FiveTuple, double> truth;  // # high-latency packets per flow
   for (const auto& rec : records) {
-    engine.process(rec);
+    engine->process(rec);
     if (static_cast<double>((rec.tout - rec.tin).count()) > 1500.0) {
       truth[rec.pkt.flow] += 1.0;
     }
   }
-  engine.finish(Nanos{1});
+  engine->finish(Nanos{1});
 
-  const ResultTable& r2 = engine.result();
+  const ResultTable& r2 = engine->result();
   EXPECT_EQ(r2.row_count(), truth.size());
   const std::size_t srcip = r2.column("srcip");
   const std::size_t count = r2.column("COUNT");
@@ -209,7 +208,7 @@ R2 = SELECT 5tuple FROM R1 GROUPBY 5tuple WHERE lat > 1500
 
 TEST(Engine, HighPercentileQueueQuery) {
   // Fig. 2 "High 99th percentile queue size".
-  QueryEngine engine(compile_source(R"(
+  auto engine = build_engine(compile_source(R"(
 def perc ((tot, high), qin):
     if qin > K: high = high + 1
     tot = tot + 1
@@ -217,49 +216,48 @@ def perc ((tot, high), qin):
 R1 = SELECT qid, perc GROUPBY qid
 R2 = SELECT * FROM R1 WHERE perc.high / perc.tot > 0.2
 )",
-                                    {{"K", 80.0}}),
-                     small_cache_config());
+                                            {{"K", 80.0}}),
+                             kSerial, small_cache_config());
   const auto records = mixed_workload(4000, 16, 5);
   std::map<std::uint32_t, std::pair<double, double>> truth;  // qid -> tot, high
   for (const auto& rec : records) {
-    engine.process(rec);
+    engine->process(rec);
     auto& [tot, high] = truth[rec.qid];
     tot += 1.0;
     if (rec.qsize > 80) high += 1.0;
   }
-  engine.finish(Nanos{1});
+  engine->finish(Nanos{1});
 
   std::size_t expected = 0;
   for (const auto& [qid, th] : truth) {
     if (th.second / th.first > 0.2) ++expected;
   }
-  EXPECT_EQ(engine.result().row_count(), expected);
+  EXPECT_EQ(engine->result().row_count(), expected);
 }
 
 TEST(Engine, StreamSelectSinkCollectsMatches) {
-  QueryEngine engine(
+  auto engine = build_engine(
       compile_source("SELECT srcip, qid FROM T WHERE tout - tin > 1000"),
-      small_cache_config());
+      kSerial, small_cache_config());
   std::uint64_t expected = 0;
   const auto records = mixed_workload(2000, 10, 6, 0.0);
   for (const auto& rec : records) {
-    engine.process(rec);
+    engine->process(rec);
     if ((rec.tout - rec.tin).count() > 1000) ++expected;
   }
-  engine.finish(Nanos{1});
-  EXPECT_EQ(engine.result().row_count(), expected);
-  EXPECT_EQ(engine.result().schema().size(), 2u);
+  engine->finish(Nanos{1});
+  EXPECT_EQ(engine->result().row_count(), expected);
+  EXPECT_EQ(engine->result().schema().size(), 2u);
 }
 
 TEST(Engine, NonLinearQueryTracksAccuracy) {
-  QueryEngine engine(compile_source(R"(
+  auto engine = build_engine(compile_source(R"(
 def nonmt ((maxseq, nm_count), (tcpseq)):
     if maxseq > tcpseq: nm_count = nm_count + 1
     maxseq = max(maxseq, tcpseq)
 
 SELECT 5tuple, nonmt GROUPBY 5tuple WHERE proto == TCP
-)"),
-                     [] {
+)"), kSerial, [] {
                        EngineConfig c;
                        c.geometry = kv::CacheGeometry::set_associative(16, 4);
                        return c;
@@ -268,7 +266,7 @@ SELECT 5tuple, nonmt GROUPBY 5tuple WHERE proto == TCP
   // evicted exactly once and stay valid. Phase 2: 96 churning flows over a
   // 64-slot cache -> mostly invalid. Accuracy must land strictly in (0, 1).
   for (const auto& rec : trace::round_robin_records(100, 10)) {
-    engine.process(rec);
+    engine->process(rec);
   }
   Rng rng(7);
   std::vector<std::uint32_t> seq(96, 1000);
@@ -281,11 +279,11 @@ SELECT 5tuple, nonmt GROUPBY 5tuple WHERE proto == TCP
                           Nanos{static_cast<std::int64_t>(i) * 100 + 50})
                    .build();
     seq[f] += rec.pkt.payload_len;
-    engine.process(rec);
+    engine->process(rec);
   }
-  engine.finish(Nanos{1});
+  engine->finish(Nanos{1});
 
-  const auto stats = engine.store_stats();
+  const auto stats = engine->store_stats();
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].linearity, kv::Linearity::kNotLinear);
   EXPECT_GT(stats[0].cache.evictions, 0u);
@@ -295,30 +293,29 @@ SELECT 5tuple, nonmt GROUPBY 5tuple WHERE proto == TCP
 }
 
 TEST(Engine, OutOfSeqEndToEndMatchesGroundTruth) {
-  QueryEngine engine(compile_source(R"(
+  auto engine = build_engine(compile_source(R"(
 def outofseq ((lastseq, oos_count), (tcpseq, payload_len)):
     if lastseq + 1 != tcpseq: oos_count = oos_count + 1
     lastseq = tcpseq + payload_len
 
 SELECT 5tuple, outofseq GROUPBY 5tuple WHERE proto == TCP
-)"),
-                     small_cache_config());
+)"), kSerial, small_cache_config());
   const auto records = mixed_workload(4000, 24, 8, 0.0);
   std::map<FiveTuple, std::pair<double, double>> truth;  // lastseq, count
   for (const auto& rec : records) {
-    engine.process(rec);
+    engine->process(rec);
     auto [it, inserted] = truth.try_emplace(rec.pkt.flow, 0.0, 0.0);
     auto& [lastseq, oos] = it->second;
     if (lastseq + 1.0 != static_cast<double>(rec.pkt.tcp_seq)) oos += 1.0;
     lastseq = static_cast<double>(rec.pkt.tcp_seq) +
               static_cast<double>(rec.pkt.payload_len);
   }
-  engine.finish(Nanos{1});
+  engine->finish(Nanos{1});
 
-  const auto stats = engine.store_stats();
+  const auto stats = engine->store_stats();
   EXPECT_GT(stats[0].cache.evictions, 100u) << "must stress the h=1 merge";
 
-  const ResultTable& result = engine.result();
+  const ResultTable& result = engine->result();
   EXPECT_EQ(result.row_count(), truth.size());
   const std::size_t srcip = result.column("srcip");
   const std::size_t oos_col = result.column("oos_count");
@@ -333,15 +330,14 @@ SELECT 5tuple, outofseq GROUPBY 5tuple WHERE proto == TCP
 }
 
 TEST(Engine, NamedIntermediateTablesAccessible) {
-  QueryEngine engine(compile_source(R"(
+  auto engine = build_engine(compile_source(R"(
 R1 = SELECT COUNT GROUPBY srcip
 R2 = SELECT srcip, COUNT FROM R1 WHERE COUNT > 2
-)"),
-                     small_cache_config());
-  for (const auto& rec : mixed_workload(100, 5, 9)) engine.process(rec);
-  engine.finish(Nanos{1});
-  EXPECT_GE(engine.table("R1").row_count(), engine.table("R2").row_count());
-  EXPECT_THROW((void)engine.table("R9"), QueryError);
+)"), kSerial, small_cache_config());
+  for (const auto& rec : mixed_workload(100, 5, 9)) engine->process(rec);
+  engine->finish(Nanos{1});
+  EXPECT_GE(engine->table("R1").row_count(), engine->table("R2").row_count());
+  EXPECT_THROW((void)engine->table("R9"), QueryError);
 }
 
 TEST(Engine, BatchProcessingMatchesScalarExactly) {
@@ -360,18 +356,20 @@ R2 = SELECT srcip, qid FROM T WHERE tout - tin > 1000
   EngineConfig config = small_cache_config();
   config.refresh_interval = Nanos{200'000};  // exercise mid-batch refreshes
 
-  QueryEngine scalar(compile_source(source, {{"alpha", 0.125}}), config);
-  for (const auto& rec : records) scalar.process(rec);
-  scalar.finish(Nanos{1'000'000'000});
+  auto scalar = build_engine(
+      compile_source(source, {{"alpha", 0.125}}), kSerial, config);
+  for (const auto& rec : records) scalar->process(rec);
+  scalar->finish(Nanos{1'000'000'000});
 
-  QueryEngine batched(compile_source(source, {{"alpha", 0.125}}), config);
-  batched.process_batch(records);
-  batched.finish(Nanos{1'000'000'000});
+  auto batched = build_engine(
+      compile_source(source, {{"alpha", 0.125}}), kSerial, config);
+  batched->process_batch(records);
+  batched->finish(Nanos{1'000'000'000});
 
-  EXPECT_EQ(batched.records_processed(), scalar.records_processed());
-  EXPECT_EQ(batched.refresh_count(), scalar.refresh_count());
-  const auto ss = scalar.store_stats();
-  const auto bs = batched.store_stats();
+  EXPECT_EQ(batched->records_processed(), scalar->records_processed());
+  EXPECT_EQ(batched->refresh_count(), scalar->refresh_count());
+  const auto ss = scalar->store_stats();
+  const auto bs = batched->store_stats();
   ASSERT_EQ(ss.size(), bs.size());
   for (std::size_t i = 0; i < ss.size(); ++i) {
     EXPECT_EQ(bs[i].cache.packets, ss[i].cache.packets);
@@ -380,8 +378,8 @@ R2 = SELECT srcip, qid FROM T WHERE tout - tin > 1000
     EXPECT_EQ(bs[i].backing_writes, ss[i].backing_writes);
   }
   for (const char* table : {"R1", "R2"}) {
-    const ResultTable& st = scalar.table(table);
-    const ResultTable& bt = batched.table(table);
+    const ResultTable& st = scalar->table(table);
+    const ResultTable& bt = batched->table(table);
     ASSERT_EQ(bt.row_count(), st.row_count()) << table;
     for (std::size_t r = 0; r < st.row_count(); ++r) {
       const auto& srow = st.rows()[r];
@@ -395,10 +393,11 @@ R2 = SELECT srcip, qid FROM T WHERE tout - tin > 1000
 }
 
 TEST(Engine, ApiMisuseThrows) {
-  QueryEngine engine(compile_source("SELECT COUNT GROUPBY srcip"));
-  EXPECT_THROW((void)engine.result(), Error);  // before finish
-  engine.finish(Nanos{1});
-  EXPECT_THROW(engine.process(trace::RecordBuilder{}.build()), Error);
+  auto engine = build_engine(
+      compile_source("SELECT COUNT GROUPBY srcip"), kSerial);
+  EXPECT_THROW((void)engine->result(), Error);  // before finish
+  engine->finish(Nanos{1});
+  EXPECT_THROW(engine->process(trace::RecordBuilder{}.build()), Error);
 }
 
 TEST(Engine, ComputedKeyGroupByMatchesGroundTruth) {
@@ -406,22 +405,23 @@ TEST(Engine, ComputedKeyGroupByMatchesGroundTruth) {
   // must take the expression-tree extraction path — the fast-field path is
   // cleared for mixed plans — and still produce exactly the grouping the
   // expression defines.
-  QueryEngine engine(compile_source("SELECT COUNT GROUPBY srcip, pkt_len / 256"),
-                     small_cache_config());
-  EXPECT_TRUE(engine.program().switch_plans.at(0).fast_key_fields.empty());
+  auto engine = build_engine(
+      compile_source("SELECT COUNT GROUPBY srcip, pkt_len / 256"), kSerial,
+      small_cache_config());
+  EXPECT_TRUE(engine->program().switch_plans.at(0).fast_key_fields.empty());
   const auto records = mixed_workload(5000, 40, 7);
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> truth;
   for (const auto& rec : records) {
-    engine.process(rec);
+    engine->process(rec);
     // Same truncation as extract_key: the expression value as an unsigned
     // integer (pkt_len / 256 is nonnegative, so plain truncation).
     const auto bucket = static_cast<std::uint64_t>(
         static_cast<double>(rec.pkt.pkt_len) / 256.0);
     ++truth[{rec.pkt.flow.src_ip, bucket}];
   }
-  engine.finish(Nanos{1'000'000'000});
+  engine->finish(Nanos{1'000'000'000});
 
-  const ResultTable& result = engine.result();
+  const ResultTable& result = engine->result();
   ASSERT_EQ(result.row_count(), truth.size());
   const std::size_t ip_col = result.column("srcip");
   const std::size_t bucket_col = result.column("pkt_len / 256");
@@ -438,16 +438,17 @@ TEST(Engine, ComputedKeyGroupByMatchesGroundTruth) {
 
 TEST(Engine, FinishTwiceAndProcessAfterFinishThrowCleanly) {
   const auto records = mixed_workload(200, 10, 33);
-  QueryEngine engine(compile_source("SELECT COUNT GROUPBY srcip"));
-  engine.process_batch(records);
-  engine.finish(Nanos{1'000'000'000});
-  EXPECT_NO_THROW((void)engine.result());
-  EXPECT_THROW(engine.finish(Nanos{2'000'000'000}), Error);
-  EXPECT_THROW(engine.process(records[0]), Error);
-  EXPECT_THROW(engine.process_batch(records), Error);
+  auto engine = build_engine(
+      compile_source("SELECT COUNT GROUPBY srcip"), kSerial);
+  engine->process_batch(records);
+  engine->finish(Nanos{1'000'000'000});
+  EXPECT_NO_THROW((void)engine->result());
+  EXPECT_THROW(engine->finish(Nanos{2'000'000'000}), Error);
+  EXPECT_THROW(engine->process(records[0]), Error);
+  EXPECT_THROW(engine->process_batch(records), Error);
   // The failed calls must not have corrupted the finished state.
-  EXPECT_NO_THROW((void)engine.result());
-  EXPECT_EQ(engine.records_processed(), 200u);
+  EXPECT_NO_THROW((void)engine->result());
+  EXPECT_EQ(engine->records_processed(), 200u);
 }
 
 }  // namespace

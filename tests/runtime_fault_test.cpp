@@ -15,6 +15,7 @@
 // is always live.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -22,9 +23,7 @@
 
 #include "common/failpoint.hpp"
 #include "compiler/program.hpp"
-#include "runtime/engine.hpp"
 #include "runtime/engine_builder.hpp"
-#include "runtime/sharded/sharded_engine.hpp"
 #include "runtime/stream_sink.hpp"
 #include "runtime_test_util.hpp"
 
@@ -40,41 +39,19 @@ EngineConfig small_engine_config() {
   return config;
 }
 
-ShardedEngineConfig fault_config(std::size_t shards, std::size_t dispatchers) {
-  ShardedEngineConfig config;
-  config.engine = small_engine_config();
-  config.num_shards = shards;
-  config.num_dispatchers = dispatchers;
-  config.ring_capacity = 256;
-  config.dispatch_batch = 32;
-  config.eviction_batch = 8;
-  return config;
-}
-
-/// The engine matrix every fault scenario runs over: serial plus the
-/// sharded topologies (D, N) in {1,2} x {1,4}.
-struct EngineCase {
-  const char* name;
-  bool sharded;
-  std::size_t shards;
-  std::size_t dispatchers;
-};
-const EngineCase kEngineMatrix[] = {
-    {"serial", false, 0, 0},         {"sharded D1 N1", true, 1, 1},
-    {"sharded D1 N4", true, 4, 1},   {"sharded D2 N1", true, 1, 2},
-    {"sharded D2 N4", true, 4, 2},
-};
-
-std::unique_ptr<Engine> build_case(const EngineCase& c,
-                                   const std::string& source =
-                                       "SELECT COUNT GROUPBY srcip") {
-  if (!c.sharded) {
-    return std::make_unique<QueryEngine>(compiler::compile_source(source),
-                                         small_engine_config());
-  }
-  return std::make_unique<ShardedEngine>(compiler::compile_source(source),
-                                         fault_config(c.shards,
-                                                      c.dispatchers));
+/// Fault scenarios run over the contract matrix (inline plus threaded
+/// D∈{1,2} × shards∈{1,4}) with small rings and eviction batches, so a
+/// fault lands mid-flow. `tune` adjusts the threaded knobs further.
+std::unique_ptr<Engine> build_case(
+    const Topology& topo,
+    const std::string& source = "SELECT COUNT GROUPBY srcip",
+    const std::function<void(EngineBuilder&)>& tune = {}) {
+  const auto small_rings = [&tune](EngineBuilder& b) {
+    b.ring_capacity(256).dispatch_batch(32).eviction_batch(8);
+    if (tune) tune(b);
+  };
+  return build_engine(compiler::compile_source(source), topo,
+                      small_engine_config(), small_rings);
 }
 
 /// Feed batches until the engine throws EngineFaultError (async faults can
@@ -163,7 +140,7 @@ TEST_F(FaultTest, ThrowInFoldPoisonsEveryEngine) {
     GTEST_SKIP() << "built without PERFQ_FAILPOINTS";
   }
   const auto records = workload();
-  for (const EngineCase& c : kEngineMatrix) {
+  for (const Topology& c : kTopologies) {
     failpoint::Spec spec;
     spec.skip = 100;  // let some records fold first
     failpoint::arm("fold_core.fold", spec);
@@ -171,7 +148,7 @@ TEST_F(FaultTest, ThrowInFoldPoisonsEveryEngine) {
     const EngineFaultError fault = drive_to_fault(*engine, records, c.name);
     EXPECT_NE(fault.cause().find("fold_core.fold"), std::string::npos)
         << c.name << ": " << fault.what();
-    if (c.sharded) {
+    if (c.shards > 0) {
       // The fold runs on a shard worker; the fault must carry that origin.
       EXPECT_EQ(fault.role(), ThreadRole::kWorker) << c.name;
       EXPECT_LT(fault.shard(), c.shards) << c.name;
@@ -191,17 +168,15 @@ TEST_F(FaultTest, WorkerDeathUnwindsSiblings) {
     GTEST_SKIP() << "built without PERFQ_FAILPOINTS";
   }
   const auto records = workload();
-  for (const EngineCase& c : kEngineMatrix) {
-    if (!c.sharded) continue;
+  for (const Topology& c : kTopologies) {
+    if (c.shards == 0) continue;
     failpoint::arm("sharded.ring_pop", {});  // every worker dies on entry
-    ShardedEngine engine(
-        compiler::compile_source("R1 = SELECT COUNT GROUPBY srcip"),
-        fault_config(c.shards, c.dispatchers));
-    const EngineFaultError fault = drive_to_fault(engine, records, c.name);
+    auto engine = build_case(c, "R1 = SELECT COUNT GROUPBY srcip");
+    const EngineFaultError fault = drive_to_fault(*engine, records, c.name);
     EXPECT_EQ(fault.role(), ThreadRole::kWorker) << c.name;
     EXPECT_LT(fault.shard(), c.shards) << c.name;
     failpoint::disarm_all();
-    expect_poisoned(engine, c.name);
+    expect_poisoned(*engine, c.name);
   }
 }
 
@@ -210,12 +185,10 @@ TEST_F(FaultTest, MergeThreadDeathSurfacesBeforeResults) {
     GTEST_SKIP() << "built without PERFQ_FAILPOINTS";
   }
   const auto records = workload();
-  for (const EngineCase& c : kEngineMatrix) {
-    if (!c.sharded) continue;
+  for (const Topology& c : kTopologies) {
+    if (c.shards == 0) continue;
     failpoint::arm("sharded.merge_absorb", {});
-    ShardedEngine engine(
-        compiler::compile_source("R1 = SELECT COUNT GROUPBY srcip"),
-        fault_config(c.shards, c.dispatchers));
+    auto engine = build_case(c, "R1 = SELECT COUNT GROUPBY srcip");
     // The tiny 8-bucket cache evicts early, so the merge thread dies on its
     // first drained batch. The fault surfaces at a batch boundary or — if
     // the whole trace dispatches first — at finish(), but NEVER as a
@@ -223,11 +196,11 @@ TEST_F(FaultTest, MergeThreadDeathSurfacesBeforeResults) {
     bool threw = false;
     try {
       for (std::size_t base = 0; base < records.size(); base += 64) {
-        engine.process_batch(std::span<const PacketRecord>(records).subspan(
+        engine->process_batch(std::span<const PacketRecord>(records).subspan(
             base, std::min<std::size_t>(64, records.size() - base)));
       }
-      engine.finish(20_s);
-      (void)engine.result();
+      engine->finish(20_s);
+      (void)engine->result();
     } catch (const EngineFaultError& fault) {
       threw = true;
       EXPECT_EQ(fault.role(), ThreadRole::kMerge) << c.name;
@@ -246,19 +219,18 @@ TEST_F(FaultTest, SnapshotWorkerDeathFailsTheSnapshotCall) {
   }
   const auto records = workload();
   failpoint::arm("sharded.snapshot_worker", {});
-  ShardedEngine engine(
-      compiler::compile_source("R1 = SELECT COUNT GROUPBY srcip"),
-      fault_config(4, 2));
-  engine.process_batch(std::span<const PacketRecord>(records).first(500));
+  auto engine = build_case(Topology{"d2s4", 4, 2},
+                           "R1 = SELECT COUNT GROUPBY srcip");
+  engine->process_batch(std::span<const PacketRecord>(records).first(500));
   try {
-    (void)engine.snapshot("R1", 15_s);
+    (void)engine->snapshot("R1", 15_s);
     FAIL() << "snapshot over a dying worker must throw";
   } catch (const EngineFaultError& fault) {
     EXPECT_EQ(fault.role(), ThreadRole::kWorker);
     EXPECT_LT(fault.shard(), 4u);
   }
   failpoint::disarm_all();
-  expect_poisoned(engine, "snapshot worker death");
+  expect_poisoned(*engine, "snapshot worker death");
 }
 
 // ---- drain watchdogs (failpoint builds) ------------------------------------
@@ -276,15 +248,15 @@ TEST_F(FaultTest, RingStallTripsTheWatchdogWithDiagnostic) {
   stall.action = failpoint::Action::kSleep;
   stall.sleep_ms = 200;
   failpoint::arm("sharded.ring_pop", stall);
-  ShardedEngineConfig config = fault_config(1, 1);
-  config.ring_capacity = 2;
-  config.dispatch_batch = 1;
-  config.drain_timeout = std::chrono::milliseconds{50};
-  ShardedEngine engine(
-      compiler::compile_source("R1 = SELECT COUNT GROUPBY srcip"), config);
+  auto engine = build_case(
+      Topology{"d1s1", 1, 1}, "R1 = SELECT COUNT GROUPBY srcip",
+      [](EngineBuilder& b) {
+        b.ring_capacity(2).dispatch_batch(1).drain_timeout(
+            std::chrono::milliseconds{50});
+      });
   const auto records = workload();
   try {
-    engine.process_batch(std::span<const PacketRecord>(records).first(500));
+    engine->process_batch(std::span<const PacketRecord>(records).first(500));
     FAIL() << "wedged pipeline must trip the watchdog";
   } catch (const EngineFaultError& fault) {
     EXPECT_EQ(fault.role(), ThreadRole::kWatchdog);
@@ -298,7 +270,7 @@ TEST_F(FaultTest, RingStallTripsTheWatchdogWithDiagnostic) {
         << fault.what();
   }
   failpoint::disarm_all();
-  expect_poisoned(engine, "ring stall");
+  expect_poisoned(*engine, "ring stall");
 }
 
 TEST_F(FaultTest, SnapshotStallTripsTheWatchdog) {
@@ -312,21 +284,20 @@ TEST_F(FaultTest, SnapshotStallTripsTheWatchdog) {
   stall.sleep_ms = 300;
   stall.count = 1;
   failpoint::arm("sharded.snapshot_worker", stall);
-  ShardedEngineConfig config = fault_config(2, 1);
-  config.drain_timeout = std::chrono::milliseconds{50};
-  ShardedEngine engine(
-      compiler::compile_source("R1 = SELECT COUNT GROUPBY srcip"), config);
+  auto engine = build_case(
+      Topology{"d1s2", 2, 1}, "R1 = SELECT COUNT GROUPBY srcip",
+      [](EngineBuilder& b) { b.drain_timeout(std::chrono::milliseconds{50}); });
   const auto records = workload();
-  engine.process_batch(std::span<const PacketRecord>(records).first(200));
+  engine->process_batch(std::span<const PacketRecord>(records).first(200));
   try {
-    (void)engine.snapshot("R1", 15_s);
+    (void)engine->snapshot("R1", 15_s);
     FAIL() << "stalled snapshot rendezvous must trip the watchdog";
   } catch (const EngineFaultError& fault) {
     EXPECT_EQ(fault.role(), ThreadRole::kWatchdog);
     EXPECT_FALSE(fault.diagnostic().empty()) << fault.what();
   }
   failpoint::disarm_all();
-  expect_poisoned(engine, "snapshot stall");
+  expect_poisoned(*engine, "snapshot stall");
 }
 
 // ---- always-on poisoned-state coverage (no failpoints needed) --------------
@@ -392,16 +363,14 @@ TEST_F(FaultTest, ArmedNothingEnginesStayClean) {
   // Sanity for instrumented builds: with no failpoint armed the matrix
   // produces identical results to the serial engine — the sites are inert.
   const auto records = workload();
-  QueryEngine reference(
-      compiler::compile_source("SELECT COUNT GROUPBY srcip"),
-      small_engine_config());
-  reference.process_batch(records);
-  reference.finish(20_s);
-  for (const EngineCase& c : kEngineMatrix) {
+  auto reference = build_case(kSerial);
+  reference->process_batch(records);
+  reference->finish(20_s);
+  for (const Topology& c : kTopologies) {
     auto engine = build_case(c);
     engine->process_batch(records);
     engine->finish(20_s);
-    expect_tables_bit_identical(reference.result(), engine->result(), c.name);
+    expect_tables_bit_identical(reference->result(), engine->result(), c.name);
   }
 }
 

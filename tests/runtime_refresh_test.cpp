@@ -5,7 +5,11 @@
 // accuracy), which is exactly the paper's framing.
 #include <gtest/gtest.h>
 
-#include "runtime/engine.hpp"
+#include <chrono>
+#include <span>
+#include <thread>
+
+#include "runtime_test_util.hpp"
 #include "trace/flow_session.hpp"
 
 namespace perfq::runtime {
@@ -40,14 +44,15 @@ TEST(Refresh, LinearResultsIdenticalAtAnyInterval) {
   const auto records = workload();
   std::vector<std::vector<std::vector<double>>> all_rows;
   for (const Nanos interval : {0_s, 5_s, 1_s, 100_ms}) {
-    QueryEngine engine(compile_source(kLinearQuery, {{"alpha", 0.125}}),
-                       config_with_refresh(interval));
-    for (const auto& rec : records) engine.process(rec);
-    engine.finish(25_s);
+    auto engine = build_engine(
+        compile_source(kLinearQuery, {{"alpha", 0.125}}), kSerial,
+        config_with_refresh(interval));
+    for (const auto& rec : records) engine->process(rec);
+    engine->finish(25_s);
     if (interval > 0_ns) {
-      EXPECT_GT(engine.refresh_count(), 0u);
+      EXPECT_GT(engine->refresh_count(), 0u);
     }
-    auto rows = engine.result().rows();
+    auto rows = engine->result().rows();
     std::sort(rows.begin(), rows.end());
     all_rows.push_back(std::move(rows));
   }
@@ -66,20 +71,22 @@ TEST(Refresh, LinearResultsIdenticalAtAnyInterval) {
 
 TEST(Refresh, CountsAreUntouchedByAggressiveRefresh) {
   const auto records = workload();
-  QueryEngine base(compile_source("SELECT COUNT GROUPBY srcip"),
-                   config_with_refresh(0_s));
-  QueryEngine refreshed(compile_source("SELECT COUNT GROUPBY srcip"),
-                        config_with_refresh(10_ms));
+  auto base = build_engine(
+      compile_source("SELECT COUNT GROUPBY srcip"), kSerial,
+      config_with_refresh(0_s));
+  auto refreshed = build_engine(
+      compile_source("SELECT COUNT GROUPBY srcip"), kSerial,
+      config_with_refresh(10_ms));
   for (const auto& rec : records) {
-    base.process(rec);
-    refreshed.process(rec);
+    base->process(rec);
+    refreshed->process(rec);
   }
-  base.finish(25_s);
-  refreshed.finish(25_s);
-  EXPECT_GT(refreshed.refresh_count(), 100u);
+  base->finish(25_s);
+  refreshed->finish(25_s);
+  EXPECT_GT(refreshed->refresh_count(), 100u);
 
-  auto a = base.result().rows();
-  auto b = refreshed.result().rows();
+  auto a = base->result().rows();
+  auto b = refreshed->result().rows();
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
@@ -96,10 +103,11 @@ SELECT 5tuple, nonmt GROUPBY 5tuple WHERE proto == TCP
   const auto records = workload();
   double prev_accuracy = -1.0;
   for (const Nanos interval : {1_s, 5_s, 0_s}) {  // aggressive -> none
-    QueryEngine engine(compile_source(query), config_with_refresh(interval));
-    for (const auto& rec : records) engine.process(rec);
-    engine.finish(25_s);
-    const double acc = engine.store_stats()[0].accuracy.accuracy();
+    auto engine = build_engine(
+        compile_source(query), kSerial, config_with_refresh(interval));
+    for (const auto& rec : records) engine->process(rec);
+    engine->finish(25_s);
+    const double acc = engine->store_stats()[0].accuracy.accuracy();
     EXPECT_GE(acc, prev_accuracy)
         << "less frequent refresh must not lower non-linear validity";
     prev_accuracy = acc;
@@ -108,22 +116,34 @@ SELECT 5tuple, nonmt GROUPBY 5tuple WHERE proto == TCP
 
 TEST(Refresh, BackingStoreIsFreshMidRun) {
   // The whole point of refreshing: mid-run reads from the backing store see
-  // (nearly) all packets, not just evicted epochs.
+  // (nearly) all packets, not just evicted epochs. With 500 ms refresh on a
+  // 20 s trace the store lags by at most one interval. On the threaded
+  // executor the async eviction path must keep it that fresh while folding
+  // continues: the merge thread surfaces the packets without finish().
   const auto records = workload();
-  QueryEngine engine(compile_source("R1 = SELECT COUNT GROUPBY srcip"),
+  const std::size_t half = records.size() / 2;
+  for (const Topology& topo : kTopologies) {
+    SCOPED_TRACE(topo.name);
+    auto engine =
+        build_engine(compile_source("R1 = SELECT COUNT GROUPBY srcip"), topo,
                      config_with_refresh(500_ms));
-  std::uint64_t processed = 0;
-  for (const auto& rec : records) {
-    engine.process(rec);
-    ++processed;
-    if (processed == records.size() / 2) break;
+    engine->process_batch(std::span<const PacketRecord>(records).first(half));
+    const auto in_backing = [&engine] {
+      return static_cast<double>(engine->store_stats().at(0).backing_packets);
+    };
+    // Pipeline threads run asynchronously; poll briefly.
+    double total = in_backing();
+    for (int i = 0; i < 2000 && total <= 0.8 * static_cast<double>(half); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      total = in_backing();
+    }
+    EXPECT_GT(total, 0.8 * static_cast<double>(half));
+    engine->finish(25_s);
+    EXPECT_DOUBLE_EQ(in_backing(), static_cast<double>(half));
+    double counted = 0;
+    for (const auto& row : engine->result().rows()) counted += row.back();
+    EXPECT_DOUBLE_EQ(counted, static_cast<double>(half));
   }
-  // Sum of counts in the backing store vs. packets processed so far: with
-  // 500 ms refresh on a 20 s trace the store lags by at most one interval.
-  double total = 0;
-  engine.store("R1").backing().for_each(
-      [&](const kv::Key&, const kv::StateVector& v, bool) { total += v[0]; });
-  EXPECT_GT(total, 0.8 * static_cast<double>(processed));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Shard equivalence: the sharded multi-core runtime must reproduce the
-// single-threaded QueryEngine exactly.
+// Shard equivalence: the threaded executor must reproduce the inline one
+// exactly.
 //
 // The strong property (and why it holds): shard s's cache is precisely the
 // bucket slice [s·n/N, (s+1)·n/N) of the configured n-bucket cache — same
@@ -10,15 +10,12 @@
 // the per-key value-segment sets and AccuracyStats are identical too.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <map>
 #include <span>
 #include <string>
-#include <thread>
+#include <unordered_map>
 #include <vector>
 
-#include "runtime/engine.hpp"
-#include "runtime/sharded/sharded_engine.hpp"
 #include "runtime_test_util.hpp"
 #include "trace/flow_session.hpp"
 #include "trace/replay.hpp"
@@ -112,15 +109,20 @@ EngineConfig engine_config(Nanos refresh) {
   return config;
 }
 
-ShardedEngineConfig sharded_config(std::size_t shards, Nanos refresh,
-                                   std::size_t dispatchers = 1) {
-  ShardedEngineConfig config;
-  config.engine = engine_config(refresh);
-  config.num_shards = shards;
-  config.num_dispatchers = dispatchers;
-  config.ring_capacity = 512;
-  config.dispatch_batch = 64;
-  return config;
+/// The inline reference engine.
+std::unique_ptr<Engine> build_single(compiler::CompiledProgram program,
+                                     Nanos refresh) {
+  return build_engine(std::move(program), kSerial, engine_config(refresh));
+}
+
+/// A threaded engine with small rings, so back-pressure is exercised.
+std::unique_ptr<Engine> build_sharded(compiler::CompiledProgram program,
+                                      std::size_t shards, Nanos refresh,
+                                      std::size_t dispatchers = 1) {
+  return build_engine(
+      std::move(program), Topology{"threaded", shards, dispatchers},
+      engine_config(refresh),
+      [](EngineBuilder& b) { b.ring_capacity(512).dispatch_batch(64); });
 }
 
 void run_equivalence(const CorpusEntry& entry, std::size_t shards,
@@ -131,23 +133,23 @@ void run_equivalence(const CorpusEntry& entry, std::size_t shards,
                               " refresh=" + std::to_string(refresh.count());
   const auto records = workload();
 
-  QueryEngine single(compiler::compile_source(entry.source, kParams),
-                     engine_config(refresh));
-  single.process_batch(records);
-  single.finish(12_s);
+  auto single =
+      build_single(compiler::compile_source(entry.source, kParams), refresh);
+  single->process_batch(records);
+  single->finish(12_s);
 
-  ShardedEngine sharded(compiler::compile_source(entry.source, kParams),
-                        sharded_config(shards, refresh, dispatchers));
-  trace::replay_into(sharded, records, /*batch=*/777);
-  sharded.finish(12_s);
+  auto sharded = build_sharded(compiler::compile_source(entry.source, kParams),
+                               shards, refresh, dispatchers);
+  trace::replay_into(*sharded, records, /*batch=*/777);
+  sharded->finish(12_s);
 
-  EXPECT_EQ(sharded.records_processed(), single.records_processed());
-  EXPECT_EQ(sharded.refresh_count(), single.refresh_count()) << context;
-  expect_tables_bit_identical(single.result(), sharded.result(), context);
+  EXPECT_EQ(sharded->records_processed(), single->records_processed());
+  EXPECT_EQ(sharded->refresh_count(), single->refresh_count()) << context;
+  expect_tables_bit_identical(single->result(), sharded->result(), context);
 
   // Aggregated cache/backing counters must match the single engine's.
-  const auto ss = single.store_stats();
-  const auto hs = sharded.store_stats();
+  const auto ss = single->store_stats();
+  const auto hs = sharded->store_stats();
   ASSERT_EQ(hs.size(), ss.size());
   for (std::size_t i = 0; i < ss.size(); ++i) {
     EXPECT_EQ(hs[i].cache.packets, ss[i].cache.packets) << context;
@@ -159,34 +161,36 @@ void run_equivalence(const CorpusEntry& entry, std::size_t shards,
     EXPECT_EQ(hs[i].backing_writes, ss[i].backing_writes) << context;
     EXPECT_EQ(hs[i].backing_capacity_writes, ss[i].backing_capacity_writes)
         << context;
+    EXPECT_EQ(hs[i].backing_packets, ss[i].backing_packets) << context;
     EXPECT_EQ(hs[i].keys, ss[i].keys) << context;
     EXPECT_EQ(hs[i].accuracy.total_keys, ss[i].accuracy.total_keys) << context;
     EXPECT_EQ(hs[i].accuracy.valid_keys, ss[i].accuracy.valid_keys) << context;
   }
 
   // Non-linear kernels: the per-key value-segment sets must be identical
-  // (same epoch boundaries, same per-epoch values, same validity).
+  // (same epoch boundaries, same per-epoch values, same validity). After
+  // finish() export_store() reads each final backing store directly.
   if (!entry.linear) {
-    const auto& plan = single.program().switch_plans.at(0);
-    const kv::KeyValueStore& sstore = single.store(plan.name);
-    const kv::ShardedBackingStore& hstore = sharded.backing(plan.name);
-    std::size_t keys = 0;
-    sstore.backing().for_each([&](const kv::Key& key, const kv::StateVector&,
-                                  bool) {
-      ++keys;
-      const auto* want = sstore.backing().segments(key);
-      ASSERT_NE(want, nullptr);
-      const auto got = hstore.segments(key);
-      ASSERT_EQ(got.size(), want->size()) << context;
-      for (std::size_t s = 0; s < want->size(); ++s) {
-        EXPECT_EQ(got[s].start, (*want)[s].start) << context;
-        EXPECT_EQ(got[s].end, (*want)[s].end) << context;
-        EXPECT_EQ(got[s].packets, (*want)[s].packets) << context;
-        EXPECT_TRUE(got[s].value == (*want)[s].value) << context;
+    const std::string& name = single->program().switch_plans.at(0).name;
+    const kv::StoreExport want = single->export_store(name, 12_s);
+    const kv::StoreExport got = sharded->export_store(name, 12_s);
+    ASSERT_EQ(got.entries.size(), want.entries.size()) << context;
+    std::unordered_map<kv::Key, const kv::ExportedEntry*> got_by_key;
+    for (const kv::ExportedEntry& e : got.entries) got_by_key[e.key] = &e;
+    for (const kv::ExportedEntry& w : want.entries) {
+      const auto it = got_by_key.find(w.key);
+      ASSERT_NE(it, got_by_key.end()) << context;
+      const kv::ExportedEntry& g = *it->second;
+      ASSERT_EQ(g.segments.size(), w.segments.size()) << context;
+      for (std::size_t s = 0; s < w.segments.size(); ++s) {
+        EXPECT_EQ(g.segments[s].start, w.segments[s].start) << context;
+        EXPECT_EQ(g.segments[s].end, w.segments[s].end) << context;
+        EXPECT_EQ(g.segments[s].packets, w.segments[s].packets) << context;
+        EXPECT_TRUE(g.segments[s].value == w.segments[s].value) << context;
       }
-      EXPECT_EQ(hstore.valid(key), sstore.backing().valid(key)) << context;
-    });
-    EXPECT_GT(keys, 0u) << context;
+      EXPECT_EQ(g.valid, w.valid) << context;
+    }
+    EXPECT_GT(want.entries.size(), 0u) << context;
   }
 }
 
@@ -218,17 +222,16 @@ R2 = SELECT COUNT GROUPBY 5tuple WHERE tout == infinity
 R3 = SELECT R2.COUNT / R1.COUNT FROM R1 JOIN R2 ON 5tuple
 )";
   const auto records = workload();
-  QueryEngine single(compiler::compile_source(source), engine_config(0_s));
-  single.process_batch(records);
-  single.finish(12_s);
+  auto single = build_single(compiler::compile_source(source), 0_s);
+  single->process_batch(records);
+  single->finish(12_s);
 
-  ShardedEngine sharded(compiler::compile_source(source),
-                        sharded_config(4, 0_s));
-  sharded.process_batch(records);
-  sharded.finish(12_s);
+  auto sharded = build_sharded(compiler::compile_source(source), 4, 0_s);
+  sharded->process_batch(records);
+  sharded->finish(12_s);
 
   for (const char* table : {"R1", "R2", "R3"}) {
-    expect_tables_bit_identical(single.table(table), sharded.table(table),
+    expect_tables_bit_identical(single->table(table), sharded->table(table),
                                 table);
   }
 }
@@ -265,79 +268,78 @@ TEST(ShardedEngine, ParallelDispatchSmallAndRaggedBatches) {
   // Batches smaller than D leave some dispatchers with empty slices; their
   // watermarks must still unblock the workers' merge.
   const auto records = workload();
-  QueryEngine single(compiler::compile_source(kFig2Corpus[0].source, kParams),
-                     engine_config(0_s));
-  single.process_batch(records);
-  single.finish(12_s);
+  auto single = build_single(
+      compiler::compile_source(kFig2Corpus[0].source, kParams), 0_s);
+  single->process_batch(records);
+  single->finish(12_s);
 
-  ShardedEngine sharded(compiler::compile_source(kFig2Corpus[0].source, kParams),
-                        sharded_config(2, 0_s, 4));
+  auto sharded = build_sharded(
+      compiler::compile_source(kFig2Corpus[0].source, kParams), 2, 0_s, 4);
   // Ragged delivery: 1-record batches, then 3, then one big tail.
   std::span<const PacketRecord> span(records);
   for (std::size_t i = 0; i < 10 && i < span.size(); ++i) {
-    sharded.process_batch(span.subspan(i, 1));
+    sharded->process_batch(span.subspan(i, 1));
   }
   std::size_t base = std::min<std::size_t>(10, span.size());
   while (base + 3 < span.size() && base < 40) {
-    sharded.process_batch(span.subspan(base, 3));
+    sharded->process_batch(span.subspan(base, 3));
     base += 3;
   }
-  sharded.process_batch(span.subspan(base));
-  sharded.finish(12_s);
+  sharded->process_batch(span.subspan(base));
+  sharded->finish(12_s);
 
-  expect_tables_bit_identical(single.result(), sharded.result(),
+  expect_tables_bit_identical(single->result(), sharded->result(),
                               "ragged batches");
 }
 
 TEST(ShardedEngine, RejectsGeometryNotDivisibleByShards) {
-  ShardedEngineConfig config;
-  config.engine.geometry = kv::CacheGeometry::fully_associative(64);  // n = 1
-  config.num_shards = 2;
-  EXPECT_THROW(ShardedEngine(compiler::compile_source(
-                                 "SELECT COUNT GROUPBY srcip"),
-                             config),
+  const auto count_by_srcip = [] {
+    return compiler::compile_source("SELECT COUNT GROUPBY srcip");
+  };
+  EXPECT_THROW(EngineBuilder(count_by_srcip())
+                   .geometry(kv::CacheGeometry::fully_associative(64))  // n = 1
+                   .sharded(2)
+                   .build(),
                ConfigError);
   // Also when only a per-query override is misaligned.
-  ShardedEngineConfig per_query;
-  per_query.num_shards = 8;
-  per_query.engine.geometry = kv::CacheGeometry::set_associative(64, 8);
-  per_query.engine.per_query_geometry["result"] =
-      kv::CacheGeometry::set_associative(36, 9);  // 4 buckets, 8 shards
-  EXPECT_THROW(ShardedEngine(compiler::compile_source(
-                                 "SELECT COUNT GROUPBY srcip"),
-                             per_query),
+  EXPECT_THROW(EngineBuilder(count_by_srcip())
+                   .geometry(kv::CacheGeometry::set_associative(64, 8))
+                   .query_geometry("result",  // 4 buckets, 8 shards
+                                   kv::CacheGeometry::set_associative(36, 9))
+                   .sharded(8)
+                   .build(),
                ConfigError);
 }
 
 TEST(ShardedEngine, RejectsZeroShardsAndZeroDispatchers) {
-  ShardedEngineConfig zero_shards;
-  zero_shards.num_shards = 0;
-  EXPECT_THROW(ShardedEngine(compiler::compile_source(
-                                 "SELECT COUNT GROUPBY srcip"),
-                             zero_shards),
+  const auto count_by_srcip = [] {
+    return compiler::compile_source("SELECT COUNT GROUPBY srcip");
+  };
+  EXPECT_THROW(EngineBuilder(count_by_srcip())
+                   .sharded(0)
+                   .build(),
                ConfigError);
-  ShardedEngineConfig zero_dispatchers;
-  zero_dispatchers.num_dispatchers = 0;
-  EXPECT_THROW(ShardedEngine(compiler::compile_source(
-                                 "SELECT COUNT GROUPBY srcip"),
-                             zero_dispatchers),
+  EXPECT_THROW(EngineBuilder(count_by_srcip())
+                   .sharded(2)
+                   .dispatchers(0)
+                   .build(),
                ConfigError);
 }
 
 TEST(ShardedEngine, FinishTwiceAndProcessAfterFinishThrowCleanly) {
   const auto records = workload();
-  ShardedEngine engine(compiler::compile_source("SELECT COUNT GROUPBY srcip"),
-                       sharded_config(2, 0_s, 2));
-  engine.process_batch(std::span<const PacketRecord>(records).first(100));
-  engine.finish(12_s);
-  EXPECT_NO_THROW((void)engine.result());
-  EXPECT_THROW(engine.finish(12_s), Error);
-  EXPECT_THROW(engine.process(records[0]), Error);
-  EXPECT_THROW(engine.process_batch(std::span<const PacketRecord>(records)),
+  auto engine = build_sharded(
+      compiler::compile_source("SELECT COUNT GROUPBY srcip"), 2, 0_s, 2);
+  engine->process_batch(std::span<const PacketRecord>(records).first(100));
+  engine->finish(12_s);
+  EXPECT_NO_THROW((void)engine->result());
+  EXPECT_THROW(engine->finish(12_s), Error);
+  EXPECT_THROW(engine->process(records[0]), Error);
+  EXPECT_THROW(engine->process_batch(std::span<const PacketRecord>(records)),
                Error);
   // The failed calls must not have corrupted the finished state.
-  EXPECT_NO_THROW((void)engine.result());
-  EXPECT_EQ(engine.records_processed(), 100u);
+  EXPECT_NO_THROW((void)engine->result());
+  EXPECT_EQ(engine->records_processed(), 100u);
 }
 
 TEST(ShardedEngine, ComputedKeyProgramMatchesSingleEngine) {
@@ -346,48 +348,18 @@ TEST(ShardedEngine, ComputedKeyProgramMatchesSingleEngine) {
   // re-extracts it on its own core. Results must still be bit-identical.
   const char* source = "SELECT COUNT GROUPBY srcip, pkt_len / 256";
   const auto records = workload();
-  QueryEngine single(compiler::compile_source(source), engine_config(0_s));
-  single.process_batch(records);
-  single.finish(12_s);
+  auto single = build_single(compiler::compile_source(source), 0_s);
+  single->process_batch(records);
+  single->finish(12_s);
 
-  ShardedEngine sharded(compiler::compile_source(source),
-                        sharded_config(8, 0_s, 2));
-  trace::replay_into(sharded, records, /*batch=*/777);
-  sharded.finish(12_s);
+  auto sharded = build_sharded(compiler::compile_source(source), 8, 0_s, 2);
+  trace::replay_into(*sharded, records, /*batch=*/777);
+  sharded->finish(12_s);
 
   EXPECT_TRUE(
-      sharded.program().switch_plans.at(0).fast_key_fields.empty());
-  expect_tables_bit_identical(single.result(), sharded.result(),
+      sharded->program().switch_plans.at(0).fast_key_fields.empty());
+  expect_tables_bit_identical(single->result(), sharded->result(),
                               "computed key");
-}
-
-TEST(ShardedEngine, BackingStoreIsFreshMidRun) {
-  // The async eviction path must keep the backing store fresh while folding
-  // continues: after the dispatcher has pushed everything and refresh
-  // boundaries have fired, the merge thread eventually surfaces (nearly)
-  // all processed packets without finish().
-  const auto records = workload();
-  ShardedEngineConfig config = sharded_config(4, 500_ms);
-  ShardedEngine engine(
-      compiler::compile_source("R1 = SELECT COUNT GROUPBY srcip"), config);
-  const std::size_t half = records.size() / 2;
-  engine.process_batch(std::span<const PacketRecord>(records).first(half));
-
-  const auto total_in_backing = [&engine] {
-    double total = 0;
-    engine.backing("R1").for_each(
-        [&](const kv::Key&, const kv::StateVector& v, bool) { total += v[0]; });
-    return total;
-  };
-  // Workers/merge run asynchronously; poll briefly.
-  double total = 0;
-  for (int i = 0; i < 2000 && total < 0.5 * static_cast<double>(half); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    total = total_in_backing();
-  }
-  EXPECT_GT(total, 0.5 * static_cast<double>(half));
-  engine.finish(12_s);
-  EXPECT_DOUBLE_EQ(total_in_backing(), static_cast<double>(half));
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "runtime/engine.hpp"
 #include "runtime/engine_builder.hpp"
 #include "runtime_test_util.hpp"
 #include "trace/flow_session.hpp"
@@ -103,15 +102,10 @@ void run_snapshot_property(const CorpusEntry& entry, Nanos refresh) {
     std::unique_ptr<Engine> engine;
   };
   std::vector<UnderTest> engines;
-  engines.push_back({"serial", builder_for(entry, refresh).build()});
-  for (const std::size_t dispatchers : {1u, 2u}) {
-    for (const std::size_t shards : {1u, 4u}) {
-      EngineBuilder b = builder_for(entry, refresh);
-      b.sharded(shards).dispatchers(dispatchers);
-      engines.push_back({"D" + std::to_string(dispatchers) + "xS" +
-                             std::to_string(shards),
-                         b.build()});
-    }
+  for (const Topology& topo : kTopologies) {
+    EngineBuilder b = builder_for(entry, refresh);
+    if (topo.shards > 0) b.sharded(topo.shards).dispatchers(topo.dispatchers);
+    engines.push_back({topo.name, b.build()});
   }
 
   std::size_t fed = 0;

@@ -1,18 +1,64 @@
 // Shared helpers for the runtime test suites (engine equivalence, sinks,
-// snapshots): one definition of the bit-for-bit table comparison and the
-// standard synthetic workload, so the suites cannot drift apart.
+// snapshots): one definition of the engine topologies and how to build an
+// engine on one, the bit-for-bit table comparison and the standard synthetic
+// workload, so the suites cannot drift apart.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "runtime/engine_builder.hpp"
 #include "runtime/table.hpp"
 #include "trace/fabric_trace.hpp"
 #include "trace/flow_session.hpp"
 
 namespace perfq::runtime {
+
+/// Where the engine folds: shards == 0 is the inline executor, otherwise
+/// the threaded one with `dispatchers` dispatchers.
+struct Topology {
+  const char* name = "serial";
+  std::size_t shards = 0;
+  std::size_t dispatchers = 1;
+};
+
+inline constexpr Topology kSerial{"serial", 0, 1};
+
+/// The contract matrix: inline, and D∈{1,2} × shards∈{1,4} threaded.
+inline constexpr Topology kTopologies[] = {
+    kSerial, {"d1s1", 1, 1}, {"d1s4", 4, 1}, {"d2s1", 1, 2}, {"d2s4", 4, 2},
+};
+
+/// Build `program` on `topology` through EngineBuilder with every `config`
+/// field applied; `tune` sets threaded-only knobs and runs only for a
+/// threaded topology.
+inline std::unique_ptr<Engine> build_engine(
+    compiler::CompiledProgram program, const Topology& topology,
+    const EngineConfig& config = {},
+    const std::function<void(EngineBuilder&)>& tune = {}) {
+  EngineBuilder builder(std::move(program));
+  builder.geometry(config.geometry)
+      .hash_seed(config.hash_seed)
+      .eviction_policy(config.eviction_policy)
+      .max_stream_rows(config.max_stream_rows)
+      .refresh(config.refresh_interval)
+      .verify_checksums(config.verify_checksums);
+  for (const auto& [query, geometry] : config.per_query_geometry) {
+    builder.query_geometry(query, geometry);
+  }
+  for (const auto& [query, sink] : config.stream_sinks) {
+    builder.stream_sink(query, sink);
+  }
+  if (topology.shards > 0) {
+    builder.sharded(topology.shards).dispatchers(topology.dispatchers);
+    if (tune) tune(builder);
+  }
+  return builder.build();
+}
 
 /// The equivalence workload: enough flows and packets that a small cache
 /// thrashes (evictions + merges on every prefix), deterministic by seed.

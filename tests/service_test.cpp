@@ -24,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <new>
 #include <optional>
 #include <span>
@@ -128,30 +129,15 @@ constexpr const char* kStreamSource =
 /// divides evenly into 1 and 4 shards.
 const kv::CacheGeometry kGeom = kv::CacheGeometry::set_associative(64, 8);
 
-struct Topology {
-  std::size_t shards = 0;  ///< 0 = serial
-  std::size_t dispatchers = 1;
-  [[nodiscard]] std::string label() const {
-    return shards == 0 ? "serial"
-                       : "D" + std::to_string(dispatchers) + "xS" +
-                             std::to_string(shards);
-  }
-};
-const Topology kTopologies[] = {
-    {0, 1}, {1, 1}, {4, 1}, {1, 2}, {4, 2},
-};
-
-std::unique_ptr<Engine> make_engine(const char* source, Topology topo,
+std::unique_ptr<Engine> make_engine(const char* source, const Topology& topo,
                                     Nanos refresh) {
-  EngineBuilder builder(compiler::compile_source(source, kParams));
-  builder.geometry(kGeom).refresh(refresh);
-  if (topo.shards > 0) {
-    builder.sharded(topo.shards)
-        .dispatchers(topo.dispatchers)
-        .ring_capacity(512)
-        .dispatch_batch(64);
-  }
-  return builder.build();
+  EngineConfig config;
+  config.geometry = kGeom;
+  config.refresh_interval = refresh;
+  return build_engine(compiler::compile_source(source, kParams), topo, config,
+                      [](EngineBuilder& b) {
+                        b.ring_capacity(512).dispatch_batch(64);
+                      });
 }
 
 /// Feed with deliberately uneven batch sizes so attach boundaries never line
@@ -172,7 +158,7 @@ void feed_uneven(Engine& engine, std::span<const PacketRecord> records) {
 ResultTable oracle_table(const char* source,
                          std::span<const PacketRecord> suffix, Nanos refresh,
                          Nanos end) {
-  auto engine = make_engine(source, Topology{0, 1}, refresh);
+  auto engine = make_engine(source, kSerial, refresh);
   feed_uneven(*engine, suffix);
   engine->finish(end);
   return engine->result();
@@ -182,7 +168,7 @@ ResultTable oracle_table(const char* source,
 
 enum class EndMode { kDetachMidRun, kFinish };
 
-void run_attach_oracle(const char* tenant_source, Topology topo,
+void run_attach_oracle(const char* tenant_source, const Topology& topo,
                        std::size_t attach_at, Nanos refresh, EndMode mode,
                        const std::vector<PacketRecord>& records,
                        const ResultTable& base_control) {
@@ -195,8 +181,9 @@ void run_attach_oracle(const char* tenant_source, Topology topo,
           : records.size();
   ASSERT_LT(attach_at, detach_at);
   const std::string context =
-      topo.label() + " attach@" + std::to_string(attach_at) + " detach@" +
-      std::to_string(detach_at) + " refresh=" + std::to_string(refresh.count());
+      std::string{topo.name} + " attach@" + std::to_string(attach_at) +
+      " detach@" + std::to_string(detach_at) +
+      " refresh=" + std::to_string(refresh.count());
 
   const std::span<const PacketRecord> all{records};
   auto engine = make_engine(kBaseSource, topo, refresh);
@@ -242,12 +229,12 @@ TEST(AttachOracle, LinearTenantBitIdenticalToSuffixOracle) {
   // flush) depend only on the suffix, so even the non-FP-exact ewma merge is
   // bit-identical to the oracle. Control: the base program alone over the
   // whole window (one serial control serves every topology).
-  auto control = make_engine(kBaseSource, Topology{0, 1}, 0_s);
+  auto control = make_engine(kBaseSource, kSerial, 0_s);
   control->process_batch(records);
   control->finish(12_s);
   const ResultTable base_control = control->result();
 
-  for (const Topology topo : kTopologies) {
+  for (const Topology& topo : kTopologies) {
     for (const std::size_t attach_at :
          {std::size_t{0}, std::size_t{937}, records.size() - 3}) {
       run_attach_oracle(kEwmaSource, topo, attach_at, 0_s, EndMode::kFinish,
@@ -266,12 +253,12 @@ TEST(AttachOracle, RefreshOnTenantBitIdenticalForExactMerges) {
   // at different absolute times (the refresh clock anchors at each engine's
   // first record — see the lifecycle contract), so bit-identity additionally
   // needs an FP-exact merge: an integer counter, not ewma.
-  auto control = make_engine(kBaseSource, Topology{0, 1}, 1_s);
+  auto control = make_engine(kBaseSource, kSerial, 1_s);
   control->process_batch(records);
   control->finish(12_s);
   const ResultTable base_control = control->result();
 
-  for (const Topology topo : kTopologies) {
+  for (const Topology& topo : kTopologies) {
     run_attach_oracle(kBaseSource, topo, 937, 1_s, EndMode::kFinish, records,
                       base_control);
     run_attach_oracle(kBaseSource, topo, 937, 1_s, EndMode::kDetachMidRun,
@@ -283,12 +270,12 @@ TEST(AttachOracle, NonLinearTenantMatchesWithAlignedFlushTimes) {
   const auto records = test_workload();
   // Non-linear kernels have no merge function: equivalence needs matching
   // flush times, so refresh stays off and detach/finish share `end`.
-  auto control = make_engine(kBaseSource, Topology{0, 1}, 0_s);
+  auto control = make_engine(kBaseSource, kSerial, 0_s);
   control->process_batch(records);
   control->finish(12_s);
   const ResultTable base_control = control->result();
 
-  for (const Topology topo : kTopologies) {
+  for (const Topology& topo : kTopologies) {
     run_attach_oracle(kNonMtSource, topo, 937, 0_s, EndMode::kFinish, records,
                       base_control);
     run_attach_oracle(kNonMtSource, topo, 937, 0_s, EndMode::kDetachMidRun,
@@ -302,7 +289,7 @@ TEST(AttachOracle, StreamTenantRowsMatchSuffixOracle) {
   const std::size_t attach_at = 937;
   const ResultTable want =
       oracle_table(kStreamSource, all.subspan(attach_at), 0_s, 12_s);
-  for (const Topology topo : {Topology{0, 1}, Topology{4, 2}}) {
+  for (const Topology& topo : {kSerial, Topology{"d2s4", 4, 2}}) {
     auto engine = make_engine(kBaseSource, topo, 0_s);
     feed_uneven(*engine, all.subspan(0, attach_at));
     AttachOptions options;
@@ -312,14 +299,14 @@ TEST(AttachOracle, StreamTenantRowsMatchSuffixOracle) {
     feed_uneven(*engine, all.subspan(attach_at));
     engine->finish(12_s);
     expect_tables_bit_identical(want, engine->table("drops"),
-                                topo.label() + " stream tenant");
+                                std::string{topo.name} + " stream tenant");
   }
 }
 
 // ---- validation: clean rejection, never degraded state ---------------------
 
 TEST(AttachValidation, RejectsNonAttachableProgramsWithoutStateChange) {
-  auto engine = make_engine(kBaseSource, Topology{4, 1}, 0_s);
+  auto engine = make_engine(kBaseSource, Topology{"d1s4", 4, 1}, 0_s);
   const auto records = test_workload();
   engine->process_batch(std::span{records}.subspan(0, 2000));
 
@@ -370,7 +357,7 @@ TEST(AttachValidation, RejectsNonAttachableProgramsWithoutStateChange) {
 }
 
 TEST(AttachValidation, AttachEpochRecordedInStatsAndMetrics) {
-  auto engine = make_engine(kBaseSource, Topology{0, 1}, 0_s);
+  auto engine = make_engine(kBaseSource, kSerial, 0_s);
   const auto records = test_workload();
   engine->process_batch(std::span{records}.subspan(0, 1234));
   AttachOptions options;
@@ -736,6 +723,87 @@ TEST(QueryServer, OverLongLineGetsErrAndOtherSessionsKeepWorking) {
   EXPECT_EQ(read_to_eof(bystander), "OK 0\n");
   ::close(bystander);
   EXPECT_EQ(round_trip(server.port(), "PING\n"), "OK 0\n");
+  server.stop();
+}
+
+/// One reply line (through its newline) from an open session.
+std::string read_line(int fd) {
+  std::string line;
+  char c = 0;
+  while (::read(fd, &c, 1) == 1) {
+    line += c;
+    if (c == '\n') break;
+  }
+  return line;
+}
+
+/// This process's virtual size, in kB (VmSize in /proc/self/status).
+std::int64_t vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return -1;
+}
+
+TEST(QueryServer, FinishedSessionsAreReaped) {
+  // Every session thread maps its own stack until it is joined. A server
+  // that joins only in stop() grows by a stack per client ever served.
+  service::QueryService svc = make_service();
+  service::QueryServer server(svc, /*port=*/0);
+  ASSERT_EQ(round_trip(server.port(), "PING\nQUIT\n"), "OK 0\nOK 0\n");
+  const std::int64_t before = vm_size_kb();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_EQ(round_trip(server.port(), "PING\nQUIT\n"), "OK 0\nOK 0\n");
+  }
+  EXPECT_LT(vm_size_kb() - before, 256 * 1024) << "dead sessions kept mapped";
+  server.stop();
+}
+
+TEST(QueryServer, SessionPastTheCapGetsErrAndClosedOnesFreeTheirPlace) {
+  service::QueryService svc = make_service();
+  service::QueryServer server(svc, /*port=*/0);
+  std::vector<int> open;
+  for (std::size_t i = 0; i < service::QueryServer::kMaxSessions; ++i) {
+    open.push_back(connect_client(server.port()));
+    send_all(open.back(), "PING\n");
+    ASSERT_EQ(read_line(open.back()), "OK 0\n") << "session " << i;
+  }
+
+  // One past the cap: refused (the server speaks first), and only that
+  // connection pays.
+  const int extra = connect_client(server.port());
+  const std::string refused = read_to_eof(extra);
+  ::close(extra);
+  EXPECT_EQ(refused.rfind("ERR ", 0), 0u) << refused;
+  EXPECT_NE(refused.find("too many sessions"), std::string::npos) << refused;
+  send_all(open.front(), "PING\n");
+  EXPECT_EQ(read_line(open.front()), "OK 0\n");
+
+  // A closed session no longer counts: once its thread is done, a new
+  // client is served. Until then a try may be refused, and a refusal may
+  // reset the connection, so the tries ignore send and read errors.
+  send_all(open.back(), "QUIT\n");
+  EXPECT_EQ(read_line(open.back()), "OK 0\n");
+  ::close(open.back());
+  open.pop_back();
+  const auto try_ping = [&server] {
+    const int fd = connect_client(server.port());
+    (void)::send(fd, "PING\n", 5, MSG_NOSIGNAL);
+    ::shutdown(fd, SHUT_WR);
+    std::string reply = read_to_eof(fd);
+    ::close(fd);
+    return reply;
+  };
+  std::string reply;
+  for (int attempt = 0; attempt < 500 && reply != "OK 0\n"; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    reply = try_ping();
+  }
+  EXPECT_EQ(reply, "OK 0\n");
+
+  for (const int fd : open) ::close(fd);
   server.stop();
 }
 

@@ -16,8 +16,6 @@
 
 #include <filesystem>
 
-#include "runtime/engine.hpp"
-#include "runtime/sharded/sharded_engine.hpp"
 #include "runtime_test_util.hpp"
 #include "trace/wire_replay.hpp"
 #include "trace/wire_trace.hpp"
@@ -134,13 +132,13 @@ EngineConfig engine_config(Nanos refresh) {
 ResultTable eager_reference(const char* source,
                             std::span<const FrameObservation> frames,
                             Nanos refresh, trace::IngestStats* stats_out) {
-  QueryEngine engine(compiler::compile_source(source, kParams),
-                     engine_config(refresh));
+  auto engine = build_engine(compiler::compile_source(source, kParams), kSerial,
+                             engine_config(refresh));
   const trace::IngestStats stats =
-      trace::replay_frames(engine, frames, /*batch=*/777);
-  engine.finish(12_s);
+      trace::replay_frames(*engine, frames, /*batch=*/777);
+  engine->finish(12_s);
   if (stats_out != nullptr) *stats_out = stats;
-  return engine.result();
+  return engine->result();
 }
 
 void run_wire_equivalence(const CorpusEntry& entry,
@@ -152,45 +150,25 @@ void run_wire_equivalence(const CorpusEntry& entry,
   const ResultTable want =
       eager_reference(entry.source, frames, refresh, &want_stats);
 
-  // Serial lazy path, deliberately odd burst size (chunking must not show).
-  QueryEngine lazy(compiler::compile_source(entry.source, kParams),
-                   engine_config(refresh));
-  trace::IngestStats lazy_stats;
-  for (std::size_t base = 0; base < frames.size(); base += 501) {
-    const std::size_t n = std::min<std::size_t>(501, frames.size() - base);
-    lazy_stats += lazy.process_wire_batch(frames.subspan(base, n));
-  }
-  lazy.finish(12_s);
-  EXPECT_EQ(lazy_stats.parsed, want_stats.parsed) << context;
-  EXPECT_EQ(lazy_stats.dropped(), want_stats.dropped()) << context;
-  EXPECT_EQ(lazy.records_processed(), want_stats.parsed) << context;
-  expect_tables_bit_identical(want, lazy.result(), context + " [serial]");
-
-  // Sharded engines across the dispatch matrix: the wire burst is decoded
-  // once on the caller and fanned out by value through the rings.
-  for (const std::size_t dispatchers : {1u, 2u}) {
-    for (const std::size_t shards : {1u, 4u}) {
-      ShardedEngineConfig config;
-      config.engine = engine_config(refresh);
-      config.num_shards = shards;
-      config.num_dispatchers = dispatchers;
-      config.ring_capacity = 512;
-      config.dispatch_batch = 64;
-      ShardedEngine sharded(compiler::compile_source(entry.source, kParams),
-                            config);
-      trace::IngestStats sharded_stats;
-      for (std::size_t base = 0; base < frames.size(); base += 1024) {
-        const std::size_t n =
-            std::min<std::size_t>(1024, frames.size() - base);
-        sharded_stats += sharded.process_wire_batch(frames.subspan(base, n));
-      }
-      sharded.finish(12_s);
-      EXPECT_EQ(sharded_stats.parsed, want_stats.parsed) << context;
-      expect_tables_bit_identical(
-          want, sharded.result(),
-          context + " [D=" + std::to_string(dispatchers) +
-              " shards=" + std::to_string(shards) + "]");
+  // Every topology, deliberately odd burst size (chunking must not show).
+  // The inline executor folds off the frame bytes; the threaded one decodes
+  // the burst once on the caller and fans it out by value through the rings.
+  for (const Topology& topo : kTopologies) {
+    const std::string where = context + " [" + topo.name + "]";
+    auto lazy = build_engine(
+        compiler::compile_source(entry.source, kParams), topo,
+        engine_config(refresh),
+        [](EngineBuilder& b) { b.ring_capacity(512).dispatch_batch(64); });
+    trace::IngestStats lazy_stats;
+    for (std::size_t base = 0; base < frames.size(); base += 501) {
+      const std::size_t n = std::min<std::size_t>(501, frames.size() - base);
+      lazy_stats += lazy->process_wire_batch(frames.subspan(base, n));
     }
+    lazy->finish(12_s);
+    EXPECT_EQ(lazy_stats.parsed, want_stats.parsed) << where;
+    EXPECT_EQ(lazy_stats.dropped(), want_stats.dropped()) << where;
+    EXPECT_EQ(lazy->records_processed(), want_stats.parsed) << where;
+    expect_tables_bit_identical(want, lazy->result(), where);
   }
 }
 
@@ -249,35 +227,28 @@ TEST(WireIngest, ChecksumVerificationOptInCountsBadChecksum) {
   // Verification off (the default): a stale checksum is not consulted, the
   // frame parses (with the corrupt TTL visible as data).
   {
-    QueryEngine engine(compiler::compile_source(kFig2Corpus[0].source, kParams),
-                       engine_config(0_s));
-    const auto stats = engine.process_wire_batch(set.frames);
+    auto engine = build_engine(
+        compiler::compile_source(kFig2Corpus[0].source, kParams), kSerial,
+        engine_config(0_s));
+    const auto stats = engine->process_wire_batch(set.frames);
     EXPECT_EQ(stats.parsed, set.frames.size());
     EXPECT_EQ(stats.bad_checksum, 0u);
   }
-  // Opt in on both engines: corrupted headers are skipped and counted, and
-  // the verdict reaches the metrics surface.
+  // Opt in on every topology: corrupted headers are skipped and counted,
+  // and the verdict reaches the metrics surface.
   EngineConfig verifying = engine_config(0_s);
   verifying.verify_checksums = true;
-  {
-    QueryEngine engine(compiler::compile_source(kFig2Corpus[0].source, kParams),
-                       verifying);
-    const auto stats = engine.process_wire_batch(set.frames);
+  for (const Topology& topo : {kSerial, Topology{"d1s4", 4, 1}}) {
+    SCOPED_TRACE(topo.name);
+    auto engine = build_engine(
+        compiler::compile_source(kFig2Corpus[0].source, kParams), topo,
+        verifying);
+    const auto stats = engine->process_wire_batch(set.frames);
+    engine->finish(12_s);
     EXPECT_EQ(stats.parsed, set.frames.size() - corrupted);
     EXPECT_EQ(stats.bad_checksum, corrupted);
     EXPECT_EQ(stats.dropped(), corrupted);
-    EXPECT_EQ(engine.metrics().ingest.bad_checksum, corrupted);
-  }
-  {
-    ShardedEngineConfig config;
-    config.engine = verifying;
-    config.num_shards = 4;
-    ShardedEngine engine(compiler::compile_source(kFig2Corpus[0].source, kParams),
-                         config);
-    const auto stats = engine.process_wire_batch(set.frames);
-    engine.finish(12_s);
-    EXPECT_EQ(stats.bad_checksum, corrupted);
-    EXPECT_EQ(engine.metrics().ingest.bad_checksum, corrupted);
+    EXPECT_EQ(engine->metrics().ingest.bad_checksum, corrupted);
   }
 }
 
@@ -303,8 +274,9 @@ TEST(WireIngest, BurstTruncationNeverPerturbsNeighbors) {
   const auto left_bytes = wire::serialize(left.pkt);
   const auto right_bytes = wire::serialize(right.pkt);
 
-  QueryEngine engine(compiler::compile_source(kFig2Corpus[1].source, kParams),
-                     engine_config(0_s));
+  auto engine = build_engine(
+      compiler::compile_source(kFig2Corpus[1].source, kParams), kSerial,
+      engine_config(0_s));
   std::uint64_t want_parsed = 0;
   std::uint64_t want_truncated = 0;
   trace::IngestStats got;
@@ -314,30 +286,30 @@ TEST(WireIngest, BurstTruncationNeverPerturbsNeighbors) {
     burst.add_bytes(left_bytes, left);
     burst.add_bytes(std::span<const std::byte>(mid_bytes.data(), len), mid);
     burst.add_bytes(right_bytes, right);
-    got += engine.process_wire_batch(burst.frames);
+    got += engine->process_wire_batch(burst.frames);
     all.add_bytes(left_bytes, left);
     all.add_bytes(std::span<const std::byte>(mid_bytes.data(), len), mid);
     all.add_bytes(right_bytes, right);
     want_parsed += len < header_bytes ? 2 : 3;
     want_truncated += len < header_bytes ? 1 : 0;
   }
-  engine.finish(1_s);
+  engine->finish(1_s);
   EXPECT_EQ(got.parsed, want_parsed);
   EXPECT_EQ(got.truncated, want_truncated);
   EXPECT_EQ(got.dropped(), want_truncated);
 
   // Each burst folded its neighbors and exactly the header-complete cuts:
   // the eager reference over the identical feed lands on the same table.
-  QueryEngine reference(
-      compiler::compile_source(kFig2Corpus[1].source, kParams),
+  auto reference = build_engine(
+      compiler::compile_source(kFig2Corpus[1].source, kParams), kSerial,
       engine_config(0_s));
   const trace::IngestStats ref_stats =
-      trace::replay_frames(reference, all.frames, /*batch=*/64);
-  reference.finish(1_s);
+      trace::replay_frames(*reference, all.frames, /*batch=*/64);
+  reference->finish(1_s);
   EXPECT_EQ(ref_stats.parsed, want_parsed);
   EXPECT_EQ(ref_stats.truncated, want_truncated);
-  ASSERT_EQ(engine.result().row_count(), 3u);
-  expect_tables_bit_identical(reference.result(), engine.result(),
+  ASSERT_EQ(engine->result().row_count(), 3u);
+  expect_tables_bit_identical(reference->result(), engine->result(),
                               "burst truncation");
 }
 
@@ -358,23 +330,23 @@ TEST(WireIngest, PqwfFileReplayMatchesInMemoryFrames) {
       std::filesystem::temp_directory_path() / "wire_ingest_roundtrip.pqwf";
   trace::write_wire_trace(path, set.frames);
 
-  QueryEngine from_memory(
-      compiler::compile_source(kFig2Corpus[1].source, kParams),
+  auto from_memory = build_engine(
+      compiler::compile_source(kFig2Corpus[1].source, kParams), kSerial,
       engine_config(1_s));
   trace::IngestStats mem_stats;
-  mem_stats += from_memory.process_wire_batch(set.frames);
-  from_memory.finish(12_s);
+  mem_stats += from_memory->process_wire_batch(set.frames);
+  from_memory->finish(12_s);
 
-  QueryEngine from_file(
-      compiler::compile_source(kFig2Corpus[1].source, kParams),
+  auto from_file = build_engine(
+      compiler::compile_source(kFig2Corpus[1].source, kParams), kSerial,
       engine_config(1_s));
   const trace::IngestStats file_stats =
-      trace::replay_wire_trace(from_file, path, /*burst=*/256);
-  from_file.finish(12_s);
+      trace::replay_wire_trace(*from_file, path, /*burst=*/256);
+  from_file->finish(12_s);
 
   EXPECT_EQ(file_stats.parsed, mem_stats.parsed);
   EXPECT_EQ(file_stats.truncated, mem_stats.truncated);
-  expect_tables_bit_identical(from_memory.result(), from_file.result(),
+  expect_tables_bit_identical(from_memory->result(), from_file->result(),
                               "pqwf replay");
   std::filesystem::remove(path);
 }
