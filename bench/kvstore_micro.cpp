@@ -287,37 +287,6 @@ void BM_ShardedEngine(benchmark::State& state) {
 // items/s would overstate throughput on loaded machines.
 BENCHMARK(BM_ShardedEngine)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-void BM_ShardedEngineParallelDispatch(benchmark::State& state) {
-  // Args: (dispatchers D, shards N). D co-dispatcher threads each route a
-  // disjoint slice of every batch through the D×N ring matrix; the workers'
-  // sequence-ordered merge keeps results bit-identical. On a multi-core
-  // machine the D axis is the lever that lifts the serial-dispatch Amdahl
-  // ceiling BM_ShardedEngine runs into.
-  const auto records = workload(1 << 18, 1 << 20);
-  const auto engine =
-      runtime::EngineBuilder(engine_bench_program())
-          .geometry(engine_bench_geometry().with_huge_pages())
-          .sharded(static_cast<std::size_t>(state.range(1)))
-          .dispatchers(static_cast<std::size_t>(state.range(0)))
-          .build();
-  std::int64_t processed = 0;
-  for (auto _ : state) {
-    const auto stats = trace::replay_into(*engine, records, /*batch=*/4096);
-    processed += static_cast<std::int64_t>(stats.records);
-  }
-  state.SetItemsProcessed(processed);
-  state.counters["dispatchers"] =
-      benchmark::Counter(static_cast<double>(state.range(0)));
-  state.counters["shards"] =
-      benchmark::Counter(static_cast<double>(state.range(1)));
-}
-BENCHMARK(BM_ShardedEngineParallelDispatch)
-    ->Args({1, 8})
-    ->Args({2, 8})
-    ->Args({4, 8})
-    ->Args({2, 4})
-    ->UseRealTime();
-
 void BM_TcamLookup(benchmark::State& state) {
   const auto analysis = lang::analyze_source(
       "SELECT COUNT GROUPBY 5tuple WHERE proto == TCP and qsize > 100");

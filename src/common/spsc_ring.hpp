@@ -1,11 +1,11 @@
 // Fixed-capacity single-producer/single-consumer ring buffer.
 //
 // This is the record conduit of the threaded executor
-// (src/runtime/threaded_executor.hpp):
-// the dispatcher thread is the sole producer of each shard's ring and the
-// shard worker its sole consumer, so the ring needs no locks — just one
-// release store per publish and one acquire load per consume (the classic
-// Lamport queue with cached counterparts, as in DPDK-style forwarders).
+// (src/runtime/threaded_executor.hpp): the caller thread is the sole
+// producer of each shard's ring and the shard worker its sole consumer, so
+// the ring needs no locks — just one release store per publish and one
+// acquire load per consume (the classic Lamport queue with cached
+// counterparts, as in DPDK-style forwarders) — and delivers in FIFO order.
 //
 // Layout notes:
 //   - head_ (consumer cursor) and tail_ (producer cursor) live on separate

@@ -326,7 +326,7 @@ FabricMetrics FabricEngine::metrics() const {
         found->attach_records = std::max(found->attach_records, s.attach_records);
       }
     }
-    // Per-thread pipeline state (shards/dispatchers/rings) stays per-switch:
+    // Per-thread pipeline state (shards/rings) stays per-switch:
     // summing thread ids across engines would be meaningless.
     merge_histogram(r.batch_ns, m.batch_ns);
     merge_histogram(r.snapshot_ns, m.snapshot_ns);

@@ -65,7 +65,6 @@ class ShardedBackingStore {
   [[nodiscard]] std::uint64_t packets() const {
     return sum(&BackingStore::packets);
   }
-  [[nodiscard]] std::size_t shard_count() const { return subs_.size(); }
   [[nodiscard]] const FoldKernel& kernel() const { return *kernel_; }
 
   /// Visit (key, merged value, valid) across all sub-stores. Each sub-store

@@ -93,17 +93,8 @@ void visit_metrics(const runtime::EngineMetrics& m, const MetricFn& fn) {
        static_cast<double>(s.evictions_absorbed));
     fn("shard_worker_exited", labels, s.worker_exited ? 1.0 : 0.0);
   }
-  for (const runtime::DispatcherMetrics& d : m.dispatchers) {
-    const MetricLabels labels{{"dispatcher", std::to_string(d.dispatcher)}};
-    fn("dispatcher_batches_posted", labels,
-       static_cast<double>(d.batches_posted));
-    fn("dispatcher_batches_completed", labels,
-       static_cast<double>(d.batches_completed));
-    fn("dispatcher_exited", labels, d.exited ? 1.0 : 0.0);
-  }
   for (const runtime::RingMetrics& r : m.rings) {
-    const MetricLabels labels{{"dispatcher", std::to_string(r.dispatcher)},
-                              {"shard", std::to_string(r.shard)}};
+    const MetricLabels labels{{"shard", std::to_string(r.shard)}};
     fn("ring_occupancy", labels, static_cast<double>(r.occupancy));
     fn("ring_occupancy_hwm", labels, static_cast<double>(r.occupancy_hwm));
     fn("ring_capacity", labels, static_cast<double>(r.capacity));
@@ -152,8 +143,11 @@ std::string samples_to_json(std::string_view engine,
     out += "\", \"labels\": {";
     for (std::size_t i = 0; i < labels.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "\"" + escape(labels[i].first) + "\": \"" +
-             escape(labels[i].second) + "\"";
+      out += '"';
+      out += escape(labels[i].first);
+      out += "\": \"";
+      out += escape(labels[i].second);
+      out += '"';
     }
     out += "}, \"value\": " + num(value) + "}";
   });
@@ -181,7 +175,9 @@ std::string samples_to_prometheus(const MetricEmitter& emit) {
       }
       out += "}";
     }
-    out += " " + num(value) + "\n";
+    out += ' ';
+    out += num(value);
+    out += '\n';
   });
   return out;
 }
@@ -256,22 +252,15 @@ std::string format_metrics(const runtime::EngineMetrics& m) {
 std::string format_pipeline(const runtime::EngineMetrics& m) {
   std::string out = "\n  merge thread: ";
   out += m.merge_exited ? "exited" : "running";
-  for (const runtime::DispatcherMetrics& d : m.dispatchers) {
-    out += "\n  dispatcher " + std::to_string(d.dispatcher) + ": ";
-    out += d.exited ? "exited" : "running";
-    out += " (jobs posted=" + std::to_string(d.batches_posted) +
-           " completed=" + std::to_string(d.batches_completed) + ")";
-  }
   for (const runtime::ShardMetrics& s : m.shards) {
     out += "\n  shard " + std::to_string(s.shard) + ": worker ";
     out += s.worker_exited ? "exited" : "running";
     out += ", evictions pushed=" + std::to_string(s.evictions_pushed) +
            " absorbed=" + std::to_string(s.evictions_absorbed);
-    out += ", ring occupancy";
     for (const runtime::RingMetrics& r : m.rings) {
       if (r.shard != s.shard) continue;
-      out += " [" + std::to_string(r.dispatcher) + "]=" +
-             std::to_string(r.occupancy) + "/" + std::to_string(r.capacity);
+      out += ", ring occupancy " + std::to_string(r.occupancy) + "/" +
+             std::to_string(r.capacity);
     }
   }
   return out;

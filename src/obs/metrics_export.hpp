@@ -62,7 +62,7 @@ using MetricEmitter = std::function<void(const MetricFn&)>;
 /// Human-readable multi-line summary (the REPL's .stats view).
 [[nodiscard]] std::string format_metrics(const runtime::EngineMetrics& m);
 
-/// The per-thread pipeline state dump (merge/dispatcher/worker liveness,
+/// The per-thread pipeline state dump (merge/worker liveness,
 /// eviction flow, ring occupancy) — the body of the sharded engine's
 /// watchdog diagnostic. Uses only the lock-free pipeline fields.
 [[nodiscard]] std::string format_pipeline(const runtime::EngineMetrics& m);

@@ -1,5 +1,6 @@
 #include "runtime/engine_api.hpp"
 
+#include <algorithm>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -119,15 +120,15 @@ void Engine::run_batch(std::size_t size, Body&& body) {
     if (!stream_->empty()) stream_->deliver();
   });
   if (timed) batch_ns_.record(obs::now_ns() - t0);
-  // A fault on a pipeline thread during this batch (worker, merge or
-  // dispatcher death, watchdog expiry) may have abandoned dispatch: surface
-  // it at the batch boundary rather than on the next call.
+  // A fault on a pipeline thread during this batch (worker or merge death,
+  // watchdog expiry) may have abandoned dispatch: surface it at the batch
+  // boundary rather than on the next call.
   throw_if_faulted();
 }
 
 void Engine::process_batch(std::span<const PacketRecord> records) {
   run_batch(records.size(), [&] {
-    on_executor(exec_, [&](auto& ex) { ex.fold(records, records_); });
+    on_executor(exec_, [&](auto& ex) { ex.fold(records); });
     records_ += records.size();
   });
 }
@@ -137,7 +138,7 @@ trace::IngestStats Engine::process_wire_batch(
   trace::IngestStats stats;
   run_batch(frames.size(), [&] {
     on_executor(exec_, [&](auto& ex) {
-      ex.fold_wire(frames, config_.verify_checksums, stats, records_);
+      ex.fold_wire(frames, config_.verify_checksums, stats);
     });
     records_ += stats.parsed;
   });
@@ -204,6 +205,14 @@ void Engine::attach_query(compiler::CompiledProgram program,
   if (options.name.empty()) {
     throw ConfigError{"attach: query name must not be empty"};
   }
+  // The name goes out verbatim in tables, LIST, STATS, JSON and PROM: a
+  // control byte would corrupt their framing.
+  if (std::any_of(options.name.begin(), options.name.end(), [](char c) {
+        const auto byte = static_cast<unsigned char>(c);
+        return byte < 0x20 || byte == 0x7f;
+      })) {
+    throw ConfigError{"attach: query name must not contain control bytes"};
+  }
   if (find_slot(options.name) != queries_.size() ||
       stream_->has(options.name) ||
       program_.analysis.query_index(options.name) >= 0) {
@@ -231,7 +240,7 @@ void Engine::attach_query(compiler::CompiledProgram program,
     // executor reaches the record boundary, so nothing is in flight while
     // the slot is installed.
     auto prepared = ex.prepare(slot, plan, geometry);
-    guarded([&] { ex.reach_boundary(records_); });
+    guarded([&] { ex.reach_boundary(); });
     std::lock_guard<std::mutex> lock(topology_mu_);
     ex.install(slot, plan, std::move(prepared));
     if (slot == queries_.size()) queries_.emplace_back();
@@ -265,7 +274,7 @@ ResultTable Engine::detach_query(std::string_view name, Nanos now) {
   // everything the attach allocated.
   ResultTable table = guarded([&] {
     return on_executor(exec_, [&](auto& ex) {
-      return ex.merged_store(slot, records_, now, [&](const auto& merged) {
+      return ex.merged_store(slot, now, [&](const auto& merged) {
         return materialize_switch_table(*query.attached, *query.plan, merged);
       });
     });
@@ -284,7 +293,7 @@ decltype(auto) Engine::pull(std::size_t slot, Nanos now, Fn&& fn) {
   const std::uint64_t t0 = obs::kTelemetryEnabled ? obs::now_ns() : 0;
   return guarded([&] {
     return on_executor(exec_, [&](auto& ex) {
-      return ex.merged_store(slot, records_, now, [&](const auto& merged) {
+      return ex.merged_store(slot, now, [&](const auto& merged) {
         if (obs::kTelemetryEnabled) snapshot_ns_.record(obs::now_ns() - t0);
         return fn(merged);
       });
@@ -334,7 +343,7 @@ void Engine::finish(Nanos now) {
   finished_ = true;
   guarded([&] {
     on_executor(exec_, [&](auto& ex) {
-      ex.close(now, records_);
+      ex.close(now);
       for (std::size_t slot = 0; slot < queries_.size(); ++slot) {
         const Query& query = queries_[slot];
         if (query.plan == nullptr) continue;

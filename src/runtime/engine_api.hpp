@@ -7,8 +7,8 @@
 // where folding happens:
 //   - InlineExecutor (the default): the caller folds each record into one
 //     KeyValueStore per on-switch GROUPBY; evictions absorb directly.
-//   - ThreadedExecutor (EngineBuilder::sharded(N)): D dispatchers route
-//     records through a D×N ring matrix to N shard workers, and a merge
+//   - ThreadedExecutor (EngineBuilder::sharded(N)): the caller routes
+//     records through one ring per shard to N shard workers, and a merge
 //     thread absorbs their evictions into concurrent backing stores.
 // Everything above the fold is written once, in Engine: the query registry,
 // attach validation, refresh-boundary detection, stream delivery, the wire
@@ -60,9 +60,9 @@
 //
 //   - The FIRST failure wins: its description is captured in a FaultSlot
 //     (role + shard + cause); later failures during the unwind are dropped.
-//     The slot is also the threaded executor's stop flag, so dispatchers,
-//     workers and the merge thread unwind promptly instead of spinning on
-//     rings that will never drain.
+//     The slot is also the threaded executor's stop flag, so the caller,
+//     the workers and the merge thread unwind promptly instead of spinning
+//     on rings that will never drain.
 //   - The call that observes the fault throws EngineFaultError (an Error
 //     subclass) carrying the faulting role ("worker", "merge", ...), the
 //     shard index if any, and the original cause. Watchdog faults append a
@@ -118,12 +118,13 @@
 //   - attach_query(program, options) accepts a SINGLE-query compiled program:
 //     either one on-switch GROUPBY chain (exactly one switch plan, no
 //     collection layer) or one unconsumed stream SELECT. The query is renamed
-//     to options.name (which must be unique across every resident query and
-//     base-program table; collisions are a ConfigError). Anything else —
-//     multi-query programs, collection-layer queries, invalid geometry (the
-//     threaded executor still requires num_buckets % num_shards == 0) — is a
-//     clean ConfigError thrown BEFORE any state changes: a rejected attach
-//     leaves the engine exactly as it was, never with degraded results.
+//     to options.name, which must be non-empty, free of control bytes (below
+//     0x20, or 0x7f) and unique across every resident query and base-program
+//     table. Anything else — a bad name, multi-query programs,
+//     collection-layer queries, invalid geometry (the threaded executor
+//     still requires num_buckets % num_shards == 0) — is a clean ConfigError
+//     thrown BEFORE any state changes: a rejected attach leaves the engine
+//     exactly as it was, never with degraded results.
 //   - The ATTACH EPOCH is the record boundary at which attach_query returns:
 //     records processed before it are out of scope for the new query by
 //     contract; every record after it folds into the new query in exact
@@ -216,7 +217,8 @@ struct EngineConfig {
 /// Options for one dynamic attach (see the query lifecycle contract above).
 struct AttachOptions {
   /// The resident name of the query — result table name, metrics label, and
-  /// the handle detach_query() takes. Must be unique among live queries.
+  /// the handle detach_query() takes. Must be non-empty, free of control
+  /// bytes and unique among live queries.
   std::string name;
   /// Cache slice geometry for an on-switch GROUPBY tenant; falls back to the
   /// engine's EngineConfig::geometry (then per_query_geometry by name).
@@ -280,18 +282,8 @@ struct ShardMetrics {
   bool worker_exited = false;
 };
 
-/// Per-dispatcher accounting (threaded executor, dispatchers >= 2 only —
-/// with a single dispatcher the caller thread dispatches inline).
-struct DispatcherMetrics {
-  std::size_t dispatcher = 0;
-  std::uint64_t batches_posted = 0;
-  std::uint64_t batches_completed = 0;
-  bool exited = false;
-};
-
-/// One (dispatcher, shard) SPSC ring of the dispatch matrix.
+/// One shard's SPSC input ring (threaded executor only).
 struct RingMetrics {
-  std::size_t dispatcher = 0;
   std::size_t shard = 0;
   std::uint64_t occupancy = 0;      ///< records queued right now (approximate)
   std::uint64_t occupancy_hwm = 0;  ///< high-water mark of occupancy
@@ -319,8 +311,7 @@ struct EngineMetrics {
 
   // Threaded pipeline state (empty with the inline executor).
   std::vector<ShardMetrics> shards;
-  std::vector<DispatcherMetrics> dispatchers;
-  std::vector<RingMetrics> rings;
+  std::vector<RingMetrics> rings;  ///< one per shard
   bool merge_exited = false;
 
   // Latency histograms (log2-ns buckets; see obs::HistogramSnapshot).
@@ -342,10 +333,8 @@ struct EngineMetrics {
 /// the same names document them.
 struct ThreadedConfig {
   std::size_t num_shards = 4;
-  std::size_t num_dispatchers = 1;
   std::size_t ring_capacity = 4096;  ///< messages, rounded up to a power of 2
   std::size_t dispatch_batch = 256;
-  std::size_t backing_shards = 0;  ///< 0 = num_shards
   std::size_t eviction_batch = 128;
   std::chrono::milliseconds drain_timeout{10'000};  ///< zero disables
 };
@@ -413,10 +402,11 @@ class Engine {
 
   /// Attach one dynamically compiled query mid-stream (see the query
   /// lifecycle contract in the file comment). The program must be attachable
-  /// — attachable_kind() above — and options.name unique among live
-  /// queries; violations are ConfigError with no state change. Folding
-  /// starts at the current record boundary (the attach epoch). Must be
-  /// serialized with process_batch()/finish()/snapshot() by the caller.
+  /// — attachable_kind() above — and options.name free of control bytes
+  /// and unique among live queries; violations are ConfigError with no
+  /// state change. Folding starts at the current record boundary (the
+  /// attach epoch). Must be serialized with process_batch()/finish()/
+  /// snapshot() by the caller.
   void attach_query(compiler::CompiledProgram program,
                     const AttachOptions& options);
 

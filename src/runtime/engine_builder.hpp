@@ -3,14 +3,14 @@
 //   auto engine = runtime::EngineBuilder(compiler::compile_source(src))
 //                     .geometry(kv::CacheGeometry::set_associative(4096, 8))
 //                     .refresh(1_s)
-//                     .sharded(8).dispatchers(2)
+//                     .sharded(8)
 //                     .build();   // std::unique_ptr<Engine>
 //
 // Without sharded(N) the engine folds on the caller (the inline executor);
-// with it, on N shard worker threads (the threaded executor) — same results
-// either way (bit-identical for linear kernels), so the choice is purely a
-// deployment knob. Threaded-only tuning knobs (dispatchers, ring_capacity,
-// dispatch_batch, backing_shards, eviction_batch, drain_timeout) are
+// with it, on N shard worker threads fed by the caller (the threaded
+// executor) — same results either way (bit-identical for linear kernels), so
+// the choice is purely a deployment knob. Threaded-only tuning knobs
+// (ring_capacity, dispatch_batch, eviction_batch, drain_timeout) are
 // rejected at build() when no sharding was requested, so a config can't
 // silently misapply.
 #pragma once
@@ -81,26 +81,15 @@ class EngineBuilder {
     shards_ = num_shards;
     return *this;
   }
-  /// Dispatcher thread count D (sharded only; default 1 = the caller thread
-  /// dispatches alone). D > 1 routes batch slices concurrently.
-  EngineBuilder& dispatchers(std::size_t num_dispatchers) {
-    threaded_.num_dispatchers = num_dispatchers;
-    return threaded_knob("dispatchers()");
-  }
-  /// Capacity of each (dispatcher, shard) record ring, in messages.
+  /// Capacity of each shard's record ring, in messages.
   EngineBuilder& ring_capacity(std::size_t messages) {
     threaded_.ring_capacity = messages;
     return threaded_knob("ring_capacity()");
   }
-  /// Records a dispatcher stages per shard before publishing.
+  /// Records the caller stages per shard before publishing.
   EngineBuilder& dispatch_batch(std::size_t records) {
     threaded_.dispatch_batch = records;
     return threaded_knob("dispatch_batch()");
-  }
-  /// Sub-stores per query in the concurrent backing store (0 = num_shards).
-  EngineBuilder& backing_shards(std::size_t stores) {
-    threaded_.backing_shards = stores;
-    return threaded_knob("backing_shards()");
   }
   /// Evictions a shard worker buffers before handing them to the merger.
   EngineBuilder& eviction_batch(std::size_t evictions) {
@@ -108,9 +97,9 @@ class EngineBuilder {
     return threaded_knob("eviction_batch()");
   }
   /// Drain watchdog deadline for every caller-side wait on the threaded
-  /// pipeline (full-ring pushes, batch completion, snapshot barriers, the
-  /// finish() joins). On expiry the blocked call throws EngineFaultError
-  /// with a pipeline diagnostic instead of hanging. Zero disables.
+  /// pipeline (full-ring pushes, snapshot barriers, the finish() joins). On
+  /// expiry the blocked call throws EngineFaultError with a pipeline
+  /// diagnostic instead of hanging. Zero disables.
   EngineBuilder& drain_timeout(std::chrono::milliseconds deadline) {
     threaded_.drain_timeout = deadline;
     return threaded_knob("drain_timeout()");

@@ -1,7 +1,7 @@
 // Structured engine faults: the failure-domain contract of the runtime.
 //
 // The engine converts ANY exception escaping its processing machinery — a
-// worker/dispatcher/merge thread body of the threaded executor, the fold or
+// worker or merge thread body of the threaded executor, the fold or
 // stream-sink path on the caller, or a drain-watchdog expiry — into one
 // permanent poisoned state: the first exception wins the engine's FaultSlot,
 // every sibling thread unwinds cleanly (no std::terminate, no wedged peer),
@@ -23,17 +23,15 @@ namespace perfq::runtime {
 
 /// Which engine thread the first fault originated on.
 enum class ThreadRole : std::uint8_t {
-  kCaller,      ///< the application thread, inside an engine call
-  kDispatcher,  ///< a helper dispatcher thread (sharded, D > 1)
-  kWorker,      ///< a shard worker thread
-  kMerge,       ///< the eviction merge thread
-  kWatchdog,    ///< a drain deadline expired on the caller thread
+  kCaller,    ///< the application thread, inside an engine call
+  kWorker,    ///< a shard worker thread
+  kMerge,     ///< the eviction merge thread
+  kWatchdog,  ///< a drain deadline expired on the caller thread
 };
 
 [[nodiscard]] constexpr const char* to_string(ThreadRole role) {
   switch (role) {
     case ThreadRole::kCaller: return "caller";
-    case ThreadRole::kDispatcher: return "dispatcher";
     case ThreadRole::kWorker: return "worker";
     case ThreadRole::kMerge: return "merge";
     case ThreadRole::kWatchdog: return "watchdog";

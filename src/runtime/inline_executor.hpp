@@ -62,7 +62,7 @@ class InlineExecutor {
   }
 
   /// Fold a batch of records: the two-pass chunk loop, chunk by chunk.
-  void fold(std::span<const PacketRecord> records, std::uint64_t /*base*/) {
+  void fold(std::span<const PacketRecord> records) {
     for (std::size_t base = 0; base < records.size(); base += kChunk) {
       process_chunk(
           records.subspan(base, std::min(kChunk, records.size() - base)));
@@ -72,8 +72,7 @@ class InlineExecutor {
   /// Fold a burst of frames straight off their bytes: the same chunk loop
   /// over lazy views, so only the fields the program reads are decoded.
   void fold_wire(std::span<const FrameObservation> frames,
-                 bool verify_checksums, trace::IngestStats& stats,
-                 std::uint64_t /*base*/) {
+                 bool verify_checksums, trace::IngestStats& stats) {
     std::array<WireRecordView, kChunk> views;
     std::size_t n = 0;
     for_each_valid_frame(frames, verify_checksums, stats,
@@ -91,15 +90,14 @@ class InlineExecutor {
   }
 
   /// The record boundary is always "now": nothing is in flight.
-  void reach_boundary(std::uint64_t /*records*/) {}
+  void reach_boundary() {}
 
   /// The shared pull primitive: `fn` receives a copy of `slot`'s backing
   /// store with its live cache entries merged in through the ordinary
   /// exact-merge absorb — bit for bit what a flush at `now` would leave
   /// there, with neither structure disturbed.
   template <typename Fn>
-  decltype(auto) merged_store(std::size_t slot, std::uint64_t /*records*/,
-                              Nanos now, Fn&& fn) {
+  decltype(auto) merged_store(std::size_t slot, Nanos now, Fn&& fn) {
     const kv::KeyValueStore& store = *slots_[slot].store;
     kv::BackingStore merged = store.backing();
     // Room for every resident key up front: the overlay never regrows.
@@ -110,7 +108,7 @@ class InlineExecutor {
   }
 
   /// End the window: flush every cache into its backing store.
-  void close(Nanos now, std::uint64_t /*records*/) {
+  void close(Nanos now) {
     for (SwitchFoldCore* core : live_) core->flush(now);
   }
 

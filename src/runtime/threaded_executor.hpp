@@ -4,29 +4,25 @@
 // delivery, results, telemetry, the fault gate) is the same as for the
 // inline executor.
 //
-// Topology (dispatchers → D×N ring matrix → shard workers → eviction queues
-// → merge thread → concurrent backing store):
+// Topology (caller → one SPSC ring per shard → shard workers → eviction
+// queues → merge thread → concurrent backing store):
 //
-//   D dispatcher threads (the caller thread is dispatcher 0; D-1 helpers)
-//     - each owns a disjoint contiguous slice of every input batch: it
-//       evaluates each switch query's prefilter, computes the key's hash
+//   the caller thread, the only dispatcher
+//     - evaluates each switch query's prefilter, computes the key's hash
 //       straight from the record (record-direct routing — for plain-field
 //       keys the compiler::KeyRouter packs and hashes on the stack, no
 //       kv::Key materialized) and routes the record to shard = high bits of
 //       the cache-placement hash (RSS-style);
-//     - publishes batched messages into its own per-shard SPSC ring — ring
-//       (d, s) has exactly one producer (dispatcher d) and one consumer
-//       (worker s), so the D×N matrix needs no locks anywhere;
-//     - stamps every message with a global sequence number (the record's
-//       position in the stream), and ends every batch slice with a watermark
-//       so consumers know the ring has gone quiet up to a bound.
+//     - publishes batched messages into that shard's SPSC ring. The caller
+//       is every ring's one producer and the shard's worker its one
+//       consumer, so no ring needs a lock, and each ring is FIFO in global
+//       record order.
 //   N shard workers
-//     - each merges its D input rings in sequence order (smallest seq whose
-//       safety bound proves no other ring can still deliver an earlier one),
-//       re-packs the key on its own core (reusing the dispatcher's hash via
-//       Key::pack_prehashed — the byte-level hash is still computed once per
-//       record), and folds through the same SwitchFoldCore hot path the
-//       inline executor uses against its private bucket-slice cache;
+//     - pop their ring in order, re-pack the key on their own core (reusing
+//       the caller's hash via Key::pack_prehashed — the byte-level hash is
+//       still computed once per record), and fold through the same
+//       SwitchFoldCore hot path the inline executor uses against their
+//       private bucket-slice cache;
 //     - cache evictions are buffered and enqueued onto the shard's MPSC
 //       eviction queue instead of synchronously touching the backing store.
 //   1 merge thread
@@ -34,31 +30,27 @@
 //       (sharded by key, one mutex per sub-store), so the paper's periodic
 //       refresh keeps the backing store fresh while workers keep folding.
 //
-// Determinism: the sequence-ordered merge means every worker folds exactly
-// the record subsequence — in exactly the global order — that a single
-// serial dispatcher would have fed it, so that guarantee carries over
-// unchanged for every D: shard s's cache is exactly the bucket slice
-// [s·n/N, (s+1)·n/N) of the single engine's n-bucket cache — same bucket
+// Determinism: every worker folds exactly the records routed to it, in
+// global record order, so shard s's cache is exactly the bucket slice
+// [s·n/N, (s+1)·n/N) of the inline executor's n-bucket cache — same bucket
 // contents, same LRU order, same capacity evictions, same flush times — and
 // results are bit-identical to the inline executor's for every linear-kernel
 // query (identical value-segment sets and AccuracyStats for non-linear
-// kernels). Refresh boundaries are detected once, in global record order, by
-// the caller's pre-scan over the engine's RefreshClock and shipped in-band
-// with the sequence number of the record they precede. Requires
-// num_buckets % num_shards == 0 per query
-// geometry (and LRU/FIFO eviction; kRandom draws per-shard RNG streams and
-// is only statistically equivalent).
+// kernels). Refresh boundaries are detected on the caller, record by record,
+// by the engine's RefreshClock and broadcast in-band ahead of the record they
+// precede. Requires num_buckets % num_shards == 0 per query geometry (and
+// LRU/FIFO eviction; kRandom draws per-shard RNG streams and is only
+// statistically equivalent).
 //
-// Failure domains: every worker/dispatcher/merge thread body is wrapped so
-// the first escaping exception is captured into the engine's FaultSlot. The
-// slot doubles as the stop flag: once it is set, every inter-thread spin
-// (ring push/pop, lane merge, job completion, snapshot rendezvous) unwinds
-// instead of waiting on a dead peer, and the engine's gate throws the
-// structured EngineFaultError — never a hang, never std::terminate.
-// Caller-side drains are additionally guarded by a configurable watchdog
-// (drain_timeout) that converts a wedged pipeline into a fault carrying a
-// diagnostic dump. See engine_fault.hpp and engine_api.hpp ("Failure
-// semantics").
+// Failure domains: every worker and merge thread body is wrapped so the
+// first escaping exception is captured into the engine's FaultSlot. The slot
+// doubles as the stop flag: once it is set, every inter-thread spin (ring
+// push/pop, snapshot rendezvous) unwinds instead of waiting on a dead peer,
+// and the engine's gate throws the structured EngineFaultError — never a
+// hang, never std::terminate. Caller-side drains are additionally guarded by
+// a configurable watchdog (drain_timeout) that converts a wedged pipeline
+// into a fault carrying a diagnostic dump. See engine_fault.hpp and
+// engine_api.hpp ("Failure semantics").
 #pragma once
 
 #include <atomic>
@@ -96,8 +88,8 @@ class ThreadedExecutor {
     std::unique_ptr<kv::ShardedBackingStore> backing;
   };
 
-  /// Starts the worker, merge and helper-dispatcher threads. `refresh`,
-  /// `stream` and `fault` belong to the engine and outlive the executor.
+  /// Starts the worker and merge threads. `refresh`, `stream` and `fault`
+  /// belong to the engine and outlive the executor.
   ThreadedExecutor(const EngineConfig& engine, ThreadedConfig config,
                    RefreshClock& refresh, StreamStage& stream,
                    FaultSlot& fault);
@@ -124,25 +116,23 @@ class ThreadedExecutor {
   /// nothing in flight for it: after merged_store() or reach_boundary().
   void remove(std::size_t slot);
 
-  /// Dispatch a batch whose first record has global index `base`: refresh
-  /// pre-scan, routing through the D×N ring matrix, and the caller-side
-  /// stream evaluation. Returns once every record is staged or published;
-  /// folding proceeds on the workers.
-  void fold(std::span<const PacketRecord> records, std::uint64_t base);
+  /// Dispatch a batch on the caller: the refresh check, routing into the
+  /// shard rings, and the stream evaluation. Returns once every record is
+  /// published; folding proceeds on the workers.
+  void fold(std::span<const PacketRecord> records);
 
   /// The wire front's survivors, decoded once into a reusable caller-owned
   /// buffer (records travel BY VALUE through the rings, since workers
   /// outlive the caller's frame buffers), then dispatched like fold().
   void fold_wire(std::span<const FrameObservation> frames,
-                 bool verify_checksums, trace::IngestStats& stats,
-                 std::uint64_t base);
+                 bool verify_checksums, trace::IngestStats& stats);
 
-  /// Quiesce at the record boundary after `records` records: an in-band
-  /// marker through the caller's rings, every worker's ack, then the
-  /// eviction drain barrier. On return nothing is in flight and the backing
-  /// stores are boundary-exact; folding resumes with the next batch. Throws
-  /// EngineFaultError if the pipeline faults or the watchdog expires.
-  void reach_boundary(std::uint64_t records);
+  /// Quiesce at the current record boundary: an in-band marker through
+  /// every ring, every worker's ack, then the eviction drain barrier. On
+  /// return nothing is in flight and the backing stores are boundary-exact;
+  /// folding resumes with the next batch. Throws EngineFaultError if the
+  /// pipeline faults or the watchdog expires.
+  void reach_boundary();
 
   /// The shared pull primitive without stopping the pipeline: the same
   /// in-band rendezvous as reach_boundary(), but each worker also writes a
@@ -151,9 +141,8 @@ class ThreadedExecutor {
   /// exact-merge machinery and `fn` receives the clone. No thread is joined
   /// or stopped.
   template <typename Fn>
-  decltype(auto) merged_store(std::size_t slot, std::uint64_t records,
-                              Nanos now, Fn&& fn) {
-    rendezvous(slot, records, now);
+  decltype(auto) merged_store(std::size_t slot, Nanos now, Fn&& fn) {
+    rendezvous(slot, now);
     // Keys are disjoint across shards (each key folds on exactly one
     // worker), so shard order cannot matter.
     const std::unique_ptr<kv::ShardedBackingStore> merged =
@@ -164,10 +153,10 @@ class ThreadedExecutor {
     return fn(std::as_const(*merged));
   }
 
-  /// End the window after `records` records: final in-band flush, drain
-  /// rings and eviction queues, join every thread. Throws EngineFaultError
-  /// if the drain faults.
-  void close(Nanos now, std::uint64_t records);
+  /// End the window at the current record boundary: final in-band flush,
+  /// drain rings and eviction queues, join every thread. Throws
+  /// EngineFaultError if the drain faults.
+  void close(Nanos now);
 
   /// `fn` receives `slot`'s concurrent backing store. Mid-run it lags by
   /// whatever is cache-resident or still in flight to the merge thread.
@@ -179,31 +168,22 @@ class ThreadedExecutor {
   /// `slot`'s cache counters, summed across shards.
   [[nodiscard]] kv::CacheStats cache_stats(std::size_t slot) const;
 
-  /// Fill the pipeline part of an EngineMetrics (shards, dispatchers,
-  /// rings, merge state, absorb latency). Lock-free — also safe from the
-  /// watchdog's diagnostic path while threads are wedged.
+  /// Fill the pipeline part of an EngineMetrics (shards, rings, merge
+  /// state, absorb latency). Lock-free — also safe from the watchdog's
+  /// diagnostic path while threads are wedged.
   void collect_pipeline(EngineMetrics& m) const;
 
  private:
-  /// Idle backoff for the worker/merge/co-dispatcher poll loops: yield for
-  /// this many empty polls (bursty traffic), then park in short sleeps
-  /// (truly idle).
+  /// Idle backoff for the worker/merge poll loops: yield for this many
+  /// empty polls (bursty traffic), then park in short sleeps (truly idle).
   static constexpr std::uint32_t kIdlePollsBeforeSleep = 256;
   static constexpr std::chrono::microseconds kIdleSleep{100};
-  /// Messages a worker pops from one ring per refill pass.
-  static constexpr std::size_t kPopChunk = 64;
   /// kSnapshot's query when the rendezvous collects no cache copy.
   static constexpr std::uint16_t kNoQuery = 0xffff;
 
-  // Sequence numbering (the merge order): the record at global stream index
-  // g carries seq 2g+1; a refresh flush firing *before* record g carries
-  // seq 2g; a watermark bounding a batch that ends at index g carries 2g; a
-  // snapshot marker at the record boundary after g records carries 2g too
-  // (it can never collide with a flush: flushes always precede a record, so
-  // their seq stays below the boundary's). Every processable message seq is
-  // unique across a worker's D rings (one dispatcher owns each record and
-  // each flush; snapshots come only from the caller's ring), so a candidate
-  // is safe as soon as every other ring's next-possible seq is >= it.
+  /// One message of a shard ring. The caller stages messages in record
+  /// order, so a kFlush or kSnapshot reaches the worker exactly at the
+  /// record boundary it was sent at.
   struct ShardMsg {
     enum class Kind : std::uint8_t {
       kRecord,
@@ -212,12 +192,10 @@ class ThreadedExecutor {
       /// evictions, copies the live slice of `query` (unless kNoQuery) and
       /// acks the generation carried in raw_hash through snapshot_ready.
       kSnapshot,
-      kWatermark,
       kStop
     };
     Kind kind = Kind::kRecord;
     std::uint16_t query = 0;     ///< switch-query slot (kRecord/kSnapshot)
-    std::uint64_t seq = 0;       ///< global merge order (see above)
     std::uint64_t raw_hash = 0;  ///< key's seed-0 byte hash (kRecord); the
                                  ///< rendezvous generation (kSnapshot)
     PacketRecord rec;  ///< the record; rec.tin carries flush/snapshot time
@@ -229,10 +207,20 @@ class ThreadedExecutor {
   };
 
   struct Shard {
-    /// rings[d]: the SPSC conduit from dispatcher d (sole producer) to this
-    /// shard's worker (sole consumer).
-    std::vector<std::unique_ptr<SpscRing<ShardMsg>>> rings;
-    MpscQueue<TaggedEviction> evictions;
+    Shard(std::size_t shard_index, std::size_t ring_capacity)
+        : ring(ring_capacity), index(shard_index) {}
+
+    /// The SPSC conduit from the caller (sole producer) to this shard's
+    /// worker (sole consumer).
+    SpscRing<ShardMsg> ring;
+    /// Caller side: messages staged for the ring, and its telemetry.
+    /// Stalls count publish() calls that blocked on a full ring at least
+    /// once; the high-water mark samples occupancy after each publish.
+    std::vector<ShardMsg> staging;
+    obs::RelaxedU64 ring_stalls;
+    obs::RelaxedU64 ring_hwm;
+    /// Worker side, from here on.
+    alignas(kCacheLineBytes) MpscQueue<TaggedEviction> evictions;
     /// Per switch-query slot; null when the slot is free (the message
     /// `query` field indexes these directly).
     std::vector<std::unique_ptr<kv::Cache>> caches;
@@ -258,47 +246,6 @@ class ThreadedExecutor {
     std::thread thread;
   };
 
-  /// A refresh boundary detected by the caller's serial pre-scan: the flush
-  /// fires before the record at global stream index `pos`.
-  struct FlushEvent {
-    std::uint64_t pos = 0;
-    Nanos time;
-  };
-
-  struct Dispatcher {
-    /// Per-shard staging buffers (published to rings[this dispatcher]).
-    std::vector<std::vector<ShardMsg>> staging;
-    // Job slot for helper dispatchers (d >= 1): the caller writes the job
-    // fields, then publishes them with a release store to `posted`; the
-    // helper acknowledges through `completed`.
-    std::span<const PacketRecord> job_slice;
-    std::uint64_t job_base = 0;
-    std::span<const FlushEvent> job_flushes;
-    std::uint64_t job_watermark = 0;
-    alignas(kCacheLineBytes) std::atomic<std::uint64_t> posted{0};
-    alignas(kCacheLineBytes) std::atomic<std::uint64_t> completed{0};
-    std::atomic<bool> exit{false};  ///< orderly shutdown request
-    std::atomic<bool> exited{false};  ///< thread body finished (see Shard)
-    /// Per-shard ring telemetry for this dispatcher's rings (single writer:
-    /// this dispatcher — only thread d publishes to rings[d]). Stalls count
-    /// publish() calls that blocked on a full ring at least once; the
-    /// high-water mark samples ring occupancy after each publish.
-    std::vector<obs::RelaxedU64> ring_stalls;
-    std::vector<obs::RelaxedU64> ring_hwm;
-    std::thread thread;  ///< helpers only; dispatcher 0 is the caller
-  };
-
-  /// One worker-side view of one input ring: messages drained FIFO into an
-  /// unbounded local buffer (the worker always drains even when the merge
-  /// is blocked on another ring — that keeps dispatchers from wedging on a
-  /// full ring) plus the ring's proven lower bound on future seqs.
-  struct Lane {
-    std::vector<ShardMsg> buf;
-    std::size_t head = 0;
-    std::uint64_t bound = 0;  ///< future msgs from this ring have seq >= bound
-    bool stopped = false;
-  };
-
   /// Caller-side spin bookkeeping: bounded backoff plus the lazily armed
   /// drain-watchdog deadline (armed on the first blocked poll, so unblocked
   /// paths never read the clock).
@@ -311,37 +258,29 @@ class ThreadedExecutor {
     bool expired(std::chrono::milliseconds timeout);
   };
 
+  /// Pop the ring into the two-pass fold chunk until kStop or the stop flag.
   void worker_loop(Shard& shard);
-  /// D = 1 fast path: one ring, already in global sequence order — pop
-  /// straight into the fold chunk with no lane buffering or merge.
-  void worker_loop_single_lane(Shard& shard);
-  /// The two-pass fold over a chunk of sequence-ordered messages, shared by
-  /// both worker loops. Returns false once it reaches kStop (nothing
-  /// follows a stop message).
-  bool fold_chunk(Shard& shard, std::span<ShardMsg> chunk);
   /// Pass 1 of a chunk slot: re-pack the record's key on this core and
   /// prefetch its cache bucket.
   void worker_prepare(Shard& shard, std::size_t i, const ShardMsg& msg);
   /// Pass 2 of a chunk slot: fold a record or execute a control message.
   void worker_process(Shard& shard, std::size_t i, ShardMsg& msg);
   void merge_loop();
-  void co_dispatcher_loop(std::size_t d);
   /// Thread entry wrapper: run the loop, record any escaping exception in
   /// the fault slot (first exception wins; every stop-aware loop then
   /// unwinds), and flag exit — an engine thread can never reach
   /// std::terminate or die silently while its peers spin on it.
   template <typename Loop>
-  void thread_main(ThreadRole role, std::size_t shard, const std::string& who,
+  void thread_main(ThreadRole role, std::size_t shard,
                    std::atomic<bool>& exited, Loop&& loop) noexcept;
   /// The stop flag: set by the first fault and never cleared.
   [[nodiscard]] bool stopping() const { return fault_.faulted(); }
   /// One step of the idle backoff every poll loop shares.
   static void idle_wait(std::uint32_t& idle_polls);
-  /// One backoff step of a caller-side drain spin. When `what` is non-null
-  /// the spin is watchdog-guarded: past the drain deadline it records a
-  /// kWatchdog fault carrying pipeline_diagnostic() (it does NOT throw —
-  /// callers that must keep waiting for span safety check the fault
-  /// themselves).
+  /// One watchdog-guarded backoff step of a caller-side drain spin: past the
+  /// drain deadline it records a kWatchdog fault carrying
+  /// pipeline_diagnostic() for the wait named `what` (it does NOT throw;
+  /// the caller's own fault check unwinds the wait).
   void spin_backoff(SpinState& spin, const char* what);
   /// Record a kWatchdog fault for the wait named `what`, with the dump.
   void record_watchdog(const char* what);
@@ -353,36 +292,27 @@ class ThreadedExecutor {
   /// deadline plus one grace period expired with the thread still wedged —
   /// the join is then deferred to the destructor.
   bool wait_exited(const std::atomic<bool>& exited, const char* what);
-  /// Dispatch one contiguous slice as dispatcher d: route records, emit
-  /// in-slice flushes, publish staging, and (for D > 1) end with a
-  /// watermark carrying `watermark_seq`.
-  void dispatch_slice(std::size_t d, std::span<const PacketRecord> slice,
-                      std::uint64_t base, std::span<const FlushEvent> flushes,
-                      std::uint64_t watermark_seq);
-  /// Wait until every helper dispatcher finished (or abandoned) its slice of
-  /// the current batch: the batch span is borrowed from the caller.
-  void wait_helpers();
   /// Hand the worker's staged evictions to the merge thread, maintaining
   /// the pushed counter the drain barrier reads.
   static void push_evictions(Shard& sh);
-  void stage(std::size_t d, std::size_t shard, ShardMsg&& msg);
-  /// Push dispatcher d's staging for `shard` to its ring, backing off while
-  /// the ring is full. Stop-aware (the rest is dropped once the engine is
-  /// poisoned); the caller's pushes are watchdog-guarded.
-  void publish(std::size_t d, std::size_t shard);
+  void stage(Shard& sh, ShardMsg&& msg);
+  /// Stage a copy of `msg` for every shard.
+  void broadcast(const ShardMsg& msg);
+  /// Push the shard's staging to its ring, backing off while the ring is
+  /// full. Stop-aware (the rest is dropped once the engine is poisoned) and
+  /// watchdog-guarded.
+  void publish(Shard& sh);
   /// The record-boundary rendezvous behind reach_boundary() and
-  /// merged_store(): broadcast kSnapshot at seq 2·records through the
-  /// caller's rings, wait for every worker's ack (each copies `query`'s
-  /// live slice first unless kNoQuery), then the eviction drain barrier.
-  void rendezvous(std::size_t query, std::uint64_t records, Nanos now);
+  /// merged_store(): broadcast kSnapshot through every ring, wait for every
+  /// worker's ack (each copies `query`'s live slice first unless kNoQuery),
+  /// then the eviction drain barrier.
+  void rendezvous(std::size_t query, Nanos now);
   /// Absorb one drained sweep into the backing stores (merge thread).
   void absorb_sweep(Shard& shard, std::vector<TaggedEviction>& drained);
-  /// Send final kFlush (optionally) + kStop through every ring (helpers
-  /// push their own on exit) and join all threads. `watchdog` guards the
-  /// joins with the drain deadline (finish() path); the destructor passes
-  /// false and joins unboundedly.
-  void stop_pipeline(bool flush, Nanos now, std::uint64_t records,
-                     bool watchdog);
+  /// Send final kFlush (optionally) + kStop through every ring and join all
+  /// threads. `watchdog` guards the joins with the drain deadline (finish()
+  /// path); the destructor passes false and joins unboundedly.
+  void stop_pipeline(bool flush, Nanos now, bool watchdog);
   /// The cache-placement hash from a key's raw (seed-0) hash; identical to
   /// kv::placement_hash(key, hash_seed) without needing the key.
   [[nodiscard]] std::uint64_t placement_of_raw(std::uint64_t raw) const;
@@ -403,8 +333,6 @@ class ThreadedExecutor {
   std::vector<std::optional<compiler::KeyRouter>> routers_;
   std::vector<std::unique_ptr<kv::ShardedBackingStore>> backings_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<Dispatcher>> dispatchers_;
-  std::vector<FlushEvent> flush_events_;  ///< per-batch scratch (caller only)
   std::vector<PacketRecord> wire_pending_;  ///< wire-burst scratch (caller only)
   obs::LatencyHistogram absorb_ns_;  ///< merge-thread absorb sweep latency
   std::uint64_t snapshot_gen_ = 0;  ///< caller-side rendezvous generation

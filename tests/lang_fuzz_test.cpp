@@ -7,34 +7,11 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "lang/sema.hpp"
+#include "query_vocabulary.hpp"
 
 namespace perfq::lang {
 namespace {
-
-const std::vector<std::string>& vocabulary() {
-  static const std::vector<std::string> kVocab{
-      "SELECT",  "FROM",    "WHERE",  "GROUPBY", "JOIN",   "ON",
-      "def",     "if",      "else",   "and",     "or",     "not",
-      "infinity", "5tuple", "srcip",  "dstip",   "tout",   "tin",
-      "COUNT",   "SUM",     "R1",     "T",       "ewma",   "(",
-      ")",       ",",       ":",      ".",       "=",      "==",
-      "!=",      "<",       ">",      "+",       "-",      "*",
-      "/",       "1",       "0.5",    "1ms",     "\n",     "    ",
-  };
-  return kVocab;
-}
-
-std::string random_soup(Rng& rng, std::size_t tokens) {
-  const auto& vocab = vocabulary();
-  std::string out;
-  for (std::size_t i = 0; i < tokens; ++i) {
-    out += vocab[rng.below(vocab.size())];
-    out += " ";
-  }
-  return out;
-}
 
 class TokenSoupTest : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -155,7 +155,7 @@ TEST(MetricsExactness, CountersMatchOracleAtQuiescentPoints) {
         EXPECT_TRUE(s.worker_exited);
       }
       EXPECT_TRUE(m.merge_exited);
-      EXPECT_EQ(m.rings.size(), topo.dispatchers * topo.shards);
+      EXPECT_EQ(m.rings.size(), topo.shards);  // one ring per shard
     } else {
       EXPECT_TRUE(m.shards.empty());
       EXPECT_TRUE(m.rings.empty());
@@ -319,7 +319,7 @@ R1 = SELECT 5tuple, counter GROUPBY 5tuple
 
 TEST(MetricsExport, EveryVisitedMetricAppearsInBothExporters) {
   const auto records = test_workload();
-  // Sharded with two dispatchers and a stream: exercises every metric family.
+  // Sharded with a stream: exercises every metric family.
   const char* source = R"(
 def counter (cnt, (pkt_len)):
     cnt = cnt + 1
@@ -330,7 +330,6 @@ R1 = SELECT 5tuple, counter GROUPBY 5tuple
   auto engine = EngineBuilder(compiler::compile_source(source))
                     .geometry(kv::CacheGeometry::set_associative(1024, 8))
                     .sharded(4)
-                    .dispatchers(2)
                     .build();
   engine->process_batch(records);
   engine->finish(11_s);
@@ -400,7 +399,6 @@ TEST(MetricsConcurrency, ReadableWhileShardedEngineFolds) {
       EngineBuilder(compiler::compile_source("SELECT COUNT GROUPBY 5tuple"))
           .geometry(kv::CacheGeometry::set_associative(64, 4))  // heavy evictions
           .sharded(4)
-          .dispatchers(2)
           .build();
 
   std::atomic<bool> done{false};

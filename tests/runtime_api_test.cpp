@@ -41,12 +41,11 @@ TEST(EngineBuilder, BuildsSerialEngineByDefaultAndShardedOnRequest) {
   auto sharded = EngineBuilder(compiler::compile_source("SELECT COUNT GROUPBY srcip"))
                      .geometry(small_geometry())
                      .sharded(4)
-                     .dispatchers(2)
                      .build();
   const EngineMetrics threaded_metrics = sharded->metrics();
   EXPECT_EQ(threaded_metrics.engine, "sharded");
   EXPECT_EQ(threaded_metrics.shards.size(), 4u);
-  EXPECT_EQ(threaded_metrics.rings.size(), 2u * 4u);  // D × N
+  EXPECT_EQ(threaded_metrics.rings.size(), 4u);  // one ring per shard
   // Tear the sharded pipeline down cleanly without a finish().
 }
 
@@ -71,7 +70,6 @@ R1 = SELECT 5tuple, COUNT, ewma GROUPBY 5tuple
   engines.push_back(EngineBuilder(compiler::compile_source(source, params))
                         .geometry(small_geometry())
                         .sharded(2)
-                        .dispatchers(2)
                         .build());
   for (auto& engine : engines) {
     engine->process_batch(records);
@@ -108,19 +106,15 @@ TEST(EngineBuilder, RejectsShardedKnobsWithoutSharded) {
     apply(builder);
     return builder.build();
   };
-  EXPECT_THROW(build_with([](EngineBuilder& b) { b.dispatchers(2); }),
-               ConfigError);
   EXPECT_THROW(build_with([](EngineBuilder& b) { b.ring_capacity(64); }),
                ConfigError);
   EXPECT_THROW(build_with([](EngineBuilder& b) { b.dispatch_batch(8); }),
-               ConfigError);
-  EXPECT_THROW(build_with([](EngineBuilder& b) { b.backing_shards(2); }),
                ConfigError);
   EXPECT_THROW(build_with([](EngineBuilder& b) { b.eviction_batch(8); }),
                ConfigError);
   // And the engine-level validation still fires through the builder.
   EXPECT_THROW(
-      build_with([](EngineBuilder& b) { b.sharded(2).dispatchers(0); }),
+      build_with([](EngineBuilder& b) { b.sharded(2).dispatch_batch(0); }),
       ConfigError);
 }
 
@@ -201,7 +195,7 @@ std::unique_ptr<Engine> build_case(const SinkCase& entry, bool sharded,
   EngineBuilder builder(compiler::compile_source(entry.source, kSinkParams));
   builder.geometry(small_geometry()).max_stream_rows(max_stream_rows);
   if (sink != nullptr) builder.stream_sink("S", std::move(sink));
-  if (sharded) builder.sharded(4).dispatchers(2);
+  if (sharded) builder.sharded(4);
   return builder.build();
 }
 

@@ -39,9 +39,9 @@ EngineConfig small_engine_config() {
   return config;
 }
 
-/// Fault scenarios run over the contract matrix (inline plus threaded
-/// D∈{1,2} × shards∈{1,4}) with small rings and eviction batches, so a
-/// fault lands mid-flow. `tune` adjusts the threaded knobs further.
+/// Fault scenarios run over the contract matrix (inline plus threaded with
+/// 1 and 4 shards) with small rings and eviction batches, so a fault lands
+/// mid-flow. `tune` adjusts the threaded knobs further.
 std::unique_ptr<Engine> build_case(
     const Topology& topo,
     const std::string& source = "SELECT COUNT GROUPBY srcip",
@@ -219,7 +219,7 @@ TEST_F(FaultTest, SnapshotWorkerDeathFailsTheSnapshotCall) {
   }
   const auto records = workload();
   failpoint::arm("sharded.snapshot_worker", {});
-  auto engine = build_case(Topology{"d2s4", 4, 2},
+  auto engine = build_case(Topology{"s4", 4},
                            "R1 = SELECT COUNT GROUPBY srcip");
   engine->process_batch(std::span<const PacketRecord>(records).first(500));
   try {
@@ -249,7 +249,7 @@ TEST_F(FaultTest, RingStallTripsTheWatchdogWithDiagnostic) {
   stall.sleep_ms = 200;
   failpoint::arm("sharded.ring_pop", stall);
   auto engine = build_case(
-      Topology{"d1s1", 1, 1}, "R1 = SELECT COUNT GROUPBY srcip",
+      Topology{"s1", 1}, "R1 = SELECT COUNT GROUPBY srcip",
       [](EngineBuilder& b) {
         b.ring_capacity(2).dispatch_batch(1).drain_timeout(
             std::chrono::milliseconds{50});
@@ -285,7 +285,7 @@ TEST_F(FaultTest, SnapshotStallTripsTheWatchdog) {
   stall.count = 1;
   failpoint::arm("sharded.snapshot_worker", stall);
   auto engine = build_case(
-      Topology{"d1s2", 2, 1}, "R1 = SELECT COUNT GROUPBY srcip",
+      Topology{"s2", 2}, "R1 = SELECT COUNT GROUPBY srcip",
       [](EngineBuilder& b) { b.drain_timeout(std::chrono::milliseconds{50}); });
   const auto records = workload();
   engine->process_batch(std::span<const PacketRecord>(records).first(200));
@@ -318,7 +318,7 @@ R1 = SELECT COUNT GROUPBY srcip
         [](const StreamBatch&) { throw std::runtime_error{"sink exploded"}; });
     EngineBuilder builder(compiler::compile_source(source));
     builder.stream_sink("S", sink);
-    if (sharded) builder.sharded(2).dispatchers(2);
+    if (sharded) builder.sharded(2);
     auto engine = builder.build();
     try {
       engine->process_batch(std::span<const PacketRecord>(records).first(50));

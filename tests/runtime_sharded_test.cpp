@@ -117,19 +117,16 @@ std::unique_ptr<Engine> build_single(compiler::CompiledProgram program,
 
 /// A threaded engine with small rings, so back-pressure is exercised.
 std::unique_ptr<Engine> build_sharded(compiler::CompiledProgram program,
-                                      std::size_t shards, Nanos refresh,
-                                      std::size_t dispatchers = 1) {
+                                      std::size_t shards, Nanos refresh) {
   return build_engine(
-      std::move(program), Topology{"threaded", shards, dispatchers},
-      engine_config(refresh),
+      std::move(program), Topology{"threaded", shards}, engine_config(refresh),
       [](EngineBuilder& b) { b.ring_capacity(512).dispatch_batch(64); });
 }
 
 void run_equivalence(const CorpusEntry& entry, std::size_t shards,
-                     Nanos refresh, std::size_t dispatchers = 1) {
+                     Nanos refresh) {
   const std::string context = std::string(entry.name) + " shards=" +
-                              std::to_string(shards) + " dispatchers=" +
-                              std::to_string(dispatchers) +
+                              std::to_string(shards) +
                               " refresh=" + std::to_string(refresh.count());
   const auto records = workload();
 
@@ -139,7 +136,7 @@ void run_equivalence(const CorpusEntry& entry, std::size_t shards,
   single->finish(12_s);
 
   auto sharded = build_sharded(compiler::compile_source(entry.source, kParams),
-                               shards, refresh, dispatchers);
+                               shards, refresh);
   trace::replay_into(*sharded, records, /*batch=*/777);
   sharded->finish(12_s);
 
@@ -208,7 +205,9 @@ TEST(ShardedEngine, Fig2CorpusBitIdenticalWithPeriodicRefresh) {
       run_equivalence(entry, shards, /*refresh=*/1_s);
     }
   }
-  // Aggressive refresh on a representative linear + the non-linear kernel.
+  // Aggressive refresh — many in-band flushes interleaved with records — on
+  // the counter, a representative linear kernel and the non-linear one.
+  run_equivalence(kFig2Corpus[0], 8, /*refresh=*/100_ms);
   run_equivalence(kFig2Corpus[2], 8, /*refresh=*/100_ms);
   run_equivalence(kFig2Corpus[4], 8, /*refresh=*/100_ms);
 }
@@ -236,37 +235,9 @@ R3 = SELECT R2.COUNT / R1.COUNT FROM R1 JOIN R2 ON 5tuple
   }
 }
 
-TEST(ShardedEngine, ParallelDispatchBitIdenticalAcrossMatrix) {
-  // The tentpole property: D co-dispatchers feeding N shards through the
-  // D×N ring matrix, with the workers' sequence-ordered merge, must stay
-  // bit-identical to the single-threaded engine for every (D, N) — the
-  // merge reconstructs exactly the serial dispatch order per shard.
-  for (const auto& entry : kFig2Corpus) {
-    for (const std::size_t dispatchers : {2u, 4u}) {
-      for (const std::size_t shards : {1u, 2u, 8u}) {
-        run_equivalence(entry, shards, /*refresh=*/0_s, dispatchers);
-      }
-    }
-  }
-}
-
-TEST(ShardedEngine, ParallelDispatchWithPeriodicRefresh) {
-  // Refresh boundaries are detected by the caller's serial pre-scan and
-  // broadcast by whichever dispatcher owns the slice they fall in; the
-  // merge must execute them at exactly the single-threaded trace times.
-  for (const std::size_t dispatchers : {2u, 4u}) {
-    for (const std::size_t shards : {2u, 8u}) {
-      run_equivalence(kFig2Corpus[2], shards, /*refresh=*/1_s, dispatchers);
-      run_equivalence(kFig2Corpus[4], shards, /*refresh=*/1_s, dispatchers);
-    }
-  }
-  // Aggressive refresh: many in-band flushes interleaved with records.
-  run_equivalence(kFig2Corpus[0], 8, /*refresh=*/100_ms, 4);
-}
-
-TEST(ShardedEngine, ParallelDispatchSmallAndRaggedBatches) {
-  // Batches smaller than D leave some dispatchers with empty slices; their
-  // watermarks must still unblock the workers' merge.
+TEST(ShardedEngine, SmallAndRaggedBatches) {
+  // Batches far smaller than the dispatch batch leave most rings without a
+  // message; every record must still fold, in order, on its shard.
   const auto records = workload();
   auto single = build_single(
       compiler::compile_source(kFig2Corpus[0].source, kParams), 0_s);
@@ -274,7 +245,7 @@ TEST(ShardedEngine, ParallelDispatchSmallAndRaggedBatches) {
   single->finish(12_s);
 
   auto sharded = build_sharded(
-      compiler::compile_source(kFig2Corpus[0].source, kParams), 2, 0_s, 4);
+      compiler::compile_source(kFig2Corpus[0].source, kParams), 2, 0_s);
   // Ragged delivery: 1-record batches, then 3, then one big tail.
   std::span<const PacketRecord> span(records);
   for (std::size_t i = 0; i < 10 && i < span.size(); ++i) {
@@ -311,25 +282,18 @@ TEST(ShardedEngine, RejectsGeometryNotDivisibleByShards) {
                ConfigError);
 }
 
-TEST(ShardedEngine, RejectsZeroShardsAndZeroDispatchers) {
-  const auto count_by_srcip = [] {
-    return compiler::compile_source("SELECT COUNT GROUPBY srcip");
-  };
-  EXPECT_THROW(EngineBuilder(count_by_srcip())
-                   .sharded(0)
-                   .build(),
-               ConfigError);
-  EXPECT_THROW(EngineBuilder(count_by_srcip())
-                   .sharded(2)
-                   .dispatchers(0)
-                   .build(),
-               ConfigError);
+TEST(ShardedEngine, RejectsZeroShards) {
+  EXPECT_THROW(
+      EngineBuilder(compiler::compile_source("SELECT COUNT GROUPBY srcip"))
+          .sharded(0)
+          .build(),
+      ConfigError);
 }
 
 TEST(ShardedEngine, FinishTwiceAndProcessAfterFinishThrowCleanly) {
   const auto records = workload();
   auto engine = build_sharded(
-      compiler::compile_source("SELECT COUNT GROUPBY srcip"), 2, 0_s, 2);
+      compiler::compile_source("SELECT COUNT GROUPBY srcip"), 2, 0_s);
   engine->process_batch(std::span<const PacketRecord>(records).first(100));
   engine->finish(12_s);
   EXPECT_NO_THROW((void)engine->result());
@@ -344,7 +308,7 @@ TEST(ShardedEngine, FinishTwiceAndProcessAfterFinishThrowCleanly) {
 
 TEST(ShardedEngine, ComputedKeyProgramMatchesSingleEngine) {
   // Computed-key GROUPBYs take the slow (expression-tree) dispatch path:
-  // the dispatcher extracts the key just for its hash and the worker
+  // the caller extracts the key just for its hash and the worker
   // re-extracts it on its own core. Results must still be bit-identical.
   const char* source = "SELECT COUNT GROUPBY srcip, pkt_len / 256";
   const auto records = workload();
@@ -352,7 +316,7 @@ TEST(ShardedEngine, ComputedKeyProgramMatchesSingleEngine) {
   single->process_batch(records);
   single->finish(12_s);
 
-  auto sharded = build_sharded(compiler::compile_source(source), 8, 0_s, 2);
+  auto sharded = build_sharded(compiler::compile_source(source), 8, 0_s);
   trace::replay_into(*sharded, records, /*batch=*/777);
   sharded->finish(12_s);
 

@@ -7,8 +7,8 @@
 // merged over the backing store with the exact-merge machinery. The sharded
 // engine must agree with the serial engine at every boundary (its in-band
 // snapshot marker + eviction drain barrier reconstruct the same state from
-// D×N rings, per-shard cache slices and the concurrent backing store), and
-// taking snapshots must not perturb any engine's final results.
+// its shard rings, per-shard cache slices and the concurrent backing store),
+// and taking snapshots must not perturb any engine's final results.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -104,7 +104,7 @@ void run_snapshot_property(const CorpusEntry& entry, Nanos refresh) {
   std::vector<UnderTest> engines;
   for (const Topology& topo : kTopologies) {
     EngineBuilder b = builder_for(entry, refresh);
-    if (topo.shards > 0) b.sharded(topo.shards).dispatchers(topo.dispatchers);
+    if (topo.shards > 0) b.sharded(topo.shards);
     engines.push_back({topo.name, b.build()});
   }
 
@@ -168,7 +168,7 @@ TEST(Snapshot, RepeatedSnapshotsAtTheSameBoundaryAgree) {
   const auto records = workload();
   for (const bool sharded : {false, true}) {
     EngineBuilder builder = builder_for(kCorpus[0], 0_s);
-    if (sharded) builder.sharded(4).dispatchers(2);
+    if (sharded) builder.sharded(4);
     auto engine = builder.build();
     engine->process_batch(records);
     const EngineSnapshot a = engine->snapshot("R1", 11_s);

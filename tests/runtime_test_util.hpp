@@ -19,19 +19,16 @@
 namespace perfq::runtime {
 
 /// Where the engine folds: shards == 0 is the inline executor, otherwise
-/// the threaded one with `dispatchers` dispatchers.
+/// the threaded one with that many shard workers.
 struct Topology {
   const char* name = "serial";
   std::size_t shards = 0;
-  std::size_t dispatchers = 1;
 };
 
-inline constexpr Topology kSerial{"serial", 0, 1};
+inline constexpr Topology kSerial{"serial", 0};
 
-/// The contract matrix: inline, and D∈{1,2} × shards∈{1,4} threaded.
-inline constexpr Topology kTopologies[] = {
-    kSerial, {"d1s1", 1, 1}, {"d1s4", 4, 1}, {"d2s1", 1, 2}, {"d2s4", 4, 2},
-};
+/// The contract matrix: inline, and threaded with 1 and 4 shards.
+inline constexpr Topology kTopologies[] = {kSerial, {"s1", 1}, {"s4", 4}};
 
 /// Build `program` on `topology` through EngineBuilder with every `config`
 /// field applied; `tune` sets threaded-only knobs and runs only for a
@@ -54,7 +51,7 @@ inline std::unique_ptr<Engine> build_engine(
     builder.stream_sink(query, sink);
   }
   if (topology.shards > 0) {
-    builder.sharded(topology.shards).dispatchers(topology.dispatchers);
+    builder.sharded(topology.shards);
     if (tune) tune(builder);
   }
   return builder.build();

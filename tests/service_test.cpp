@@ -3,7 +3,7 @@
 //
 //   - THE ORACLE PROPERTY: a query attached at record boundary K produces
 //     tables bit-identical to a fresh engine fed only the post-attach
-//     suffix, on the serial engine and across sharded topologies (D x N),
+//     suffix, on the serial engine and across sharded topologies,
 //     whether it ends by detach mid-stream or by finish() — and the
 //     pre-existing queries are not perturbed by either.
 //   - Detach releases resources: a counting allocator proves the detached
@@ -21,18 +21,23 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <new>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics_export.hpp"
+#include "query_vocabulary.hpp"
 #include "runtime/engine_builder.hpp"
 #include "runtime_test_util.hpp"
 #include "service/line_protocol.hpp"
@@ -289,7 +294,7 @@ TEST(AttachOracle, StreamTenantRowsMatchSuffixOracle) {
   const std::size_t attach_at = 937;
   const ResultTable want =
       oracle_table(kStreamSource, all.subspan(attach_at), 0_s, 12_s);
-  for (const Topology& topo : {kSerial, Topology{"d2s4", 4, 2}}) {
+  for (const Topology& topo : {kSerial, Topology{"s4", 4}}) {
     auto engine = make_engine(kBaseSource, topo, 0_s);
     feed_uneven(*engine, all.subspan(0, attach_at));
     AttachOptions options;
@@ -306,7 +311,7 @@ TEST(AttachOracle, StreamTenantRowsMatchSuffixOracle) {
 // ---- validation: clean rejection, never degraded state ---------------------
 
 TEST(AttachValidation, RejectsNonAttachableProgramsWithoutStateChange) {
-  auto engine = make_engine(kBaseSource, Topology{"d1s4", 4, 1}, 0_s);
+  auto engine = make_engine(kBaseSource, Topology{"s4", 4}, 0_s);
   const auto records = test_workload();
   engine->process_batch(std::span{records}.subspan(0, 2000));
 
@@ -354,6 +359,41 @@ TEST(AttachValidation, RejectsNonAttachableProgramsWithoutStateChange) {
   engine->finish(12_s);
   EXPECT_EQ(engine->records_processed(), 3000u);
   EXPECT_GT(engine->table("t").row_count(), 0u);
+}
+
+TEST(AttachValidation, RejectsControlBytesInNamesWithoutStateChange) {
+  const auto records = test_workload();
+  const std::span<const PacketRecord> all{records};
+  auto control = make_engine(kBaseSource, kSerial, 0_s);
+  control->process_batch(all);
+  control->finish(12_s);
+  for (const Topology& topo : kTopologies) {
+    const std::string context = topo.name;
+    auto engine = make_engine(kBaseSource, topo, 0_s);
+    engine->process_batch(all.subspan(0, 2000));
+    for (const char* name : {"c\x01x", "del\x7f", "\x1b[0m", "two\nlines"}) {
+      AttachOptions options;
+      options.name = name;
+      EXPECT_THROW(engine->attach_query(
+                       compiler::compile_source(kEwmaSource, kParams), options),
+                   ConfigError)
+          << context;
+      EXPECT_THROW(engine->attach_query(
+                       compiler::compile_source(kStreamSource, kParams),
+                       options),
+                   ConfigError)
+          << context;
+    }
+    // Nothing was attached, and the base query folds on undisturbed.
+    const std::vector<StoreStats> stats = engine->store_stats();
+    ASSERT_EQ(stats.size(), 1u) << context;
+    EXPECT_EQ(stats[0].name, "BASE") << context;
+    EXPECT_TRUE(engine->metrics().streams.empty()) << context;
+    engine->process_batch(all.subspan(2000));
+    engine->finish(12_s);
+    expect_tables_bit_identical(control->result(), engine->result(),
+                                context + " base after rejected attaches");
+  }
 }
 
 TEST(AttachValidation, AttachEpochRecordedInStatsAndMetrics) {
@@ -585,6 +625,150 @@ TEST(LineProtocol, CommandsRoundTrip) {
   EXPECT_TRUE(service::execute_line(svc, "DETACH t1").ok);
   EXPECT_TRUE(service::execute_line(svc, "DETACH t2").ok);
   EXPECT_TRUE(service::execute_line(svc, "SHUTDOWN").shutdown);
+}
+
+TEST(LineProtocol, AttachRejectsControlBytesInNames) {
+  service::QueryService svc = make_service();
+  const auto records = test_workload();
+  svc.process_batch(records);
+  const double used = svc.used_die_fraction();
+  for (const char* line :
+       {"ATTACH c\x01x SELECT COUNT GROUPBY srcip",
+        "ATTACH del\x7f SELECT COUNT GROUPBY srcip",
+        "ATTACH s\x02 SELECT srcip, dstport WHERE tout == infinity"}) {
+    const service::Response reply = service::execute_line(svc, line);
+    EXPECT_FALSE(reply.ok);
+    EXPECT_EQ(reply.to_wire().rfind("ERR ", 0), 0u);
+  }
+  EXPECT_TRUE(svc.tenants().empty());
+  const service::Response list = service::execute_line(svc, "LIST");
+  ASSERT_TRUE(list.ok);
+  ASSERT_EQ(list.lines.size(), 1u);  // the budget line only
+  EXPECT_EQ(list.lines[0].rfind("budget ", 0), 0u);
+  EXPECT_DOUBLE_EQ(svc.used_die_fraction(), used);
+}
+
+// ---- execute_line fuzz ------------------------------------------------------
+
+bool is_control_byte(char c) {
+  const auto byte = static_cast<unsigned char>(c);
+  return byte < 0x20 || byte == 0x7f;
+}
+
+/// `text` with control bytes spelled as \xNN, for failure messages.
+std::string printable(std::string_view text) {
+  std::string out;
+  for (const char c : text) {
+    if (is_control_byte(c)) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\x%02x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+/// The reply must frame as "OK n" plus n payload lines free of control
+/// bytes, or as exactly one "ERR ..." line.
+void expect_framed(const std::string& wire, const std::string& request) {
+  const std::string context = "request: " + printable(request) +
+                              "\n  reply: " + printable(wire);
+  ASSERT_FALSE(wire.empty()) << context;
+  ASSERT_EQ(wire.back(), '\n') << context;
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  for (std::size_t nl = wire.find('\n'); nl != std::string::npos;
+       start = nl + 1, nl = wire.find('\n', start)) {
+    lines.push_back(wire.substr(start, nl - start));
+  }
+  if (lines[0].rfind("ERR ", 0) == 0) {
+    EXPECT_EQ(lines.size(), 1u) << context;
+    return;
+  }
+  ASSERT_EQ(lines[0].rfind("OK ", 0), 0u) << context;
+  EXPECT_EQ(lines.size(), 1 + std::stoul(lines[0].substr(3))) << context;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    EXPECT_TRUE(std::none_of(lines[i].begin(), lines[i].end(),
+                             is_control_byte))
+        << "payload line " << i << " carries a control byte; " << context;
+  }
+}
+
+/// A program assembled from the vocabulary's tokens: usually an attachable
+/// GROUPBY or stream SELECT, sometimes one the compiler rejects. Tokens are
+/// appended one draw at a time, so the sequence is the same on every
+/// compiler.
+std::string vocabulary_program(Rng& rng) {
+  std::string out = "SELECT ";
+  const auto add = [&](std::initializer_list<const char*> tokens) {
+    out += tokens.begin()[rng.below(tokens.size())];
+  };
+  if (rng.chance(0.6)) {
+    add({"COUNT", "COUNT, SUM(tout)"});
+    out += " GROUPBY ";
+    add({"srcip", "dstip", "5tuple"});
+  } else {
+    add({"srcip", "srcip, dstip", "tout - tin"});
+    out += " FROM T";
+  }
+  if (rng.chance(0.5)) {
+    out += " WHERE ";
+    add({"srcip", "dstip", "tout", "tin"});
+    out += ' ';
+    add({"==", "!=", "<", ">"});
+    out += ' ';
+    add({"1", "0.5", "1ms", "infinity"});
+  }
+  return out;
+}
+
+TEST(LineProtocolFuzz, RandomLinesKeepTheFraming) {
+  // A live serial service driven by seeded random request lines: protocol
+  // verbs (and a few non-verbs), tenant names from a pool that includes
+  // control bytes, query text from the language's vocabulary, and ingest
+  // between commands.
+  service::QueryService svc = make_service();
+  const auto records = test_workload();
+  const std::span<const PacketRecord> all{records};
+  const std::vector<std::string> verbs{
+      "PING",  "ATTACH", "ATTACH", "ATTACH", "DETACH", "SNAPSHOT", "DRAIN",
+      "LIST",  "STATS",  "JSON",   "PROM",   "SHUTDOWN", "BOGUS",  ""};
+  const std::vector<std::string> names{
+      "t1", "t2", "t3", "BASE", "c\x01x", "del\x7f", "\x1b[0m", "bell\x07"};
+  Rng rng(14);
+  std::size_t fed = 0;
+  for (int i = 0; i < 3000 && !::testing::Test::HasFailure(); ++i) {
+    if (fed < all.size() && rng.chance(0.25)) {
+      const std::size_t n =
+          std::min<std::size_t>(1 + rng.below(64), all.size() - fed);
+      svc.process_batch(all.subspan(fed, n));
+      fed += n;
+    }
+    std::string line = verbs[rng.below(verbs.size())];
+    if (rng.chance(0.9)) line += " " + names[rng.below(names.size())];
+    if (line.rfind("ATTACH", 0) == 0) {
+      const std::string text = rng.chance(0.5)
+                                   ? vocabulary_program(rng)
+                                   : random_soup(rng, 1 + rng.below(20));
+      line += " " + service::escape_source(text);
+    }
+    std::string wire;
+    try {
+      wire = service::execute_line(svc, line).to_wire();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "escaped execute_line: " << e.what()
+                    << "\n  request: " << printable(line);
+      break;
+    }
+    expect_framed(wire, line);
+  }
+  EXPECT_EQ(service::execute_line(svc, "PING").to_wire(), "OK 0\n");
+  const service::Response list = service::execute_line(svc, "LIST");
+  EXPECT_TRUE(list.ok);
+  expect_framed(list.to_wire(), "LIST");
 }
 
 TEST(QueryServer, LoopbackSocketRoundTrip) {

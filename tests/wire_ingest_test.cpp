@@ -238,7 +238,7 @@ TEST(WireIngest, ChecksumVerificationOptInCountsBadChecksum) {
   // and the verdict reaches the metrics surface.
   EngineConfig verifying = engine_config(0_s);
   verifying.verify_checksums = true;
-  for (const Topology& topo : {kSerial, Topology{"d1s4", 4, 1}}) {
+  for (const Topology& topo : {kSerial, Topology{"s4", 4}}) {
     SCOPED_TRACE(topo.name);
     auto engine = build_engine(
         compiler::compile_source(kFig2Corpus[0].source, kParams), topo,
