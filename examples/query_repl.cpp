@@ -1,14 +1,20 @@
 // Query runner / REPL: compile and execute an arbitrary query over a
-// synthetic trace (or a PQTR trace file), printing the compilation report
-// and the result table. Demonstrates the toolchain the way an operator
-// console would use it.
+// synthetic trace (or a PQWF/pcap capture file), printing the compilation
+// report and the result table. Demonstrates the toolchain the way an
+// operator console would use it.
 //
 // Usage:
-//   ./build/examples/query_repl                      # demo query
-//   ./build/examples/query_repl query.pq             # query from file
-//   ./build/examples/query_repl query.pq trace.pqtr  # ... over a saved trace
-//   echo 'SELECT COUNT GROUPBY srcip' | ./build/examples/query_repl -
-//   ./build/examples/query_repl -i [query.pq]        # interactive console
+//   ./build/query_repl                       # demo query
+//   ./build/query_repl query.pq              # query from file
+//   ./build/query_repl query.pq trace.pqwf   # ... over a capture (or .pcap)
+//   ./build/query_repl - trace.pqwf          # query on stdin, over a capture
+//   echo 'SELECT COUNT GROUPBY srcip' | ./build/query_repl -
+//   ./build/query_repl -i [query.pq]         # interactive console
+//
+// A capture replays through the engine's wire front in bursts
+// (Engine::process_wire_batch): damaged frames and a torn file tail are
+// skipped and counted, and the counts are printed before the result.
+// tools/make_wire_trace writes such captures.
 //
 // Interactive mode keeps the engine live between commands: .run feeds
 // synthetic traffic, .snapshot pulls a mid-run result, .attach/.detach add
@@ -16,7 +22,6 @@
 // socket server in examples/query_server.cpp speaks), and .stats/.json/.prom
 // read the engine's own telemetry (Engine::metrics()) — the operator-console
 // view of "the monitor monitoring itself".
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -30,7 +35,7 @@
 #include "service/query_service.hpp"
 #include "switchsim/match_compiler.hpp"
 #include "trace/flow_session.hpp"
-#include "trace/trace_io.hpp"
+#include "trace/wire_trace.hpp"
 
 namespace {
 
@@ -247,15 +252,28 @@ int main(int argc, char** argv) {
     Nanos end;
     if (argc >= argi + 2) {
       const char* trace_path = argv[argi + 1];
-      trace::TraceReader reader(trace_path);
-      std::printf("replaying %llu records from %s\n",
-                  static_cast<unsigned long long>(reader.record_count()),
-                  trace_path);
+      trace::WireTraceReader reader(trace_path);
+      std::printf("replaying %s\n", trace_path);
+      constexpr std::size_t kBurst = 1024;
+      std::vector<FrameObservation> burst;
+      burst.reserve(kBurst);
+      trace::IngestStats stats;
       end = Nanos{0};
-      while (auto rec = reader.next()) {
-        engine->process(*rec);
-        end = std::max(end, rec->tin);
+      while (auto frame = reader.next()) {
+        burst.push_back(*frame);
+        end = frame->tin;  // frames are time-ordered
+        if (burst.size() == kBurst) {
+          stats += engine->process_wire_batch(burst);
+          burst.clear();
+        }
       }
+      if (!burst.empty()) stats += engine->process_wire_batch(burst);
+      // A torn file tail never reached the engine: the reader counts it.
+      trace::IngestStats lost;
+      lost.truncated = reader.stats().truncated;
+      engine->record_ingest(lost);
+      stats += lost;
+      std::printf("%s\n", stats.to_string().c_str());
     } else {
       trace::TraceConfig workload =
           trace::TraceConfig::caida_like().scaled(0.002);

@@ -1,6 +1,6 @@
 // Failpoint fault injection: named sites compiled into the engine's failure
-// domains (fold core, eviction path, ring push/pop, merge thread, snapshot
-// rendezvous) that tests can arm to throw or stall on demand.
+// domains (fold core, ring push/pop, snapshot rendezvous) that tests can arm
+// to throw or stall on demand.
 //
 // The whole framework is compiled OUT by default: PERFQ_FAILPOINT(name)
 // expands to nothing unless the build defines PERFQ_FAILPOINTS (CMake option

@@ -263,15 +263,6 @@ std::uint64_t FabricEngine::records() const {
 
 namespace {
 
-void merge_histogram(obs::HistogramSnapshot& dst,
-                     const obs::HistogramSnapshot& src) {
-  for (std::size_t b = 0; b < dst.buckets.size(); ++b) {
-    dst.buckets[b] += src.buckets[b];
-  }
-  dst.count += src.count;
-  dst.sum_ns += src.sum_ns;
-}
-
 void merge_store_stats(runtime::StoreStats& dst,
                        const runtime::StoreStats& src) {
   dst.cache.packets += src.cache.packets;
@@ -328,9 +319,9 @@ FabricMetrics FabricEngine::metrics() const {
     }
     // Per-thread pipeline state (shards/rings) stays per-switch:
     // summing thread ids across engines would be meaningless.
-    merge_histogram(r.batch_ns, m.batch_ns);
-    merge_histogram(r.snapshot_ns, m.snapshot_ns);
-    merge_histogram(r.absorb_ns, m.absorb_ns);
+    r.batch_ns += m.batch_ns;
+    r.snapshot_ns += m.snapshot_ns;
+    r.absorb_ns += m.absorb_ns;
     r.ingest.parsed += m.ingest.parsed;
     r.ingest.truncated += m.ingest.truncated;
     r.ingest.unsupported += m.ingest.unsupported;

@@ -28,8 +28,9 @@
 //     not a hardware target — keeps an exact side index whose nodes are
 //     heap-allocated per initialize/evict.)
 //
-// Threading: a Cache is single-threaded (the sharded runtime gives each
-// worker its own). The shared FoldKernel must be stateless per update; the
+// Threading: a Cache is single-threaded (the threaded executor gives each
+// shard worker its own KeyValueStore, so each slice and its backing store
+// have one thread). The shared FoldKernel must be stateless per update; the
 // fold VM keeps its register file on the call stack for exactly this reason.
 #pragma once
 
@@ -103,9 +104,9 @@ class Cache {
   /// hash h satisfies floor(h·N / 2^64) == s (i.e. shard s of N) lands in
   /// local bucket reduce_range(h·N mod 2^64, num_buckets) — exactly global
   /// bucket s·num_buckets + local of an (N·num_buckets)-bucket cache. The
-  /// sharded runtime uses this so each shard's cache reproduces its slice of
-  /// the single-threaded cache bit-for-bit (same bucket contents, same LRU
-  /// order, same evictions).
+  /// threaded executor uses this (through KeyValueStore) so each shard's
+  /// cache reproduces its slice of the single-threaded cache bit-for-bit
+  /// (same bucket contents, same LRU order, same evictions).
   Cache(CacheGeometry geometry, std::shared_ptr<const FoldKernel> kernel,
         std::uint64_t hash_seed = 0x5eedcafe,
         EvictionPolicy policy = EvictionPolicy::kLru,
@@ -140,11 +141,12 @@ class Cache {
   /// Non-destructive read of every resident entry: hand `fn` an EvictedValue
   /// *copy* of each occupied slot (exactly what flush(now) would emit), while
   /// the entries stay resident and untouched — no stats, no LRU movement, no
-  /// epoch reset. This is the engines' mid-run snapshot path: merging these
-  /// copies over a copy of the backing store with the ordinary exact-merge
-  /// machinery yields the table a flush-at-`now` would have produced.
-  /// Single-threaded like every other Cache method: the sharded runtime runs
-  /// it on the owning shard worker.
+  /// epoch reset. This is the engines' mid-run snapshot path
+  /// (KeyValueStore::merged_backing): merging these copies over a copy of
+  /// the backing store with the ordinary exact-merge machinery yields the
+  /// table a flush-at-`now` would have produced. Single-threaded like every
+  /// other Cache method: the threaded executor runs it on the owning shard
+  /// worker.
   void snapshot_into(Nanos now, const EvictionSink& fn) const;
 
   [[nodiscard]] const CacheStats& stats() const { return stats_; }

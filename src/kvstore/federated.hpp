@@ -84,8 +84,8 @@ struct StoreExport {
   std::vector<ExportedEntry> entries;
 };
 
-/// The network-wide merged store. Same read surface shape as BackingStore /
-/// ShardedBackingStore (for_each / lookup / segments / valid / accuracy), so
+/// The network-wide merged store. Same read surface shape as BackingStore
+/// (for_each / segments / valid / accuracy), so
 /// runtime::materialize_switch_table() renders it directly.
 class FederatedStore {
  public:

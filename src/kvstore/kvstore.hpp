@@ -1,8 +1,10 @@
 // Facade tying the SRAM cache to the DRAM backing store (Fig. 3): the
 // *programmable key-value store* that is the paper's hardware contribution.
 //
-// The GROUPBY executor in src/runtime drives one KeyValueStore per (query,
-// switch); tests and the Fig. 5/6 harnesses drive it directly.
+// Both executors in src/runtime fold into KeyValueStores: the inline one
+// holds one per (query, switch), the threaded one one per (query, shard),
+// each a bucket slice of the same cache with its own backing store. Tests
+// and the Fig. 5/6 harnesses drive it directly.
 #pragma once
 
 #include <memory>
@@ -14,11 +16,13 @@ namespace perfq::kv {
 
 class KeyValueStore {
  public:
+  /// `bucket_scale` makes the cache a bucket slice (see Cache's constructor).
   KeyValueStore(CacheGeometry geometry, std::shared_ptr<const FoldKernel> kernel,
                 std::uint64_t hash_seed = 0x5eedcafe,
-                EvictionPolicy policy = EvictionPolicy::kLru)
+                EvictionPolicy policy = EvictionPolicy::kLru,
+                std::uint64_t bucket_scale = 1)
       : kernel_(std::move(kernel)),
-        cache_(geometry, kernel_, hash_seed, policy),
+        cache_(geometry, kernel_, hash_seed, policy, bucket_scale),
         backing_(kernel_) {
     cache_.set_eviction_sink(
         [this](EvictedValue&& ev) { backing_.absorb(ev); });
@@ -34,6 +38,19 @@ class KeyValueStore {
   /// or the paper's periodic refresh). After flush(), reads from the backing
   /// store see every packet processed so far.
   void flush(Nanos now) { cache_.flush(now); }
+
+  /// The engines' mid-run pull: a copy of the backing store with the live
+  /// cache entries merged in through the ordinary exact-merge absorb — bit
+  /// for bit what a flush at `now` would leave there, with neither structure
+  /// disturbed.
+  [[nodiscard]] BackingStore merged_backing(Nanos now) const {
+    BackingStore merged = backing_;
+    // Room for every resident key up front: the overlay never regrows.
+    merged.reserve(merged.key_count() + cache_.occupancy());
+    cache_.snapshot_into(
+        now, [&merged](EvictedValue&& ev) { merged.absorb(ev); });
+    return merged;
+  }
 
   /// Authoritative read: the paper specifies results are pulled from the
   /// backing store (the cache's copy is partial for previously-evicted keys).

@@ -174,6 +174,16 @@ struct HistogramSnapshot {
   }
   /// Bucket-interpolated quantile in nanoseconds; q in [0, 1]. 0 when empty.
   [[nodiscard]] double quantile_ns(double q) const;
+
+  /// Pool `other`'s samples into this histogram.
+  HistogramSnapshot& operator+=(const HistogramSnapshot& other) {
+    for (std::size_t b = 0; b < buckets.size(); ++b) {
+      buckets[b] += other.buckets[b];
+    }
+    count += other.count;
+    sum_ns += other.sum_ns;
+    return *this;
+  }
 };
 
 }  // namespace perfq::obs

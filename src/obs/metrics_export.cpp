@@ -87,10 +87,6 @@ void visit_metrics(const runtime::EngineMetrics& m, const MetricFn& fn) {
 
   for (const runtime::ShardMetrics& s : m.shards) {
     const MetricLabels labels{{"shard", std::to_string(s.shard)}};
-    fn("shard_evictions_pushed", labels,
-       static_cast<double>(s.evictions_pushed));
-    fn("shard_evictions_absorbed", labels,
-       static_cast<double>(s.evictions_absorbed));
     fn("shard_worker_exited", labels, s.worker_exited ? 1.0 : 0.0);
   }
   for (const runtime::RingMetrics& r : m.rings) {
@@ -99,9 +95,6 @@ void visit_metrics(const runtime::EngineMetrics& m, const MetricFn& fn) {
     fn("ring_occupancy_hwm", labels, static_cast<double>(r.occupancy_hwm));
     fn("ring_capacity", labels, static_cast<double>(r.capacity));
     fn("ring_push_stalls", labels, static_cast<double>(r.push_stalls));
-  }
-  if (m.engine == "sharded") {
-    fn("engine_merge_exited", none, m.merge_exited ? 1.0 : 0.0);
   }
 
   visit_histogram("batch_ns", m.batch_ns, fn);
@@ -238,7 +231,7 @@ std::string format_metrics(const runtime::EngineMetrics& m) {
   };
   hist_line("batch latency", m.batch_ns);
   hist_line("snapshot latency", m.snapshot_ns);
-  hist_line("absorb latency", m.absorb_ns);
+  hist_line("shard flush latency", m.absorb_ns);
   if (!m.shards.empty()) out += "pipeline:" + format_pipeline(m) + "\n";
   if (m.ingest.total() > 0) out += m.ingest.to_string() + "\n";
   if (m.replay_records > 0) {
@@ -250,13 +243,10 @@ std::string format_metrics(const runtime::EngineMetrics& m) {
 }
 
 std::string format_pipeline(const runtime::EngineMetrics& m) {
-  std::string out = "\n  merge thread: ";
-  out += m.merge_exited ? "exited" : "running";
+  std::string out;
   for (const runtime::ShardMetrics& s : m.shards) {
     out += "\n  shard " + std::to_string(s.shard) + ": worker ";
     out += s.worker_exited ? "exited" : "running";
-    out += ", evictions pushed=" + std::to_string(s.evictions_pushed) +
-           " absorbed=" + std::to_string(s.evictions_absorbed);
     for (const runtime::RingMetrics& r : m.rings) {
       if (r.shard != s.shard) continue;
       out += ", ring occupancy " + std::to_string(r.occupancy) + "/" +

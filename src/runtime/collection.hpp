@@ -25,8 +25,8 @@ void run_collection_query(const compiler::CompiledProgram& program, int index,
                           std::map<int, ResultTable>& tables);
 
 /// Materialize one on-switch GROUPBY's result table from a backing store
-/// (anything with `for_each(fn(key, value, valid))`: BackingStore or
-/// ShardedBackingStore). Rows are sorted into canonical key order so the
+/// (anything with `for_each(fn(key, value, valid))`: BackingStore or the
+/// threaded executor's StoreView). Rows are sorted into canonical key order so the
 /// result is independent of map iteration and eviction interleaving — this
 /// is what lets downstream collection queries (which accumulate in row
 /// order) reproduce the same floating-point results bit-for-bit whichever

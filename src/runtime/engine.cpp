@@ -120,9 +120,9 @@ void Engine::run_batch(std::size_t size, Body&& body) {
     if (!stream_->empty()) stream_->deliver();
   });
   if (timed) batch_ns_.record(obs::now_ns() - t0);
-  // A fault on a pipeline thread during this batch (worker or merge death,
-  // watchdog expiry) may have abandoned dispatch: surface it at the batch
-  // boundary rather than on the next call.
+  // A fault on a pipeline thread during this batch (worker death, watchdog
+  // expiry) may have abandoned dispatch: surface it at the batch boundary
+  // rather than on the next call.
   throw_if_faulted();
 }
 

@@ -8,8 +8,10 @@
 //   - InlineExecutor (the default): the caller folds each record into one
 //     KeyValueStore per on-switch GROUPBY; evictions absorb directly.
 //   - ThreadedExecutor (EngineBuilder::sharded(N)): the caller routes
-//     records through one ring per shard to N shard workers, and a merge
-//     thread absorbs their evictions into concurrent backing stores.
+//     records through one ring per shard to N shard workers, and each
+//     worker folds into its own KeyValueStore per query (a bucket slice of
+//     the cache over a private backing store); evictions absorb directly
+//     there too.
 // Everything above the fold is written once, in Engine: the query registry,
 // attach validation, refresh-boundary detection, stream delivery, the wire
 // front, finish and the collection layer, result/table, telemetry and the
@@ -34,9 +36,10 @@
 //     exact-merge machinery finish() uses, so for linear-in-state kernels the
 //     returned table is bit-for-bit the table a fresh engine fed the same
 //     record prefix would produce from finish(now). This holds for both
-//     executors (the threaded one reaches the boundary by draining its
-//     in-flight rings and eviction queues for the snapshot — no thread is
-//     stopped, folding resumes immediately after).
+//     executors (the threaded one reaches the boundary with an in-band
+//     marker down every ring; each worker copies its slice of the query at
+//     the marker and acks — no thread is stopped, folding resumes
+//     immediately after).
 //   - Kernels that are NOT linear in state have no merge function (§3.2):
 //     a key resident in the cache at snapshot time contributes one extra
 //     value segment covering [its epoch start, now), exactly as a flush at
@@ -45,7 +48,9 @@
 //   - The engine is not perturbed: caches, stats, refresh schedule and final
 //     results are identical whether or not snapshots were taken.
 //   - Cost: proportional to cache occupancy plus the backing store size of
-//     the one query (it is copied). A monitoring-rate read, not a hot path.
+//     the one query (it is copied; the threaded executor copies each shard's
+//     slice on its own worker, in parallel). A monitoring-rate read, not a
+//     hot path.
 //   - snapshot() must be called from the processing (caller) thread, between
 //     process_batch() calls; only stream-SELECT queries are excluded (their
 //     rows stream through StreamSinks instead).
@@ -54,19 +59,20 @@
 //
 // An exception escaping the engine's own machinery mid-run — a throwing user
 // StreamSink, a fault injected through common/failpoint.hpp, a crashed shard
-// worker or merge thread — leaves the state at an arbitrary point inside a
-// batch. There is no way to resume without silently corrupting results, so
-// the engine implements one poisoned-state protocol (engine_fault.hpp):
+// worker — leaves the state at an arbitrary point inside a batch. There is
+// no way to resume without silently corrupting results, so the engine
+// implements one poisoned-state protocol (engine_fault.hpp):
 //
 //   - The FIRST failure wins: its description is captured in a FaultSlot
 //     (role + shard + cause); later failures during the unwind are dropped.
-//     The slot is also the threaded executor's stop flag, so the caller,
-//     the workers and the merge thread unwind promptly instead of spinning
-//     on rings that will never drain.
+//     The slot is also the threaded executor's stop flag, so the caller and
+//     the workers unwind promptly instead of spinning on rings that will
+//     never drain.
 //   - The call that observes the fault throws EngineFaultError (an Error
-//     subclass) carrying the faulting role ("worker", "merge", ...), the
-//     shard index if any, and the original cause. Watchdog faults append a
-//     pipeline diagnostic (ring occupancy, per-thread state) to what().
+//     subclass) carrying the faulting role ("caller", "worker",
+//     "watchdog"), the shard index if any, and the original cause. Watchdog
+//     faults append a pipeline diagnostic (ring occupancy, per-worker
+//     state) to what().
 //   - The engine is then POISONED: every subsequent process_batch(),
 //     finish(), snapshot(), result(), table() and store_stats() call throws
 //     the SAME EngineFaultError. No call ever hangs, returns partial
@@ -93,14 +99,19 @@
 //   - Every counter is individually torn-free and monotone (single-writer
 //     relaxed slots, obs/metrics.hpp); gauges (ring occupancy) are
 //     instantaneous approximations.
-//   - CROSS-counter invariants (cache hits + initializations == packets;
-//     shard evictions pushed == absorbed) hold exactly at quiescent points —
-//     between process_batch() calls with the inline executor, and after
-//     finish() (or a snapshot drain barrier) with the threaded one. Mid-run
-//     they hold up to the records currently in flight.
+//   - CROSS-counter invariants hold exactly at quiescent points — between
+//     process_batch() calls with the inline executor, and at every
+//     rendezvous (snapshot, export, attach, detach) and after finish() with
+//     the threaded one. Mid-run they hold up to the records currently in
+//     flight. Per query:
+//       cache hits + initializations == cache packets;
+//       backing_capacity_writes == cache evictions;
+//       backing_writes == cache evictions + cache flushes.
+//     The last two hold because every eviction and flush absorbs into the
+//     backing store synchronously, on the thread that folded the key.
 //   - metrics() on a POISONED engine does NOT throw: a monitor must be able
 //     to observe a wedged or crashed pipeline. `faulted` is set and the
-//     per-thread exit flags show which role died.
+//     per-worker exit flags show which shard died.
 //
 // metrics_to_json() / metrics_to_prometheus() (obs/metrics_export.hpp) render
 // the same enumeration of metrics — anything metrics() carries appears in
@@ -250,7 +261,7 @@ struct StoreStats {
   std::uint64_t backing_writes = 0;
   std::uint64_t backing_capacity_writes = 0;
   /// Packets merged into the backing store so far (it lags cache.packets
-  /// by what is cache-resident or in flight to it).
+  /// by what is cache-resident or still in a shard ring).
   std::uint64_t backing_packets = 0;
   std::size_t keys = 0;
   bool attached = false;              ///< dynamically attached (vs base program)
@@ -277,8 +288,6 @@ struct StreamSinkMetrics {
 /// Per-shard pipeline accounting (threaded executor only).
 struct ShardMetrics {
   std::size_t shard = 0;
-  std::uint64_t evictions_pushed = 0;    ///< evictions enqueued by the worker
-  std::uint64_t evictions_absorbed = 0;  ///< evictions merged by the merge thread
   bool worker_exited = false;
 };
 
@@ -312,7 +321,6 @@ struct EngineMetrics {
   // Threaded pipeline state (empty with the inline executor).
   std::vector<ShardMetrics> shards;
   std::vector<RingMetrics> rings;  ///< one per shard
-  bool merge_exited = false;
 
   // Latency histograms (log2-ns buckets; see obs::HistogramSnapshot).
   obs::HistogramSnapshot batch_ns;     ///< process_batch() wall time (sampled)
@@ -320,7 +328,9 @@ struct EngineMetrics {
   /// overlay the live cache on a copy of the backing store (materializing
   /// or exporting the result is not included).
   obs::HistogramSnapshot snapshot_ns;
-  obs::HistogramSnapshot absorb_ns;    ///< merge-thread absorb sweep latency
+  /// Latency of each shard's refresh or final flush into its backing
+  /// stores, pooled over the shards (threaded executor only).
+  obs::HistogramSnapshot absorb_ns;
 
   // Ingest/replay accounting recorded by the trace layer (record_ingest /
   // record_replay) — zero if no driver reported any.
@@ -335,7 +345,6 @@ struct ThreadedConfig {
   std::size_t num_shards = 4;
   std::size_t ring_capacity = 4096;  ///< messages, rounded up to a power of 2
   std::size_t dispatch_batch = 256;
-  std::size_t eviction_batch = 128;
   std::chrono::milliseconds drain_timeout{10'000};  ///< zero disables
 };
 
@@ -433,8 +442,9 @@ class Engine {
   [[nodiscard]] EngineMetrics metrics() const;
 
   /// Fold one feed's ingest accounting into metrics().ingest. Drivers that
-  /// parse wire-format input (trace::replay_frames, TraceReader loops) call
-  /// this when the feed ends; callable multiple times (stats accumulate).
+  /// parse wire-format input (trace::replay_frames,
+  /// trace::replay_wire_trace) call this when the feed ends; callable
+  /// multiple times (stats accumulate).
   void record_ingest(const trace::IngestStats& stats);
 
   /// Record one replay pass (trace::replay) for metrics().replay_*.

@@ -10,9 +10,8 @@
 // with it, on N shard worker threads fed by the caller (the threaded
 // executor) — same results either way (bit-identical for linear kernels), so
 // the choice is purely a deployment knob. Threaded-only tuning knobs
-// (ring_capacity, dispatch_batch, eviction_batch, drain_timeout) are
-// rejected at build() when no sharding was requested, so a config can't
-// silently misapply.
+// (ring_capacity, dispatch_batch, drain_timeout) are rejected at build()
+// when no sharding was requested, so a config can't silently misapply.
 #pragma once
 
 #include <chrono>
@@ -91,15 +90,10 @@ class EngineBuilder {
     threaded_.dispatch_batch = records;
     return threaded_knob("dispatch_batch()");
   }
-  /// Evictions a shard worker buffers before handing them to the merger.
-  EngineBuilder& eviction_batch(std::size_t evictions) {
-    threaded_.eviction_batch = evictions;
-    return threaded_knob("eviction_batch()");
-  }
   /// Drain watchdog deadline for every caller-side wait on the threaded
-  /// pipeline (full-ring pushes, snapshot barriers, the finish() joins). On
-  /// expiry the blocked call throws EngineFaultError with a pipeline
-  /// diagnostic instead of hanging. Zero disables.
+  /// pipeline (full-ring pushes, the snapshot rendezvous, the finish()
+  /// joins). On expiry the blocked call throws EngineFaultError with a
+  /// pipeline diagnostic instead of hanging. Zero disables.
   EngineBuilder& drain_timeout(std::chrono::milliseconds deadline) {
     threaded_.drain_timeout = deadline;
     return threaded_knob("drain_timeout()");

@@ -1,8 +1,8 @@
 // Structured engine faults: the failure-domain contract of the runtime.
 //
 // The engine converts ANY exception escaping its processing machinery — a
-// worker or merge thread body of the threaded executor, the fold or
-// stream-sink path on the caller, or a drain-watchdog expiry — into one
+// shard worker body of the threaded executor, the fold or stream-sink path
+// on the caller, or a drain-watchdog expiry — into one
 // permanent poisoned state: the first exception wins the engine's FaultSlot,
 // every sibling thread unwinds cleanly (no std::terminate, no wedged peer),
 // and every subsequent engine call (process_batch / finish / snapshot /
@@ -25,7 +25,6 @@ namespace perfq::runtime {
 enum class ThreadRole : std::uint8_t {
   kCaller,    ///< the application thread, inside an engine call
   kWorker,    ///< a shard worker thread
-  kMerge,     ///< the eviction merge thread
   kWatchdog,  ///< a drain deadline expired on the caller thread
 };
 
@@ -33,19 +32,18 @@ enum class ThreadRole : std::uint8_t {
   switch (role) {
     case ThreadRole::kCaller: return "caller";
     case ThreadRole::kWorker: return "worker";
-    case ThreadRole::kMerge: return "merge";
     case ThreadRole::kWatchdog: return "watchdog";
   }
   return "?";
 }
 
-/// Shard id meaning "not shard-specific" (caller/merge/watchdog faults).
+/// Shard id meaning "not shard-specific" (caller/watchdog faults).
 inline constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
 /// The structured error a poisoned engine throws from every call. `cause` is
 /// the what() of the original exception; `diagnostic` is the watchdog's
-/// pipeline dump (ring occupancy, eviction counters, thread states) when the
-/// fault is a drain-deadline expiry, empty otherwise.
+/// pipeline dump (ring occupancy, worker states) when the fault is a
+/// drain-deadline expiry, empty otherwise.
 class EngineFaultError : public Error {
  public:
   EngineFaultError(ThreadRole role, std::size_t shard, std::string cause,

@@ -92,19 +92,12 @@ class InlineExecutor {
   /// The record boundary is always "now": nothing is in flight.
   void reach_boundary() {}
 
-  /// The shared pull primitive: `fn` receives a copy of `slot`'s backing
-  /// store with its live cache entries merged in through the ordinary
-  /// exact-merge absorb — bit for bit what a flush at `now` would leave
-  /// there, with neither structure disturbed.
+  /// The shared pull primitive: `fn` receives `slot`'s store as a flush at
+  /// `now` would leave it (KeyValueStore::merged_backing).
   template <typename Fn>
   decltype(auto) merged_store(std::size_t slot, Nanos now, Fn&& fn) {
-    const kv::KeyValueStore& store = *slots_[slot].store;
-    kv::BackingStore merged = store.backing();
-    // Room for every resident key up front: the overlay never regrows.
-    merged.reserve(merged.key_count() + store.cache().occupancy());
-    store.cache().snapshot_into(
-        now, [&merged](kv::EvictedValue&& ev) { merged.absorb(ev); });
-    return fn(std::as_const(merged));
+    const kv::BackingStore merged = slots_[slot].store->merged_backing(now);
+    return fn(merged);
   }
 
   /// End the window: flush every cache into its backing store.

@@ -1,6 +1,7 @@
 #include "runtime/threaded_executor.hpp"
 
 #include <array>
+#include <iterator>
 #include <utility>
 
 #include "common/error.hpp"
@@ -23,10 +24,6 @@ ThreadedExecutor::ThreadedExecutor(const EngineConfig& engine,
   if (config_.dispatch_batch == 0) {
     throw ConfigError{"sharded engine: zero dispatch batch"};
   }
-  if (config_.eviction_batch == 0) {
-    throw ConfigError{"sharded engine: zero eviction batch"};
-  }
-
   // Shards: one input ring each; per-query cache slices arrive through
   // install().
   shards_.reserve(config_.num_shards);
@@ -34,16 +31,9 @@ ThreadedExecutor::ThreadedExecutor(const EngineConfig& engine,
     shards_.push_back(std::make_unique<Shard>(s, config_.ring_capacity));
   }
 
-  merge_thread_ = std::thread([this] {
-    thread_main(ThreadRole::kMerge, kNoShard, merge_exited_,
-                [this] { merge_loop(); });
-  });
   for (auto& shard : shards_) {
     Shard& sh = *shard;
-    sh.thread = std::thread([this, &sh] {
-      thread_main(ThreadRole::kWorker, sh.index, sh.exited,
-                  [this, &sh] { worker_loop(sh); });
-    });
+    sh.thread = std::thread([this, &sh] { worker_main(sh); });
   }
 }
 
@@ -57,7 +47,7 @@ ThreadedExecutor::~ThreadedExecutor() {
 
 ThreadedExecutor::Prepared ThreadedExecutor::prepare(
     std::size_t slot, const compiler::SwitchQueryPlan& plan,
-    const kv::CacheGeometry& geometry) {
+    const kv::CacheGeometry& geometry) const {
   const std::size_t n_shards = shards_.size();
   if (slot >= kNoQuery) {
     throw ConfigError{"sharded engine: too many switch queries"};
@@ -71,21 +61,12 @@ ThreadedExecutor::Prepared ThreadedExecutor::prepare(
   kv::CacheGeometry slice = geometry;
   slice.num_buckets = geometry.num_buckets / n_shards;
   Prepared p;
-  p.backing = std::make_unique<kv::ShardedBackingStore>(plan.kernel, n_shards);
-  // Each cache slice's evictions feed its shard's MPSC queue (batched)
-  // instead of a synchronous backing-store absorb.
   for (std::size_t s = 0; s < n_shards; ++s) {
-    Shard& sh = *shards_[s];
-    p.caches.push_back(std::make_unique<kv::Cache>(
+    p.stores.push_back(std::make_unique<kv::KeyValueStore>(
         slice, plan.kernel, engine_.hash_seed, engine_.eviction_policy,
         /*bucket_scale=*/n_shards));
-    kv::Cache& cache = *p.caches.back();
-    cache.set_eviction_sink([this, &sh, slot](kv::EvictedValue&& ev) {
-      sh.evict_buf.push_back(
-          TaggedEviction{static_cast<std::uint16_t>(slot), std::move(ev)});
-      if (sh.evict_buf.size() >= config_.eviction_batch) push_evictions(sh);
-    });
-    p.cores.push_back(std::make_unique<SwitchFoldCore>(plan, cache));
+    p.cores.push_back(
+        std::make_unique<SwitchFoldCore>(plan, p.stores.back()->cache()));
   }
   return p;
 }
@@ -96,27 +77,24 @@ void ThreadedExecutor::install(std::size_t slot,
   if (slot >= plans_.size()) {
     plans_.resize(slot + 1);
     routers_.resize(slot + 1);
-    backings_.resize(slot + 1);
     for (auto& shard : shards_) {
-      shard->caches.resize(slot + 1);
+      shard->stores.resize(slot + 1);
       shard->cores.resize(slot + 1);
     }
   }
   plans_[slot] = &plan;
   routers_[slot] = compiler::KeyRouter::make(plan);
-  backings_[slot] = std::move(prepared.backing);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->caches[slot] = std::move(prepared.caches[s]);
+    shards_[s]->stores[slot] = std::move(prepared.stores[s]);
     shards_[s]->cores[slot] = std::move(prepared.cores[s]);
   }
 }
 
 void ThreadedExecutor::remove(std::size_t slot) {
   for (auto& shard : shards_) {
-    shard->caches[slot].reset();
+    shard->stores[slot].reset();
     shard->cores[slot].reset();
   }
-  backings_[slot].reset();
   routers_[slot].reset();
   plans_[slot] = nullptr;
 }
@@ -124,7 +102,7 @@ void ThreadedExecutor::remove(std::size_t slot) {
 kv::CacheStats ThreadedExecutor::cache_stats(std::size_t slot) const {
   kv::CacheStats sum;
   for (const auto& shard : shards_) {
-    const kv::CacheStats& cs = shard->caches[slot]->stats();
+    const kv::CacheStats& cs = shard->stores[slot]->cache().stats();
     sum.packets += cs.packets;
     sum.hits += cs.hits;
     sum.initializations += cs.initializations;
@@ -134,20 +112,39 @@ kv::CacheStats ThreadedExecutor::cache_stats(std::size_t slot) const {
   return sum;
 }
 
+std::vector<kv::ExportedEntry> ThreadedExecutor::StoreView::export_entries()
+    const {
+  std::vector<kv::ExportedEntry> out;
+  out.reserve(key_count());
+  for (const kv::BackingStore* part : parts_) {
+    std::vector<kv::ExportedEntry> entries = part->export_entries();
+    out.insert(out.end(), std::make_move_iterator(entries.begin()),
+               std::make_move_iterator(entries.end()));
+  }
+  return out;
+}
+
+kv::AccuracyStats ThreadedExecutor::StoreView::accuracy() const {
+  kv::AccuracyStats sum;
+  for (const kv::BackingStore* part : parts_) {
+    const kv::AccuracyStats a = part->accuracy();
+    sum.total_keys += a.total_keys;
+    sum.valid_keys += a.valid_keys;
+  }
+  return sum;
+}
+
 // ---- failure-domain machinery ----------------------------------------------
 
-template <typename Loop>
-void ThreadedExecutor::thread_main(ThreadRole role, std::size_t shard,
-                                   std::atomic<bool>& exited,
-                                   Loop&& loop) noexcept {
+void ThreadedExecutor::worker_main(Shard& sh) noexcept {
   try {
-    loop();
+    worker_loop(sh);
   } catch (const std::exception& e) {
-    fault_.record(role, shard, e.what());
+    fault_.record(ThreadRole::kWorker, sh.index, e.what());
   } catch (...) {
-    fault_.record(role, shard, "unknown exception");
+    fault_.record(ThreadRole::kWorker, sh.index, "unknown exception");
   }
-  exited.store(true, std::memory_order_release);
+  sh.exited.store(true, std::memory_order_release);
 }
 
 std::string ThreadedExecutor::pipeline_diagnostic(const char* what) const {
@@ -165,15 +162,10 @@ std::string ThreadedExecutor::pipeline_diagnostic(const char* what) const {
 }
 
 void ThreadedExecutor::collect_pipeline(EngineMetrics& m) const {
-  m.merge_exited = merge_exited_.load(std::memory_order_acquire);
-  m.absorb_ns = absorb_ns_.snapshot();
   for (const auto& shard : shards_) {
+    m.absorb_ns += shard->flush_ns.snapshot();
     ShardMetrics sm;
     sm.shard = shard->index;
-    sm.evictions_pushed =
-        shard->evictions_pushed.load(std::memory_order_acquire);
-    sm.evictions_absorbed =
-        shard->evictions_absorbed.load(std::memory_order_acquire);
     sm.worker_exited = shard->exited.load(std::memory_order_acquire);
     m.shards.push_back(sm);
 
@@ -289,14 +281,6 @@ void ThreadedExecutor::publish(Shard& sh) {
   sh.staging.clear();
 }
 
-void ThreadedExecutor::push_evictions(Shard& sh) {
-  const std::uint64_t n = sh.evict_buf.size();
-  if (n == 0) return;
-  PERFQ_FAILPOINT("sharded.evict_push");
-  sh.evictions.push_batch(sh.evict_buf);
-  sh.evictions_pushed.fetch_add(n, std::memory_order_release);
-}
-
 void ThreadedExecutor::fold_wire(std::span<const FrameObservation> frames,
                                  bool verify_checksums,
                                  trace::IngestStats& stats) {
@@ -383,32 +367,28 @@ void ThreadedExecutor::worker_process(Shard& sh, std::size_t i,
     case ShardMsg::Kind::kRecord:
       sh.cores[msg.query]->fold(i, msg.rec);
       break;
-    case ShardMsg::Kind::kFlush:
-      // Null slots are free (their slices are gone).
-      for (auto& cache : sh.caches) {
-        if (cache != nullptr) cache->flush(msg.rec.tin);
+    case ShardMsg::Kind::kFlush: {
+      // Refresh or the final flush: every live slice writes back into its
+      // own backing store, here and now, so the store is fresh as soon as
+      // the flush returns. Null slots are free (their stores are gone).
+      const std::uint64_t t0 = obs::kTelemetryEnabled ? obs::now_ns() : 0;
+      for (auto& store : sh.stores) {
+        if (store != nullptr) store->flush(msg.rec.tin);
       }
-      // Refresh wants the backing store fresh soon: hand the flush's
-      // evictions to the merge thread immediately.
-      push_evictions(sh);
+      if (obs::kTelemetryEnabled) sh.flush_ns.record(obs::now_ns() - t0);
       break;
+    }
     case ShardMsg::Kind::kSnapshot:
       // Record-boundary rendezvous, executed at exactly the requested
-      // boundary (the ring delivered every earlier record first): hand
-      // pending evictions to the merge thread so the caller's drain barrier
-      // can prove the backing stores boundary-exact, copy the requested
-      // query's live slice non-destructively (none for a bare quiesce), and
-      // publish the generation — the caller is spinning on it. Folding
-      // resumes with the next message.
+      // boundary (the ring delivered every earlier record first, and every
+      // eviction they caused is already absorbed): copy the requested
+      // query's merged slice (none for a bare quiesce) and publish the
+      // generation — the caller is spinning on it. Folding resumes with the
+      // next message.
       PERFQ_FAILPOINT("sharded.snapshot_worker");
-      push_evictions(sh);
-      sh.snapshot_out.clear();
       if (msg.query != kNoQuery) {
-        sh.caches[msg.query]->snapshot_into(
-            msg.rec.tin, [&sh, &msg](kv::EvictedValue&& ev) {
-              sh.snapshot_out.push_back(
-                  TaggedEviction{msg.query, std::move(ev)});
-            });
+        sh.snapshot_out = std::make_unique<kv::BackingStore>(
+            sh.stores[msg.query]->merged_backing(msg.rec.tin));
       }
       sh.snapshot_ready.store(msg.raw_hash, std::memory_order_release);
       break;
@@ -445,52 +425,6 @@ void ThreadedExecutor::worker_loop(Shard& sh) {
       worker_process(sh, i, chunk[i]);
     }
   }
-  push_evictions(sh);
-}
-
-void ThreadedExecutor::absorb_sweep(Shard& shard,
-                                    std::vector<TaggedEviction>& drained) {
-  // Absorb-sweep latency tap: on the merge thread, off every caller path,
-  // so it is always-on (no sampling needed).
-  const std::uint64_t t0 = obs::kTelemetryEnabled ? obs::now_ns() : 0;
-  for (TaggedEviction& t : drained) backings_[t.query]->absorb(t.ev);
-  if (obs::kTelemetryEnabled) absorb_ns_.record(obs::now_ns() - t0);
-  // Count only after the absorbs landed: the drain barrier reads this to
-  // prove the backing store caught up.
-  shard.evictions_absorbed.fetch_add(drained.size(),
-                                     std::memory_order_release);
-}
-
-void ThreadedExecutor::merge_loop() {
-  std::vector<TaggedEviction> drained;
-  std::uint32_t idle_polls = 0;
-  for (;;) {
-    bool any = false;
-    for (auto& shard : shards_) {
-      if (shard->evictions.drain(drained)) {
-        any = true;
-        PERFQ_FAILPOINT("sharded.merge_absorb");
-        absorb_sweep(*shard, drained);
-      }
-    }
-    // Poisoned: exit without the final sweep — results are forfeit, and a
-    // dead worker may never stop producing counters we'd wait on.
-    if (stopping()) return;
-    if (any) {
-      idle_polls = 0;
-      continue;
-    }
-    if (merge_stop_.load(std::memory_order_acquire)) {
-      // Producers are joined before merge_stop_ is set, so nothing new can
-      // arrive — but a worker may have pushed to a queue after this sweep
-      // already passed it. One final sweep picks those up.
-      for (auto& shard : shards_) {
-        if (shard->evictions.drain(drained)) absorb_sweep(*shard, drained);
-      }
-      return;
-    }
-    idle_wait(idle_polls);
-  }
 }
 
 // ---- boundaries and teardown ------------------------------------------------
@@ -515,14 +449,6 @@ void ThreadedExecutor::stop_pipeline(bool flush, Nanos now, bool watchdog) {
     if (!shard->thread.joinable()) continue;
     if (!watchdog || wait_exited(shard->exited, "worker exit")) {
       shard->thread.join();
-    } else {
-      all_joined = false;
-    }
-  }
-  merge_stop_.store(true, std::memory_order_release);
-  if (merge_thread_.joinable()) {
-    if (!watchdog || wait_exited(merge_exited_, "merge exit")) {
-      merge_thread_.join();
     } else {
       all_joined = false;
     }
@@ -556,28 +482,16 @@ void ThreadedExecutor::rendezvous(std::size_t query, Nanos now) {
   // 2. Wait for every worker to reach the boundary and publish its copy
   // (acquire pairs with the worker's release store). Stop-aware: a worker
   // that died before the boundary can never publish, and the watchdog
-  // converts a wedged one into a recorded fault.
+  // converts a wedged one into a recorded fault. Workers absorb their
+  // evictions synchronously, so an ack also proves that shard's stores
+  // boundary-exact. On return the workers sit between messages, so the
+  // caller may also grow or free per-shard topology the next messages will
+  // see (ring publish/pop is the release/acquire pair that orders it).
   for (auto& shard : shards_) {
     SpinState spin;
     while (shard->snapshot_ready.load(std::memory_order_acquire) != gen) {
       if (fault_.faulted()) fault_.raise();
       spin_backoff(spin, "the snapshot rendezvous");
-    }
-  }
-  // 3. The drain barrier: every eviction produced before the boundary is
-  // now in the MPSC queues (workers push before acking); wait until the
-  // merge thread has absorbed them all. On return the workers sit between
-  // messages, so the caller may also grow or free per-shard topology the
-  // next messages will see (ring publish/pop is the release/acquire pair
-  // that orders it).
-  for (auto& shard : shards_) {
-    const std::uint64_t target =
-        shard->evictions_pushed.load(std::memory_order_acquire);
-    SpinState spin;
-    while (shard->evictions_absorbed.load(std::memory_order_acquire) <
-           target) {
-      if (fault_.faulted()) fault_.raise();
-      spin_backoff(spin, "the snapshot eviction drain barrier");
     }
   }
 }

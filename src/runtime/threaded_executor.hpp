@@ -4,8 +4,8 @@
 // delivery, results, telemetry, the fault gate) is the same as for the
 // inline executor.
 //
-// Topology (caller → one SPSC ring per shard → shard workers → eviction
-// queues → merge thread → concurrent backing store):
+// Topology (caller → one SPSC ring per shard → shard workers, each owning
+// one store per query):
 //
 //   the caller thread, the only dispatcher
 //     - evaluates each switch query's prefilter, computes the key's hash
@@ -21,14 +21,14 @@
 //     - pop their ring in order, re-pack the key on their own core (reusing
 //       the caller's hash via Key::pack_prehashed — the byte-level hash is
 //       still computed once per record), and fold through the same
-//       SwitchFoldCore hot path the inline executor uses against their
-//       private bucket-slice cache;
-//     - cache evictions are buffered and enqueued onto the shard's MPSC
-//       eviction queue instead of synchronously touching the backing store.
-//   1 merge thread
-//     - drains the eviction queues into the per-query ShardedBackingStore
-//       (sharded by key, one mutex per sub-store), so the paper's periodic
-//       refresh keeps the backing store fresh while workers keep folding.
+//       SwitchFoldCore hot path the inline executor uses;
+//     - fold each query into their own kv::KeyValueStore: a bucket slice of
+//       the query's cache over a private BackingStore that absorbs the
+//       slice's evictions synchronously, exactly as the inline executor's
+//       store does. A key folds on exactly one shard, so its evictions reach
+//       one store in epoch order, the order the exact merge needs, and the
+//       N stores hold disjoint keys: read together (StoreView) they are the
+//       query's backing store, with no lock and no merge step.
 //
 // Determinism: every worker folds exactly the records routed to it, in
 // global record order, so shard s's cache is exactly the bucket slice
@@ -42,9 +42,9 @@
 // LRU/FIFO eviction; kRandom draws per-shard RNG streams and is only
 // statistically equivalent).
 //
-// Failure domains: every worker and merge thread body is wrapped so the
-// first escaping exception is captured into the engine's FaultSlot. The slot
-// doubles as the stop flag: once it is set, every inter-thread spin (ring
+// Failure domains: every worker body is wrapped so the first escaping
+// exception is captured into the engine's FaultSlot. The slot doubles as
+// the stop flag: once it is set, every inter-thread spin (ring
 // push/pop, snapshot rendezvous) unwinds instead of waiting on a dead peer,
 // and the engine's gate throws the structured EngineFaultError — never a
 // hang, never std::terminate. Caller-side drains are additionally guarded by
@@ -64,11 +64,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/mpsc_queue.hpp"
 #include "common/spsc_ring.hpp"
 #include "compiler/key_router.hpp"
 #include "compiler/program.hpp"
-#include "kvstore/sharded_backing_store.hpp"
+#include "kvstore/kvstore.hpp"
 #include "runtime/engine_api.hpp"
 #include "runtime/engine_fault.hpp"
 #include "runtime/fold_core.hpp"
@@ -80,16 +79,55 @@ class ThreadedExecutor {
  public:
   static constexpr const char* kName = "sharded";
 
-  /// One query's per-shard cache slices, fold cores and backing store,
-  /// built before it is installed.
+  /// One query's per-shard stores and fold cores, built before it is
+  /// installed.
   struct Prepared {
-    std::vector<std::unique_ptr<kv::Cache>> caches;  ///< one per shard
+    std::vector<std::unique_ptr<kv::KeyValueStore>> stores;  ///< one per shard
     std::vector<std::unique_ptr<SwitchFoldCore>> cores;
-    std::unique_ptr<kv::ShardedBackingStore> backing;
   };
 
-  /// Starts the worker and merge threads. `refresh`, `stream` and `fault`
-  /// belong to the engine and outlive the executor.
+  /// One query's N per-shard backing stores read as one. Their keys are
+  /// disjoint, so visiting each in turn visits every key once. Read-only
+  /// and lock-free: it is only handed out over stores no worker is writing,
+  /// except that with_backing() lets metrics readers sum live counters.
+  class StoreView {
+   public:
+    explicit StoreView(std::vector<const kv::BackingStore*> parts)
+        : parts_(std::move(parts)) {}
+
+    /// Visit (key, merged value, valid), shard by shard.
+    template <typename F>
+    void for_each(F&& fn) const {
+      for (const kv::BackingStore* part : parts_) part->for_each(fn);
+    }
+    [[nodiscard]] std::vector<kv::ExportedEntry> export_entries() const;
+    [[nodiscard]] kv::AccuracyStats accuracy() const;
+    [[nodiscard]] std::size_t key_count() const {
+      return sum(&kv::BackingStore::key_count);
+    }
+    [[nodiscard]] std::uint64_t writes() const {
+      return sum(&kv::BackingStore::writes);
+    }
+    [[nodiscard]] std::uint64_t capacity_writes() const {
+      return sum(&kv::BackingStore::capacity_writes);
+    }
+    [[nodiscard]] std::uint64_t packets() const {
+      return sum(&kv::BackingStore::packets);
+    }
+
+   private:
+    template <typename Counter>
+    [[nodiscard]] std::uint64_t sum(Counter counter) const {
+      std::uint64_t n = 0;
+      for (const kv::BackingStore* part : parts_) n += (part->*counter)();
+      return n;
+    }
+
+    std::vector<const kv::BackingStore*> parts_;
+  };
+
+  /// Starts the worker threads. `refresh`, `stream` and `fault` belong to
+  /// the engine and outlive the executor.
   ThreadedExecutor(const EngineConfig& engine, ThreadedConfig config,
                    RefreshClock& refresh, StreamStage& stream,
                    FaultSlot& fault);
@@ -106,7 +144,7 @@ class ThreadedExecutor {
   /// engine as it was.
   [[nodiscard]] Prepared prepare(std::size_t slot,
                                  const compiler::SwitchQueryPlan& plan,
-                                 const kv::CacheGeometry& geometry);
+                                 const kv::CacheGeometry& geometry) const;
   /// Install a prepared query at `slot`. Call with nothing in flight: before
   /// the first batch, or after reach_boundary(). The workers see the new
   /// entries through the next ring publish/pop pair.
@@ -128,53 +166,58 @@ class ThreadedExecutor {
                  bool verify_checksums, trace::IngestStats& stats);
 
   /// Quiesce at the current record boundary: an in-band marker through
-  /// every ring, every worker's ack, then the eviction drain barrier. On
-  /// return nothing is in flight and the backing stores are boundary-exact;
-  /// folding resumes with the next batch. Throws EngineFaultError if the
-  /// pipeline faults or the watchdog expires.
+  /// every ring and every worker's ack. On return nothing is in flight and
+  /// every shard's stores are boundary-exact; folding resumes with the next
+  /// batch. Throws EngineFaultError if the pipeline faults or the watchdog
+  /// expires.
   void reach_boundary();
 
   /// The shared pull primitive without stopping the pipeline: the same
-  /// in-band rendezvous as reach_boundary(), but each worker also writes a
-  /// non-destructive epoch-stamped copy of `slot`'s live cache slice; the
-  /// copies are overlaid on a clone of the concurrent backing store with the
-  /// exact-merge machinery and `fn` receives the clone. No thread is joined
-  /// or stopped.
+  /// in-band rendezvous as reach_boundary(), but at the marker each worker
+  /// also copies its slice of `slot` as a flush at `now` would leave it
+  /// (KeyValueStore::merged_backing). `fn` reads the N copies through one
+  /// StoreView; they are released when it returns. No thread is joined or
+  /// stopped.
   template <typename Fn>
   decltype(auto) merged_store(std::size_t slot, Nanos now, Fn&& fn) {
     rendezvous(slot, now);
-    // Keys are disjoint across shards (each key folds on exactly one
-    // worker), so shard order cannot matter.
-    const std::unique_ptr<kv::ShardedBackingStore> merged =
-        backings_[slot]->clone();
+    // Take the copies from the workers; they die when `fn` returns.
+    std::vector<std::unique_ptr<kv::BackingStore>> copies;
+    std::vector<const kv::BackingStore*> parts;
     for (auto& shard : shards_) {
-      for (TaggedEviction& t : shard->snapshot_out) merged->absorb(t.ev);
+      copies.push_back(std::move(shard->snapshot_out));
+      parts.push_back(copies.back().get());
     }
-    return fn(std::as_const(*merged));
+    return fn(StoreView{std::move(parts)});
   }
 
   /// End the window at the current record boundary: final in-band flush,
-  /// drain rings and eviction queues, join every thread. Throws
-  /// EngineFaultError if the drain faults.
+  /// drain the rings, join every worker. Throws EngineFaultError if the
+  /// drain faults.
   void close(Nanos now);
 
-  /// `fn` receives `slot`'s concurrent backing store. Mid-run it lags by
-  /// whatever is cache-resident or still in flight to the merge thread.
+  /// `fn` receives `slot`'s N live backing stores as one StoreView. Mid-run
+  /// only its counters may be read (the workers are absorbing into the
+  /// stores); they lag by whatever is cache-resident or still in the rings.
   template <typename Fn>
   decltype(auto) with_backing(std::size_t slot, Fn&& fn) const {
-    return fn(std::as_const(*backings_[slot]));
+    std::vector<const kv::BackingStore*> live;
+    for (const auto& shard : shards_) {
+      live.push_back(&shard->stores[slot]->backing());
+    }
+    return fn(StoreView{std::move(live)});
   }
 
   /// `slot`'s cache counters, summed across shards.
   [[nodiscard]] kv::CacheStats cache_stats(std::size_t slot) const;
 
-  /// Fill the pipeline part of an EngineMetrics (shards, rings, merge
-  /// state, absorb latency). Lock-free — also safe from the watchdog's
+  /// Fill the pipeline part of an EngineMetrics (shards, rings, flush
+  /// latency). Lock-free — also safe from the watchdog's
   /// diagnostic path while threads are wedged.
   void collect_pipeline(EngineMetrics& m) const;
 
  private:
-  /// Idle backoff for the worker/merge poll loops: yield for this many
+  /// Idle backoff for the worker poll loop and the caller's spins: yield for this many
   /// empty polls (bursty traffic), then park in short sleeps (truly idle).
   static constexpr std::uint32_t kIdlePollsBeforeSleep = 256;
   static constexpr std::chrono::microseconds kIdleSleep{100};
@@ -188,9 +231,9 @@ class ThreadedExecutor {
     enum class Kind : std::uint8_t {
       kRecord,
       kFlush,
-      /// Record-boundary rendezvous: the worker pushes its pending
-      /// evictions, copies the live slice of `query` (unless kNoQuery) and
-      /// acks the generation carried in raw_hash through snapshot_ready.
+      /// Record-boundary rendezvous: the worker copies its merged slice of
+      /// `query` (unless kNoQuery) and acks the generation carried in
+      /// raw_hash through snapshot_ready.
       kSnapshot,
       kStop
     };
@@ -199,11 +242,6 @@ class ThreadedExecutor {
     std::uint64_t raw_hash = 0;  ///< key's seed-0 byte hash (kRecord); the
                                  ///< rendezvous generation (kSnapshot)
     PacketRecord rec;  ///< the record; rec.tin carries flush/snapshot time
-  };
-
-  struct TaggedEviction {
-    std::uint16_t query = 0;
-    kv::EvictedValue ev;
   };
 
   struct Shard {
@@ -219,25 +257,20 @@ class ThreadedExecutor {
     std::vector<ShardMsg> staging;
     obs::RelaxedU64 ring_stalls;
     obs::RelaxedU64 ring_hwm;
-    /// Worker side, from here on.
-    alignas(kCacheLineBytes) MpscQueue<TaggedEviction> evictions;
-    /// Per switch-query slot; null when the slot is free (the message
-    /// `query` field indexes these directly).
-    std::vector<std::unique_ptr<kv::Cache>> caches;
-    std::vector<std::unique_ptr<SwitchFoldCore>> cores;  ///< parallel to caches
-    std::vector<TaggedEviction> evict_buf;  ///< worker-local staging
-    /// Rendezvous: the worker writes a non-destructive copy of the requested
-    /// query's resident entries here, then publishes the generation through
-    /// `snapshot_ready` (release); the caller spins on it (acquire). Only
-    /// ever touched between those two fences, so no lock is needed.
-    std::vector<TaggedEviction> snapshot_out;
+    /// Worker side, from here on. Per switch-query slot; null when the slot
+    /// is free (the message `query` field indexes these directly).
+    alignas(kCacheLineBytes) std::vector<std::unique_ptr<kv::KeyValueStore>>
+        stores;
+    std::vector<std::unique_ptr<SwitchFoldCore>> cores;  ///< parallel to stores
+    /// Latency of each flush of this shard's stores (refresh or final).
+    obs::LatencyHistogram flush_ns;
+    /// Rendezvous: the worker writes the requested query's merged slice
+    /// here, then publishes the generation through `snapshot_ready`
+    /// (release); the caller spins on it (acquire) and takes the copy
+    /// before it sends the next message. Only ever touched between those
+    /// fences, so no lock is needed.
+    std::unique_ptr<kv::BackingStore> snapshot_out;
     alignas(kCacheLineBytes) std::atomic<std::uint64_t> snapshot_ready{0};
-    /// Eviction flow accounting for the snapshot's drain barrier: the worker
-    /// counts evictions handed to the MPSC queue, the merge thread counts
-    /// absorptions; pushed == absorbed means the backing store has caught
-    /// up with everything this worker produced.
-    alignas(kCacheLineBytes) std::atomic<std::uint64_t> evictions_pushed{0};
-    alignas(kCacheLineBytes) std::atomic<std::uint64_t> evictions_absorbed{0};
     std::size_t index = 0;  ///< shard id, for fault attribution
     /// Set by the worker thread on its way out (normal exit, fault unwind,
     /// or stop-flag abandon). The watchdog-guarded joins wait on this so a
@@ -265,14 +298,11 @@ class ThreadedExecutor {
   void worker_prepare(Shard& shard, std::size_t i, const ShardMsg& msg);
   /// Pass 2 of a chunk slot: fold a record or execute a control message.
   void worker_process(Shard& shard, std::size_t i, ShardMsg& msg);
-  void merge_loop();
-  /// Thread entry wrapper: run the loop, record any escaping exception in
-  /// the fault slot (first exception wins; every stop-aware loop then
-  /// unwinds), and flag exit — an engine thread can never reach
-  /// std::terminate or die silently while its peers spin on it.
-  template <typename Loop>
-  void thread_main(ThreadRole role, std::size_t shard,
-                   std::atomic<bool>& exited, Loop&& loop) noexcept;
+  /// Thread entry: run worker_loop, record any escaping exception in the
+  /// fault slot (first exception wins; every stop-aware loop then unwinds),
+  /// and flag exit — a worker can never reach std::terminate or die
+  /// silently while its peers spin on it.
+  void worker_main(Shard& shard) noexcept;
   /// The stop flag: set by the first fault and never cleared.
   [[nodiscard]] bool stopping() const { return fault_.faulted(); }
   /// One step of the idle backoff every poll loop shares.
@@ -284,17 +314,13 @@ class ThreadedExecutor {
   void spin_backoff(SpinState& spin, const char* what);
   /// Record a kWatchdog fault for the wait named `what`, with the dump.
   void record_watchdog(const char* what);
-  /// The watchdog's dump: per-ring occupancy, per-shard eviction
-  /// pushed/absorbed counters, and thread exit states.
+  /// The watchdog's dump: per-ring occupancy and worker exit states.
   [[nodiscard]] std::string pipeline_diagnostic(const char* what) const;
   /// Watchdog-guarded wait for a thread's exit flag (finish() path). Returns
   /// true when the thread exited (safe to join instantly); false when the
   /// deadline plus one grace period expired with the thread still wedged —
   /// the join is then deferred to the destructor.
   bool wait_exited(const std::atomic<bool>& exited, const char* what);
-  /// Hand the worker's staged evictions to the merge thread, maintaining
-  /// the pushed counter the drain barrier reads.
-  static void push_evictions(Shard& sh);
   void stage(Shard& sh, ShardMsg&& msg);
   /// Stage a copy of `msg` for every shard.
   void broadcast(const ShardMsg& msg);
@@ -303,14 +329,12 @@ class ThreadedExecutor {
   /// watchdog-guarded.
   void publish(Shard& sh);
   /// The record-boundary rendezvous behind reach_boundary() and
-  /// merged_store(): broadcast kSnapshot through every ring, wait for every
-  /// worker's ack (each copies `query`'s live slice first unless kNoQuery),
-  /// then the eviction drain barrier.
+  /// merged_store(): broadcast kSnapshot through every ring and wait for
+  /// every worker's ack (each copies its merged slice of `query` first
+  /// unless kNoQuery).
   void rendezvous(std::size_t query, Nanos now);
-  /// Absorb one drained sweep into the backing stores (merge thread).
-  void absorb_sweep(Shard& shard, std::vector<TaggedEviction>& drained);
   /// Send final kFlush (optionally) + kStop through every ring and join all
-  /// threads. `watchdog` guards the joins with the drain deadline (finish()
+  /// workers. `watchdog` guards the joins with the drain deadline (finish()
   /// path); the destructor passes false and joins unboundedly.
   void stop_pipeline(bool flush, Nanos now, bool watchdog);
   /// The cache-placement hash from a key's raw (seed-0) hash; identical to
@@ -326,20 +350,14 @@ class ThreadedExecutor {
   FaultSlot& fault_;
   std::uint64_t seed_mix_ = 0;  ///< mix64(hash_seed), precomputed
   /// Per switch-query slot; a free slot's entries are null. Message `query`
-  /// fields and eviction-sink closures index these vectors, so a resident
-  /// query's index never moves.
+  /// fields index these vectors, so a resident query's index never moves.
   std::vector<const compiler::SwitchQueryPlan*> plans_;
   /// Record-direct router per plan; nullopt = computed key, expression path.
   std::vector<std::optional<compiler::KeyRouter>> routers_;
-  std::vector<std::unique_ptr<kv::ShardedBackingStore>> backings_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<PacketRecord> wire_pending_;  ///< wire-burst scratch (caller only)
-  obs::LatencyHistogram absorb_ns_;  ///< merge-thread absorb sweep latency
   std::uint64_t snapshot_gen_ = 0;  ///< caller-side rendezvous generation
-  std::atomic<bool> merge_stop_{false};
-  std::atomic<bool> merge_exited_{false};
   bool threads_stopped_ = false;
-  std::thread merge_thread_;  ///< after everything the merge thread reads
 };
 
 }  // namespace perfq::runtime

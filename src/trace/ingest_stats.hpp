@@ -2,7 +2,7 @@
 //
 // Live capture and on-disk traces both deliver damaged input as a matter of
 // course — snap-length truncation, foreign EtherTypes, files cut off by a
-// crashed writer. The ingest layer (wire::try_parse, TraceReader,
+// crashed writer. The ingest layer (wire::try_parse, WireTraceReader,
 // replay_frames, Engine::process_wire_batch) skips such input instead of
 // aborting the run, and counts what it skipped here so the caller can tell
 // "clean trace" from "mostly garbage" — a run that silently dropped half its

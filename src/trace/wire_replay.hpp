@@ -1,11 +1,10 @@
 // Wire-frame replay: feed raw captured frames into any engine, resiliently.
 //
-// The PQTR format stores fully-decoded PacketRecords; this driver is the
-// other ingest path — byte frames straight off a capture (or a test vector),
-// decoded through wire::try_parse. Damaged frames (snap-length truncation,
-// foreign EtherTypes, self-inconsistent headers) are SKIPPED AND COUNTED,
-// never thrown on: one bad frame in a billion-packet capture must not abort
-// the run, but the caller gets an exact IngestStats accounting of what was
+// Byte frames straight off a capture (or a test vector), decoded through
+// wire::try_parse. Damaged frames (snap-length truncation, foreign
+// EtherTypes, self-inconsistent headers) are SKIPPED AND COUNTED, never
+// thrown on: one bad frame in a billion-packet capture must not abort the
+// run, but the caller gets an exact IngestStats accounting of what was
 // dropped. Statically polymorphic over the engine like replay.hpp.
 //
 // This is the eager (materialize-per-frame) reference path. Engines expose

@@ -1,27 +1,26 @@
 // Binary frame-trace files ("PQWF"): store and replay raw wire frames.
 //
-// PQTR (trace_io.hpp) persists fully-decoded PacketRecords; PQWF is its
-// wire-level sibling — each entry is the captured frame bytes plus the
-// telemetry sidecar (qid/tin/tout/qsize) a raw frame cannot encode. The
-// reader memory-maps the file so replay hands the engine FrameObservation
-// spans that point straight into the page cache: capture bytes → fold with
-// zero copies on the lazy process_wire_batch path.
+// Each entry is the captured frame bytes plus the telemetry sidecar
+// (qid/tin/tout/qsize) a raw frame cannot encode. The reader memory-maps
+// the file so replay hands the engine FrameObservation spans that point
+// straight into the page cache: capture bytes → fold with zero copies on
+// the lazy process_wire_batch path.
 //
 // Layout (little-endian, fixed width):
 //   file header   {u32 magic "PQWF", u32 version, u64 frame_count}
 //   per frame     {u32 wire_len, u32 qid, u32 qsize, u32 reserved,
 //                  i64 tin_ns, i64 tout_ns} + wire_len frame bytes
-// frame_count is patched on close, like PQTR.
+// frame_count is patched on close.
 //
 // The same reader fronts pcap-lite files (microsecond 0xa1b2c3d4 and
 // nanosecond 0xa1b23c4d little-endian magics): pcap carries no queue
 // telemetry, so qid/qsize read 0 and tin = tout = the capture timestamp.
 //
-// Failure contract mirrors TraceReader: a damaged file header (bad
-// magic/version, byte-swapped pcap) is rejected at construction; a torn
-// tail — a crashed writer or partial copy cutting a frame header or body
-// short — is a data condition: next() ends the stream early and stats()
-// counts the frames the file promised but could not deliver.
+// Failure contract: a damaged file header (bad magic/version, byte-swapped
+// pcap) is rejected at construction; a torn tail — a crashed writer or
+// partial copy cutting a frame header or body short — is a data condition:
+// next() ends the stream early and stats() counts the frames the file
+// promised but could not deliver.
 #pragma once
 
 #include <cstddef>
@@ -135,9 +134,15 @@ IngestStats replay_wire_trace(Engine& engine,
     stats += engine.process_wire_batch(
         std::span<const FrameObservation>(pending));
   }
-  // The engine already judged every delivered frame (parsed or skipped);
-  // the reader only adds what the file itself failed to deliver.
-  stats.truncated += reader.stats().truncated;
+  // The engine already judged (and recorded) every delivered frame; the
+  // reader adds what the file itself failed to deliver, which the engine
+  // never saw, so record that in the engine too (as replay_frames does).
+  IngestStats lost;
+  lost.truncated = reader.stats().truncated;
+  stats += lost;
+  if constexpr (requires { engine.record_ingest(lost); }) {
+    engine.record_ingest(lost);
+  }
   return stats;
 }
 

@@ -1,7 +1,6 @@
-// Concurrency primitives of the sharded runtime: the SPSC record ring, the
-// MPSC eviction queue, page-granular (huge-page-advised) allocation, and the
-// concurrent sharded backing store. The threaded tests here are the ones the
-// CI ThreadSanitizer job gates on.
+// Concurrency primitives of the threaded executor: the SPSC record ring and
+// page-granular (huge-page-advised) allocation. The threaded ring test is
+// one the CI ThreadSanitizer job gates on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +11,7 @@
 #include <vector>
 
 #include "common/hugepage.hpp"
-#include "common/mpsc_queue.hpp"
 #include "common/spsc_ring.hpp"
-#include "kvstore/builtin_folds.hpp"
-#include "kvstore/sharded_backing_store.hpp"
 
 namespace perfq {
 namespace {
@@ -91,43 +87,6 @@ TEST(SpscRing, TwoThreadsPreserveOrderUnderBulkTransfer) {
   EXPECT_TRUE(ring.empty());
 }
 
-TEST(MpscQueue, MultiProducerKeepsPerProducerFifo) {
-  constexpr std::uint64_t kProducers = 4;
-  constexpr std::uint64_t kPerProducer = 20'000;
-  MpscQueue<std::uint64_t> queue;
-
-  std::vector<std::thread> producers;
-  for (std::uint64_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      std::vector<std::uint64_t> batch;
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        batch.push_back(p * kPerProducer + i);
-        if (batch.size() == 128) queue.push_batch(batch);
-      }
-      queue.push_batch(batch);
-    });
-  }
-
-  std::vector<std::uint64_t> drained;
-  std::vector<std::uint64_t> next_of(kProducers, 0);
-  std::uint64_t seen = 0;
-  while (seen < kProducers * kPerProducer) {
-    if (!queue.drain(drained)) {
-      std::this_thread::yield();
-      continue;
-    }
-    for (const std::uint64_t v : drained) {
-      const std::uint64_t p = v / kPerProducer;
-      const std::uint64_t i = v % kPerProducer;
-      ASSERT_EQ(i, next_of[p]) << "producer " << p << " items reordered";
-      ++next_of[p];
-      ++seen;
-    }
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_TRUE(queue.empty());
-}
-
 TEST(PageAllocator, BacksVectorsWithAndWithoutHugeAdvice) {
   for (const bool huge : {false, true}) {
     std::vector<int, PageAllocator<int>> v{PageAllocator<int>(huge)};
@@ -142,76 +101,6 @@ TEST(PageAllocator, BacksVectorsWithAndWithoutHugeAdvice) {
 #if defined(__linux__)
   EXPECT_TRUE(huge_pages_supported());
 #endif
-}
-
-kv::EvictedValue count_epoch(const kv::Key& key, std::uint64_t count,
-                             bool final_flush) {
-  kv::EvictedValue ev;
-  ev.key = key;
-  ev.state = kv::StateVector(1, static_cast<double>(count));
-  ev.product = kv::SmallMatrix::identity(1);
-  ev.packets = count;
-  ev.state_after_h = kv::StateVector(1);
-  ev.first_tin = Nanos{0};
-  ev.evict_time = Nanos{1000};
-  ev.final_flush = final_flush;
-  return ev;
-}
-
-kv::Key key_of(std::uint64_t id) {
-  const std::array<std::byte, 8> bytes{
-      std::byte(id >> 56), std::byte(id >> 48), std::byte(id >> 40),
-      std::byte(id >> 32), std::byte(id >> 24), std::byte(id >> 16),
-      std::byte(id >> 8),  std::byte(id)};
-  return kv::Key(std::span<const std::byte>{bytes.data(), bytes.size()});
-}
-
-TEST(ShardedBackingStore, ConcurrentAbsorbWithMonitoringReads) {
-  // Writers absorb count epochs for disjoint key ranges while a reader
-  // polls merged values — the "monitoring applications can pull results
-  // while folding continues" contract. The linear merge (A = I for COUNT)
-  // must sum every epoch exactly.
-  constexpr std::uint64_t kWriters = 4;
-  constexpr std::uint64_t kKeysPerWriter = 256;
-  constexpr std::uint64_t kEpochsPerKey = 16;
-  auto kernel = std::make_shared<kv::CountKernel>();
-  kv::ShardedBackingStore store(kernel, 8);
-
-  std::vector<std::thread> writers;
-  for (std::uint64_t w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&store, w] {
-      for (std::uint64_t e = 0; e < kEpochsPerKey; ++e) {
-        for (std::uint64_t k = 0; k < kKeysPerWriter; ++k) {
-          const kv::Key key = key_of(w * kKeysPerWriter + k);
-          store.absorb(count_epoch(key, /*count=*/k + 1, e == 0));
-        }
-      }
-    });
-  }
-  // Concurrent monitoring reads: values are always some prefix-sum of
-  // epochs, never torn.
-  for (int probe = 0; probe < 1000; ++probe) {
-    const auto v = store.read(key_of(probe % (kWriters * kKeysPerWriter)));
-    if (v.has_value()) {
-      const double count = (*v)[0];
-      EXPECT_GE(count, 1.0);
-      EXPECT_EQ(count, static_cast<std::uint64_t>(count));
-    }
-  }
-  for (auto& t : writers) t.join();
-
-  EXPECT_EQ(store.key_count(), kWriters * kKeysPerWriter);
-  EXPECT_EQ(store.writes(), kWriters * kKeysPerWriter * kEpochsPerKey);
-  for (std::uint64_t w = 0; w < kWriters; ++w) {
-    for (std::uint64_t k = 0; k < kKeysPerWriter; ++k) {
-      const auto v = store.read(key_of(w * kKeysPerWriter + k));
-      ASSERT_TRUE(v.has_value());
-      EXPECT_EQ((*v)[0], static_cast<double>((k + 1) * kEpochsPerKey));
-    }
-  }
-  const kv::AccuracyStats acc = store.accuracy();
-  EXPECT_EQ(acc.total_keys, kWriters * kKeysPerWriter);
-  EXPECT_DOUBLE_EQ(acc.accuracy(), 1.0);
 }
 
 }  // namespace

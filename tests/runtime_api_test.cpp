@@ -110,8 +110,6 @@ TEST(EngineBuilder, RejectsShardedKnobsWithoutSharded) {
                ConfigError);
   EXPECT_THROW(build_with([](EngineBuilder& b) { b.dispatch_batch(8); }),
                ConfigError);
-  EXPECT_THROW(build_with([](EngineBuilder& b) { b.eviction_batch(8); }),
-               ConfigError);
   // And the engine-level validation still fires through the builder.
   EXPECT_THROW(
       build_with([](EngineBuilder& b) { b.sharded(2).dispatch_batch(0); }),

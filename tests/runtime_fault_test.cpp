@@ -40,14 +40,14 @@ EngineConfig small_engine_config() {
 }
 
 /// Fault scenarios run over the contract matrix (inline plus threaded with
-/// 1 and 4 shards) with small rings and eviction batches, so a fault lands
-/// mid-flow. `tune` adjusts the threaded knobs further.
+/// 1 and 4 shards) with small rings, so a fault lands mid-flow. `tune`
+/// adjusts the threaded knobs further.
 std::unique_ptr<Engine> build_case(
     const Topology& topo,
     const std::string& source = "SELECT COUNT GROUPBY srcip",
     const std::function<void(EngineBuilder&)>& tune = {}) {
   const auto small_rings = [&tune](EngineBuilder& b) {
-    b.ring_capacity(256).dispatch_batch(32).eviction_batch(8);
+    b.ring_capacity(256).dispatch_batch(32);
     if (tune) tune(b);
   };
   return build_engine(compiler::compile_source(source), topo,
@@ -177,39 +177,6 @@ TEST_F(FaultTest, WorkerDeathUnwindsSiblings) {
     EXPECT_LT(fault.shard(), c.shards) << c.name;
     failpoint::disarm_all();
     expect_poisoned(*engine, c.name);
-  }
-}
-
-TEST_F(FaultTest, MergeThreadDeathSurfacesBeforeResults) {
-  if (!failpoint::compiled_in()) {
-    GTEST_SKIP() << "built without PERFQ_FAILPOINTS";
-  }
-  const auto records = workload();
-  for (const Topology& c : kTopologies) {
-    if (c.shards == 0) continue;
-    failpoint::arm("sharded.merge_absorb", {});
-    auto engine = build_case(c, "R1 = SELECT COUNT GROUPBY srcip");
-    // The tiny 8-bucket cache evicts early, so the merge thread dies on its
-    // first drained batch. The fault surfaces at a batch boundary or — if
-    // the whole trace dispatches first — at finish(), but NEVER as a
-    // result() over a half-absorbed backing store.
-    bool threw = false;
-    try {
-      for (std::size_t base = 0; base < records.size(); base += 64) {
-        engine->process_batch(std::span<const PacketRecord>(records).subspan(
-            base, std::min<std::size_t>(64, records.size() - base)));
-      }
-      engine->finish(20_s);
-      (void)engine->result();
-    } catch (const EngineFaultError& fault) {
-      threw = true;
-      EXPECT_EQ(fault.role(), ThreadRole::kMerge) << c.name;
-      EXPECT_EQ(fault.shard(), kNoShard) << c.name;
-      EXPECT_NE(fault.cause().find("sharded.merge_absorb"), std::string::npos)
-          << c.name << ": " << fault.what();
-    }
-    EXPECT_TRUE(threw) << c.name;
-    failpoint::disarm_all();
   }
 }
 

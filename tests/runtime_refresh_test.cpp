@@ -118,8 +118,9 @@ TEST(Refresh, BackingStoreIsFreshMidRun) {
   // The whole point of refreshing: mid-run reads from the backing store see
   // (nearly) all packets, not just evicted epochs. With 500 ms refresh on a
   // 20 s trace the store lags by at most one interval. On the threaded
-  // executor the async eviction path must keep it that fresh while folding
-  // continues: the merge thread surfaces the packets without finish().
+  // executor each worker's refresh flushes its slices into its own backing
+  // stores while folding continues, so the packets surface without
+  // finish().
   const auto records = workload();
   const std::size_t half = records.size() / 2;
   for (const Topology& topo : kTopologies) {

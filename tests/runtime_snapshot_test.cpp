@@ -5,9 +5,9 @@
 // prefix equals, bit for bit, the table a fresh engine fed the same prefix
 // would produce from finish() at the same timestamp — live cache contents
 // merged over the backing store with the exact-merge machinery. The sharded
-// engine must agree with the serial engine at every boundary (its in-band
-// snapshot marker + eviction drain barrier reconstruct the same state from
-// its shard rings, per-shard cache slices and the concurrent backing store),
+// engine must agree with the serial engine at every boundary (at its in-band
+// snapshot marker each shard worker copies its slice of the store, cache
+// overlaid on its own backing store, and the N disjoint copies read as one),
 // and taking snapshots must not perturb any engine's final results.
 #include <gtest/gtest.h>
 

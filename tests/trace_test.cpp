@@ -1,5 +1,5 @@
-// Workload generation: flow-session model calibration, determinism, trace
-// file round-trips.
+// Workload generation and replay: flow-session model calibration and
+// determinism, the replay drivers, and frame-trace files (PQWF and pcap).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "packet/wire.hpp"
 #include "trace/flow_session.hpp"
 #include "trace/replay.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/wire_replay.hpp"
 #include "trace/wire_trace.hpp"
 
@@ -139,97 +138,6 @@ TEST(FlowSession, ValidatesConfig) {
   c = small_config();
   c.flow_size_alpha = 0.9;
   EXPECT_THROW(FlowSessionGenerator{c}, ConfigError);
-}
-
-TEST(TraceIo, RoundTripsRecords) {
-  const auto records = generate_all(small_config(), 2000);
-  const auto path = std::filesystem::temp_directory_path() / "perfq_test.pqtr";
-  write_trace(path, records);
-  const auto back = read_trace(path);
-  ASSERT_EQ(back.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(back[i].pkt.flow, records[i].pkt.flow);
-    EXPECT_EQ(back[i].tin, records[i].tin);
-    EXPECT_EQ(back[i].tout, records[i].tout);
-    EXPECT_EQ(back[i].qsize, records[i].qsize);
-    EXPECT_EQ(back[i].pkt.pkt_uniq, records[i].pkt.pkt_uniq);
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(TraceIo, StreamingReaderReportsCounts) {
-  const auto records = generate_all(small_config(), 100);
-  const auto path = std::filesystem::temp_directory_path() / "perfq_test2.pqtr";
-  write_trace(path, records);
-  TraceReader reader(path);
-  EXPECT_EQ(reader.record_count(), 100u);
-  std::uint64_t n = 0;
-  while (reader.next()) ++n;
-  EXPECT_EQ(n, 100u);
-  EXPECT_EQ(reader.records_read(), 100u);
-  std::filesystem::remove(path);
-}
-
-TEST(TraceIo, RejectsGarbageFiles) {
-  const auto path = std::filesystem::temp_directory_path() / "garbage.pqtr";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a trace";
-  }
-  EXPECT_THROW(TraceReader{path}, ConfigError);
-  std::filesystem::remove(path);
-  EXPECT_THROW(TraceReader{path}, ConfigError);  // missing file
-}
-
-TEST(TraceIo, TruncatedFileEndsStreamAndCountsTheLoss) {
-  // A file cut short of its header's record count (crashed writer, partial
-  // copy) must not abort the run: the reader delivers what the bytes hold,
-  // ends the stream, and accounts for the promised-but-missing records.
-  const auto records = generate_all(small_config(), 100);
-  const auto path =
-      std::filesystem::temp_directory_path() / "perfq_truncated.pqtr";
-  write_trace(path, records);
-  const auto full_size = std::filesystem::file_size(path);
-  // Cut mid-record: 40 whole records plus half of the 41st.
-  const std::uintmax_t header = full_size - 100 * 64;
-  std::filesystem::resize_file(path, header + 40 * 64 + 32);
-
-  TraceReader reader(path);
-  EXPECT_EQ(reader.record_count(), 100u);  // what the header promises
-  std::uint64_t n = 0;
-  while (reader.next()) ++n;
-  EXPECT_EQ(n, 40u);
-  EXPECT_EQ(reader.records_read(), 40u);
-  EXPECT_EQ(reader.stats().parsed, 40u);
-  EXPECT_EQ(reader.stats().truncated, 60u);
-  EXPECT_EQ(reader.stats().dropped(), 60u);
-  EXPECT_EQ(reader.stats().total(), 100u);
-  // The stream stays ended — no resurrection on further next() calls.
-  EXPECT_FALSE(reader.next().has_value());
-  EXPECT_EQ(reader.stats().truncated, 60u);
-
-  // The delivered prefix is intact.
-  TraceReader again(path);
-  for (std::size_t i = 0; i < 40; ++i) {
-    const auto rec = again.next();
-    ASSERT_TRUE(rec.has_value()) << i;
-    EXPECT_EQ(rec->pkt.flow, records[i].pkt.flow) << i;
-    EXPECT_EQ(rec->tin, records[i].tin) << i;
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(TraceIo, CleanFileReportsZeroDropped) {
-  const auto records = generate_all(small_config(), 50);
-  const auto path =
-      std::filesystem::temp_directory_path() / "perfq_clean.pqtr";
-  write_trace(path, records);
-  TraceReader reader(path);
-  while (reader.next()) {
-  }
-  EXPECT_EQ(reader.stats().parsed, 50u);
-  EXPECT_EQ(reader.stats().dropped(), 0u);
-  std::filesystem::remove(path);
 }
 
 /// Captures everything replay_into delivers (duck-typed engine surface).

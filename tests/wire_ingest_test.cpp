@@ -351,6 +351,39 @@ TEST(WireIngest, PqwfFileReplayMatchesInMemoryFrames) {
   std::filesystem::remove(path);
 }
 
+TEST(WireIngest, TornPqwfTailReachesEngineMetrics) {
+  // A capture cut short mid-frame (crashed writer, partial copy) loses its
+  // last frame inside the reader, before any engine sees it. The engine's
+  // own ingest telemetry must still count that loss: metrics().ingest
+  // equals the stats replay_wire_trace returns, on every topology.
+  const auto records = test_workload(/*seed=*/31, /*num_flows=*/100);
+  FrameSet set;
+  for (std::size_t i = 0; i < 100; ++i) set.add(records[i]);
+  const auto path =
+      std::filesystem::temp_directory_path() / "wire_ingest_torn.pqwf";
+  trace::write_wire_trace(path, set.frames);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 5);
+
+  for (const Topology& topo : kTopologies) {
+    SCOPED_TRACE(topo.name);
+    auto engine = build_engine(
+        compiler::compile_source(kFig2Corpus[0].source, kParams), topo,
+        engine_config(0_s));
+    const trace::IngestStats stats =
+        trace::replay_wire_trace(*engine, path, /*burst=*/32);
+    EXPECT_EQ(stats.parsed, 99u);
+    EXPECT_EQ(stats.truncated, 1u);
+    const trace::IngestStats seen = engine->metrics().ingest;
+    EXPECT_EQ(seen.parsed, stats.parsed);
+    EXPECT_EQ(seen.truncated, stats.truncated);
+    EXPECT_EQ(seen.unsupported, stats.unsupported);
+    EXPECT_EQ(seen.bad_length, stats.bad_length);
+    EXPECT_EQ(seen.bad_checksum, stats.bad_checksum);
+    engine->finish(12_s);
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(WireIngest, FieldUsageReflectsWhatTheProgramReads) {
   // Sema's per-program FieldUsage is the lazy path's decode contract: a
   // count-over-5tuple program touches exactly the key fields on the wire.
