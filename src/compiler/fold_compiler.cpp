@@ -119,15 +119,15 @@ void FoldBody::exec_block(const std::vector<CompiledStmt>& block,
 
 CompiledFoldKernel::CompiledFoldKernel(
     const lang::AnalyzedFold& fold,
-    const std::map<std::string, const Expr*>& arg_bindings) {
+    const std::map<std::string, const Expr*>& bindings) {
   name_ = fold.def.name;
   dims_ = fold.def.state_vars.size();
   linearity_ = fold.linearity.classification;
   history_ = fold.linearity.history_window;
   reason_ = fold.linearity.reason;
 
-  // Substitute packet-arg bindings into the body, then compile it against
-  // the base record schema.
+  // Substitute the bindings into the body, then compile it against the
+  // base record schema.
   lang::FoldDef bound;
   bound.name = fold.def.name;
   bound.state_vars = fold.def.state_vars;
@@ -148,7 +148,7 @@ CompiledFoldKernel::CompiledFoldKernel(
     }
   };
   for (const auto& s : fold.def.body) {
-    bound.body.push_back(Subst::apply(s, arg_bindings));
+    bound.body.push_back(Subst::apply(s, bindings));
   }
   body_ = FoldBody::compile(bound, base_record_resolver());
 
@@ -160,14 +160,14 @@ CompiledFoldKernel::CompiledFoldKernel(
         if (coeff == nullptr) {
           crow.coeffs.push_back(ScalarExpr::constant(0.0));
         } else {
-          const ExprPtr sub = substitute_names(*coeff, arg_bindings);
+          const ExprPtr sub = substitute_names(*coeff, bindings);
           crow.coeffs.push_back(ScalarExpr::compile(*sub, base));
         }
       }
       if (row.constant == nullptr) {
         crow.constant = ScalarExpr::constant(0.0);
       } else {
-        const ExprPtr sub = substitute_names(*row.constant, arg_bindings);
+        const ExprPtr sub = substitute_names(*row.constant, bindings);
         crow.constant = ScalarExpr::compile(*sub, base);
       }
       rows_.push_back(std::move(crow));

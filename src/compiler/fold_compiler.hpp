@@ -1,7 +1,8 @@
 // Lowering fold definitions to executable kernels.
 //
-// A CompiledFoldKernel executes the user's fold body for the ground-truth
-// update(), and — when the linearity analyzer proved the fold linear —
+// A CompiledFoldKernel executes a fold body for the ground-truth update():
+// for a GROUPBY, the one fold sema lowers its COUNTs, SUMs and user folds
+// into. When the linearity analyzer proved the fold linear, it also
 // evaluates the extracted (A, B) coefficient expressions per packet for the
 // cache's running-product maintenance and the backing store's exact merge.
 //
@@ -113,15 +114,17 @@ class FoldBody {
   std::size_t dims_ = 0;
 };
 
-/// kv::FoldKernel lowered from an analyzed fold, with packet arguments bound
-/// to base-schema expressions (identity bindings for direct GROUPBY over T;
-/// substituted expressions when the stream passed through SELECT renames).
+/// kv::FoldKernel lowered from an analyzed fold — a GROUPBY's whole select
+/// list (lang::AnalyzedQuery::fold) or one user fold — with its input names
+/// bound to base-schema expressions (identity bindings for direct GROUPBY
+/// over T; substituted expressions when the stream passed through SELECTs).
 class CompiledFoldKernel final : public kv::FoldKernel {
  public:
-  /// `arg_bindings` maps packet-arg names to base-stream expressions; args
-  /// not present bind to the base field of the same name.
+  /// `bindings` maps input names to base-stream expressions; names not
+  /// present bind to the base field of the same name. A binding must not
+  /// name a state variable.
   CompiledFoldKernel(const lang::AnalyzedFold& fold,
-                     const std::map<std::string, const lang::Expr*>& arg_bindings);
+                     const std::map<std::string, const lang::Expr*>& bindings);
 
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] std::size_t state_dims() const override { return dims_; }
@@ -179,47 +182,6 @@ class CompiledFoldKernel final : public kv::FoldKernel {
   };
   std::vector<CompiledRow> rows_;
   kv::SmallMatrix const_a_;  ///< precomputed when kLinearConstA
-};
-
-/// SUM(expr) aggregation kernel (linear, A = I, h = 0).
-class SumExprKernel final : public kv::FoldKernel {
- public:
-  SumExprKernel(std::string display_name, ScalarExpr expr)
-      : name_(std::move(display_name)), expr_(std::move(expr)) {}
-
-  [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] std::size_t state_dims() const override { return 1; }
-  [[nodiscard]] kv::StateVector initial_state() const override {
-    return kv::StateVector(1);
-  }
-  void update(kv::StateVector& state, const PacketRecord& rec) const override {
-    state[0] += expr_.eval(RecordSource({&rec, 1}));
-  }
-  void update(kv::StateVector& state,
-              const WireRecordView& rec) const override {
-    state[0] += expr_.eval(WireRecordSource(rec));
-  }
-  [[nodiscard]] FieldUsage used_fields() const override {
-    FieldUsage usage;
-    expr_.collect_fields(usage);
-    return usage;
-  }
-  [[nodiscard]] kv::Linearity linearity() const override {
-    return kv::Linearity::kLinearConstA;
-  }
-  [[nodiscard]] kv::AffineTransform transform(
-      std::span<const PacketRecord> window) const override {
-    kv::AffineTransform t{kv::SmallMatrix::identity(1), kv::StateVector(1)};
-    t.b[0] = expr_.eval(RecordSource(window.subspan(window.size() - 1)));
-    return t;
-  }
-  [[nodiscard]] kv::SmallMatrix constant_a() const override {
-    return kv::SmallMatrix::identity(1);
-  }
-
- private:
-  std::string name_;
-  ScalarExpr expr_;
 };
 
 /// Replace name references with bound expressions (stream-SELECT renames are

@@ -5,8 +5,6 @@
 #include <set>
 
 #include "common/error.hpp"
-#include "kvstore/builtin_folds.hpp"
-#include "kvstore/combined.hpp"
 #include "lang/parser.hpp"
 
 namespace perfq::compiler {
@@ -152,43 +150,10 @@ SwitchQueryPlan build_switch_plan(const AnalyzedProgram& analysis,
     }
   }
 
-  // Aggregation kernels.
-  std::vector<std::shared_ptr<const kv::FoldKernel>> parts;
-  for (const auto& agg : q.aggregations) {
-    switch (agg.kind) {
-      case lang::AggregationSpec::Kind::kCount:
-        parts.push_back(std::make_shared<kv::CountKernel>());
-        break;
-      case lang::AggregationSpec::Kind::kSum: {
-        const ExprPtr bound = substitute_names(*agg.sum_expr, bindings);
-        parts.push_back(std::make_shared<SumExprKernel>(
-            agg.column,
-            ScalarExpr::compile(*bound, base_record_resolver())));
-        break;
-      }
-      case lang::AggregationSpec::Kind::kFold: {
-        const int fi = analysis.fold_index(agg.fold_name);
-        check(fi >= 0, "switch plan: unknown fold");
-        const lang::AnalyzedFold& fold =
-            analysis.folds[static_cast<std::size_t>(fi)];
-        // Bind packet args through the stream view's column map.
-        std::map<std::string, const Expr*> arg_bindings;
-        for (const auto& arg : fold.def.packet_args) {
-          const auto it = bindings.find(arg);
-          if (it != bindings.end()) arg_bindings.emplace(arg, it->second);
-        }
-        parts.push_back(
-            std::make_shared<CompiledFoldKernel>(fold, arg_bindings));
-        break;
-      }
-    }
-    for (const auto& col : agg.out_columns) plan.value_columns.push_back(col);
-  }
-  if (parts.size() == 1) {
-    plan.kernel = parts.front();
-  } else {
-    plan.kernel = std::make_shared<kv::CombinedKernel>(std::move(parts));
-  }
+  // One kernel for the whole select list. The fold's state names cannot
+  // be spelled in source, so every name the stream view binds is an input.
+  plan.kernel = std::make_shared<CompiledFoldKernel>(q.fold, bindings);
+  plan.value_columns = q.value_columns;
   plan.linearity = plan.kernel->linearity();
 
   // Per-plan read set: prefilter, key components, kernel body/coefficients.

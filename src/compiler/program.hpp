@@ -61,7 +61,8 @@ struct SwitchQueryPlan {
   /// width-mismatched; those take the fast_key_fields / expression paths.
   bool wire_direct_key = false;
   std::array<WireFieldSlice, 16> wire_key_slices{};
-  std::shared_ptr<const kv::FoldKernel> kernel;  ///< combined aggregations
+  /// The GROUPBY's one fold (lang::AnalyzedQuery::fold) bound to the stream.
+  std::shared_ptr<const CompiledFoldKernel> kernel;
   std::vector<std::string> value_columns;  ///< per state dim, output order
   kv::Linearity linearity = kv::Linearity::kNotLinear;
   /// Every record field this plan reads per packet: prefilter, key

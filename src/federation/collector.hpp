@@ -7,8 +7,8 @@
 // The collector's merge is the cross-store reduction of
 // kvstore/federated.hpp, so its guarantees are exactly MergeCapability's:
 //
-//   - ADDITIVE kernels (COUNT, SUM over integer-valued fields, and their
-//     CombinedKernel compositions): the federated table is BIT-FOR-BIT the
+//   - ADDITIVE kernels (COUNT, SUM over integer-valued fields, and GROUPBYs
+//     that keep only those): the federated table is BIT-FOR-BIT the
 //     table a single oracle engine fed every switch's records in global
 //     emission order would produce — under any cache geometry, serial or
 //     sharded per-switch engines, refresh on or off, because additive totals

@@ -10,7 +10,7 @@
 //                  streams interleave:  merged = s0 + Σ_i (v_i − s0).
 //                  Bit-exact whenever those additions are FP-exact — integer
 //                  counters and sums (COUNT, SUM over integer-valued fields,
-//                  and their CombinedKernel compositions); ULP-level for
+//                  and GROUPBYs that keep only those); ULP-level for
 //                  fractional addends. This is the FP caveat that mirrors the
 //                  attach/detach contract note in runtime/engine_api.hpp.
 //

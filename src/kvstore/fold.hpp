@@ -1,10 +1,10 @@
 // The fold-kernel interface: what the key-value store needs to know about a
 // GROUPBY aggregation function.
 //
-// A kernel is produced either by the query compiler (src/compiler lowers a
-// user-defined fold to a CompiledFoldKernel) or hand-written (builtin_folds,
-// used by unit tests and microbenchmarks). The split cache/backing-store
-// machinery interrogates the kernel for:
+// A kernel is produced either by the query compiler (src/compiler lowers
+// each GROUPBY's fold to a CompiledFoldKernel) or hand-written
+// (builtin_folds, used by unit tests and microbenchmarks). The split
+// cache/backing-store machinery interrogates the kernel for:
 //
 //   - state dimensionality and the initial state s0;
 //   - the per-packet update (any fold);

@@ -233,6 +233,44 @@ AnalyzedFold analyze_fold(const FoldDef& fold,
   return out;
 }
 
+// ---------------------------------------------------- aggregation lowering --
+
+/// Rename state variables of a fold body (see AnalyzedQuery::fold).
+void rename_state(Expr& e, const std::map<std::string, std::string>& names) {
+  if (e.kind == ExprKind::kName) {
+    if (const auto it = names.find(e.name); it != names.end()) {
+      e.name = it->second;
+    }
+    return;
+  }
+  if (e.lhs) rename_state(*e.lhs, names);
+  if (e.rhs) rename_state(*e.rhs, names);
+  for (auto& a : e.args) rename_state(*a, names);
+}
+
+void rename_state(Stmt& s, const std::map<std::string, std::string>& names) {
+  if (s.kind == Stmt::Kind::kAssign) {
+    s.target = names.at(s.target);
+    rename_state(*s.value, names);
+    return;
+  }
+  rename_state(*s.condition, names);
+  for (Stmt& t : s.then_body) rename_state(t, names);
+  for (Stmt& t : s.else_body) rename_state(t, names);
+}
+
+/// Every name a fold body reads that is not one of its state variables.
+void collect_reads(const std::vector<Stmt>& body,
+                   const std::vector<std::string>& state,
+                   std::set<std::string>& out) {
+  for (const Stmt& s : body) {
+    const Expr& read = s.kind == Stmt::Kind::kAssign ? *s.value : *s.condition;
+    collect_free_names(read, state, out);
+    collect_reads(s.then_body, state, out);
+    collect_reads(s.else_body, state, out);
+  }
+}
+
 // ---------------------------------------------------------------- queries --
 
 class ProgramAnalyzer {
@@ -407,66 +445,7 @@ class ProgramAnalyzer {
     }
     if (out.key_columns.empty()) sema_fail("GROUPBY with no fields", out.def.line);
 
-    // Classify select items.
-    for (const auto& item : out.def.select_list) {
-      if (item.star) {
-        sema_fail("SELECT * is not allowed with GROUPBY", out.def.line);
-      }
-      const Expr& e = *item.expr;
-      if (e.kind == ExprKind::kName) {
-        if (e.name == "5tuple") {
-          for (const auto& n : in.expand("5tuple")) {
-            if (!contains(out.key_columns, n)) {
-              sema_fail("'5tuple' selected but not grouped by", out.def.line);
-            }
-          }
-          continue;
-        }
-        if (e.name == "COUNT") {
-          AggregationSpec agg;
-          agg.kind = AggregationSpec::Kind::kCount;
-          agg.column = "COUNT";
-          out.aggregations.push_back(std::move(agg));
-          continue;
-        }
-        if (result_.fold_index(e.name) >= 0) {
-          AggregationSpec agg;
-          agg.kind = AggregationSpec::Kind::kFold;
-          agg.fold_name = e.name;
-          agg.column = e.name;
-          out.aggregations.push_back(std::move(agg));
-          continue;
-        }
-        const Column* c = in.find(e.name);
-        if (c != nullptr && contains(out.key_columns, c->name)) continue;
-        sema_fail("select item '" + e.name +
-                      "' is neither a GROUPBY key, an aggregation, nor a fold",
-                  e.line);
-      }
-      if (e.kind == ExprKind::kCall && e.name == "SUM") {
-        if (e.args.size() != 1) sema_fail("SUM expects one argument", e.line);
-        check_expr(*e.args[0], in);
-        AggregationSpec agg;
-        agg.kind = AggregationSpec::Kind::kSum;
-        agg.sum_expr = e.args[0]->clone();
-        agg.column = to_string(e);
-        out.aggregations.push_back(std::move(agg));
-        continue;
-      }
-      sema_fail("unsupported select item '" + to_string(e) + "' under GROUPBY",
-                e.line);
-    }
-    // A key-only GROUPBY means "distinct keys"; give it a COUNT so the
-    // result table carries a value column (Fig. 2's composed queries rely on
-    // exactly this reading).
-    if (out.aggregations.empty()) {
-      AggregationSpec agg;
-      agg.kind = AggregationSpec::Kind::kCount;
-      agg.column = "COUNT";
-      out.aggregations.push_back(std::move(agg));
-    }
-
-    // Output schema: keys, then aggregate columns.
+    // Output schema: keys, then one column per aggregation state dim.
     Schema schema;
     schema.key = out.key_columns;
     for (const auto& k : out.key_columns) {
@@ -482,37 +461,122 @@ class ProgramAnalyzer {
       c.bits = 64;
       schema.add(std::move(c));
     }
-    for (auto& agg : out.aggregations) {
-      if (agg.kind == AggregationSpec::Kind::kFold) {
-        const auto& fold =
-            result_.folds[static_cast<std::size_t>(result_.fold_index(agg.fold_name))];
-        for (const auto& var : fold.def.state_vars) {
-          Column c;
-          const std::string dotted = agg.fold_name + "." + var;
-          if (schema.find(var) == nullptr) {
-            c.name = var;
-            c.aliases.push_back(dotted);
-          } else {
-            c.name = dotted;
-          }
-          if (fold.def.state_vars.size() == 1 &&
-              schema.find(agg.fold_name) == nullptr && c.name != agg.fold_name) {
-            c.aliases.push_back(agg.fold_name);  // single-var folds: fold name too
-          }
-          agg.out_columns.push_back(c.name);
-          schema.add(std::move(c));
-        }
-      } else {
-        Column c;
-        c.name = agg.column;
-        if (schema.find(c.name) != nullptr) {
-          sema_fail("duplicate aggregate column '" + c.name + "'", out.def.line);
-        }
-        agg.out_columns.push_back(c.name);
-        schema.add(std::move(c));
+
+    // Lower the aggregations, in select-list order, into one fold
+    // (AnalyzedQuery::fold) whose state dim i fills value_columns[i].
+    FoldDef& fold = out.fold.def;
+    const auto add_name = [&fold](const std::string& aggregation) {
+      fold.name += (fold.name.empty() ? "" : ", ") + aggregation;
+    };
+    const auto add_state = [&](Column column) {
+      out.value_columns.push_back(column.name);
+      schema.add(std::move(column));
+      fold.state_vars.push_back("#" + std::to_string(fold.state_vars.size()));
+      return fold.state_vars.back();
+    };
+    const auto add_sum = [&](std::string column, ExprPtr addend) {
+      if (schema.find(column) != nullptr) {
+        sema_fail("duplicate aggregate column '" + column + "'", out.def.line);
       }
+      Column c;
+      c.name = column;
+      Stmt stmt;
+      stmt.target = add_state(std::move(c));
+      stmt.value = make_binary(BinaryOp::kAdd, make_name(stmt.target),
+                               std::move(addend));
+      stmt.line = out.def.line;
+      fold.body.push_back(std::move(stmt));
+      add_name(column);
+    };
+    const auto add_fold = [&](const AnalyzedFold& user) {
+      const std::string& name = user.def.name;
+      if (!in.stream_over_base) {
+        // Over a table a fold reads columns by name. (On the switch an
+        // argument the stream does not bind reads the base field.)
+        std::set<std::string> reads;
+        collect_reads(user.def.body, user.def.state_vars, reads);
+        for (const auto& column : reads) {
+          if (in.find(column) != nullptr) continue;
+          sema_fail("fold '" + name + "' reads '" + column + "', which " +
+                        out.def.from + " does not have (schema " +
+                        in.to_string() + ")",
+                    out.def.line);
+        }
+      }
+      std::map<std::string, std::string> renames;
+      for (const auto& var : user.def.state_vars) {
+        Column c;
+        const std::string dotted = name + "." + var;
+        if (schema.find(var) == nullptr) {
+          c.name = var;
+          c.aliases.push_back(dotted);
+        } else {
+          c.name = dotted;
+        }
+        if (user.def.state_vars.size() == 1 && schema.find(name) == nullptr &&
+            c.name != name) {
+          c.aliases.push_back(name);  // single-var folds: fold name too
+        }
+        renames.emplace(var, add_state(std::move(c)));
+      }
+      for (const auto& stmt : user.def.body) {
+        fold.body.push_back(stmt.clone());
+        rename_state(fold.body.back(), renames);
+      }
+      add_name(name);
+    };
+
+    for (const auto& item : out.def.select_list) {
+      if (item.star) {
+        sema_fail("SELECT * is not allowed with GROUPBY", out.def.line);
+      }
+      const Expr& e = *item.expr;
+      if (e.kind == ExprKind::kName) {
+        if (e.name == "5tuple") {
+          for (const auto& n : in.expand("5tuple")) {
+            if (!contains(out.key_columns, n)) {
+              sema_fail("'5tuple' selected but not grouped by", out.def.line);
+            }
+          }
+          continue;
+        }
+        if (e.name == "COUNT") {
+          add_sum("COUNT", make_number(1.0));
+          continue;
+        }
+        if (const int fi = result_.fold_index(e.name); fi >= 0) {
+          add_fold(result_.folds[static_cast<std::size_t>(fi)]);
+          continue;
+        }
+        const Column* c = in.find(e.name);
+        if (c != nullptr && contains(out.key_columns, c->name)) continue;
+        sema_fail("select item '" + e.name +
+                      "' is neither a GROUPBY key, an aggregation, nor a fold",
+                  e.line);
+      }
+      if (e.kind == ExprKind::kCall && e.name == "SUM") {
+        if (e.args.size() != 1) sema_fail("SUM expects one argument", e.line);
+        check_expr(*e.args[0], in);
+        add_sum(to_string(e), e.args[0]->clone());
+        continue;
+      }
+      sema_fail("unsupported select item '" + to_string(e) + "' under GROUPBY",
+                e.line);
     }
+    // A key-only GROUPBY means "distinct keys"; give it a COUNT so the
+    // result table carries a value column (Fig. 2's composed queries rely on
+    // exactly this reading).
+    if (fold.state_vars.empty()) add_sum("COUNT", make_number(1.0));
+
     out.on_switch = in.stream_over_base;
+    if (out.on_switch && fold.state_vars.size() > kv::kMaxStateDims) {
+      sema_fail("GROUPBY keeps " + std::to_string(fold.state_vars.size()) +
+                    " values per key; an on-switch GROUPBY keeps at most " +
+                    std::to_string(kv::kMaxStateDims),
+                out.def.line);
+    }
+    fold.line = out.def.line;
+    out.fold.linearity = analyze_linearity(fold);
     out.output = std::move(schema);
   }
 
@@ -665,16 +729,8 @@ AnalyzedQuery AnalyzedQuery::clone() const {
   for (const auto& [name, expr] : computed_keys) {
     out.computed_keys.emplace(name, expr->clone());
   }
-  out.aggregations.reserve(aggregations.size());
-  for (const auto& agg : aggregations) {
-    AggregationSpec copy;
-    copy.kind = agg.kind;
-    copy.fold_name = agg.fold_name;
-    if (agg.sum_expr) copy.sum_expr = agg.sum_expr->clone();
-    copy.column = agg.column;
-    copy.out_columns = agg.out_columns;
-    out.aggregations.push_back(std::move(copy));
-  }
+  out.fold = fold.clone();
+  out.value_columns = value_columns;
   out.on_switch = on_switch;
   out.projections.reserve(projections.size());
   for (const auto& p : projections) {

@@ -1,5 +1,5 @@
 // Semantic analysis: name resolution, schema derivation, aggregation
-// classification, join-legality checking, and linearity analysis.
+// lowering, join-legality checking, and linearity analysis.
 //
 // analyze() turns a parsed Program plus a map of free constants (alpha, K,
 // L, ... — the paper's example queries use symbolic thresholds) into an
@@ -17,16 +17,6 @@
 #include "lang/schema.hpp"
 
 namespace perfq::lang {
-
-/// One aggregation operation of a GROUPBY query.
-struct AggregationSpec {
-  enum class Kind : std::uint8_t { kCount, kSum, kFold };
-  Kind kind = Kind::kCount;
-  std::string fold_name;  ///< kFold: references AnalyzedProgram::folds
-  ExprPtr sum_expr;       ///< kSum: the summed expression (input columns)
-  std::string column;     ///< display/base name ("COUNT", "SUM(pkt_len)", fold)
-  std::vector<std::string> out_columns;  ///< canonical output column names
-};
 
 struct AnalyzedFold {
   FoldDef def;               ///< with free constants folded to literals
@@ -53,7 +43,13 @@ struct AnalyzedQuery {
   /// expression per record; absent for plain-name keys. Computed keys never
   /// take the compiler's fast-field extraction path.
   std::map<std::string, ExprPtr> computed_keys;
-  std::vector<AggregationSpec> aggregations;
+  /// The select list's aggregations as one fold over one state vector, in
+  /// select-list order: COUNT is `#i = #i + 1`, SUM(e) is `#i = #i + e`, and
+  /// a user fold is its body with its state renamed to `#i`, `#i+1`, ...
+  /// No source can spell `#i`, so no state name captures an input column:
+  /// every other name in the body reads one.
+  AnalyzedFold fold;
+  std::vector<std::string> value_columns;  ///< output column of each state dim
   bool on_switch = false;  ///< true: lowers to the switch key-value store
   // kSelect / kJoin projections: output column name + expression.
   struct Projection {

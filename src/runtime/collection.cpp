@@ -81,31 +81,11 @@ void run_collection_query(const compiler::CompiledProgram& program, int index,
         key_idx.push_back(static_cast<std::size_t>(in_schema.index_of(k)));
       }
 
-      // Aggregation executors over rows.
-      struct SoftAgg {
-        lang::AggregationSpec::Kind kind;
-        std::optional<compiler::ScalarExpr> sum_expr;
-        std::optional<compiler::FoldBody> fold;
-        std::size_t dims = 1;
-      };
-      std::vector<SoftAgg> aggs;
-      std::size_t value_dims = 0;
-      for (const auto& spec : q.aggregations) {
-        SoftAgg agg;
-        agg.kind = spec.kind;
-        if (spec.kind == lang::AggregationSpec::Kind::kSum) {
-          agg.sum_expr = compiler::ScalarExpr::compile(*spec.sum_expr, resolver);
-        } else if (spec.kind == lang::AggregationSpec::Kind::kFold) {
-          const int fi = program.analysis.fold_index(spec.fold_name);
-          check(fi >= 0, "collection: unknown fold");
-          const auto& fold =
-              program.analysis.folds[static_cast<std::size_t>(fi)];
-          agg.fold = compiler::FoldBody::compile(fold.def, resolver);
-          agg.dims = fold.def.state_vars.size();
-        }
-        value_dims += agg.dims;
-        aggs.push_back(std::move(agg));
-      }
+      // The GROUPBY's one fold (sema's lowering of its select list), run
+      // over rows by the same VM the switch runs over records.
+      const compiler::FoldBody fold =
+          compiler::FoldBody::compile(q.fold.def, resolver);
+      const std::size_t dims = fold.state_dims();
 
       std::map<std::vector<double>, std::vector<double>> groups;
       for (const auto& row : in->rows()) {
@@ -115,22 +95,8 @@ void run_collection_query(const compiler::CompiledProgram& program, int index,
         key.reserve(key_idx.size());
         for (const auto i : key_idx) key.push_back(row[i]);
         auto [it, inserted] = groups.try_emplace(std::move(key));
-        if (inserted) it->second.assign(value_dims, 0.0);
-        std::size_t off = 0;
-        for (const auto& agg : aggs) {
-          switch (agg.kind) {
-            case lang::AggregationSpec::Kind::kCount:
-              it->second[off] += 1.0;
-              break;
-            case lang::AggregationSpec::Kind::kSum:
-              it->second[off] += agg.sum_expr->eval(source);
-              break;
-            case lang::AggregationSpec::Kind::kFold:
-              agg.fold->execute({it->second.data() + off, agg.dims}, source);
-              break;
-          }
-          off += agg.dims;
-        }
+        if (inserted) it->second.assign(dims, 0.0);
+        fold.execute({it->second.data(), dims}, source);
       }
 
       ResultTable out(q.output);

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "compiler/key_router.hpp"
 #include "compiler/program.hpp"
+#include "fig2_corpus.hpp"
 #include "kvstore/builtin_folds.hpp"
 #include "lang/parser.hpp"
 #include "trace/simple.hpp"
@@ -177,90 +178,29 @@ SELECT 5tuple, gear GROUPBY 5tuple
 
 // ---------------------------------------------------- fold bytecode VM ----
 
-/// The Fig. 2 query corpus as fold definitions (every aggregation the paper
-/// lists that lowers to a fold body), used to property-test the bytecode VM.
-struct CorpusEntry {
-  const char* name;
-  const char* source;
-};
-const CorpusEntry kFig2Corpus[] = {
-    {"counter", R"(
-def counter (cnt, (pkt_len)):
-    cnt = cnt + 1
-
-SELECT 5tuple, counter GROUPBY 5tuple
-)"},
-    {"bytecounter", R"(
-def bytecounter ((cnt, bytes), (pkt_len)):
-    cnt = cnt + 1
-    bytes = bytes + pkt_len
-
-SELECT 5tuple, bytecounter GROUPBY 5tuple
-)"},
-    {"ewma", R"(
-def ewma (lat_est, (tin, tout)):
-    lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)
-
-SELECT 5tuple, ewma GROUPBY 5tuple
-)"},
-    {"outofseq", R"(
-def outofseq ((lastseq, oos_count), (tcpseq, payload_len)):
-    if lastseq + 1 != tcpseq: oos_count = oos_count + 1
-    lastseq = tcpseq + payload_len
-
-SELECT 5tuple, outofseq GROUPBY 5tuple
-)"},
-    {"nonmt", R"(
-def nonmt ((maxseq, nm_count), (tcpseq)):
-    if maxseq > tcpseq: nm_count = nm_count + 1
-    maxseq = max(maxseq, tcpseq)
-
-SELECT 5tuple, nonmt GROUPBY 5tuple
-)"},
-    {"perc", R"(
-def perc ((tot, high), qin):
-    if qin > K: high = high + 1
-    tot = tot + 1
-
-SELECT qid, perc GROUPBY qid
-)"},
-    {"sum_lat", R"(
-def sum_lat (lat, (tin, tout)):
-    lat = lat + (tout - tin)
-
-SELECT 5tuple, sum_lat GROUPBY 5tuple
-)"},
-    {"gear", R"(
-def gear (acc, (pkt_len)):
-    if pkt_len > 500:
-        acc = 2 * acc
-    else:
-        acc = acc + 1
-
-SELECT 5tuple, gear GROUPBY 5tuple
-)"},
-};
-
 TEST(FoldVm, BytecodeMatchesInterpreterBitForBitAcrossFig2Corpus) {
-  // Property: for every corpus fold and every record of a randomized TCP
+  // Property: for every corpus switch plan's kernel (COUNT and SUM included:
+  // they are fold statements too) and every record of a randomized TCP
   // stream, the bytecode VM's update() must equal the AST-walking
   // interpreter's update() BIT FOR BIT (same IEEE ops in the same order;
   // exact double equality, not a tolerance).
   const auto records = tcp_stream(2000, 99);
-  for (const CorpusEntry& entry : kFig2Corpus) {
+  for (const Fig2Query& entry : kFig2Corpus) {
     SCOPED_TRACE(entry.name);
-    const auto analysis =
-        analyze_source(entry.source, {{"alpha", 0.125}, {"K", 100.0}});
-    const CompiledFoldKernel kernel(analysis.folds[0], {});
-    EXPECT_GT(kernel.body().vm().instruction_count(), 0u);
-    kv::StateVector vm_state = kernel.initial_state();
-    kv::StateVector interp_state = kernel.initial_state();
-    for (const auto& rec : records) {
-      kernel.update(vm_state, rec);
-      kernel.update_interpreted(interp_state, rec);
-      for (std::size_t d = 0; d < vm_state.dims(); ++d) {
-        ASSERT_EQ(vm_state[d], interp_state[d])
-            << "VM diverged from interpreter at dim " << d;
+    const CompiledProgram program = compile_source(entry.source, kFig2Params);
+    ASSERT_FALSE(program.switch_plans.empty());
+    for (const SwitchQueryPlan& plan : program.switch_plans) {
+      const CompiledFoldKernel& kernel = *plan.kernel;
+      EXPECT_GT(kernel.body().vm().instruction_count(), 0u);
+      kv::StateVector vm_state = kernel.initial_state();
+      kv::StateVector interp_state = kernel.initial_state();
+      for (const auto& rec : records) {
+        kernel.update(vm_state, rec);
+        kernel.update_interpreted(interp_state, rec);
+        for (std::size_t d = 0; d < vm_state.dims(); ++d) {
+          ASSERT_EQ(vm_state[d], interp_state[d])
+              << "VM diverged from interpreter at dim " << d;
+        }
       }
     }
   }

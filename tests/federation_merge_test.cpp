@@ -3,8 +3,9 @@
 //
 // Three properties are pinned here, differentially and bit-for-bit:
 //
-//   1. Classification — every builtin kernel lands in the documented
-//      MergeCapability class (additive / associative / single-source).
+//   1. Classification — every builtin kernel and every compiled GROUPBY
+//      shape lands in the documented MergeCapability class (additive /
+//      associative / single-source).
 //   2. Merge-order determinism — the FederatedStore's reduced result is
 //      BYTE-identical no matter which order sources are absorbed in:
 //      shuffled, incremental (reads interleaved between absorbs), batched,
@@ -25,8 +26,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "compiler/program.hpp"
 #include "kvstore/builtin_folds.hpp"
-#include "kvstore/combined.hpp"
 #include "kvstore/federated.hpp"
 #include "kvstore/kvstore.hpp"
 #include "trace/simple.hpp"
@@ -137,11 +138,11 @@ std::vector<FedCase> fed_cases() {
        MergeCapability::kAdditive},
       {"count_sum", std::make_shared<CountSumKernel>(),
        MergeCapability::kAdditive},
-      {"combined_count_sum",
-       std::make_shared<CombinedKernel>(
-           std::vector<std::shared_ptr<const FoldKernel>>{
-               std::make_shared<CountKernel>(),
-               std::make_shared<SumKernel>(FieldId::kPktLen)}),
+      {"compiled_count_sum",
+       compiler::compile_source(
+           "SELECT 5tuple, COUNT, SUM(pkt_len) GROUPBY 5tuple")
+           .switch_plans.at(0)
+           .kernel,
        MergeCapability::kAdditive},
       {"max_qsize",
        std::make_shared<ExtremumKernel>(FieldId::kQsize,
@@ -158,10 +159,77 @@ TEST(FederatedClassification, BuiltinKernels) {
   for (const auto& c : fed_cases()) {
     EXPECT_EQ(merge_capability(*c.kernel), c.expected) << c.name;
   }
-  // A combination is only as mergeable as its weakest member.
-  const CombinedKernel mixed{std::vector<std::shared_ptr<const FoldKernel>>{
-      std::make_shared<CountKernel>(), std::make_shared<EwmaKernel>(0.5)}};
-  EXPECT_EQ(merge_capability(mixed), MergeCapability::kSingleSource);
+}
+
+/// One compiled GROUPBY shape: its select list, and what the compiled
+/// kernel must report. A const-A shape's A is diagonal: `a_diagonal`.
+struct CompiledShape {
+  const char* select;
+  Linearity linearity;
+  std::size_t history;
+  std::vector<double> a_diagonal;
+  MergeCapability merge;
+};
+
+TEST(FederatedClassification, CompiledGroupBys) {
+  // A GROUPBY's aggregations share one state vector: it is linear iff every
+  // aggregation is, const-A iff every one is, its history window is the
+  // longest, and it is only as mergeable as its weakest member.
+  constexpr const char* kFolds = R"(
+def counter (cnt, (pkt_len)):
+    cnt = cnt + 1
+
+def ewma (lat_est, (tin, tout)):
+    lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)
+
+def outofseq ((lastseq, oos_count), (tcpseq, payload_len)):
+    if lastseq + 1 != tcpseq: oos_count = oos_count + 1
+    lastseq = tcpseq + payload_len
+
+def nonmt ((maxseq, nm_count), (tcpseq)):
+    if maxseq > tcpseq: nm_count = nm_count + 1
+    maxseq = max(maxseq, tcpseq)
+
+def gear (acc, (pkt_len)):
+    if pkt_len > 500:
+        acc = 2 * acc
+    else:
+        acc = acc + 1
+)";
+  constexpr auto kConstA = Linearity::kLinearConstA;
+  constexpr auto kAdditive = MergeCapability::kAdditive;
+  constexpr auto kSingle = MergeCapability::kSingleSource;
+  const CompiledShape shapes[] = {
+      {"COUNT", kConstA, 0, {1}, kAdditive},
+      {"SUM(pkt_len)", kConstA, 0, {1}, kAdditive},
+      {"COUNT, SUM(pkt_len)", kConstA, 0, {1, 1}, kAdditive},
+      {"COUNT, ewma", kConstA, 0, {1, 0.875}, kSingle},
+      {"ewma, COUNT", kConstA, 0, {0.875, 1}, kSingle},
+      {"COUNT, outofseq", kConstA, 1, {1, 0, 1}, kSingle},
+      {"COUNT, nonmt", Linearity::kNotLinear, 0, {}, kSingle},
+      {"COUNT, gear", Linearity::kLinear, 0, {}, kSingle},
+      {"counter, COUNT", kConstA, 0, {1, 1}, kAdditive},
+      {"COUNT, SUM(pkt_len), ewma, outofseq", kConstA, 1, {1, 1, 0.875, 0, 1},
+       kSingle},
+  };
+  for (const CompiledShape& shape : shapes) {
+    SCOPED_TRACE(shape.select);
+    const auto program = compiler::compile_source(
+        std::string{kFolds} + "\nSELECT 5tuple, " + shape.select +
+            " GROUPBY 5tuple",
+        {{"alpha", 0.125}});
+    const FoldKernel& kernel = *program.switch_plans.at(0).kernel;
+    EXPECT_EQ(kernel.linearity(), shape.linearity);
+    EXPECT_EQ(kernel.history_window(), shape.history);
+    if (shape.linearity == kConstA) {
+      SmallMatrix want(shape.a_diagonal.size());
+      for (std::size_t d = 0; d < shape.a_diagonal.size(); ++d) {
+        want.at(d, d) = shape.a_diagonal[d];
+      }
+      EXPECT_TRUE(kernel.constant_a() == want);
+    }
+    EXPECT_EQ(merge_capability(kernel), shape.merge);
+  }
 }
 
 class FederatedMergeOrder : public ::testing::TestWithParam<FedCase> {};

@@ -10,8 +10,8 @@
 #include <cmath>
 #include <memory>
 
+#include "compiler/program.hpp"
 #include "kvstore/builtin_folds.hpp"
-#include "kvstore/combined.hpp"
 #include "kvstore/kvstore.hpp"
 #include "trace/simple.hpp"
 
@@ -109,6 +109,27 @@ TEST_P(LinearMergeTest, SplitStoreMatchesReferenceExactly) {
   EXPECT_EQ(checked, split.backing().key_count());
 }
 
+/// The kernel of `SELECT 5tuple, <select> GROUPBY 5tuple`: one compiled
+/// fold over the GROUPBY's aggregations. Its ewma skips drops, as
+/// EwmaKernel does (A = I for a drop, so A varies per packet).
+std::shared_ptr<const FoldKernel> compiled(const std::string& select,
+                                           double alpha) {
+  constexpr const char* kFolds = R"(
+def ewma (lat_est, (tin, tout)):
+    if tout != infinity:
+        lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)
+
+def outofseq ((lastseq, oos_count), (tcpseq, payload_len)):
+    if lastseq + 1 != tcpseq: oos_count = oos_count + 1
+    lastseq = tcpseq + payload_len
+)";
+  return compiler::compile_source(std::string{kFolds} + "\nSELECT 5tuple, " +
+                                      select + " GROUPBY 5tuple",
+                                  {{"alpha", alpha}})
+      .switch_plans.at(0)
+      .kernel;
+}
+
 std::vector<MergeCase> merge_cases() {
   std::vector<MergeCase> cases;
   const std::vector<std::pair<std::string, CacheGeometry>> geometries{
@@ -124,26 +145,13 @@ std::vector<MergeCase> merge_cases() {
           {"ewma", std::make_shared<EwmaKernel>(0.125)},
           {"outofseq", std::make_shared<OutOfSeqKernel>()},
           {"perc", std::make_shared<HighPercentileKernel>(32.0)},
-          {"combined",
-           std::make_shared<CombinedKernel>(
-               std::vector<std::shared_ptr<const FoldKernel>>{
-                   std::make_shared<CountKernel>(),
-                   std::make_shared<EwmaKernel>(0.25),
-                   std::make_shared<OutOfSeqKernel>()})},
+          {"combined", compiled("COUNT, ewma, outofseq", 0.25)},
           // SUM(tout) turns +infinity at a key's first dropped packet; at
           // that key's next merge the infinite delta component must stay in
           // its column, through identity A (COUNT) and a running product
           // (EWMA) alike: a zero coefficient times infinity is NaN.
-          {"count_sumtout",
-           std::make_shared<CombinedKernel>(
-               std::vector<std::shared_ptr<const FoldKernel>>{
-                   std::make_shared<CountKernel>(),
-                   std::make_shared<SumKernel>(FieldId::kTout)})},
-          {"ewma_sumtout",
-           std::make_shared<CombinedKernel>(
-               std::vector<std::shared_ptr<const FoldKernel>>{
-                   std::make_shared<EwmaKernel>(0.125),
-                   std::make_shared<SumKernel>(FieldId::kTout)})},
+          {"count_sumtout", compiled("COUNT, SUM(tout)", 0.125)},
+          {"ewma_sumtout", compiled("ewma, SUM(tout)", 0.125)},
       };
   for (const auto& [gname, geom] : geometries) {
     for (const auto& [kname, kernel] : kernels) {

@@ -201,9 +201,68 @@ TEST(Sema, GroupByProducesKeyedSchema) {
   EXPECT_EQ(q.output.key, q.key_columns);
   EXPECT_NE(q.output.find("COUNT"), nullptr);
   EXPECT_NE(q.output.find("SUM(pkt_len)"), nullptr);
-  ASSERT_EQ(q.aggregations.size(), 2u);
-  EXPECT_EQ(q.aggregations[0].kind, AggregationSpec::Kind::kCount);
-  EXPECT_EQ(q.aggregations[1].kind, AggregationSpec::Kind::kSum);
+  // COUNT and SUM lower to one fold, one state dim each.
+  EXPECT_EQ(q.value_columns,
+            (std::vector<std::string>{"COUNT", "SUM(pkt_len)"}));
+  EXPECT_EQ(to_string(q.fold.def), "def COUNT, SUM(pkt_len) ((#0, #1), ()):\n"
+                                   "    #0 = #0 + 1\n"
+                                   "    #1 = #1 + pkt_len\n");
+  EXPECT_EQ(q.fold.linearity.classification, Linearity::kLinearConstA);
+}
+
+TEST(Sema, GroupByFoldRenamesUserStateApartFromColumns) {
+  // A user fold's state may share a name with a field; renamed to #i, it
+  // cannot capture the field a SUM beside it reads.
+  const auto p = analyze_source(R"(
+def f (pkt_len, (tin)):
+    pkt_len = pkt_len + 1
+
+SELECT 5tuple, f, SUM(pkt_len) GROUPBY 5tuple
+)");
+  const AnalyzedQuery& q = p.queries.at(0);
+  EXPECT_EQ(q.value_columns,
+            (std::vector<std::string>{"pkt_len", "SUM(pkt_len)"}));
+  EXPECT_EQ(to_string(q.fold.def), "def f, SUM(pkt_len) ((#0, #1), ()):\n"
+                                   "    #0 = #0 + 1\n"
+                                   "    #1 = #1 + pkt_len\n");
+}
+
+TEST(Sema, OnSwitchGroupByStateWidthIsLimited) {
+  // Nine values per key: one past kMaxStateDims.
+  const char* source =
+      "SELECT srcip, COUNT, SUM(pkt_len), SUM(tin), SUM(tout), SUM(qsize), "
+      "SUM(tcpseq), SUM(dstport), SUM(srcport), SUM(payload_len) "
+      "GROUPBY srcip";
+  try {
+    (void)analyze_source(source);
+    FAIL() << "nine values per key must not compile on the switch";
+  } catch (const QueryError& e) {
+    EXPECT_EQ(e.line(), 1);
+    EXPECT_NE(std::string{e.what()}.find("keeps 9 values per key"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string{e.what()}.find("at most 8"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Sema, CollectionLayerFoldMustFindItsColumns) {
+  // Over a table a fold reads columns by name: R1 has no tin or tout.
+  const char* source = R"(def ewma (lat_est, (tin, tout)):
+    lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)
+
+R1 = SELECT 5tuple, ewma GROUPBY 5tuple
+R2 = SELECT srcip, COUNT, ewma FROM R1 GROUPBY srcip
+)";
+  try {
+    (void)analyze_source(source, {{"alpha", 0.125}});
+    FAIL() << "R2's ewma reads columns R1 does not have";
+  } catch (const QueryError& e) {
+    EXPECT_EQ(e.line(), 5);
+    EXPECT_NE(std::string{e.what()}.find("fold 'ewma' reads 'tin'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Sema, FiveTupleExpandsToFiveKeyColumns) {
@@ -301,8 +360,9 @@ SELECT 5tuple, bad GROUPBY 5tuple
 TEST(Sema, KeyOnlyGroupByGetsImplicitCount) {
   const auto p = analyze_source("SELECT srcip GROUPBY srcip");
   const AnalyzedQuery& q = p.queries.at(0);
-  ASSERT_EQ(q.aggregations.size(), 1u);
-  EXPECT_EQ(q.aggregations[0].kind, AggregationSpec::Kind::kCount);
+  EXPECT_EQ(q.value_columns, std::vector<std::string>{"COUNT"});
+  EXPECT_EQ(to_string(q.fold.def), "def COUNT (#0, ()):\n"
+                                   "    #0 = #0 + 1\n");
 }
 
 TEST(Sema, WhereWithDroppedPacketsPredicate) {

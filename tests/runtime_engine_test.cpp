@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <map>
+#include <set>
 
 #include "common/error.hpp"
 #include "runtime_test_util.hpp"
@@ -73,6 +74,60 @@ TEST(Engine, PerFlowCountersMatchGroundTruth) {
   }
   // Sanity: the tiny cache actually evicted.
   EXPECT_GT(engine->store_stats()[0].cache.evictions, 0u);
+}
+
+TEST(Engine, AggregatesOfAggregatesMatchGroundTruth) {
+  // On the switch, a fold whose state is named like a field sits beside a
+  // SUM of that field. The collection layer sums R1's COUNT and SUM columns
+  // and keeps ten values per key: tables have no state-width limit.
+  const std::string source =
+      "def f (pkt_len, (tin)):\n"
+      "    pkt_len = pkt_len + 1\n"
+      "R1 = SELECT srcip, qid, f, COUNT, SUM(pkt_len) GROUPBY srcip, qid\n"
+      "R2 = SELECT qid, COUNT, SUM(COUNT), SUM(SUM(pkt_len)), SUM(pkt_len), "
+      "SUM(COUNT * 2), SUM(COUNT * 3), SUM(COUNT * 4), SUM(COUNT * 5), "
+      "SUM(COUNT * 6), SUM(COUNT * 7) FROM R1 GROUPBY qid\n";
+  auto engine =
+      build_engine(compile_source(source), kSerial, small_cache_config());
+  const auto records = mixed_workload(5000, 40, 3);
+  struct Truth {
+    std::set<std::uint32_t> flows;
+    double packets = 0;
+    double bytes = 0;
+  };
+  std::map<std::uint32_t, Truth> truth;  // by qid
+  std::map<std::uint32_t, std::pair<double, double>> per_flow;  // by srcip
+  for (const auto& rec : records) {
+    engine->process(rec);
+    Truth& t = truth[rec.qid];
+    t.flows.insert(rec.pkt.flow.src_ip);
+    t.packets += 1;
+    t.bytes += rec.pkt.pkt_len;
+    per_flow[rec.pkt.flow.src_ip].first += 1;
+    per_flow[rec.pkt.flow.src_ip].second += rec.pkt.pkt_len;
+  }
+  engine->finish(Nanos{1'000'000'000});
+
+  const ResultTable& r1 = engine->table("R1");
+  ASSERT_EQ(r1.row_count(), per_flow.size());
+  for (const auto& row : r1.rows()) {
+    const auto& [packets, bytes] =
+        per_flow.at(static_cast<std::uint32_t>(row[r1.column("srcip")]));
+    EXPECT_EQ(row[r1.column("pkt_len")], packets);
+    EXPECT_EQ(row[r1.column("COUNT")], packets);
+    EXPECT_EQ(row[r1.column("SUM(pkt_len)")], bytes);
+  }
+  const ResultTable& r2 = engine->table("R2");
+  ASSERT_EQ(r2.row_count(), truth.size());
+  for (const auto& row : r2.rows()) {
+    const auto qid = static_cast<std::uint32_t>(row[r2.column("qid")]);
+    const Truth& t = truth.at(qid);
+    EXPECT_EQ(row[r2.column("COUNT")], static_cast<double>(t.flows.size()));
+    EXPECT_EQ(row[r2.column("SUM(COUNT)")], t.packets);
+    EXPECT_EQ(row[r2.column("SUM(SUM(pkt_len))")], t.bytes);
+    EXPECT_EQ(row[r2.column("SUM(pkt_len)")], t.packets);
+    EXPECT_EQ(row[r2.column("SUM(COUNT * 7)")], 7 * t.packets);
+  }
 }
 
 TEST(Engine, LatencyEwmaQueryRunsAndIsLinear) {

@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "fig2_corpus.hpp"
 #include "runtime_test_util.hpp"
 #include "trace/flow_session.hpp"
 #include "trace/replay.hpp"
@@ -24,81 +25,6 @@ namespace perfq::runtime {
 namespace {
 
 std::vector<PacketRecord> workload() { return test_workload(); }
-
-/// The Fig. 2 query corpus (same fold definitions the VM property test
-/// uses), spanning const-A, varying-A, h=1 linear, and non-linear kernels.
-struct CorpusEntry {
-  const char* name;
-  const char* source;
-  bool linear;
-};
-const CorpusEntry kFig2Corpus[] = {
-    {"counter", R"(
-def counter (cnt, (pkt_len)):
-    cnt = cnt + 1
-
-SELECT 5tuple, counter GROUPBY 5tuple
-)",
-     true},
-    {"bytecounter", R"(
-def bytecounter ((cnt, bytes), (pkt_len)):
-    cnt = cnt + 1
-    bytes = bytes + pkt_len
-
-SELECT 5tuple, bytecounter GROUPBY 5tuple
-)",
-     true},
-    {"ewma", R"(
-def ewma (lat_est, (tin, tout)):
-    lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)
-
-SELECT 5tuple, ewma GROUPBY 5tuple
-)",
-     true},
-    {"outofseq", R"(
-def outofseq ((lastseq, oos_count), (tcpseq, payload_len)):
-    if lastseq + 1 != tcpseq: oos_count = oos_count + 1
-    lastseq = tcpseq + payload_len
-
-SELECT 5tuple, outofseq GROUPBY 5tuple
-)",
-     true},
-    {"nonmt", R"(
-def nonmt ((maxseq, nm_count), (tcpseq)):
-    if maxseq > tcpseq: nm_count = nm_count + 1
-    maxseq = max(maxseq, tcpseq)
-
-SELECT 5tuple, nonmt GROUPBY 5tuple
-)",
-     false},
-    {"perc", R"(
-def perc ((tot, high), qin):
-    if qin > K: high = high + 1
-    tot = tot + 1
-
-SELECT qid, perc GROUPBY qid
-)",
-     true},
-    {"sum_lat", R"(
-def sum_lat (lat, (tin, tout)):
-    lat = lat + (tout - tin)
-
-SELECT 5tuple, sum_lat GROUPBY 5tuple
-)",
-     true},
-    {"gear", R"(
-def gear (acc, (pkt_len)):
-    if pkt_len > 500:
-        acc = 2 * acc
-    else:
-        acc = acc + 1
-
-SELECT 5tuple, gear GROUPBY 5tuple
-)",
-     true},
-};
-
-const std::map<std::string, double> kParams = {{"alpha", 0.125}, {"K", 50}};
 
 /// Small cache (8 buckets x 8 ways) so capacity evictions and merges are
 /// exercised heavily; 8 buckets divide evenly into 1, 2 and 8 shards.
@@ -123,20 +49,20 @@ std::unique_ptr<Engine> build_sharded(compiler::CompiledProgram program,
       [](EngineBuilder& b) { b.ring_capacity(512).dispatch_batch(64); });
 }
 
-void run_equivalence(const CorpusEntry& entry, std::size_t shards,
+void run_equivalence(const Fig2Query& entry, std::size_t shards,
                      Nanos refresh) {
   const std::string context = std::string(entry.name) + " shards=" +
                               std::to_string(shards) +
                               " refresh=" + std::to_string(refresh.count());
   const auto records = workload();
 
-  auto single =
-      build_single(compiler::compile_source(entry.source, kParams), refresh);
+  auto single = build_single(
+      compiler::compile_source(entry.source, kFig2Params), refresh);
   single->process_batch(records);
   single->finish(12_s);
 
-  auto sharded = build_sharded(compiler::compile_source(entry.source, kParams),
-                               shards, refresh);
+  auto sharded = build_sharded(
+      compiler::compile_source(entry.source, kFig2Params), shards, refresh);
   trace::replay_into(*sharded, records, /*batch=*/777);
   sharded->finish(12_s);
 
@@ -240,12 +166,12 @@ TEST(ShardedEngine, SmallAndRaggedBatches) {
   // message; every record must still fold, in order, on its shard.
   const auto records = workload();
   auto single = build_single(
-      compiler::compile_source(kFig2Corpus[0].source, kParams), 0_s);
+      compiler::compile_source(kFig2Corpus[0].source, kFig2Params), 0_s);
   single->process_batch(records);
   single->finish(12_s);
 
   auto sharded = build_sharded(
-      compiler::compile_source(kFig2Corpus[0].source, kParams), 2, 0_s);
+      compiler::compile_source(kFig2Corpus[0].source, kFig2Params), 2, 0_s);
   // Ragged delivery: 1-record batches, then 3, then one big tail.
   std::span<const PacketRecord> span(records);
   for (std::size_t i = 0; i < 10 && i < span.size(); ++i) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "runtime/engine_builder.hpp"
+#include "fig2_corpus.hpp"
 #include "runtime_test_util.hpp"
 #include "trace/flow_session.hpp"
 
@@ -25,71 +26,21 @@ namespace {
 
 std::vector<PacketRecord> workload() { return test_workload(); }
 
-/// Fig. 2 fold corpus: const-A, varying-A, h=1 linear, and non-linear.
-struct CorpusEntry {
-  const char* name;
-  const char* source;
-  bool linear;
-};
-const CorpusEntry kCorpus[] = {
-    {"counter", R"(
-def counter (cnt, (pkt_len)):
-    cnt = cnt + 1
-
-R1 = SELECT 5tuple, counter GROUPBY 5tuple
-)",
-     true},
-    {"ewma", R"(
-def ewma (lat_est, (tin, tout)):
-    lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)
-
-R1 = SELECT 5tuple, ewma GROUPBY 5tuple
-)",
-     true},
-    {"outofseq", R"(
-def outofseq ((lastseq, oos_count), (tcpseq, payload_len)):
-    if lastseq + 1 != tcpseq: oos_count = oos_count + 1
-    lastseq = tcpseq + payload_len
-
-R1 = SELECT 5tuple, outofseq GROUPBY 5tuple
-)",
-     true},
-    {"gear", R"(
-def gear (acc, (pkt_len)):
-    if pkt_len > 500:
-        acc = 2 * acc
-    else:
-        acc = acc + 1
-
-R1 = SELECT 5tuple, gear GROUPBY 5tuple
-)",
-     true},
-    {"nonmt", R"(
-def nonmt ((maxseq, nm_count), (tcpseq)):
-    if maxseq > tcpseq: nm_count = nm_count + 1
-    maxseq = max(maxseq, tcpseq)
-
-R1 = SELECT 5tuple, nonmt GROUPBY 5tuple
-)",
-     false},
-};
-const std::map<std::string, double> kParams{{"alpha", 0.125}};
-
 /// Small cache (64 x 8) so evictions/merges hit on every prefix; divides
 /// into 1 and 4 shards.
 kv::CacheGeometry small_geometry() {
   return kv::CacheGeometry::set_associative(64, 8);
 }
 
-EngineBuilder builder_for(const CorpusEntry& entry, Nanos refresh) {
-  EngineBuilder builder(compiler::compile_source(entry.source, kParams));
+EngineBuilder builder_for(const Fig2Query& entry, Nanos refresh) {
+  EngineBuilder builder(compiler::compile_source(entry.source, kFig2Params));
   builder.geometry(small_geometry()).refresh(refresh);
   return builder;
 }
 
 /// The property: at K record boundaries, every engine's snapshot equals the
 /// fresh-engine-finish oracle over the same prefix, bit for bit.
-void run_snapshot_property(const CorpusEntry& entry, Nanos refresh) {
+void run_snapshot_property(const Fig2Query& entry, Nanos refresh) {
   const auto records = workload();
   const std::span<const PacketRecord> span(records);
   // K = 4 uneven boundaries (plus the trivial 0 boundary) to stress partial
@@ -151,13 +102,13 @@ void run_snapshot_property(const CorpusEntry& entry, Nanos refresh) {
 }
 
 TEST(Snapshot, MatchesFreshEngineFinishAtEveryBoundary) {
-  for (const CorpusEntry& entry : kCorpus) {
+  for (const Fig2Query& entry : kFig2Corpus) {
     run_snapshot_property(entry, /*refresh=*/0_s);
   }
 }
 
 TEST(Snapshot, MatchesWithPeriodicRefreshRunning) {
-  for (const CorpusEntry& entry : kCorpus) {
+  for (const Fig2Query& entry : kFig2Corpus) {
     run_snapshot_property(entry, /*refresh=*/1_s);
   }
 }
@@ -167,7 +118,7 @@ TEST(Snapshot, RepeatedSnapshotsAtTheSameBoundaryAgree) {
   // table (and exercise the sharded same-seq marker path).
   const auto records = workload();
   for (const bool sharded : {false, true}) {
-    EngineBuilder builder = builder_for(kCorpus[0], 0_s);
+    EngineBuilder builder = builder_for(kFig2Corpus[0], 0_s);
     if (sharded) builder.sharded(4);
     auto engine = builder.build();
     engine->process_batch(records);

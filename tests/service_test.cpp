@@ -648,6 +648,29 @@ TEST(LineProtocol, AttachRejectsControlBytesInNames) {
   EXPECT_DOUBLE_EQ(svc.used_die_fraction(), used);
 }
 
+TEST(LineProtocol, AttachPastTheStateWidthGetsErrAndChargesNothing) {
+  // Nine values per key: the switch keeps at most kv::kMaxStateDims (8).
+  service::QueryService svc = make_service();
+  const auto records = test_workload();
+  svc.process_batch(records);
+  const service::Response before = service::execute_line(svc, "LIST");
+  ASSERT_TRUE(before.ok);
+  const service::Response reply = service::execute_line(
+      svc,
+      "ATTACH wide SELECT srcip, COUNT, SUM(pkt_len), SUM(tin), SUM(tout), "
+      "SUM(qsize), SUM(tcpseq), SUM(dstport), SUM(srcport), SUM(payload_len) "
+      "GROUPBY srcip");
+  EXPECT_FALSE(reply.ok);
+  const std::string wire = reply.to_wire();
+  EXPECT_EQ(wire.rfind("ERR ", 0), 0u) << wire;
+  EXPECT_NE(wire.find("keeps 9 values per key"), std::string::npos) << wire;
+  EXPECT_NE(wire.find("at most 8"), std::string::npos) << wire;
+  EXPECT_TRUE(svc.tenants().empty());
+  const service::Response after = service::execute_line(svc, "LIST");
+  ASSERT_TRUE(after.ok);
+  EXPECT_EQ(after.lines, before.lines);
+}
+
 // ---- execute_line fuzz ------------------------------------------------------
 
 bool is_control_byte(char c) {

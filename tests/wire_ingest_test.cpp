@@ -16,80 +16,13 @@
 
 #include <filesystem>
 
+#include "fig2_corpus.hpp"
 #include "runtime_test_util.hpp"
 #include "trace/wire_replay.hpp"
 #include "trace/wire_trace.hpp"
 
 namespace perfq::runtime {
 namespace {
-
-const std::map<std::string, double> kParams = {{"alpha", 0.125}, {"K", 50}};
-
-/// The Fig. 2 fold corpus (the sharded-equivalence suite's list), spanning
-/// const-A, varying-A, h=1 linear and non-linear kernels — each stresses a
-/// different lazy-update specialization (builtins, compiled fold bodies,
-/// the history-window materializing fallback).
-struct CorpusEntry {
-  const char* name;
-  const char* source;
-};
-const CorpusEntry kFig2Corpus[] = {
-    {"counter", R"(
-def counter (cnt, (pkt_len)):
-    cnt = cnt + 1
-
-SELECT 5tuple, counter GROUPBY 5tuple
-)"},
-    {"bytecounter", R"(
-def bytecounter ((cnt, bytes), (pkt_len)):
-    cnt = cnt + 1
-    bytes = bytes + pkt_len
-
-SELECT 5tuple, bytecounter GROUPBY 5tuple
-)"},
-    {"ewma", R"(
-def ewma (lat_est, (tin, tout)):
-    lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)
-
-SELECT 5tuple, ewma GROUPBY 5tuple
-)"},
-    {"outofseq", R"(
-def outofseq ((lastseq, oos_count), (tcpseq, payload_len)):
-    if lastseq + 1 != tcpseq: oos_count = oos_count + 1
-    lastseq = tcpseq + payload_len
-
-SELECT 5tuple, outofseq GROUPBY 5tuple
-)"},
-    {"nonmt", R"(
-def nonmt ((maxseq, nm_count), (tcpseq)):
-    if maxseq > tcpseq: nm_count = nm_count + 1
-    maxseq = max(maxseq, tcpseq)
-
-SELECT 5tuple, nonmt GROUPBY 5tuple
-)"},
-    {"perc", R"(
-def perc ((tot, high), qin):
-    if qin > K: high = high + 1
-    tot = tot + 1
-
-SELECT qid, perc GROUPBY qid
-)"},
-    {"sum_lat", R"(
-def sum_lat (lat, (tin, tout)):
-    lat = lat + (tout - tin)
-
-SELECT 5tuple, sum_lat GROUPBY 5tuple
-)"},
-    {"gear", R"(
-def gear (acc, (pkt_len)):
-    if pkt_len > 500:
-        acc = 2 * acc
-    else:
-        acc = acc + 1
-
-SELECT 5tuple, gear GROUPBY 5tuple
-)"},
-};
 
 /// Records serialized to wire frames with their telemetry sidecars.
 /// `storage` owns the bytes (inner vectors never move their heap buffers,
@@ -132,8 +65,8 @@ EngineConfig engine_config(Nanos refresh) {
 ResultTable eager_reference(const char* source,
                             std::span<const FrameObservation> frames,
                             Nanos refresh, trace::IngestStats* stats_out) {
-  auto engine = build_engine(compiler::compile_source(source, kParams), kSerial,
-                             engine_config(refresh));
+  auto engine = build_engine(compiler::compile_source(source, kFig2Params),
+                             kSerial, engine_config(refresh));
   const trace::IngestStats stats =
       trace::replay_frames(*engine, frames, /*batch=*/777);
   engine->finish(12_s);
@@ -141,7 +74,7 @@ ResultTable eager_reference(const char* source,
   return engine->result();
 }
 
-void run_wire_equivalence(const CorpusEntry& entry,
+void run_wire_equivalence(const Fig2Query& entry,
                           std::span<const FrameObservation> frames,
                           Nanos refresh) {
   const std::string context =
@@ -156,7 +89,7 @@ void run_wire_equivalence(const CorpusEntry& entry,
   for (const Topology& topo : kTopologies) {
     const std::string where = context + " [" + topo.name + "]";
     auto lazy = build_engine(
-        compiler::compile_source(entry.source, kParams), topo,
+        compiler::compile_source(entry.source, kFig2Params), topo,
         engine_config(refresh),
         [](EngineBuilder& b) { b.ring_capacity(512).dispatch_batch(64); });
     trace::IngestStats lazy_stats;
@@ -228,7 +161,7 @@ TEST(WireIngest, ChecksumVerificationOptInCountsBadChecksum) {
   // frame parses (with the corrupt TTL visible as data).
   {
     auto engine = build_engine(
-        compiler::compile_source(kFig2Corpus[0].source, kParams), kSerial,
+        compiler::compile_source(kFig2Corpus[0].source, kFig2Params), kSerial,
         engine_config(0_s));
     const auto stats = engine->process_wire_batch(set.frames);
     EXPECT_EQ(stats.parsed, set.frames.size());
@@ -241,7 +174,7 @@ TEST(WireIngest, ChecksumVerificationOptInCountsBadChecksum) {
   for (const Topology& topo : {kSerial, Topology{"s4", 4}}) {
     SCOPED_TRACE(topo.name);
     auto engine = build_engine(
-        compiler::compile_source(kFig2Corpus[0].source, kParams), topo,
+        compiler::compile_source(kFig2Corpus[0].source, kFig2Params), topo,
         verifying);
     const auto stats = engine->process_wire_batch(set.frames);
     engine->finish(12_s);
@@ -275,7 +208,7 @@ TEST(WireIngest, BurstTruncationNeverPerturbsNeighbors) {
   const auto right_bytes = wire::serialize(right.pkt);
 
   auto engine = build_engine(
-      compiler::compile_source(kFig2Corpus[1].source, kParams), kSerial,
+      compiler::compile_source(kFig2Corpus[1].source, kFig2Params), kSerial,
       engine_config(0_s));
   std::uint64_t want_parsed = 0;
   std::uint64_t want_truncated = 0;
@@ -301,7 +234,7 @@ TEST(WireIngest, BurstTruncationNeverPerturbsNeighbors) {
   // Each burst folded its neighbors and exactly the header-complete cuts:
   // the eager reference over the identical feed lands on the same table.
   auto reference = build_engine(
-      compiler::compile_source(kFig2Corpus[1].source, kParams), kSerial,
+      compiler::compile_source(kFig2Corpus[1].source, kFig2Params), kSerial,
       engine_config(0_s));
   const trace::IngestStats ref_stats =
       trace::replay_frames(*reference, all.frames, /*batch=*/64);
@@ -331,14 +264,14 @@ TEST(WireIngest, PqwfFileReplayMatchesInMemoryFrames) {
   trace::write_wire_trace(path, set.frames);
 
   auto from_memory = build_engine(
-      compiler::compile_source(kFig2Corpus[1].source, kParams), kSerial,
+      compiler::compile_source(kFig2Corpus[1].source, kFig2Params), kSerial,
       engine_config(1_s));
   trace::IngestStats mem_stats;
   mem_stats += from_memory->process_wire_batch(set.frames);
   from_memory->finish(12_s);
 
   auto from_file = build_engine(
-      compiler::compile_source(kFig2Corpus[1].source, kParams), kSerial,
+      compiler::compile_source(kFig2Corpus[1].source, kFig2Params), kSerial,
       engine_config(1_s));
   const trace::IngestStats file_stats =
       trace::replay_wire_trace(*from_file, path, /*burst=*/256);
@@ -367,7 +300,7 @@ TEST(WireIngest, TornPqwfTailReachesEngineMetrics) {
   for (const Topology& topo : kTopologies) {
     SCOPED_TRACE(topo.name);
     auto engine = build_engine(
-        compiler::compile_source(kFig2Corpus[0].source, kParams), topo,
+        compiler::compile_source(kFig2Corpus[0].source, kFig2Params), topo,
         engine_config(0_s));
     const trace::IngestStats stats =
         trace::replay_wire_trace(*engine, path, /*burst=*/32);
@@ -388,7 +321,7 @@ TEST(WireIngest, FieldUsageReflectsWhatTheProgramReads) {
   // Sema's per-program FieldUsage is the lazy path's decode contract: a
   // count-over-5tuple program touches exactly the key fields on the wire.
   const auto counter =
-      compiler::compile_source(kFig2Corpus[0].source, kParams);
+      compiler::compile_source(kFig2Corpus[0].source, kFig2Params);
   const FieldUsage usage = counter.field_usage;
   for (const FieldId f : five_tuple_fields()) {
     EXPECT_TRUE(usage.test(f)) << field_name(f);
@@ -401,7 +334,8 @@ TEST(WireIngest, FieldUsageReflectsWhatTheProgramReads) {
 
   // ewma keys on the 5-tuple but folds over sidecar timestamps only — the
   // wire decode cost is still just the 13 key bytes.
-  const auto ewma = compiler::compile_source(kFig2Corpus[2].source, kParams);
+  const auto ewma =
+      compiler::compile_source(kFig2Corpus[2].source, kFig2Params);
   EXPECT_TRUE(ewma.field_usage.test(FieldId::kTin));
   EXPECT_TRUE(ewma.field_usage.test(FieldId::kTout));
   EXPECT_EQ(ewma.field_usage.wire_fields(), 5);
