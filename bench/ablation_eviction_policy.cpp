@@ -11,7 +11,6 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "kvstore/builtin_folds.hpp"
 #include "kvstore/cache.hpp"
 #include "trace/flow_session.hpp"
 
@@ -21,8 +20,9 @@ using namespace perfq;
 
 double eviction_fraction(const trace::TraceConfig& config,
                          kv::CacheGeometry geometry, kv::EvictionPolicy policy) {
-  auto kernel = std::make_shared<kv::CountKernel>();
-  kv::Cache cache(geometry, kernel, 0x5eedcafe, policy);
+  kv::Cache cache(geometry,
+                  bench::compiled_kernel("SELECT COUNT GROUPBY 5tuple"),
+                  0x5eedcafe, policy);
   cache.set_eviction_sink({});
   trace::FlowSessionGenerator gen(config);
   while (auto rec = gen.next()) {

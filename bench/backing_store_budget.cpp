@@ -12,7 +12,6 @@
 #include "analysis/area_model.hpp"
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "kvstore/builtin_folds.hpp"
 #include "kvstore/cache.hpp"
 #include "trace/flow_session.hpp"
 
@@ -29,8 +28,8 @@ int main() {
       static_cast<std::uint64_t>(static_cast<double>(full_pairs) * scale);
   scaled_pairs = std::max<std::uint64_t>(scaled_pairs - scaled_pairs % 8, 8);
 
-  auto kernel = std::make_shared<kv::CountKernel>();
-  kv::Cache cache(kv::CacheGeometry::set_associative(scaled_pairs, 8), kernel);
+  kv::Cache cache(kv::CacheGeometry::set_associative(scaled_pairs, 8),
+                  bench::compiled_kernel("SELECT COUNT GROUPBY 5tuple"));
   cache.set_eviction_sink({});
   trace::FlowSessionGenerator gen(config);
   while (auto rec = gen.next()) {

@@ -15,12 +15,12 @@
 #include <cstdio>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "baselines/cms.hpp"
 #include "baselines/netflow.hpp"
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "kvstore/builtin_folds.hpp"
 #include "kvstore/kvstore.hpp"
 #include "trace/flow_session.hpp"
 
@@ -28,22 +28,31 @@ namespace {
 
 using namespace perfq;
 
-/// A COUNT kernel that *pretends* to be non-linear: the backing store then
+/// A linear kernel that *pretends* to be non-linear: the backing store then
 /// refuses to merge and keeps only per-epoch segments — exactly what a split
 /// design without §3.2's merge machinery would report.
-class CountNoMergeKernel final : public kv::FoldKernel {
+class NoMergeKernel final : public kv::FoldKernel {
  public:
-  [[nodiscard]] std::string name() const override { return "count-no-merge"; }
-  [[nodiscard]] std::size_t state_dims() const override { return 1; }
+  explicit NoMergeKernel(std::shared_ptr<const kv::FoldKernel> fold)
+      : fold_(std::move(fold)) {}
+  [[nodiscard]] std::string name() const override {
+    return fold_->name() + "-no-merge";
+  }
+  [[nodiscard]] std::size_t state_dims() const override {
+    return fold_->state_dims();
+  }
   [[nodiscard]] kv::StateVector initial_state() const override {
-    return kv::StateVector(1);
+    return fold_->initial_state();
   }
   void update(kv::StateVector& state, const PacketRecord& rec) const override {
-    kv::CountKernel{}.update(state, rec);
+    fold_->update(state, rec);
   }
   [[nodiscard]] kv::Linearity linearity() const override {
     return kv::Linearity::kNotLinear;
   }
+
+ private:
+  std::shared_ptr<const kv::FoldKernel> fold_;
 };
 
 struct ErrorStats {
@@ -86,14 +95,13 @@ int main() {
   pairs = std::max<std::uint64_t>(pairs - pairs % 8, 8);
   const double budget_mbits = kv::mbits_for_pairs(pairs, 128);
 
-  auto kernel = std::make_shared<kv::CountKernel>();
+  const auto kernel = bench::compiled_kernel("SELECT COUNT GROUPBY 5tuple");
   kv::KeyValueStore with_merge(kv::CacheGeometry::set_associative(pairs, 8),
                                kernel);
-  // Ablation: same cache, but the backing store only keeps the newest epoch
-  // (what you get without the linear-in-state merge).
-  auto no_merge_kernel = std::make_shared<CountNoMergeKernel>();
+  // Ablation: same cache and fold, but the backing store only keeps the
+  // newest epoch (what you get without the linear-in-state merge).
   kv::KeyValueStore no_merge(kv::CacheGeometry::set_associative(pairs, 8),
-                             no_merge_kernel);
+                             std::make_shared<NoMergeKernel>(kernel));
   // CMS sized to the same bit budget (32-bit counters).
   const auto cms_counters =
       static_cast<std::size_t>(budget_mbits * 1024.0 * 1024.0 / 32.0);

@@ -13,7 +13,6 @@
 #include "analysis/area_model.hpp"
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "kvstore/builtin_folds.hpp"
 #include "kvstore/cache.hpp"
 #include "trace/flow_session.hpp"
 
@@ -29,8 +28,8 @@ struct GeometryResult {
 
 GeometryResult run_config(const trace::TraceConfig& config,
                           kv::CacheGeometry geometry) {
-  auto kernel = std::make_shared<kv::CountKernel>();
-  kv::Cache cache(geometry, kernel);
+  kv::Cache cache(geometry,
+                  bench::compiled_kernel("SELECT COUNT GROUPBY 5tuple"));
   // Pure eviction-rate study: evicted values are dropped (Fig. 5 measures
   // the write rate, not merge semantics — those are property-tested).
   cache.set_eviction_sink({});

@@ -10,7 +10,6 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "kvstore/builtin_folds.hpp"
 #include "kvstore/kvstore.hpp"
 #include "trace/flow_session.hpp"
 
@@ -22,7 +21,13 @@ using namespace perfq;
 /// key-weighted average validity across windows.
 double windowed_accuracy(const trace::TraceConfig& config,
                          kv::CacheGeometry geometry, Nanos window) {
-  auto kernel = std::make_shared<kv::NonMonotonicKernel>();
+  const auto kernel = bench::compiled_kernel(R"(
+def nonmt ((maxseq, nm_count), (tcpseq)):
+    if maxseq > tcpseq: nm_count = nm_count + 1
+    maxseq = max(maxseq, tcpseq)
+
+SELECT 5tuple, nonmt GROUPBY 5tuple
+)");
   auto store = std::make_unique<kv::KeyValueStore>(geometry, kernel);
   trace::FlowSessionGenerator gen(config);
 

@@ -4,8 +4,8 @@
 // AST for every record: one virtual ValueSource call per name plus one
 // recursive eval_node() frame per operator. This VM lowers a compiled
 // FoldBody once into straight-line register code so the per-packet path is
-// a short dispatch loop over a few instructions. Design, tuned against the
-// hand-written kernels in bench/kvstore_micro.cpp:
+// a short dispatch loop over a few instructions. Design, tuned against
+// BM_CompiledEwmaUpdate and its AST-walking twin in bench/kvstore_micro.cpp:
 //
 //   - Dispatch-free preamble. Constants (deduplicated, constant-only
 //     subtrees folded with the interpreter's own operator semantics),

@@ -17,8 +17,6 @@
 //     this bit-exactness rests on the additions being FP-exact, which holds
 //     for integer counters/sums up to 2^53; fractional addends merge at
 //     ULP-level accuracy instead.
-//   - ASSOCIATIVE kernels (extremum folds with merge_values()): bit-exact,
-//     same conditions.
 //   - Everything else is SINGLE-SOURCE exact: keys whose whole record stream
 //     lived on one switch (e.g. queue-keyed EWMA — a qid belongs to exactly
 //     one switch) are exact under the per-switch engine's own contract; keys

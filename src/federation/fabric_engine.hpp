@@ -16,10 +16,10 @@
 //   fabric.finish(net.now());
 //   const runtime::ResultTable& result = fabric.result();
 //
-// Exactness is the collector's contract (collector.hpp): additive and
-// associative kernels federate bit-for-bit against an all-packets oracle;
-// order-sensitive kernels are exact per single-source key with §3.2's
-// segment escape hatch for keys that crossed switches.
+// Exactness is the collector's contract (collector.hpp): additive kernels
+// federate bit-for-bit against an all-packets oracle; order-sensitive
+// kernels are exact per single-source key with §3.2's segment escape hatch
+// for keys that crossed switches.
 //
 // Stream SELECTs stay per-switch: their rows are delivered through each
 // switch engine's own sinks (engine(label) reaches them) and have no exact
@@ -59,7 +59,7 @@ struct FabricOptions {
   /// Per-switch periodic refresh (§3.2); zero disables. NOTE the FP caveat
   /// in collector.hpp: each engine's refresh clock anchors at ITS first
   /// record, so refresh changes flush instants per switch — free for
-  /// additive/associative kernels, ULP-level for other linear folds.
+  /// additive kernels, ULP-level for other linear folds.
   Nanos refresh_interval{0};
   std::uint64_t hash_seed = 0x5eedcafe;
   /// Records a tap buffers before handing the switch engine one batch.

@@ -12,7 +12,6 @@ BackingStore::BackingStore(std::shared_ptr<const FoldKernel> kernel)
     : kernel_(std::move(kernel)), index_(kMinIndex, 0) {
   if (kernel_ == nullptr) throw ConfigError{"BackingStore: null kernel"};
   linearity_ = kernel_->linearity();
-  associative_ = kernel_->has_associative_merge();
   history_ = kernel_->history_window();
   if (linearity_ == Linearity::kLinearConstA) {
     const_a_ = kernel_->constant_a();
@@ -82,18 +81,6 @@ void BackingStore::absorb(const EvictedValue& ev) {
   const auto [pos, inserted] = find_or_append(ev.key);
   Entry& entry = entries_[pos];
   if (inserted) ++key_count_;
-
-  if (linearity_ == Linearity::kNotLinear && associative_) {
-    // Extension: exact non-linear merge for semilattice-style folds.
-    if (inserted) ++valid_keys_;  // merged exactly: always one whole-window value
-    entry.packets += ev.packets;
-    if (inserted) {
-      entry.value = ev.state;
-    } else {
-      kernel_->merge_values(entry.value, ev.state);
-    }
-    return;
-  }
 
   if (linearity_ == Linearity::kNotLinear) {
     // §3.2 "Operations that are not linear in state": keep one value per

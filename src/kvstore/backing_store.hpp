@@ -167,7 +167,6 @@ class BackingStore {
 
   std::shared_ptr<const FoldKernel> kernel_;
   Linearity linearity_ = Linearity::kNotLinear;
-  bool associative_ = false;
   std::size_t history_ = 0;  ///< kernel's history window h
   SmallMatrix const_a_;      ///< kLinearConstA kernels only
   bool identity_a_ = false;  ///< const A == I: the merge is a per-dim add

@@ -7,7 +7,6 @@
 namespace perfq::kv {
 
 MergeCapability merge_capability(const FoldKernel& kernel) {
-  if (kernel.has_associative_merge()) return MergeCapability::kAssociative;
   if (kernel.linearity() == Linearity::kLinearConstA &&
       kernel.history_window() == 0 &&
       kernel.constant_a() == SmallMatrix::identity(kernel.state_dims())) {
@@ -54,17 +53,6 @@ FederatedStore::Reduced FederatedStore::reduce(
       for (const Contribution& c : contribs) {
         v += c.value - s0_;
         valid = valid && c.valid;
-      }
-      return Reduced{v, valid};
-    }
-    case MergeCapability::kAssociative: {
-      StateVector v = contribs.front().value;
-      bool valid = contribs.front().valid;
-      for (std::size_t i = 1; i < contribs.size(); ++i) {
-        // Each per-source value is an exact merge of epochs started from s0,
-        // so it satisfies merge_values()' epoch precondition.
-        kernel_->merge_values(v, contribs[i].value);
-        valid = valid && contribs[i].valid;
       }
       return Reduced{v, valid};
     }

@@ -14,9 +14,6 @@
 //                  fractional addends. This is the FP caveat that mirrors the
 //                  attach/detach contract note in runtime/engine_api.hpp.
 //
-//   kAssociative   the kernel provides a commutative exact merge_values()
-//                  (extremum folds). Folding per-source values is bit-exact.
-//
 //   kSingleSource  everything else. A linear-but-not-additive fold (EWMA) is
 //                  order-sensitive: the backing store's linear merge is
 //                  SEQUENTIAL COMPOSITION, not commutative, so streams that
@@ -54,14 +51,12 @@ namespace perfq::kv {
 /// How a fold's per-source values combine across interleaved record streams.
 enum class MergeCapability : std::uint8_t {
   kAdditive,      ///< S' = S + B: merged = s0 + Σ (v_i − s0), order-free
-  kAssociative,   ///< kernel merge_values() is commutative and exact
   kSingleSource,  ///< exact only for keys observed at exactly one source
 };
 
 [[nodiscard]] constexpr const char* to_cstring(MergeCapability c) {
   switch (c) {
     case MergeCapability::kAdditive: return "additive";
-    case MergeCapability::kAssociative: return "associative";
     case MergeCapability::kSingleSource: return "single-source";
   }
   return "?";
@@ -70,8 +65,7 @@ enum class MergeCapability : std::uint8_t {
 /// Classify a kernel's cross-stream merge algebra. Additive means const-A
 /// with A = identity and no history window — the update can only add a
 /// packet-determined increment, so per-stream totals are interleaving-
-/// independent. Associative wins over additive when a kernel claims both
-/// (merge_values is the kernel's own exact merge).
+/// independent.
 [[nodiscard]] MergeCapability merge_capability(const FoldKernel& kernel);
 
 /// One store's contribution to a federated merge: every entry of one

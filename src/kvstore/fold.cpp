@@ -21,13 +21,6 @@ SmallMatrix FoldKernel::constant_a() const {
                       name()};
 }
 
-void FoldKernel::merge_values(StateVector& /*backing*/,
-                              const StateVector& /*evicted*/) const {
-  throw InternalError{
-      "FoldKernel::merge_values called on kernel without associative merge: " +
-      name()};
-}
-
 bool transform_matches_update(const FoldKernel& kernel, const StateVector& state,
                               std::span<const PacketRecord> window,
                               double tolerance) {

@@ -1,10 +1,9 @@
 // The fold-kernel interface: what the key-value store needs to know about a
 // GROUPBY aggregation function.
 //
-// A kernel is produced either by the query compiler (src/compiler lowers
-// each GROUPBY's fold to a CompiledFoldKernel) or hand-written
-// (builtin_folds, used by unit tests and microbenchmarks). The split
-// cache/backing-store machinery interrogates the kernel for:
+// Kernels come from the query compiler: src/compiler lowers each GROUPBY's
+// fold to a CompiledFoldKernel. The split cache/backing-store machinery
+// interrogates the kernel for:
 //
 //   - state dimensionality and the initial state s0;
 //   - the per-packet update (any fold);
@@ -111,29 +110,11 @@ class FoldKernel {
 
   /// For kLinearConstA kernels: the fixed A matrix. Default throws.
   [[nodiscard]] virtual SmallMatrix constant_a() const;
-
-  // ---- extension beyond the paper: associative merges ----------------------
-  // Some folds are not linear in state yet still merge exactly, because the
-  // fold is a homomorphism into a commutative semigroup whose identity is
-  // the initial state — e.g. per-flow maximum: max over an epoch started
-  // from -inf combines with the backing value via elementwise max. This is
-  // the direction the paper's follow-up (Marple's "mergeable aggregations")
-  // formalizes; we support it as an opt-in kernel capability. A kernel with
-  // a custom merge is treated as exactly mergeable by the backing store even
-  // when linearity() == kNotLinear.
-
-  /// True if merge_values() provides an exact merge.
-  [[nodiscard]] virtual bool has_associative_merge() const { return false; }
-
-  /// Exact merge: combine the evicted epoch's accumulator into `backing`.
-  /// Precondition: the epoch started from initial_state(), which must be the
-  /// merge's identity element. Default throws.
-  virtual void merge_values(StateVector& backing, const StateVector& evicted) const;
 };
 
 /// Verifies the kernel's self-consistency on one record: applying update()
-/// must equal applying A·S + B from transform(). Used by property tests and
-/// by the compiler's self-check mode. `window.back()` is the record applied.
+/// must equal applying A·S + B from transform(). Used by property tests.
+/// `window.back()` is the record applied.
 [[nodiscard]] bool transform_matches_update(const FoldKernel& kernel,
                                             const StateVector& state,
                                             std::span<const PacketRecord> window,

@@ -1,5 +1,5 @@
 // Compiler lowering tests: scalar expressions, compiled fold kernels
-// (differential vs hand-written builtins), key packing, plan construction.
+// (differential vs plain C++ updates), key packing, plan construction.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "compiler/key_router.hpp"
 #include "compiler/program.hpp"
 #include "fig2_corpus.hpp"
-#include "kvstore/builtin_folds.hpp"
 #include "lang/parser.hpp"
 #include "trace/simple.hpp"
 
@@ -70,20 +69,42 @@ TEST(ScalarExpr, RowSourceResolvesColumns) {
 
 // ------------------------------------------------- compiled fold kernels --
 
-/// Differential check: a compiled fold must agree with a builtin kernel on
-/// every record of a random workload, both via update() and (when linear)
-/// via the affine transform path.
-void expect_kernels_agree(const kv::FoldKernel& compiled,
-                          const kv::FoldKernel& builtin,
-                          std::span<const PacketRecord> records) {
-  ASSERT_EQ(compiled.state_dims(), builtin.state_dims());
+// Fig. 2's folds written as plain C++ over one record, from zeroed state:
+// oracles independent of the compiler.
+
+/// outofseq: state = (lastseq, oos_count).
+void outofseq_update(kv::StateVector& s, const PacketRecord& rec) {
+  const double seq = static_cast<double>(rec.pkt.tcp_seq);
+  if (s[0] + 1.0 != seq) s[1] += 1.0;
+  s[0] = seq + static_cast<double>(rec.pkt.payload_len);
+}
+
+/// perc with K = 100: state = (tot, high).
+void perc_update(kv::StateVector& s, const PacketRecord& rec) {
+  if (static_cast<double>(rec.qsize) > 100.0) s[1] += 1.0;
+  s[0] += 1.0;
+}
+
+/// nonmt: state = (maxseq, nm_count).
+void nonmt_update(kv::StateVector& s, const PacketRecord& rec) {
+  const double seq = static_cast<double>(rec.pkt.tcp_seq);
+  if (s[0] > seq) s[1] += 1.0;
+  if (seq > s[0]) s[0] = seq;
+}
+
+/// Differential check: a compiled fold must agree with its oracle on every
+/// record of a random workload.
+void expect_matches_oracle(const kv::FoldKernel& compiled,
+                           void (*oracle)(kv::StateVector&, const PacketRecord&),
+                           std::span<const PacketRecord> records) {
+  ASSERT_EQ(compiled.state_dims(), 2u) << "every oracle folds two variables";
   kv::StateVector sc = compiled.initial_state();
-  kv::StateVector sb = builtin.initial_state();
+  kv::StateVector so(compiled.state_dims());
   for (const auto& rec : records) {
     compiled.update(sc, rec);
-    builtin.update(sb, rec);
+    oracle(so, rec);
     for (std::size_t d = 0; d < sc.dims(); ++d) {
-      ASSERT_NEAR(sc[d], sb[d], 1e-9 * std::max(1.0, std::abs(sb[d])));
+      ASSERT_NEAR(sc[d], so[d], 1e-9 * std::max(1.0, std::abs(so[d])));
     }
   }
 }
@@ -109,7 +130,7 @@ std::vector<PacketRecord> tcp_stream(std::uint64_t n, std::uint64_t seed) {
   return out;
 }
 
-TEST(FoldCompiler, CompiledOutOfSeqMatchesBuiltin) {
+TEST(FoldCompiler, CompiledOutOfSeqMatchesOracle) {
   const auto analysis = analyze_source(R"(
 def outofseq ((lastseq, oos_count), (tcpseq, payload_len)):
     if lastseq + 1 != tcpseq: oos_count = oos_count + 1
@@ -120,10 +141,10 @@ SELECT 5tuple, outofseq GROUPBY 5tuple
   const CompiledFoldKernel compiled(analysis.folds[0], {});
   EXPECT_EQ(compiled.history_window(), 1u);
   EXPECT_TRUE(kv::is_linear(compiled.linearity()));
-  expect_kernels_agree(compiled, kv::OutOfSeqKernel{}, tcp_stream(300, 11));
+  expect_matches_oracle(compiled, outofseq_update, tcp_stream(300, 11));
 }
 
-TEST(FoldCompiler, CompiledPercMatchesBuiltin) {
+TEST(FoldCompiler, CompiledPercMatchesOracle) {
   const auto analysis = analyze_source(R"(
 def perc ((tot, high), qin):
     if qin > K: high = high + 1
@@ -134,11 +155,10 @@ SELECT qid, perc GROUPBY qid
                                        {{"K", 100.0}});
   const CompiledFoldKernel compiled(analysis.folds[0], {});
   EXPECT_EQ(compiled.linearity(), kv::Linearity::kLinearConstA);
-  expect_kernels_agree(compiled, kv::HighPercentileKernel{100.0},
-                       tcp_stream(300, 12));
+  expect_matches_oracle(compiled, perc_update, tcp_stream(300, 12));
 }
 
-TEST(FoldCompiler, CompiledNonMonotonicMatchesBuiltin) {
+TEST(FoldCompiler, CompiledNonMonotonicMatchesOracle) {
   const auto analysis = analyze_source(R"(
 def nonmt ((maxseq, nm_count), (tcpseq)):
     if maxseq > tcpseq: nm_count = nm_count + 1
@@ -148,7 +168,7 @@ SELECT 5tuple, nonmt GROUPBY 5tuple
 )");
   const CompiledFoldKernel compiled(analysis.folds[0], {});
   EXPECT_EQ(compiled.linearity(), kv::Linearity::kNotLinear);
-  expect_kernels_agree(compiled, kv::NonMonotonicKernel{}, tcp_stream(300, 13));
+  expect_matches_oracle(compiled, nonmt_update, tcp_stream(300, 13));
 }
 
 TEST(FoldCompiler, TransformSelfConsistencyOnCompiledFolds) {

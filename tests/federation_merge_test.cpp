@@ -3,16 +3,15 @@
 //
 // Three properties are pinned here, differentially and bit-for-bit:
 //
-//   1. Classification — every builtin kernel and every compiled GROUPBY
-//      shape lands in the documented MergeCapability class (additive /
-//      associative / single-source).
+//   1. Classification — every compiled GROUPBY shape lands in the
+//      documented MergeCapability class (additive / single-source).
 //   2. Merge-order determinism — the FederatedStore's reduced result is
 //      BYTE-identical no matter which order sources are absorbed in:
 //      shuffled, incremental (reads interleaved between absorbs), batched,
 //      and with re-absorbed (replaced) sources.
-//   3. Exactness — additive and associative kernels reduce to exactly the
-//      value of one unbounded reference table fed every record, however the
-//      records interleave across sources; single-source kernels are exact
+//   3. Exactness — additive kernels reduce to exactly the value of one
+//      unbounded reference table fed every record, however the records
+//      interleave across sources; single-source kernels are exact
 //      when each key's stream lives on one source, and keys that straddle
 //      sources are invalidated with one correct segment per source.
 #include <gtest/gtest.h>
@@ -26,8 +25,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "compiler/program.hpp"
-#include "kvstore/builtin_folds.hpp"
+#include "fig2_corpus.hpp"
 #include "kvstore/federated.hpp"
 #include "kvstore/kvstore.hpp"
 #include "trace/simple.hpp"
@@ -131,34 +129,21 @@ struct FedCase {
   MergeCapability expected;
 };
 
+/// Compiled Fig. 2 folds; CompiledGroupBys pins each one's class.
 std::vector<FedCase> fed_cases() {
   return {
-      {"count", std::make_shared<CountKernel>(), MergeCapability::kAdditive},
-      {"sum_len", std::make_shared<SumKernel>(FieldId::kPktLen),
+      {"count", compiled_kernel("SELECT 5tuple, COUNT GROUPBY 5tuple"),
        MergeCapability::kAdditive},
-      {"count_sum", std::make_shared<CountSumKernel>(),
+      {"sum_len",
+       compiled_kernel("SELECT 5tuple, SUM(pkt_len) GROUPBY 5tuple"),
        MergeCapability::kAdditive},
-      {"compiled_count_sum",
-       compiler::compile_source(
-           "SELECT 5tuple, COUNT, SUM(pkt_len) GROUPBY 5tuple")
-           .switch_plans.at(0)
-           .kernel,
+      {"count_sum", compiled_kernel(fig2_source("count_sum")),
        MergeCapability::kAdditive},
-      {"max_qsize",
-       std::make_shared<ExtremumKernel>(FieldId::kQsize,
-                                        ExtremumKernel::Mode::kMax),
-       MergeCapability::kAssociative},
-      {"ewma", std::make_shared<EwmaKernel>(0.25),
+      {"ewma", compiled_kernel(fig2_source("ewma"), {{"alpha", 0.25}}),
        MergeCapability::kSingleSource},
-      {"nonmt", std::make_shared<NonMonotonicKernel>(),
+      {"nonmt", compiled_kernel(fig2_source("nonmt")),
        MergeCapability::kSingleSource},
   };
-}
-
-TEST(FederatedClassification, BuiltinKernels) {
-  for (const auto& c : fed_cases()) {
-    EXPECT_EQ(merge_capability(*c.kernel), c.expected) << c.name;
-  }
 }
 
 /// One compiled GROUPBY shape: its select list, and what the compiled
@@ -203,6 +188,8 @@ def gear (acc, (pkt_len)):
       {"COUNT", kConstA, 0, {1}, kAdditive},
       {"SUM(pkt_len)", kConstA, 0, {1}, kAdditive},
       {"COUNT, SUM(pkt_len)", kConstA, 0, {1, 1}, kAdditive},
+      {"ewma", kConstA, 0, {0.875}, kSingle},
+      {"nonmt", Linearity::kNotLinear, 0, {}, kSingle},
       {"COUNT, ewma", kConstA, 0, {1, 0.875}, kSingle},
       {"ewma, COUNT", kConstA, 0, {0.875, 1}, kSingle},
       {"COUNT, outofseq", kConstA, 1, {1, 0, 1}, kSingle},
@@ -214,11 +201,10 @@ def gear (acc, (pkt_len)):
   };
   for (const CompiledShape& shape : shapes) {
     SCOPED_TRACE(shape.select);
-    const auto program = compiler::compile_source(
-        std::string{kFolds} + "\nSELECT 5tuple, " + shape.select +
-            " GROUPBY 5tuple",
-        {{"alpha", 0.125}});
-    const FoldKernel& kernel = *program.switch_plans.at(0).kernel;
+    const auto compiled = compiled_kernel(std::string{kFolds} +
+                                          "\nSELECT 5tuple, " + shape.select +
+                                          " GROUPBY 5tuple");
+    const FoldKernel& kernel = *compiled;
     EXPECT_EQ(kernel.linearity(), shape.linearity);
     EXPECT_EQ(kernel.history_window(), shape.history);
     if (shape.linearity == kConstA) {
@@ -296,10 +282,9 @@ INSTANTIATE_TEST_SUITE_P(
     AllKernels, FederatedMergeOrder, ::testing::ValuesIn(fed_cases()),
     [](const auto& info) { return info.param.name; });
 
-/// Additive + associative kernels: the federated reduction over arbitrarily
-/// interleaved per-source streams equals an unbounded reference table fed
-/// every record — bit-for-bit (counters and sums of integer-valued fields;
-/// extremum merge picks one of the observed values verbatim).
+/// Additive kernels: the federated reduction over arbitrarily interleaved
+/// per-source streams equals an unbounded reference table fed every record —
+/// bit-for-bit (counters and sums of integer-valued fields).
 TEST(FederatedExactness, MergeableKernelsMatchGlobalReference) {
   for (const auto& c : fed_cases()) {
     if (c.expected == MergeCapability::kSingleSource) continue;
@@ -339,7 +324,7 @@ TEST(FederatedExactness, MergeableKernelsMatchGlobalReference) {
 /// source — the partition a fabric induces when the key includes a
 /// switch-owned dimension (e.g. GROUPBY qid).
 TEST(FederatedExactness, SingleSourceExactWhenKeysDoNotStraddle) {
-  const auto kernel = std::make_shared<EwmaKernel>(0.25);
+  const auto kernel = compiled_kernel(fig2_source("ewma"), {{"alpha", 0.25}});
   const auto records = random_records(20000, 256, /*seed=*/0xE13A,
                                       /*drop_prob=*/0.0);
   auto srcs = partition(records, 4, kernel,
@@ -387,7 +372,7 @@ TEST(FederatedExactness, SingleSourceExactWhenKeysDoNotStraddle) {
 /// with one synthesized segment per source whose value is that source's own
 /// (exact) per-stream result — §3.2's escape hatch at fabric scope.
 TEST(FederatedExactness, StraddlingKeysInvalidatedWithPerSourceSegments) {
-  const auto kernel = std::make_shared<EwmaKernel>(0.5);
+  const auto kernel = compiled_kernel(fig2_source("ewma"), {{"alpha", 0.5}});
   const auto records = random_records(6000, 40, /*seed=*/0xDEAD,
                                       /*drop_prob=*/0.0);
   constexpr std::size_t kSources = 3;
@@ -454,7 +439,7 @@ TEST(FederatedExactness, StraddlingKeysInvalidatedWithPerSourceSegments) {
 /// federation: the merged segment list is the concatenation of each
 /// source's own backing-store segments, in ascending source order.
 TEST(FederatedExactness, NonLinearSegmentsConcatenateAcrossSources) {
-  const auto kernel = std::make_shared<NonMonotonicKernel>();
+  const auto kernel = compiled_kernel(fig2_source("nonmt"));
   const auto records = random_records(4000, 24, /*seed=*/0xC0DE);
   constexpr std::size_t kSources = 2;
   auto srcs = partition(records, kSources, kernel,

@@ -3,11 +3,17 @@
 // one GROUPBY. Every program's GROUPBY is named R1. The differential suites
 // (VM vs interpreter, serial vs sharded, lazy wire vs eager parse, snapshot
 // vs prefix) loop over this list, so together they span const-A, varying-A,
-// h = 1 linear and non-linear kernels.
+// h = 1 linear and non-linear kernels. The kvstore and federation suites
+// fold the same programs' compiled kernels (compiled_kernel) directly.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
+#include <string_view>
+
+#include "common/error.hpp"
+#include "compiler/program.hpp"
 
 namespace perfq {
 
@@ -118,5 +124,20 @@ R1 = SELECT 5tuple, COUNT, SUM(pkt_len) FROM S GROUPBY 5tuple
 /// Free constants the corpus's folds reference.
 inline const std::map<std::string, double> kFig2Params = {{"alpha", 0.125},
                                                           {"K", 50}};
+
+/// The source of the corpus program `name`.
+inline const char* fig2_source(std::string_view name) {
+  for (const Fig2Query& q : kFig2Corpus) {
+    if (q.name == name) return q.source;
+  }
+  throw InternalError{"no Fig. 2 corpus program named " + std::string{name}};
+}
+
+/// The fold kernel the compiler emits for `source`'s first on-switch GROUPBY.
+inline std::shared_ptr<const compiler::CompiledFoldKernel> compiled_kernel(
+    std::string_view source,
+    const std::map<std::string, double>& params = kFig2Params) {
+  return compiler::compile_source(source, params).switch_plans.at(0).kernel;
+}
 
 }  // namespace perfq

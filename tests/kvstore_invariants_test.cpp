@@ -7,7 +7,7 @@
 #include <tuple>
 
 #include "common/rng.hpp"
-#include "kvstore/builtin_folds.hpp"
+#include "fig2_corpus.hpp"
 #include "kvstore/kvstore.hpp"
 #include "trace/simple.hpp"
 
@@ -50,7 +50,7 @@ class CacheInvariantTest : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(CacheInvariantTest, AccountingIdentitiesHold) {
   const SweepCase& c = GetParam();
-  auto kernel = std::make_shared<CountKernel>();
+  const auto kernel = compiled_kernel("SELECT 5tuple, COUNT GROUPBY 5tuple");
   Cache cache(c.geometry, kernel, 0xABCD, c.policy);
 
   std::uint64_t sink_events = 0;
@@ -90,7 +90,7 @@ TEST_P(CacheInvariantTest, AccountingIdentitiesHold) {
 
 TEST_P(CacheInvariantTest, SplitStoreConservesPacketsEndToEnd) {
   const SweepCase& c = GetParam();
-  auto kernel = std::make_shared<CountKernel>();
+  const auto kernel = compiled_kernel("SELECT 5tuple, COUNT GROUPBY 5tuple");
   KeyValueStore store(c.geometry, kernel, 0xABCD, c.policy);
   const auto records = trace::zipf_records(6000, 200, c.zipf_s, 29);
   for (const auto& rec : records) {
@@ -251,9 +251,8 @@ class BackingStoreContractTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(BackingStoreContractTest, MatchesMapModelAcrossGrowthAndCopies) {
   const bool linear = GetParam();
-  const std::shared_ptr<const FoldKernel> kernel =
-      linear ? std::shared_ptr<const FoldKernel>(std::make_shared<CountSumKernel>())
-             : std::make_shared<NonMonotonicKernel>();
+  const auto kernel =
+      compiled_kernel(fig2_source(linear ? "count_sum" : "nonmt"));
   const std::vector<Absorb> schedule = absorb_schedule(0xB5);
   const std::span<const Absorb> first(schedule.data(), schedule.size() / 2);
   const std::span<const Absorb> second(schedule.data() + first.size(),

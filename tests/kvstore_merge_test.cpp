@@ -4,14 +4,16 @@
 // produce *exactly* the same per-key values as an unbounded reference table,
 // no matter how hostile the eviction pattern. These are differential
 // property tests: random workloads, tiny caches (maximum eviction pressure),
-// every geometry, every builtin kernel.
+// every geometry, the compiled kernels of the Fig. 2 linear folds.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
-#include "compiler/program.hpp"
-#include "kvstore/builtin_folds.hpp"
+#include "fig2_corpus.hpp"
 #include "kvstore/kvstore.hpp"
 #include "trace/simple.hpp"
 
@@ -109,12 +111,11 @@ TEST_P(LinearMergeTest, SplitStoreMatchesReferenceExactly) {
   EXPECT_EQ(checked, split.backing().key_count());
 }
 
-/// The kernel of `SELECT 5tuple, <select> GROUPBY 5tuple`: one compiled
-/// fold over the GROUPBY's aggregations. Its ewma skips drops, as
-/// EwmaKernel does (A = I for a drop, so A varies per packet).
-std::shared_ptr<const FoldKernel> compiled(const std::string& select,
-                                           double alpha) {
-  constexpr const char* kFolds = R"(
+/// `SELECT 5tuple, <select> GROUPBY 5tuple` over Fig. 2's ewma and
+/// outofseq. This ewma skips drops: A = I for a drop, so A varies per
+/// packet and the cache keeps a running product.
+std::string groupby(const std::string& select) {
+  return R"(
 def ewma (lat_est, (tin, tout)):
     if tout != infinity:
         lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)
@@ -122,12 +123,31 @@ def ewma (lat_est, (tin, tout)):
 def outofseq ((lastseq, oos_count), (tcpseq, payload_len)):
     if lastseq + 1 != tcpseq: oos_count = oos_count + 1
     lastseq = tcpseq + payload_len
-)";
-  return compiler::compile_source(std::string{kFolds} + "\nSELECT 5tuple, " +
-                                      select + " GROUPBY 5tuple",
-                                  {{"alpha", alpha}})
-      .switch_plans.at(0)
-      .kernel;
+
+SELECT 5tuple, )" +
+         select + " GROUPBY 5tuple";
+}
+
+/// Every linear Fig. 2 fold, alone and combined in one GROUPBY.
+std::vector<std::pair<std::string, std::shared_ptr<const FoldKernel>>>
+linear_kernels() {
+  return {
+      {"count", compiled_kernel(groupby("COUNT"))},
+      {"sum", compiled_kernel(groupby("SUM(pkt_len)"))},
+      {"count_sum", compiled_kernel(fig2_source("count_sum"))},
+      {"ewma", compiled_kernel(groupby("ewma"))},
+      {"outofseq", compiled_kernel(fig2_source("outofseq"))},
+      {"perc", compiled_kernel(fig2_source("perc"), {{"K", 32.0}})},
+      {"sum_lat", compiled_kernel(fig2_source("sum_lat"))},
+      {"combined", compiled_kernel(groupby("COUNT, ewma, outofseq"),
+                                   {{"alpha", 0.25}})},
+      // SUM(tout) turns +infinity at a key's first dropped packet; at
+      // that key's next merge the infinite delta component must stay in
+      // its column, through identity A (COUNT) and a running product
+      // (EWMA) alike: a zero coefficient times infinity is NaN.
+      {"count_sumtout", compiled_kernel(groupby("COUNT, SUM(tout)"))},
+      {"ewma_sumtout", compiled_kernel(groupby("ewma, SUM(tout)"))},
+  };
 }
 
 std::vector<MergeCase> merge_cases() {
@@ -137,22 +157,7 @@ std::vector<MergeCase> merge_cases() {
       {"full", CacheGeometry::fully_associative(64)},
       {"8way", CacheGeometry::set_associative(64, 8)},
   };
-  const std::vector<std::pair<std::string, std::shared_ptr<const FoldKernel>>>
-      kernels{
-          {"count", std::make_shared<CountKernel>()},
-          {"sum", std::make_shared<SumKernel>(FieldId::kPktLen)},
-          {"count_sum", std::make_shared<CountSumKernel>()},
-          {"ewma", std::make_shared<EwmaKernel>(0.125)},
-          {"outofseq", std::make_shared<OutOfSeqKernel>()},
-          {"perc", std::make_shared<HighPercentileKernel>(32.0)},
-          {"combined", compiled("COUNT, ewma, outofseq", 0.25)},
-          // SUM(tout) turns +infinity at a key's first dropped packet; at
-          // that key's next merge the infinite delta component must stay in
-          // its column, through identity A (COUNT) and a running product
-          // (EWMA) alike: a zero coefficient times infinity is NaN.
-          {"count_sumtout", compiled("COUNT, SUM(tout)", 0.125)},
-          {"ewma_sumtout", compiled("ewma, SUM(tout)", 0.125)},
-      };
+  const auto kernels = linear_kernels();
   for (const auto& [gname, geom] : geometries) {
     for (const auto& [kname, kernel] : kernels) {
       cases.push_back(MergeCase{kname + "_" + gname, kernel, geom});
@@ -171,7 +176,7 @@ TEST(MergeEwma, PaperFormulaReproduced) {
   // §3.2 derives: s_correct = s_new + (1-alpha)^N (s_d - s_0). Verify the
   // implementation against a hand-rolled evaluation of that exact formula.
   const double alpha = 0.25;
-  auto kernel = std::make_shared<EwmaKernel>(alpha);
+  const auto kernel = compiled_kernel(fig2_source("ewma"), {{"alpha", alpha}});
   KeyValueStore split(CacheGeometry{1, 1}, kernel);  // 1 slot: evict per key
 
   const auto r1 = trace::RecordBuilder{}.flow_index(1).times(0_ns, 1000_ns).build();
@@ -196,7 +201,7 @@ TEST(MergeOutOfSeq, BoundaryPacketCorrected) {
   // The first packet of a post-eviction epoch evaluates its predicate
   // against a re-initialized lastseq; the merge must repair that using the
   // logged boundary record (footnote 4's bounded history).
-  auto kernel = std::make_shared<OutOfSeqKernel>();
+  const auto kernel = compiled_kernel(fig2_source("outofseq"));
   KeyValueStore split(CacheGeometry{1, 1}, kernel);
   ReferenceStore reference(kernel);
 
@@ -232,7 +237,7 @@ TEST(MergeOutOfSeq, BoundaryPacketCorrected) {
 }
 
 TEST(MergeNonLinear, SegmentsAccumulateAndInvalidate) {
-  auto kernel = std::make_shared<NonMonotonicKernel>();
+  const auto kernel = compiled_kernel(fig2_source("nonmt"));
   KeyValueStore split(CacheGeometry{1, 1}, kernel);
 
   auto mk = [](std::uint32_t flow, std::uint32_t seq) {
@@ -256,7 +261,7 @@ TEST(MergeNonLinear, SegmentsAccumulateAndInvalidate) {
 }
 
 TEST(MergeNonLinear, SingleEpochKeysStayValid) {
-  auto kernel = std::make_shared<NonMonotonicKernel>();
+  const auto kernel = compiled_kernel(fig2_source("nonmt"));
   KeyValueStore split(CacheGeometry::fully_associative(16), kernel);
   const auto records = random_records(100, 8, 7);
   for (const auto& rec : records) split.process(key_for(rec), rec);
@@ -265,20 +270,11 @@ TEST(MergeNonLinear, SingleEpochKeysStayValid) {
       << "no capacity evictions => every key valid";
 }
 
-TEST(TransformConsistency, BuiltinsMatchTheirUpdates) {
-  // Property: for every linear builtin, A·S + B == update(S) on random input.
+TEST(TransformConsistency, LinearKernelsMatchTheirUpdates) {
+  // Property: for every linear kernel, A·S + B == update(S) on random input.
   Rng rng(99);
   const auto records = random_records(500, 10, 3);
-  const std::vector<std::shared_ptr<const FoldKernel>> kernels{
-      std::make_shared<CountKernel>(),
-      std::make_shared<SumKernel>(FieldId::kPktLen),
-      std::make_shared<CountSumKernel>(),
-      std::make_shared<EwmaKernel>(0.5),
-      std::make_shared<OutOfSeqKernel>(),
-      std::make_shared<HighPercentileKernel>(10.0),
-      std::make_shared<SumLatencyKernel>(),
-  };
-  for (const auto& kernel : kernels) {
+  for (const auto& [name, kernel] : linear_kernels()) {
     const std::size_t h = kernel->history_window();
     for (std::size_t i = h; i + 1 < records.size(); ++i) {
       StateVector state(kernel->state_dims());

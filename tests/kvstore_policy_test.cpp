@@ -5,12 +5,16 @@
 
 #include <memory>
 
-#include "kvstore/builtin_folds.hpp"
+#include "fig2_corpus.hpp"
 #include "kvstore/kvstore.hpp"
 #include "trace/simple.hpp"
 
 namespace perfq::kv {
 namespace {
+
+std::shared_ptr<const FoldKernel> count_kernel() {
+  return compiled_kernel("SELECT 5tuple, COUNT GROUPBY 5tuple");
+}
 
 Key key_of(std::uint32_t flow) {
   const auto rec = trace::RecordBuilder{}.flow_index(flow).build();
@@ -26,7 +30,7 @@ TEST(EvictionPolicy, FifoIgnoresHits) {
   // Insert 1, 2; touch 1; insert 3. LRU evicts 2, FIFO evicts 1.
   for (const auto policy : {EvictionPolicy::kLru, EvictionPolicy::kFifo}) {
     Cache cache(CacheGeometry::fully_associative(2),
-                std::make_shared<CountKernel>(), 1, policy);
+                count_kernel(), 1, policy);
     std::vector<Key> evicted;
     cache.set_eviction_sink([&](EvictedValue&& ev) { evicted.push_back(ev.key); });
     cache.process(key_of(1), rec_of(1));
@@ -45,7 +49,7 @@ TEST(EvictionPolicy, FifoIgnoresHits) {
 TEST(EvictionPolicy, RandomIsDeterministicPerSeed) {
   auto run = [](std::uint64_t seed) {
     Cache cache(CacheGeometry::fully_associative(4),
-                std::make_shared<CountKernel>(), seed,
+                count_kernel(), seed,
                 EvictionPolicy::kRandom);
     std::vector<std::string> evicted;
     cache.set_eviction_sink(
@@ -61,7 +65,7 @@ TEST(EvictionPolicy, RandomEvictsWithinTheRightBucket) {
   // With per-bucket layout, a random victim must still come from the full
   // bucket of the arriving key (occupancy invariants hold).
   Cache cache(CacheGeometry::set_associative(32, 4),
-              std::make_shared<CountKernel>(), 3, EvictionPolicy::kRandom);
+              count_kernel(), 3, EvictionPolicy::kRandom);
   std::uint64_t evictions = 0;
   cache.set_eviction_sink([&](EvictedValue&&) { ++evictions; });
   for (std::uint32_t i = 0; i < 4096; ++i) cache.process(key_of(i), rec_of(i));
@@ -73,7 +77,7 @@ class PolicyMergeTest : public ::testing::TestWithParam<EvictionPolicy> {};
 
 TEST_P(PolicyMergeTest, MergeExactUnderAnyPolicy) {
   const EvictionPolicy policy = GetParam();
-  auto kernel = std::make_shared<CountSumKernel>();
+  const auto kernel = compiled_kernel(fig2_source("count_sum"));
   KeyValueStore split(CacheGeometry::set_associative(32, 4), kernel, 11, policy);
   ReferenceStore reference(kernel);
 
