@@ -1,7 +1,7 @@
 // Record-direct key routing for plain-field GROUPBY keys.
 //
 // The sharded runtime's dispatcher must know each record's key hash to pick a
-// shard, and PR 2 paid for that with a full extract_key(): evaluate/clamp the
+// shard, and a full extract_key() would pay for it: evaluate/clamp the
 // fields, pack a kv::Key (32-byte inline array + length bookkeeping), hash
 // it, then copy the whole Key into the shard message. For plain-field keys
 // (5tuple, srcip, qid — every key component a direct FieldId load, i.e.
@@ -9,9 +9,11 @@
 // needed on the dispatch path: KeyRouter packs the key bytes into a stack
 // buffer and hashes them there, so dispatch cost drops to the hash-only
 // floor and the shard message carries an 8-byte hash instead of a 48-byte
-// Key. The shard worker re-packs the key on its own core — parallel, off the
-// serial dispatcher — and installs the shipped hash via Key::pack_prehashed,
-// so the byte-level hash is still computed exactly once per record.
+// Key. The dispatcher hashes once per record and key class (queries with
+// one key identity share the hash; runtime/fold_core.hpp). The shard worker
+// re-packs the key on its own core — parallel, off the serial dispatcher —
+// and installs the shipped hash via Key::pack_prehashed, so the byte-level
+// hash is still computed exactly once per record and class.
 //
 // Equivalence contract: raw_hash(rec) == extract_key(plan, rec).raw_hash()
 // and make_key(rec, raw_hash(rec)) == extract_key(plan, rec), bit for bit

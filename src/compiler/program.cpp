@@ -230,6 +230,13 @@ CompiledProgram compile_source(std::string_view source,
   return compile_program(lang::analyze_source(source, params));
 }
 
+bool same_key(const SwitchQueryPlan& a, const SwitchQueryPlan& b) {
+  return std::equal(a.key.begin(), a.key.end(), b.key.begin(), b.key.end(),
+                    [](const KeyComponent& x, const KeyComponent& y) {
+                      return x.bytes == y.bytes && x.expr == y.expr;
+                    });
+}
+
 std::vector<double> unpack_key(const SwitchQueryPlan& plan, const kv::Key& key) {
   std::vector<double> out;
   const auto bytes = key.bytes();

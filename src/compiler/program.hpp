@@ -82,6 +82,13 @@ struct SwitchQueryPlan {
   [[nodiscard]] SwitchQueryPlan clone() const;
 };
 
+/// Key identity: whether two plans pack bit-identical keys for every record
+/// (the same bytes, so the same hash, cache bucket and shard). Components
+/// compare by packed width and compiled expression with column names
+/// ignored, so `GROUPBY 5tuple` has one identity across programs, stream
+/// SELECT chains and attached tenants; computed keys compare the same way.
+[[nodiscard]] bool same_key(const SwitchQueryPlan& a, const SwitchQueryPlan& b);
+
 struct CompiledProgram {
   lang::AnalyzedProgram analysis;
   std::vector<SwitchQueryPlan> switch_plans;

@@ -1,6 +1,7 @@
 #include "compiler/scalar_expr.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -178,6 +179,22 @@ double ScalarExpr::eval_node(int index, const ValueSource& source) const {
     default:
       return eval_op(n.op, eval_node(n.a, source), eval_node(n.b, source));
   }
+}
+
+bool operator==(const ScalarExpr& a, const ScalarExpr& b) {
+  // lower() emits a tree in one deterministic post order, so equal trees
+  // have equal node arrays.
+  using Node = ScalarExpr::Node;
+  return a.root_ == b.root_ &&
+         std::equal(a.nodes_.begin(), a.nodes_.end(), b.nodes_.begin(),
+                    b.nodes_.end(), [](const Node& x, const Node& y) {
+                      return x.op == y.op &&
+                             std::bit_cast<std::uint64_t>(x.k) ==
+                                 std::bit_cast<std::uint64_t>(y.k) &&
+                             x.slot.depth == y.slot.depth &&
+                             x.slot.index == y.slot.index && x.a == y.a &&
+                             x.b == y.b && x.c == y.c;
+                    });
 }
 
 bool ScalarExpr::is_constant(double* value) const {

@@ -121,6 +121,12 @@ class ScalarExpr {
   /// Largest record depth referenced (0 = current packet only).
   [[nodiscard]] int max_depth() const { return max_depth_; }
 
+  /// Structural equality: the same resolved tree, slot for slot and
+  /// constant for constant (bitwise, so 0.0 and -0.0 differ). Equal
+  /// expressions evaluate to the same double on every source, which is what
+  /// a key identity needs (compiler::same_key).
+  friend bool operator==(const ScalarExpr& a, const ScalarExpr& b);
+
   /// Accumulate every record field this expression reads into `usage` — the
   /// sema side of the FieldUsage contract (packet/record.hpp). Only
   /// meaningful for record-context expressions (slot.index is a FieldId);

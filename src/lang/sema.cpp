@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "kvstore/key.hpp"
 #include "lang/parser.hpp"
 
 namespace perfq::lang {
@@ -573,6 +574,17 @@ class ProgramAnalyzer {
       sema_fail("GROUPBY keeps " + std::to_string(fold.state_vars.size()) +
                     " values per key; an on-switch GROUPBY keeps at most " +
                     std::to_string(kv::kMaxStateDims),
+                out.def.line);
+    }
+    // The compiler packs each key column into (bits + 7) / 8 bytes.
+    int key_bytes = 0;
+    for (const auto& k : out.key_columns) {
+      key_bytes += (schema.find(k)->bits + 7) / 8;
+    }
+    if (out.on_switch && key_bytes > static_cast<int>(kv::Key::kCapacity)) {
+      sema_fail("GROUPBY key packs " + std::to_string(key_bytes) +
+                    " bytes; an on-switch key holds at most " +
+                    std::to_string(kv::Key::kCapacity) + " bytes",
                 out.def.line);
     }
     fold.line = out.def.line;

@@ -88,13 +88,16 @@ void visit_metrics(const runtime::EngineMetrics& m, const MetricFn& fn) {
   for (const runtime::ShardMetrics& s : m.shards) {
     const MetricLabels labels{{"shard", std::to_string(s.shard)}};
     fn("shard_worker_exited", labels, s.worker_exited ? 1.0 : 0.0);
+    fn("shard_idle_ns", labels, static_cast<double>(s.idle_ns));
   }
   for (const runtime::RingMetrics& r : m.rings) {
     const MetricLabels labels{{"shard", std::to_string(r.shard)}};
     fn("ring_occupancy", labels, static_cast<double>(r.occupancy));
     fn("ring_occupancy_hwm", labels, static_cast<double>(r.occupancy_hwm));
     fn("ring_capacity", labels, static_cast<double>(r.capacity));
+    fn("ring_records", labels, static_cast<double>(r.records));
     fn("ring_push_stalls", labels, static_cast<double>(r.push_stalls));
+    fn("ring_push_stall_ns", labels, static_cast<double>(r.push_stall_ns));
   }
 
   visit_histogram("batch_ns", m.batch_ns, fn);
@@ -247,10 +250,14 @@ std::string format_pipeline(const runtime::EngineMetrics& m) {
   for (const runtime::ShardMetrics& s : m.shards) {
     out += "\n  shard " + std::to_string(s.shard) + ": worker ";
     out += s.worker_exited ? "exited" : "running";
+    out += " (idle " + std::to_string(s.idle_ns) + " ns)";
     for (const runtime::RingMetrics& r : m.rings) {
       if (r.shard != s.shard) continue;
       out += ", ring occupancy " + std::to_string(r.occupancy) + "/" +
-             std::to_string(r.capacity);
+             std::to_string(r.capacity) + ", records " +
+             std::to_string(r.records) + ", push stalls " +
+             std::to_string(r.push_stalls) + " (" +
+             std::to_string(r.push_stall_ns) + " ns)";
     }
   }
   return out;

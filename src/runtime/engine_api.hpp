@@ -289,6 +289,7 @@ struct StreamSinkMetrics {
 struct ShardMetrics {
   std::size_t shard = 0;
   bool worker_exited = false;
+  std::uint64_t idle_ns = 0;  ///< worker time spent waiting on an empty ring
 };
 
 /// One shard's SPSC input ring (threaded executor only).
@@ -297,7 +298,12 @@ struct RingMetrics {
   std::uint64_t occupancy = 0;      ///< records queued right now (approximate)
   std::uint64_t occupancy_hwm = 0;  ///< high-water mark of occupancy
   std::uint64_t capacity = 0;
+  /// Record messages sent down the ring (all pushed at every quiescent
+  /// point): one per record and key class with an admitting member, so
+  /// Σ records / frames is the ring-message rate.
+  std::uint64_t records = 0;
   std::uint64_t push_stalls = 0;  ///< publishes that blocked on a full ring
+  std::uint64_t push_stall_ns = 0;  ///< caller time blocked on a full ring
 };
 
 /// The engine's self-telemetry: everything Engine::metrics() surfaces, as

@@ -1,21 +1,32 @@
-// The fold hot path shared by both executors of runtime::Engine: the
-// per-switch-query fold core, the refresh clock and the wire front. The
-// inline executor runs them on the caller; the threaded executor runs the
-// core on its shard workers and the clock and wire front on the caller.
+// The fold hot path shared by both executors of runtime::Engine: the key
+// classes, the per-query fold core, the refresh clock and the wire front.
+// The inline executor runs all of them on the caller; the threaded executor
+// runs the key classes, the clock and the wire front on the caller and the
+// fold cores on its shard workers.
 //
-// The core owns the chunked two-pass scratch of the batched path:
-//   pass 1  prepare(): prefilter, key extraction (computing the cached hash
-//           once), software-prefetch of the owning cache bucket;
-//   pass 2  fold():    the actual cache operation, in record order.
+// Key classes: live queries whose plans have the same key identity
+// (compiler::same_key) pack bit-identical keys for every record, so a
+// record's key is extracted and hashed once per class, not once per query
+// (§3.3's one hash per packet). A class evaluates its members' prefilters
+// into one member mask per record, and every member the mask names folds
+// the record under the class key.
+//
+// The batched path is a chunked two-pass loop:
+//   pass 1  per class: the member mask, the key (its hash computed once)
+//           and a software prefetch of each admitting member's cache bucket;
+//   pass 2  per record, in order: each masked member's cache operation.
 // so the bucket fetch of record i+k overlaps the fold of record i. The
-// threaded executor uses prepare_extracted(): its dispatcher has already
-// evaluated the prefilter and extracted the key (it needed the hash to
-// route), so the worker only prefetches and folds.
+// threaded executor splits the passes across threads: its caller computes
+// the mask and the hash (it routes by the hash), and the worker rebuilds
+// the key from the shipped hash, prefetches and folds.
 #pragma once
 
-#include <array>
+#include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/failpoint.hpp"
 #include "compiler/program.hpp"
@@ -56,55 +67,98 @@ class RefreshClock {
   obs::RelaxedU64 count_;
 };
 
+/// Records per prefetch chunk: large enough to hide bucket fetch latency,
+/// small enough that prefetched lines survive until their fold.
+inline constexpr std::size_t kFoldChunk = 32;
+
+/// The live on-switch GROUPBYs grouped by key identity. Both executors
+/// rebuild it on every install and remove, which run with nothing in flight.
+/// Queries join in slot order, each the first class with its key identity
+/// and room left, so a tenant whose key is resident joins that class. A
+/// class holds at most kMaxMembers queries, so a 32-bit mask names any
+/// subset of its members.
+class KeyClasses {
+ public:
+  static constexpr std::size_t kMaxMembers = 32;
+
+  struct Class {
+    /// Member b (bit b of a member mask): its registry slot and its plan.
+    std::vector<std::size_t> slots;
+    std::vector<const compiler::SwitchQueryPlan*> plans;
+
+    /// The plan that extracts the class key; every member's packs the same.
+    [[nodiscard]] const compiler::SwitchQueryPlan& key_plan() const {
+      return *plans.front();
+    }
+
+    /// The members whose prefilter admits `rec`, as a mask. Generic over
+    /// the record representation (PacketRecord or lazy WireRecordView):
+    /// both read fields through the field_value overload set, so masks and
+    /// keys are bit-identical across representations.
+    template <typename Rec>
+    [[nodiscard]] std::uint32_t admitted(const Rec& rec) const {
+      const auto source = compiler::record_source(rec);
+      std::uint32_t mask = 0;
+      for (std::size_t b = 0; b < plans.size(); ++b) {
+        const auto& prefilter = plans[b]->prefilter;
+        if (!prefilter.has_value() || prefilter->eval_bool(source)) {
+          mask |= std::uint32_t{1} << b;
+        }
+      }
+      return mask;
+    }
+  };
+
+  /// Regroup the live queries: `plans[slot]` is slot's plan, null if free.
+  void rebuild(std::span<const compiler::SwitchQueryPlan* const> plans) {
+    std::vector<Class> next;
+    for (std::size_t slot = 0; slot < plans.size(); ++slot) {
+      if (plans[slot] == nullptr) continue;
+      auto it = std::find_if(next.begin(), next.end(), [&](const Class& c) {
+        return c.plans.size() < kMaxMembers &&
+               compiler::same_key(c.key_plan(), *plans[slot]);
+      });
+      if (it == next.end()) it = next.insert(next.end(), Class{});
+      it->slots.push_back(slot);
+      it->plans.push_back(plans[slot]);
+    }
+    classes_ = std::move(next);
+  }
+
+  [[nodiscard]] const std::vector<Class>& classes() const { return classes_; }
+
+ private:
+  std::vector<Class> classes_;
+};
+
+/// Call `fn(b)` for every member bit b set in `mask`, lowest first.
+template <typename Fn>
+void for_each_member(std::uint32_t mask, Fn&& fn) {
+  for (; mask != 0; mask &= mask - 1) {
+    fn(static_cast<std::size_t>(std::countr_zero(mask)));
+  }
+}
+
+/// One query's fold into one cache, under a key its class extracted.
 class SwitchFoldCore {
  public:
-  /// Records per prefetch chunk: large enough to hide bucket fetch latency,
-  /// small enough that prefetched lines survive until their fold.
-  static constexpr std::size_t kChunk = 32;
+  /// Non-owning: `cache` must outlive the core.
+  explicit SwitchFoldCore(kv::Cache& cache) : cache_(&cache) {}
 
-  /// Non-owning: `plan` and `cache` must outlive the core.
-  SwitchFoldCore(const compiler::SwitchQueryPlan& plan, kv::Cache& cache)
-      : plan_(&plan), cache_(&cache) {}
+  /// Pass 1: prefetch the bucket that owns `key`.
+  void prefetch(const kv::Key& key) const { cache_->prefetch(key); }
 
-  /// Pass 1 for chunk slot `i`: evaluate the prefilter, extract the key and
-  /// prefetch its bucket. Returns whether the record passed. Generic over
-  /// the record representation (PacketRecord or lazy WireRecordView): both
-  /// read fields through the field_value overload set, so pass/fail and the
-  /// packed key are bit-identical across representations.
+  /// Pass 2: fold `rec` under `key`.
   template <typename Rec>
-  bool prepare(std::size_t i, const Rec& rec) {
-    const auto source = compiler::record_source(rec);
-    pass_[i] = !plan_->prefilter.has_value() ||
-               plan_->prefilter->eval_bool(source);
-    if (pass_[i]) {
-      keys_[i] = compiler::extract_key(*plan_, rec);
-      cache_->prefetch(keys_[i]);
-    }
-    return pass_[i];
-  }
-
-  /// Pass 1 variant for the threaded executor: the admit decision and the
-  /// key arrive from the dispatcher, so only the prefetch remains.
-  void prepare_extracted(std::size_t i, const kv::Key& key) {
-    pass_[i] = true;
-    keys_[i] = key;
-    cache_->prefetch(key);
-  }
-
-  /// Pass 2 for chunk slot `i`: fold the record if it passed pass 1.
-  template <typename Rec>
-  void fold(std::size_t i, const Rec& rec) {
+  void fold(const kv::Key& key, const Rec& rec) {
     PERFQ_FAILPOINT("fold_core.fold");
-    if (pass_[i]) cache_->process(keys_[i], rec);
+    cache_->process(key, rec);
   }
 
   void flush(Nanos now) { cache_->flush(now); }
 
  private:
-  const compiler::SwitchQueryPlan* plan_;
   kv::Cache* cache_;
-  std::array<kv::Key, kChunk> keys_;
-  std::array<bool, kChunk> pass_{};
 };
 
 /// The wire front: validate each frame (damaged ones are skipped and

@@ -1,7 +1,8 @@
 // The inline executor of runtime::Engine (the default, no sharded(N)): the
-// caller folds every record through SwitchFoldCore into one KeyValueStore
-// per on-switch GROUPBY, evictions absorb straight into that query's backing
-// store, and the record boundary is always "now". Everything above the fold
+// caller extracts each record's key once per key class and folds it through
+// each admitting member's SwitchFoldCore into that query's KeyValueStore,
+// evictions absorb straight into the query's backing store, and the record
+// boundary is always "now". Everything above the fold
 // (registry, attach validation, refresh detection, stream delivery, results,
 // telemetry, the fault gate) lives in Engine; this class is only the place
 // where folding happens.
@@ -43,21 +44,26 @@ class InlineExecutor {
     Prepared p;
     p.store = std::make_unique<kv::KeyValueStore>(
         geometry, plan.kernel, config_.hash_seed, config_.eviction_policy);
-    p.core = std::make_unique<SwitchFoldCore>(plan, p.store->cache());
+    p.core = std::make_unique<SwitchFoldCore>(p.store->cache());
     return p;
   }
 
   /// Install a prepared query at registry slot `slot`.
-  void install(std::size_t slot, const compiler::SwitchQueryPlan& /*plan*/,
+  void install(std::size_t slot, const compiler::SwitchQueryPlan& plan,
                Prepared&& prepared) {
-    if (slot >= slots_.size()) slots_.resize(slot + 1);
+    if (slot >= slots_.size()) {
+      slots_.resize(slot + 1);
+      plans_.resize(slot + 1);
+    }
     slots_[slot] = std::move(prepared);
+    plans_[slot] = &plan;
     relink();
   }
 
   /// Free slot `slot` and everything its query allocated.
   void remove(std::size_t slot) {
     slots_[slot] = Prepared{};
+    plans_[slot] = nullptr;
     relink();
   }
 
@@ -101,9 +107,7 @@ class InlineExecutor {
   }
 
   /// End the window: flush every cache into its backing store.
-  void close(Nanos now) {
-    for (SwitchFoldCore* core : live_) core->flush(now);
-  }
+  void close(Nanos now) { flush(now); }
 
   /// `fn` receives `slot`'s backing store (as of the last eviction).
   template <typename Fn>
@@ -119,7 +123,16 @@ class InlineExecutor {
   void collect_pipeline(EngineMetrics& /*m*/) const {}
 
  private:
-  static constexpr std::size_t kChunk = SwitchFoldCore::kChunk;
+  static constexpr std::size_t kChunk = kFoldChunk;
+
+  /// One key class as the chunk loop walks it: its members' fold cores and
+  /// the pass-1 results for the chunk in flight.
+  struct ClassFold {
+    const KeyClasses::Class* cls = nullptr;
+    std::vector<SwitchFoldCore*> cores;  ///< member b's core
+    std::array<std::uint32_t, kChunk> masks{};  ///< members admitting record i
+    std::array<kv::Key, kChunk> keys;           ///< record i's class key
+  };
 
   template <typename Rec>
   void process_chunk(std::span<const Rec> chunk) {
@@ -127,11 +140,19 @@ class InlineExecutor {
     const bool streams = !stream_.empty();
     const bool refresh = refresh_.enabled();
 
-    // Pass 1: evaluate prefilters and extract every key (computing its
-    // cached hash once), prefetching the owning cache bucket so its tag row
-    // and slots are resident by the time pass 2 folds the record.
-    for (SwitchFoldCore* core : live_) {
-      for (std::size_t i = 0; i < n; ++i) core->prepare(i, chunk[i]);
+    // Pass 1: per class, the members each record passes and, once for all
+    // of them, its key (computing its cached hash once); prefetch each
+    // admitting member's cache bucket so its tag row and slots are resident
+    // by the time pass 2 folds the record.
+    for (ClassFold& cf : folds_) {
+      for (std::size_t i = 0; i < n; ++i) {
+        cf.masks[i] = cf.cls->admitted(chunk[i]);
+        if (cf.masks[i] == 0) continue;
+        cf.keys[i] = compiler::extract_key(cf.cls->key_plan(), chunk[i]);
+        for_each_member(cf.masks[i], [&](std::size_t b) {
+          cf.cores[b]->prefetch(cf.keys[i]);
+        });
+      }
     }
 
     // Pass 2: fold records in time order (refresh boundaries included;
@@ -142,18 +163,34 @@ class InlineExecutor {
         // Periodic backing-store refresh (§3.2): exact for linear folds,
         // and non-linear folds record one more segment (accounted in
         // accuracy).
-        for (SwitchFoldCore* core : live_) core->flush(rec.tin);
+        flush(rec.tin);
       }
-      for (SwitchFoldCore* core : live_) core->fold(i, rec);
+      for (ClassFold& cf : folds_) {
+        for_each_member(cf.masks[i], [&](std::size_t b) {
+          cf.cores[b]->fold(cf.keys[i], rec);
+        });
+      }
       if (streams) stream_.observe(rec);
     }
   }
 
-  /// Rebuild the dense list of live cores the chunk loop walks.
+  /// Flush every live query's cache into its backing store.
+  void flush(Nanos now) {
+    for (const ClassFold& cf : folds_) {
+      for (SwitchFoldCore* core : cf.cores) core->flush(now);
+    }
+  }
+
+  /// Regroup the live queries into key classes for the chunk loop.
   void relink() {
-    live_.clear();
-    for (const Prepared& p : slots_) {
-      if (p.core != nullptr) live_.push_back(p.core.get());
+    classes_.rebuild(plans_);
+    folds_.clear();
+    for (const KeyClasses::Class& cls : classes_.classes()) {
+      ClassFold& cf = folds_.emplace_back();
+      cf.cls = &cls;
+      for (const std::size_t slot : cls.slots) {
+        cf.cores.push_back(slots_[slot].core.get());
+      }
     }
   }
 
@@ -161,7 +198,10 @@ class InlineExecutor {
   RefreshClock& refresh_;
   StreamStage& stream_;
   std::vector<Prepared> slots_;  ///< by registry slot; empty when free
-  std::vector<SwitchFoldCore*> live_;
+  /// By registry slot; null when free.
+  std::vector<const compiler::SwitchQueryPlan*> plans_;
+  KeyClasses classes_;
+  std::vector<ClassFold> folds_;  ///< parallel to classes_.classes()
 };
 
 }  // namespace perfq::runtime

@@ -1,6 +1,7 @@
 #include "runtime/threaded_executor.hpp"
 
 #include <array>
+#include <bit>
 #include <iterator>
 #include <utility>
 
@@ -66,8 +67,9 @@ ThreadedExecutor::Prepared ThreadedExecutor::prepare(
         slice, plan.kernel, engine_.hash_seed, engine_.eviction_policy,
         /*bucket_scale=*/n_shards));
     p.cores.push_back(
-        std::make_unique<SwitchFoldCore>(plan, p.stores.back()->cache()));
+        std::make_unique<SwitchFoldCore>(p.stores.back()->cache()));
   }
+  p.router = compiler::KeyRouter::make(plan);
   return p;
 }
 
@@ -83,11 +85,12 @@ void ThreadedExecutor::install(std::size_t slot,
     }
   }
   plans_[slot] = &plan;
-  routers_[slot] = compiler::KeyRouter::make(plan);
+  routers_[slot] = std::move(prepared.router);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->stores[slot] = std::move(prepared.stores[s]);
     shards_[s]->cores[slot] = std::move(prepared.cores[s]);
   }
+  classes_.rebuild(plans_);
 }
 
 void ThreadedExecutor::remove(std::size_t slot) {
@@ -97,6 +100,7 @@ void ThreadedExecutor::remove(std::size_t slot) {
   }
   routers_[slot].reset();
   plans_[slot] = nullptr;
+  classes_.rebuild(plans_);
 }
 
 kv::CacheStats ThreadedExecutor::cache_stats(std::size_t slot) const {
@@ -167,6 +171,7 @@ void ThreadedExecutor::collect_pipeline(EngineMetrics& m) const {
     ShardMetrics sm;
     sm.shard = shard->index;
     sm.worker_exited = shard->exited.load(std::memory_order_acquire);
+    sm.idle_ns = shard->idle_ns;
     m.shards.push_back(sm);
 
     RingMetrics rm;
@@ -174,7 +179,9 @@ void ThreadedExecutor::collect_pipeline(EngineMetrics& m) const {
     rm.occupancy = shard->ring.size_approx();
     rm.occupancy_hwm = shard->ring_hwm;
     rm.capacity = shard->ring.capacity();
+    rm.records = shard->ring_records;
     rm.push_stalls = shard->ring_stalls;
+    rm.push_stall_ns = shard->ring_stall_ns;
     m.rings.push_back(rm);
   }
 }
@@ -259,10 +266,13 @@ void ThreadedExecutor::publish(Shard& sh) {
   std::span<ShardMsg> pending(sh.staging);
   SpinState spin;
   bool stalled = false;
+  std::uint64_t stall_start = 0;
   while (!pending.empty()) {
     const std::size_t pushed = sh.ring.push_bulk(pending);
     pending = pending.subspan(pushed);
     if (pushed == 0) {
+      // The clock is read only once the caller blocks.
+      if (!stalled && obs::kTelemetryEnabled) stall_start = obs::now_ns();
       stalled = true;
       // Ring full: the worker is behind; let it run (essential on machines
       // with fewer cores than threads). This makes progress unless the
@@ -276,7 +286,12 @@ void ThreadedExecutor::publish(Shard& sh) {
   }
   // Ring telemetry: the occupancy high-water is sampled here, right after
   // the push (the ring's fullest observable moment from the producer side).
-  if (stalled) ++sh.ring_stalls;
+  if (stalled) {
+    ++sh.ring_stalls;
+    if (obs::kTelemetryEnabled) {
+      sh.ring_stall_ns += obs::now_ns() - stall_start;
+    }
+  }
   sh.ring_hwm.set_max(sh.ring.size_approx());
   sh.staging.clear();
 }
@@ -315,27 +330,30 @@ void ThreadedExecutor::fold(std::span<const PacketRecord> records) {
       broadcast(flush);
     }
 
-    // Route: one message per switch query that admits the record. Only the
-    // key's hash is computed here — record-direct for plain-field keys (no
-    // kv::Key materialized); the worker re-packs the key on its own core.
-    const compiler::RecordSource source({&rec, 1});
-    for (std::size_t q = 0; q < plans_.size(); ++q) {
-      if (plans_[q] == nullptr) continue;  // free slot
-      const compiler::SwitchQueryPlan& plan = *plans_[q];
-      if (plan.prefilter.has_value() && !plan.prefilter->eval_bool(source)) {
-        continue;
-      }
+    // Route: one message per key class with a member that admits the
+    // record. Only the class key's hash is computed here — record-direct
+    // for plain-field keys (no kv::Key materialized); the worker re-packs
+    // the key on its own core.
+    const std::vector<KeyClasses::Class>& classes = classes_.classes();
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      const KeyClasses::Class& cls = classes[c];
+      const std::uint32_t members = cls.admitted(rec);
+      if (members == 0) continue;
+      const std::optional<compiler::KeyRouter>& router =
+          routers_[cls.slots.front()];
       const std::uint64_t raw =
-          routers_[q].has_value()
-              ? routers_[q]->raw_hash(rec)
-              : compiler::extract_key(plan, rec).raw_hash();
+          router.has_value()
+              ? router->raw_hash(rec)
+              : compiler::extract_key(cls.key_plan(), rec).raw_hash();
       ShardMsg msg;
       msg.kind = ShardMsg::Kind::kRecord;
-      msg.query = static_cast<std::uint16_t>(q);
+      msg.query = static_cast<std::uint16_t>(c);
+      msg.members = members;
       msg.raw_hash = raw;
       msg.rec = rec;
-      stage(*shards_[reduce_range(placement_of_raw(raw), n_shards)],
-            std::move(msg));
+      Shard& sh = *shards_[reduce_range(placement_of_raw(raw), n_shards)];
+      stage(sh, std::move(msg));
+      ++sh.ring_records;
     }
   }
   for (auto& shard : shards_) publish(*shard);
@@ -348,25 +366,34 @@ void ThreadedExecutor::fold(std::span<const PacketRecord> records) {
 
 // ---- workers ----------------------------------------------------------------
 
-void ThreadedExecutor::worker_prepare(Shard& sh, std::size_t i,
+void ThreadedExecutor::worker_prepare(Shard& sh, kv::Key& key,
                                       const ShardMsg& msg) {
-  // Re-pack the record's key on this core — installing the caller's hash
-  // (no rehash) via the plan's KeyRouter; computed keys re-walk the
-  // expression tree here, off the caller — and prefetch its cache bucket.
-  const std::size_t q = msg.query;
-  sh.cores[q]->prepare_extracted(
-      i, routers_[q].has_value()
-             ? routers_[q]->make_key(msg.rec, msg.raw_hash)
-             : compiler::extract_key_prehashed(*plans_[q], msg.rec,
-                                               msg.raw_hash));
+  // Re-pack the class key once on this core — installing the caller's hash
+  // (no rehash) via the class's KeyRouter; computed keys re-walk the
+  // expression tree here, off the caller — and prefetch the bucket of every
+  // masked member.
+  const KeyClasses::Class& cls = classes_.classes()[msg.query];
+  const std::optional<compiler::KeyRouter>& router =
+      routers_[cls.slots.front()];
+  key = router.has_value()
+            ? router->make_key(msg.rec, msg.raw_hash)
+            : compiler::extract_key_prehashed(cls.key_plan(), msg.rec,
+                                              msg.raw_hash);
+  for_each_member(msg.members, [&](std::size_t b) {
+    sh.cores[cls.slots[b]]->prefetch(key);
+  });
 }
 
-void ThreadedExecutor::worker_process(Shard& sh, std::size_t i,
+void ThreadedExecutor::worker_process(Shard& sh, const kv::Key& key,
                                       ShardMsg& msg) {
   switch (msg.kind) {
-    case ShardMsg::Kind::kRecord:
-      sh.cores[msg.query]->fold(i, msg.rec);
+    case ShardMsg::Kind::kRecord: {
+      const KeyClasses::Class& cls = classes_.classes()[msg.query];
+      for_each_member(msg.members, [&](std::size_t b) {
+        sh.cores[cls.slots[b]]->fold(key, msg.rec);
+      });
       break;
+    }
     case ShardMsg::Kind::kFlush: {
       // Refresh or the final flush: every live slice writes back into its
       // own backing store, here and now, so the store is fresh as soon as
@@ -401,7 +428,8 @@ void ThreadedExecutor::worker_loop(Shard& sh) {
   // The ring is already in global record order: pop straight into the fold
   // chunk. Pass 1 re-packs keys and prefetches buckets; pass 2 folds in
   // order, with flush and rendezvous boundaries in-band.
-  std::array<ShardMsg, SwitchFoldCore::kChunk> chunk;
+  std::array<ShardMsg, kFoldChunk> chunk;
+  std::array<kv::Key, kFoldChunk> keys;
   bool running = true;
   std::uint32_t idle_polls = 0;
   // A poisoned engine stops feeding this ring (and may never send kStop):
@@ -410,19 +438,36 @@ void ThreadedExecutor::worker_loop(Shard& sh) {
     PERFQ_FAILPOINT("sharded.ring_pop");
     const std::size_t n = sh.ring.pop_bulk({chunk.data(), chunk.size()});
     if (n == 0) {
+      // The clock is read only on this idle path.
+      const std::uint64_t t0 = obs::kTelemetryEnabled ? obs::now_ns() : 0;
       idle_wait(idle_polls);
+      if (obs::kTelemetryEnabled) sh.idle_ns += obs::now_ns() - t0;
       continue;
     }
     idle_polls = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (chunk[i].kind == ShardMsg::Kind::kRecord) {
-        worker_prepare(sh, i, chunk[i]);
+    // A record message folds into every member its mask names, so the two
+    // passes run over spans of about kFoldChunk folds rather than messages:
+    // more prefetches in flight would evict the first buckets before pass 2
+    // reaches them.
+    for (std::size_t begin = 0; begin < n && running;) {
+      std::size_t end = begin;
+      for (std::size_t folds = 0; end < n && folds < kFoldChunk; ++end) {
+        const ShardMsg& msg = chunk[end];
+        folds += msg.kind == ShardMsg::Kind::kRecord
+                     ? static_cast<std::size_t>(std::popcount(msg.members))
+                     : 1;
       }
-    }
-    // Nothing follows a stop message.
-    for (std::size_t i = 0; i < n && running; ++i) {
-      running = chunk[i].kind != ShardMsg::Kind::kStop;
-      worker_process(sh, i, chunk[i]);
+      for (std::size_t i = begin; i < end; ++i) {
+        if (chunk[i].kind == ShardMsg::Kind::kRecord) {
+          worker_prepare(sh, keys[i], chunk[i]);
+        }
+      }
+      // Nothing follows a stop message.
+      for (std::size_t i = begin; i < end && running; ++i) {
+        running = chunk[i].kind != ShardMsg::Kind::kStop;
+        worker_process(sh, keys[i], chunk[i]);
+      }
+      begin = end;
     }
   }
 }

@@ -8,20 +8,23 @@
 // one store per query):
 //
 //   the caller thread, the only dispatcher
-//     - evaluates each switch query's prefilter, computes the key's hash
-//       straight from the record (record-direct routing — for plain-field
-//       keys the compiler::KeyRouter packs and hashes on the stack, no
-//       kv::Key materialized) and routes the record to shard = high bits of
-//       the cache-placement hash (RSS-style);
+//     - per key class (fold_core.hpp), evaluates the members' prefilters
+//       into a member mask and, when any member admits the record, computes
+//       the class key's hash once straight from the record (record-direct
+//       routing — for plain-field keys the compiler::KeyRouter packs and
+//       hashes on the stack, no kv::Key materialized) and routes the record
+//       to shard = high bits of the cache-placement hash (RSS-style): one
+//       message per record and class, carrying the mask;
 //     - publishes batched messages into that shard's SPSC ring. The caller
 //       is every ring's one producer and the shard's worker its one
 //       consumer, so no ring needs a lock, and each ring is FIFO in global
 //       record order.
 //   N shard workers
-//     - pop their ring in order, re-pack the key on their own core (reusing
-//       the caller's hash via Key::pack_prehashed — the byte-level hash is
-//       still computed once per record), and fold through the same
-//       SwitchFoldCore hot path the inline executor uses;
+//     - pop their ring in order, re-pack the class key once on their own
+//       core (reusing the caller's hash via Key::pack_prehashed — the
+//       byte-level hash is still computed once per record and class), and
+//       fold it into every masked member through the same SwitchFoldCore
+//       hot path the inline executor uses;
 //     - fold each query into their own kv::KeyValueStore: a bucket slice of
 //       the query's cache over a private BackingStore that absorbs the
 //       slice's evictions synchronously, exactly as the inline executor's
@@ -84,6 +87,8 @@ class ThreadedExecutor {
   struct Prepared {
     std::vector<std::unique_ptr<kv::KeyValueStore>> stores;  ///< one per shard
     std::vector<std::unique_ptr<SwitchFoldCore>> cores;
+    /// Record-direct router; nullopt = computed key, expression path.
+    std::optional<compiler::KeyRouter> router;
   };
 
   /// One query's N per-shard backing stores read as one. Their keys are
@@ -139,19 +144,21 @@ class ThreadedExecutor {
   ThreadedExecutor& operator=(const ThreadedExecutor&) = delete;
 
   /// Validate `geometry` against the shard count and build a query for slot
-  /// `slot`. Touches no executor state, so a ConfigError (num_buckets not
-  /// divisible by num_shards, slot past the message index range) leaves the
-  /// engine as it was.
+  /// `slot`, its key router included. Touches no executor state, so a
+  /// ConfigError (num_buckets not divisible by num_shards, slot past the
+  /// message index range) leaves the engine as it was.
   [[nodiscard]] Prepared prepare(std::size_t slot,
                                  const compiler::SwitchQueryPlan& plan,
                                  const kv::CacheGeometry& geometry) const;
-  /// Install a prepared query at `slot`. Call with nothing in flight: before
-  /// the first batch, or after reach_boundary(). The workers see the new
-  /// entries through the next ring publish/pop pair.
+  /// Install a prepared query at `slot` and regroup the key classes. Call
+  /// with nothing in flight: before the first batch, or after
+  /// reach_boundary(). The workers see the new entries through the next
+  /// ring publish/pop pair.
   void install(std::size_t slot, const compiler::SwitchQueryPlan& plan,
                Prepared&& prepared);
-  /// Free slot `slot` in place (resident indices never move). Call with
-  /// nothing in flight for it: after merged_store() or reach_boundary().
+  /// Free slot `slot` in place (resident indices never move) and regroup
+  /// the key classes. Call with nothing in flight: after merged_store() or
+  /// reach_boundary().
   void remove(std::size_t slot);
 
   /// Dispatch a batch on the caller: the refresh check, routing into the
@@ -238,11 +245,17 @@ class ThreadedExecutor {
       kStop
     };
     Kind kind = Kind::kRecord;
-    std::uint16_t query = 0;     ///< switch-query slot (kRecord/kSnapshot)
-    std::uint64_t raw_hash = 0;  ///< key's seed-0 byte hash (kRecord); the
-                                 ///< rendezvous generation (kSnapshot)
+    /// The key class (kRecord); the switch-query slot or kNoQuery
+    /// (kSnapshot).
+    std::uint16_t query = 0;
+    /// The class members that admit `rec` (kRecord): bit b is member b.
+    std::uint32_t members = 0;
+    std::uint64_t raw_hash = 0;  ///< class key's seed-0 byte hash (kRecord);
+                                 ///< the rendezvous generation (kSnapshot)
     PacketRecord rec;  ///< the record; rec.tin carries flush/snapshot time
   };
+  // `members` fills the padding between `query` and `raw_hash`.
+  static_assert(sizeof(ShardMsg) == 96, "ShardMsg grew past 96 bytes");
 
   struct Shard {
     Shard(std::size_t shard_index, std::size_t ring_capacity)
@@ -253,17 +266,21 @@ class ThreadedExecutor {
     SpscRing<ShardMsg> ring;
     /// Caller side: messages staged for the ring, and its telemetry.
     /// Stalls count publish() calls that blocked on a full ring at least
-    /// once; the high-water mark samples occupancy after each publish.
+    /// once, and ring_stall_ns the time they blocked; the high-water mark
+    /// samples occupancy after each publish.
     std::vector<ShardMsg> staging;
+    obs::RelaxedU64 ring_records;  ///< kRecord messages staged for the ring
     obs::RelaxedU64 ring_stalls;
+    obs::RelaxedU64 ring_stall_ns;
     obs::RelaxedU64 ring_hwm;
     /// Worker side, from here on. Per switch-query slot; null when the slot
-    /// is free (the message `query` field indexes these directly).
+    /// is free (a key class maps its member bits to these slots).
     alignas(kCacheLineBytes) std::vector<std::unique_ptr<kv::KeyValueStore>>
         stores;
     std::vector<std::unique_ptr<SwitchFoldCore>> cores;  ///< parallel to stores
     /// Latency of each flush of this shard's stores (refresh or final).
     obs::LatencyHistogram flush_ns;
+    obs::RelaxedU64 idle_ns;  ///< time spent in idle_wait on an empty ring
     /// Rendezvous: the worker writes the requested query's merged slice
     /// here, then publishes the generation through `snapshot_ready`
     /// (release); the caller spins on it (acquire) and takes the copy
@@ -293,11 +310,12 @@ class ThreadedExecutor {
 
   /// Pop the ring into the two-pass fold chunk until kStop or the stop flag.
   void worker_loop(Shard& shard);
-  /// Pass 1 of a chunk slot: re-pack the record's key on this core and
-  /// prefetch its cache bucket.
-  void worker_prepare(Shard& shard, std::size_t i, const ShardMsg& msg);
-  /// Pass 2 of a chunk slot: fold a record or execute a control message.
-  void worker_process(Shard& shard, std::size_t i, ShardMsg& msg);
+  /// Pass 1 of a record message: re-pack its class key on this core into
+  /// `key` and prefetch each masked member's cache bucket.
+  void worker_prepare(Shard& shard, kv::Key& key, const ShardMsg& msg);
+  /// Pass 2: fold a record message under `key` into each masked member, or
+  /// execute a control message.
+  void worker_process(Shard& shard, const kv::Key& key, ShardMsg& msg);
   /// Thread entry: run worker_loop, record any escaping exception in the
   /// fault slot (first exception wins; every stop-aware loop then unwinds),
   /// and flag exit — a worker can never reach std::terminate or die
@@ -349,11 +367,13 @@ class ThreadedExecutor {
   /// and it is the pipeline's stop flag (stopping()).
   FaultSlot& fault_;
   std::uint64_t seed_mix_ = 0;  ///< mix64(hash_seed), precomputed
-  /// Per switch-query slot; a free slot's entries are null. Message `query`
-  /// fields index these vectors, so a resident query's index never moves.
+  /// Per switch-query slot; a free slot's entries are null, and a resident
+  /// query's slot never moves.
   std::vector<const compiler::SwitchQueryPlan*> plans_;
-  /// Record-direct router per plan; nullopt = computed key, expression path.
+  /// Record-direct router per slot; nullopt = computed key, expression path.
   std::vector<std::optional<compiler::KeyRouter>> routers_;
+  /// The live queries by key identity; kRecord `query` fields index it.
+  KeyClasses classes_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<PacketRecord> wire_pending_;  ///< wire-burst scratch (caller only)
   std::uint64_t snapshot_gen_ = 0;  ///< caller-side rendezvous generation

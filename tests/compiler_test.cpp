@@ -9,6 +9,8 @@
 #include "compiler/program.hpp"
 #include "fig2_corpus.hpp"
 #include "lang/parser.hpp"
+#include "packet/wire.hpp"
+#include "trace/flow_session.hpp"
 #include "trace/simple.hpp"
 
 namespace perfq::compiler {
@@ -382,6 +384,66 @@ TEST(KeyRouter, MatchesExtractKeyBitForBit) {
   const CompiledProgram computed =
       compile_source("SELECT COUNT GROUPBY srcip, pkt_len / 256");
   EXPECT_FALSE(KeyRouter::make(computed.switch_plans[0]).has_value());
+}
+
+TEST(KeyIdentity, EqualIdentityPacksBitIdenticalKeys) {
+  const auto plan = [](const CompiledProgram& p) -> const SwitchQueryPlan& {
+    return p.switch_plans.at(0);
+  };
+  const CompiledProgram five = compile_source("SELECT COUNT GROUPBY 5tuple");
+  const CompiledProgram five_filtered = compile_source(
+      "SELECT 5tuple, SUM(pkt_len) GROUPBY 5tuple WHERE proto == TCP");
+  const CompiledProgram five_chain = compile_source(R"(
+R0 = SELECT srcip, dstip, srcport, dstport, proto, pkt_len FROM T WHERE pkt_len > 100
+R1 = SELECT COUNT FROM R0 GROUPBY 5tuple
+)");
+  const CompiledProgram len256 =
+      compile_source("SELECT COUNT GROUPBY pkt_len / 256");
+  const CompiledProgram len256_filtered = compile_source(
+      "SELECT SUM(tin) GROUPBY pkt_len / 256 WHERE proto == UDP");
+  const CompiledProgram len128 =
+      compile_source("SELECT COUNT GROUPBY pkt_len / 128");
+  const CompiledProgram src = compile_source("SELECT COUNT GROUPBY srcip");
+  const CompiledProgram dst = compile_source("SELECT COUNT GROUPBY dstip");
+  const CompiledProgram src_dst =
+      compile_source("SELECT COUNT GROUPBY srcip, dstip");
+  const CompiledProgram dst_src =
+      compile_source("SELECT COUNT GROUPBY dstip, srcip");
+
+  EXPECT_TRUE(same_key(plan(five), plan(five_filtered)));
+  EXPECT_TRUE(same_key(plan(five), plan(five_chain)));
+  EXPECT_TRUE(same_key(plan(len256), plan(len256_filtered)));
+  EXPECT_FALSE(same_key(plan(src), plan(dst)));
+  EXPECT_FALSE(same_key(plan(len256), plan(len128)));
+  EXPECT_FALSE(same_key(plan(src_dst), plan(dst_src)));
+  EXPECT_FALSE(same_key(plan(five), plan(src_dst)));
+
+  // Equal identity packs equal bytes and hashes for every record, on the
+  // eager record and on its lazy wire view alike.
+  trace::TraceConfig config;
+  config.seed = 5;
+  config.duration = 10_s;
+  config.num_flows = 100;
+  config.mean_flow_pkts = 10.0;
+  const std::vector<PacketRecord> records = trace::generate_all(config);
+  ASSERT_GT(records.size(), 100u);
+  const std::pair<const SwitchQueryPlan*, const SwitchQueryPlan*> equal[] = {
+      {&plan(five), &plan(five_filtered)},
+      {&plan(five), &plan(five_chain)},
+      {&plan(len256), &plan(len256_filtered)}};
+  for (const PacketRecord& rec : records) {
+    const std::vector<std::byte> bytes = wire::serialize(rec.pkt);
+    ASSERT_GT(wire::check_frame(bytes), 0u);
+    const WireRecordView view{bytes, rec.qid, rec.tin, rec.tout, rec.qsize};
+    for (const auto& [a, b] : equal) {
+      const kv::Key want = extract_key(*a, rec);
+      for (const kv::Key& got : {extract_key(*b, rec), extract_key(*a, view),
+                                 extract_key(*b, view)}) {
+        EXPECT_TRUE(got == want) << got.to_hex() << " vs " << want.to_hex();
+        EXPECT_EQ(got.raw_hash(), want.raw_hash());
+      }
+    }
+  }
 }
 
 TEST(ProgramCompiler, StreamSelectCompiles) {

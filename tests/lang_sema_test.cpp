@@ -246,6 +246,28 @@ TEST(Sema, OnSwitchGroupByStateWidthIsLimited) {
   }
 }
 
+TEST(Sema, OnSwitchGroupByKeyWidthIsLimited) {
+  // 13 + 8 + 4 + 4 + 4 = 33 bytes: one past kv::Key's 32-byte capacity.
+  const char* source =
+      "SELECT 5tuple, pkt_uniq, pkt_path, tcpseq, qid, COUNT "
+      "GROUPBY 5tuple, pkt_uniq, pkt_path, tcpseq, qid";
+  try {
+    (void)analyze_source(source);
+    FAIL() << "a 33-byte key must not compile on the switch";
+  } catch (const QueryError& e) {
+    EXPECT_EQ(e.line(), 1);
+    EXPECT_NE(std::string{e.what()}.find("key packs 33 bytes"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string{e.what()}.find("at most 32 bytes"),
+              std::string::npos)
+        << e.what();
+  }
+  // Exactly 32 bytes (qsize packs 3) fits.
+  EXPECT_NO_THROW((void)analyze_source(
+      "SELECT COUNT GROUPBY 5tuple, pkt_uniq, pkt_path, tcpseq, qsize"));
+}
+
 TEST(Sema, CollectionLayerFoldMustFindItsColumns) {
   // Over a table a fold reads columns by name: R1 has no tin or tout.
   const char* source = R"(def ewma (lat_est, (tin, tout)):

@@ -157,6 +157,53 @@ TEST(MetricsExactness, CountersMatchOracleAtQuiescentPoints) {
       EXPECT_TRUE(m.rings.empty());
     }
   }
+
+  // Three queries on one key form one key class: each query folds exactly
+  // the records its prefilter admits, and the threaded caller pushes one
+  // ring message per record that some member admits.
+  const char* shared = R"(
+UDP = SELECT COUNT GROUPBY 5tuple WHERE proto == UDP
+DROPPED = SELECT COUNT GROUPBY 5tuple WHERE tout == infinity
+LONG = SELECT COUNT GROUPBY 5tuple WHERE pkt_len > 1000
+)";
+  std::uint64_t udp = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t long_pkts = 0;
+  std::uint64_t admitted = 0;
+  for (const PacketRecord& rec : records) {
+    const bool is_udp =
+        rec.pkt.flow.proto == static_cast<std::uint8_t>(IpProto::kUdp);
+    const bool is_long = rec.pkt.pkt_len > 1000;
+    udp += is_udp ? 1 : 0;
+    dropped += rec.dropped() ? 1 : 0;
+    long_pkts += is_long ? 1 : 0;
+    admitted += is_udp || rec.dropped() || is_long ? 1 : 0;
+  }
+  ASSERT_GT(admitted, 0u);
+  ASSERT_LT(admitted, records.size());
+  for (const Topology& topo : kTopologies) {
+    SCOPED_TRACE(std::string{"shared key, "} + topo.name);
+    EngineConfig config;
+    config.geometry = kv::CacheGeometry::set_associative(1024, 8);
+    auto engine =
+        build_engine(compiler::compile_source(shared), topo, config);
+    const std::span<const PacketRecord> span(records);
+    for (std::size_t base = 0; base < span.size(); base += 512) {
+      engine->process_batch(span.subspan(
+          base, std::min<std::size_t>(512, span.size() - base)));
+    }
+    engine->finish(11_s);
+
+    const EngineMetrics m = engine->metrics();
+    ASSERT_EQ(m.queries.size(), 3u);
+    EXPECT_EQ(static_cast<std::uint64_t>(m.queries[0].cache.packets), udp);
+    EXPECT_EQ(static_cast<std::uint64_t>(m.queries[1].cache.packets), dropped);
+    EXPECT_EQ(static_cast<std::uint64_t>(m.queries[2].cache.packets),
+              long_pkts);
+    std::uint64_t ring_records = 0;
+    for (const RingMetrics& r : m.rings) ring_records += r.records;
+    EXPECT_EQ(ring_records, topo.shards > 0 ? admitted : 0u);
+  }
 }
 
 TEST(MetricsExactness, SmallGeometryShowsEvictionPressure) {

@@ -252,5 +252,105 @@ TEST(ShardedEngine, ComputedKeyProgramMatchesSingleEngine) {
                               "computed key");
 }
 
+// ---- key classes -----------------------------------------------------------
+
+constexpr const char* kNonMtDef = R"(def nonmt ((maxseq, nm_count), (tcpseq)):
+    if maxseq > tcpseq: nm_count = nm_count + 1
+    maxseq = max(maxseq, tcpseq)
+)";
+
+/// One on-switch GROUPBY per entry, keyed so the program forms five key
+/// classes: the 5-tuple (three queries, NONE admitting no record), the
+/// computed key pkt_len / 256 (two), srcip (one), and dstip (33 queries, one
+/// more than a class holds, so it splits 32 + 1).
+std::vector<std::pair<std::string, std::string>> key_class_queries() {
+  std::vector<std::pair<std::string, std::string>> queries = {
+      {"TCP", "SELECT 5tuple, COUNT GROUPBY 5tuple WHERE proto == TCP"},
+      {"NMT", "SELECT 5tuple, nonmt GROUPBY 5tuple WHERE tout != infinity"},
+      {"NONE", "SELECT 5tuple, COUNT GROUPBY 5tuple WHERE pkt_len > 100000"},
+      {"LEN", "SELECT COUNT GROUPBY pkt_len / 256"},
+      {"LENSUM", "SELECT SUM(tin) GROUPBY pkt_len / 256 WHERE qsize > 2"},
+      {"SRC", "SELECT srcip, COUNT GROUPBY srcip"}};
+  for (int i = 0; i < 33; ++i) {
+    queries.emplace_back("W" + std::to_string(i),
+                         "SELECT dstip, COUNT, SUM(pkt_len) GROUPBY dstip "
+                         "WHERE pkt_len > " + std::to_string(40 * i));
+  }
+  return queries;
+}
+
+std::string key_class_source(
+    const std::vector<std::pair<std::string, std::string>>& queries) {
+  std::string source = kNonMtDef;
+  for (const auto& [name, query] : queries) {
+    source += name + " = " + query + "\n";
+  }
+  return source;
+}
+
+void feed(Engine& engine, std::span<const PacketRecord> records,
+          std::size_t batch) {
+  for (std::size_t base = 0; base < records.size(); base += batch) {
+    engine.process_batch(
+        records.subspan(base, std::min(batch, records.size() - base)));
+  }
+}
+
+TEST(ShardedEngine, KeyClassesMatchEachQueryRunAlone) {
+  const auto records = workload();
+  const auto queries = key_class_queries();
+  const std::string source = key_class_source(queries);
+  // Ring messages the caller must push: one per record and class with an
+  // admitting member (NONE admits nothing; W0 admits every record).
+  std::uint64_t messages = 0;
+  for (const PacketRecord& rec : records) {
+    const bool five_tuple = rec.pkt.flow.proto ==
+                                static_cast<std::uint8_t>(IpProto::kTcp) ||
+                            !rec.dropped();
+    messages += (five_tuple ? 1 : 0) + 3 + (rec.pkt.pkt_len > 1280 ? 1 : 0);
+  }
+
+  for (const Nanos refresh : {0_s, 100_ms}) {
+    // The oracle: every query alone in its own serial engine.
+    std::vector<ResultTable> alone;
+    for (const auto& [name, query] : queries) {
+      auto engine = build_single(
+          compiler::compile_source(std::string{kNonMtDef} + name + " = " +
+                                   query + "\n"),
+          refresh);
+      engine->process_batch(records);
+      engine->finish(12_s);
+      alone.push_back(engine->table(name));
+    }
+    struct Run {
+      std::size_t shards;
+      std::size_t batch;
+    };
+    for (const Run run : {Run{0, 777}, Run{1, 777}, Run{2, 777}, Run{4, 777},
+                          Run{0, 1}, Run{2, 1}}) {
+      const std::string context =
+          "shards=" + std::to_string(run.shards) +
+          " batch=" + std::to_string(run.batch) +
+          " refresh=" + std::to_string(refresh.count());
+      auto engine =
+          run.shards == 0
+              ? build_single(compiler::compile_source(source), refresh)
+              : build_sharded(compiler::compile_source(source), run.shards,
+                              refresh);
+      feed(*engine, records, run.batch);
+      engine->finish(12_s);
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        expect_tables_bit_identical(alone[q],
+                                    engine->table(queries[q].first),
+                                    context + " " + queries[q].first);
+      }
+      EXPECT_EQ(engine->table("NONE").row_count(), 0u) << context;
+      std::uint64_t pushed = 0;
+      for (const RingMetrics& r : engine->metrics().rings) pushed += r.records;
+      EXPECT_EQ(pushed, run.shards > 0 ? messages : 0u) << context;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace perfq::runtime

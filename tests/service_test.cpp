@@ -308,6 +308,73 @@ TEST(AttachOracle, StreamTenantRowsMatchSuffixOracle) {
   }
 }
 
+TEST(AttachOracle, KeyClassTenantsJoinAndLeave) {
+  // A 5-tuple tenant joins BASE's key class mid-run and leaves; two srcip
+  // tenants form a class of their own, and its first member (whose plan
+  // extracts the class key) leaves before the second. After each detach
+  // every resident is byte-identical and each tenant equals its suffix
+  // oracle.
+  const char* first_source = "SELECT srcip, COUNT GROUPBY srcip";
+  const char* second_source =
+      "SELECT srcip, SUM(pkt_len) GROUPBY srcip WHERE proto == TCP";
+  const auto records = test_workload();
+  const std::span<const PacketRecord> all{records};
+  const Nanos end = 12_s;
+  auto control = make_engine(kBaseSource, kSerial, 0_s);
+  control->process_batch(records);
+  control->finish(end);
+  const ResultTable base_control = control->result();
+
+  const auto attach = [](Engine& engine, const char* name,
+                         const char* source) {
+    AttachOptions options;
+    options.name = name;
+    options.geometry = kGeom;
+    engine.attach_query(compiler::compile_source(source, kParams), options);
+  };
+  for (const Topology& topo : kTopologies) {
+    const std::string context{topo.name};
+    auto engine = make_engine(kBaseSource, topo, 0_s);
+    feed_uneven(*engine, all.subspan(0, 937));
+    attach(*engine, "joiner", kEwmaSource);
+    attach(*engine, "first", first_source);
+    feed_uneven(*engine, all.subspan(937, 2000 - 937));
+    attach(*engine, "second", second_source);
+    feed_uneven(*engine, all.subspan(2000, 4000 - 2000));
+
+    EngineSnapshot base = engine->snapshot("BASE", end);
+    const ResultTable joiner = engine->detach_query("joiner", end);
+    expect_tables_bit_identical(base.table,
+                                engine->snapshot("BASE", end).table,
+                                context + " base around joiner detach");
+    feed_uneven(*engine, all.subspan(4000, 5000 - 4000));
+
+    base = engine->snapshot("BASE", end);
+    const EngineSnapshot second = engine->snapshot("second", end);
+    const ResultTable first = engine->detach_query("first", end);
+    expect_tables_bit_identical(base.table,
+                                engine->snapshot("BASE", end).table,
+                                context + " base around first detach");
+    expect_tables_bit_identical(second.table,
+                                engine->snapshot("second", end).table,
+                                context + " second around first detach");
+    feed_uneven(*engine, all.subspan(5000));
+    engine->finish(end);
+
+    expect_tables_bit_identical(
+        oracle_table(kEwmaSource, all.subspan(937, 4000 - 937), 0_s, end),
+        joiner, context + " joiner");
+    expect_tables_bit_identical(
+        oracle_table(first_source, all.subspan(937, 5000 - 937), 0_s, end),
+        first, context + " first");
+    expect_tables_bit_identical(
+        oracle_table(second_source, all.subspan(2000), 0_s, end),
+        engine->table("second"), context + " second");
+    expect_tables_bit_identical(base_control, engine->table("BASE"),
+                                context + " base unperturbed");
+  }
+}
+
 // ---- validation: clean rejection, never degraded state ---------------------
 
 TEST(AttachValidation, RejectsNonAttachableProgramsWithoutStateChange) {
@@ -669,6 +736,42 @@ TEST(LineProtocol, AttachPastTheStateWidthGetsErrAndChargesNothing) {
   const service::Response after = service::execute_line(svc, "LIST");
   ASSERT_TRUE(after.ok);
   EXPECT_EQ(after.lines, before.lines);
+}
+
+TEST(LineProtocol, AttachPastTheKeyWidthGetsErrOnEveryExecutor) {
+  // A 33-byte key: one past kv::Key's capacity. The rejection must leave
+  // the engine as it was, so a resident tenant still folds and snapshots.
+  const auto records = test_workload();
+  const std::span<const PacketRecord> all{records};
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    service::QueryService svc = make_service(shards);
+    svc.process_batch(all.subspan(0, 2000));
+    ASSERT_TRUE(service::execute_line(
+                    svc, "ATTACH resident SELECT srcip, COUNT GROUPBY srcip")
+                    .ok);
+    const double used = svc.used_die_fraction();
+    const service::Response before = service::execute_line(svc, "LIST");
+    ASSERT_TRUE(before.ok);
+    const service::Response reply = service::execute_line(
+        svc,
+        "ATTACH wide SELECT 5tuple, pkt_uniq, pkt_path, tcpseq, qid, COUNT "
+        "GROUPBY 5tuple, pkt_uniq, pkt_path, tcpseq, qid");
+    EXPECT_FALSE(reply.ok);
+    const std::string wire = reply.to_wire();
+    EXPECT_EQ(wire.rfind("ERR ", 0), 0u) << wire;
+    EXPECT_NE(wire.find("at most 32 bytes"), std::string::npos) << wire;
+    EXPECT_DOUBLE_EQ(svc.used_die_fraction(), used);
+    const service::Response after = service::execute_line(svc, "LIST");
+    ASSERT_TRUE(after.ok);
+    EXPECT_EQ(after.lines, before.lines);
+
+    svc.process_batch(all.subspan(2000, 2000));
+    const service::Response snap =
+        service::execute_line(svc, "SNAPSHOT resident");
+    ASSERT_TRUE(snap.ok) << snap.error;
+    EXPECT_GT(snap.lines.size(), 1u);
+  }
 }
 
 // ---- execute_line fuzz ------------------------------------------------------
