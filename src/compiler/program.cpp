@@ -239,6 +239,12 @@ bool same_key(const SwitchQueryPlan& a, const SwitchQueryPlan& b) {
 
 std::vector<double> unpack_key(const SwitchQueryPlan& plan, const kv::Key& key) {
   std::vector<double> out;
+  unpack_key_into(plan, key, out);
+  return out;
+}
+
+void unpack_key_into(const SwitchQueryPlan& plan, const kv::Key& key,
+                     std::vector<double>& out) {
   const auto bytes = key.bytes();
   std::size_t pos = 0;
   for (const auto& comp : plan.key) {
@@ -250,7 +256,6 @@ std::vector<double> unpack_key(const SwitchQueryPlan& plan, const kv::Key& key) 
     }
     out.push_back(static_cast<double>(v));
   }
-  return out;
 }
 
 SwitchQueryPlan SwitchQueryPlan::clone() const {

@@ -222,4 +222,8 @@ template <typename Rec>
 [[nodiscard]] std::vector<double> unpack_key(const SwitchQueryPlan& plan,
                                              const kv::Key& key);
 
+/// unpack_key() appending to `out` (result rows build in place).
+void unpack_key_into(const SwitchQueryPlan& plan, const kv::Key& key,
+                     std::vector<double>& out);
+
 }  // namespace perfq::compiler

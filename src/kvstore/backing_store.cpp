@@ -62,7 +62,9 @@ void BackingStore::reindex(std::size_t capacity) {
 }
 
 void BackingStore::reserve(std::size_t keys) {
-  entries_.reserve(keys);
+  if (keys > entries_.capacity()) {
+    entries_.reserve(std::max(keys, 2 * entries_.capacity()));
+  }
   const std::size_t capacity = std::bit_ceil(std::max(kMinIndex, 2 * keys));
   if (capacity > index_.size()) reindex(capacity);
 }
@@ -124,7 +126,8 @@ void BackingStore::absorb(const EvictedValue& ev) {
   } else if (linearity_ == Linearity::kLinearConstA) {
     entry.value = ev.state + const_a_.power(ev.packets - history_).apply(delta);
   } else {
-    entry.value = ev.state + ev.product.apply(delta);
+    check(ev.product.has_value(), "BackingStore: kLinear eviction without P");
+    entry.value = ev.state + ev.product->apply(delta);
   }
 }
 

@@ -29,7 +29,12 @@
 // entry's position + 1 (0 marks an empty slot). The probe hash is
 // key.hash(kStdHashSeed), mixed from the key's cached hash, so a lookup never
 // rehashes key bytes. The index grows by doubling and re-indexing the
-// entries; the entry array grows like any std::vector.
+// entries; the entry array grows like any std::vector. Every pull presizes
+// both before it absorbs a cache's contents (KeyValueStore::flush and
+// merged_backing reserve key_count() + the cache's occupancy), so a flush
+// of N resident keys grows each at most once instead of ~log2 N times;
+// reserve() itself grows at least geometrically, so repeated refresh
+// flushes still reallocate only O(log keys) times.
 //
 // Pointer contract: the pointers lookup() and segments() return (and so
 // KeyValueStore::read()) stay valid only until the next absorb() on the same
@@ -86,7 +91,8 @@ class BackingStore {
   void absorb(const EvictedValue& ev);
 
   /// Make room for `keys` keys in all: absorbing new keys up to that total
-  /// neither moves the entry array nor re-indexes.
+  /// neither moves the entry array nor re-indexes. Growth is geometric: a
+  /// reserve past the current capacity at least doubles it.
   void reserve(std::size_t keys);
 
   /// Merged value for a key, or nullptr if never evicted. For non-linear

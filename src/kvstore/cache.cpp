@@ -154,7 +154,7 @@ void Cache::process(const Key& key, const Rec& rec) {
       idx = bucket.lru;
     }
     check(idx != kInvalid, "Cache: full bucket with empty LRU list");
-    evict_slot(idx, rec.tin, /*final_flush=*/false);
+    evict_slot(idx, rec.tin);
     ++stats_.evictions;
   }
 
@@ -255,20 +255,22 @@ void Cache::push_mru(Bucket& bucket, std::uint32_t slot_idx) {
 EvictedValue Cache::evicted_fields(std::uint32_t slot_idx, Nanos now,
                                    bool final_flush) const {
   const Slot& slot = slots_[slot_idx];
-  EvictedValue ev;
-  ev.key = slot.key;
-  ev.state = slot.state;
-  ev.packets = slot.packets;
-  ev.first_tin = slot.first_tin;
-  ev.evict_time = now;
-  ev.final_flush = final_flush;
-  // Only a kLinear merge reads the running product; S_h is S_0 unless the
-  // fold reads history (h > 0).
+  // S_h is S_0 unless the fold reads history (h > 0).
+  EvictedValue ev{.key = slot.key,
+                  .state = slot.state,
+                  .product = std::nullopt,
+                  .packets = slot.packets,
+                  .state_after_h = kernel_->history_window() == 0
+                                       ? initial_
+                                       : aux_[slot_idx].state_after_h,
+                  .boundary = {},
+                  .first_tin = slot.first_tin,
+                  .evict_time = now,
+                  .final_flush = final_flush};
+  // Only a kLinear merge reads the running product.
   if (kernel_->linearity() == Linearity::kLinear) {
     ev.product = aux_[slot_idx].product;
   }
-  ev.state_after_h =
-      kernel_->history_window() == 0 ? initial_ : aux_[slot_idx].state_after_h;
   return ev;
 }
 
@@ -299,9 +301,9 @@ void Cache::snapshot_into(Nanos now, const EvictionSink& fn) const {
   }
 }
 
-void Cache::evict_slot(std::uint32_t slot_idx, Nanos now, bool final_flush) {
+void Cache::evict_slot(std::uint32_t slot_idx, Nanos now) {
   check(slot_occupied(slot_idx), "Cache: evicting empty slot");
-  EvictedValue ev = make_evicted(slot_idx, now, final_flush);
+  EvictedValue ev = make_evicted(slot_idx, now, /*final_flush=*/false);
   if (geometry_.num_buckets == 1) n1_index_.erase(slots_[slot_idx].key);
   const std::uint64_t b = slot_idx / geometry_.associativity;
   unlink(buckets_[b], slot_idx);
@@ -312,12 +314,23 @@ void Cache::evict_slot(std::uint32_t slot_idx, Nanos now, bool final_flush) {
 }
 
 void Cache::flush(Nanos now) {
-  for (std::uint32_t idx = 0; idx < slots_.size(); ++idx) {
-    if (slot_occupied(idx)) {
-      evict_slot(idx, now, /*final_flush=*/true);
-      ++stats_.flushes;
-    }
+  if (occupancy_ == 0) return;
+  // Emit in slot order, leaving the slots to the sweep below: nothing reads
+  // an emptied slot's list links or key before the next initialize rewrites
+  // them.
+  std::uint64_t flushed = 0;
+  for (std::uint32_t idx = 0; idx < slots_.size() && flushed < occupancy_;
+       ++idx) {
+    if (!slot_occupied(idx)) continue;
+    EvictedValue ev = make_evicted(idx, now, /*final_flush=*/true);
+    ++flushed;
+    if (sink_) sink_(std::move(ev));
   }
+  std::fill(tags_.begin(), tags_.end(), kEmptyTag);
+  std::fill(buckets_.begin(), buckets_.end(), Bucket{});
+  n1_index_.clear();
+  occupancy_ = 0;
+  stats_.flushes += flushed;
 }
 
 // The two record representations the engines drive the cache with. Kept as

@@ -59,11 +59,15 @@ namespace perfq::kv {
   return key.hash(seed);  // the cache's bucket_hash() computes this same value
 }
 
-/// Everything the backing store needs to absorb one evicted entry.
+/// Everything the backing store needs to absorb one evicted entry. Every
+/// eviction, flushed entry and snapshot entry builds one, so it holds the
+/// 520-byte running product only where the merge reads it: for kLinear
+/// kernels. Every other fold leaves `product` empty and pays nothing for it.
 struct EvictedValue {
   Key key;
   StateVector state;     ///< S_new: accumulator at eviction time
-  SmallMatrix product;   ///< P over packets h+1..N; filled for kLinear kernels only
+  /// P over packets h+1..N; set for kLinear kernels only.
+  std::optional<SmallMatrix> product;
   std::uint64_t packets = 0;  ///< N: records folded this epoch
   StateVector state_after_h;  ///< S_h: state after the first h records
   std::vector<PacketRecord> boundary;  ///< first min(h, N) records of the epoch
@@ -136,6 +140,10 @@ class Cache {
 
   /// Write back and clear every resident entry (end-of-window, or the
   /// paper's "keys can be periodically evicted to keep the store fresh").
+  /// Entries reach the sink in slot order; then one sweep empties the tag
+  /// row, the bucket lists and the n = 1 side index, so afterwards the cache
+  /// behaves exactly like a fresh one (the kRandom victim stream aside,
+  /// which continues).
   void flush(Nanos now);
 
   /// Non-destructive read of every resident entry: hand `fn` an EvictedValue
@@ -226,7 +234,8 @@ class Cache {
                 std::uint64_t idx_in_epoch, std::size_t h);
   void unlink(Bucket& bucket, std::uint32_t slot_idx);
   void push_mru(Bucket& bucket, std::uint32_t slot_idx);
-  void evict_slot(std::uint32_t slot_idx, Nanos now, bool final_flush);
+  /// Capacity eviction of one slot: emit it and unlink it from its bucket.
+  void evict_slot(std::uint32_t slot_idx, Nanos now);
   /// Everything of a slot's EvictedValue EXCEPT the boundary log — the one
   /// field whose ownership differs between the destructive eviction path
   /// (moves it out) and the non-destructive snapshot path (copies it). Both

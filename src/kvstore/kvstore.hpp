@@ -28,16 +28,24 @@ class KeyValueStore {
         [this](EvictedValue&& ev) { backing_.absorb(ev); });
   }
 
-  /// Fold one record into the store under `key`.
-  void process(const Key& key, const PacketRecord& rec) { cache_.process(key, rec); }
+  /// Fold one record into the store under `key`: a PacketRecord or a lazy
+  /// WireRecordView (the two representations Cache::process takes).
+  template <typename Rec>
+  void process(const Key& key, const Rec& rec) {
+    cache_.process(key, rec);
+  }
 
   /// Software-prefetch the cache bucket `key` maps to (batched engine path).
   void prefetch(const Key& key) const { cache_.prefetch(key); }
 
   /// Push all cache-resident values to the backing store (query window end,
   /// or the paper's periodic refresh). After flush(), reads from the backing
-  /// store see every packet processed so far.
-  void flush(Nanos now) { cache_.flush(now); }
+  /// store see every packet processed so far. The backing store is presized
+  /// for every resident key first, so the flush never regrows it.
+  void flush(Nanos now) {
+    backing_.reserve(backing_.key_count() + cache_.occupancy());
+    cache_.flush(now);
+  }
 
   /// The engines' mid-run pull: a copy of the backing store with the live
   /// cache entries merged in through the ordinary exact-merge absorb — bit

@@ -1,5 +1,7 @@
 #include "runtime/collection.hpp"
 
+#include <array>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
@@ -25,6 +27,16 @@ compiler::Resolver schema_resolver(const lang::Schema& schema) {
 }
 
 }  // namespace
+
+RowOrder RowOrder::of(const kv::Key& key, std::size_t row) {
+  static_assert(kv::Key::kCapacity <= 32, "RowOrder holds 32 key bytes");
+  // Zero-padded to 32 bytes, then read as four big-endian 64-bit words.
+  std::array<std::uint64_t, 4> w{};
+  std::memcpy(w.data(), key.bytes().data(), key.size());
+  for (std::uint64_t& x : w) x = __builtin_bswap64(x);
+  using U128 = unsigned __int128;
+  return RowOrder{(U128{w[0]} << 64) | w[1], (U128{w[2]} << 64) | w[3], row};
+}
 
 const ResultTable* find_collection_table(
     const std::map<int, ResultTable>& tables, int index) {

@@ -24,13 +24,37 @@ namespace perfq::runtime {
 void run_collection_query(const compiler::CompiledProgram& program, int index,
                           std::map<int, ResultTable>& tables);
 
+/// A result row's place in canonical order: its packed key bytes as two
+/// big-endian 128-bit words (a kv::Key holds at most 32 bytes), so
+/// comparing (hi, lo) compares the bytes lexicographically.
+struct RowOrder {
+  unsigned __int128 hi = 0;  ///< key bytes [0, 16)
+  unsigned __int128 lo = 0;  ///< key bytes [16, 32)
+  std::size_t row = 0;
+
+  [[nodiscard]] static RowOrder of(const kv::Key& key, std::size_t row);
+
+  friend bool operator<(const RowOrder& a, const RowOrder& b) {
+    return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
+  }
+};
+
 /// Materialize one on-switch GROUPBY's result table from a backing store
-/// (anything with `for_each(fn(key, value, valid))`: BackingStore or the
-/// threaded executor's StoreView). Rows are sorted into canonical key order so the
-/// result is independent of map iteration and eviction interleaving — this
-/// is what lets downstream collection queries (which accumulate in row
-/// order) reproduce the same floating-point results bit-for-bit whichever
-/// executor folded the store.
+/// (anything with `for_each(fn(key, value, valid))` and `key_count()`:
+/// BackingStore, the threaded executor's StoreView or a FederatedStore).
+/// Rows are sorted into canonical key order so the result is independent
+/// of map iteration and eviction interleaving — this is what lets
+/// downstream collection queries (which accumulate in row order) reproduce
+/// the same floating-point results bit-for-bit whichever executor folded
+/// the store.
+///
+/// The order is the packed key bytes': every key of one plan packs its
+/// components big-endian at fixed widths, so byte order is component-wise
+/// numeric order, and the key columns alone decide it. Components of at
+/// most 6 bytes unpack to doubles exactly, so there it is also the order of
+/// the key columns; wider ones (pkt_uniq, computed keys) may unpack two
+/// keys to one double, and their rows still follow the exact keys. One walk
+/// of the store builds each row once at its final width.
 template <typename Backing>
 [[nodiscard]] ResultTable materialize_switch_table(
     const compiler::CompiledProgram& program,
@@ -38,17 +62,21 @@ template <typename Backing>
   const auto& q =
       program.analysis.queries[static_cast<std::size_t>(plan.query_index)];
   std::vector<std::vector<double>> rows;
+  std::vector<RowOrder> order;
+  rows.reserve(backing.key_count());
+  order.reserve(backing.key_count());
   backing.for_each([&](const kv::Key& key, const kv::StateVector& value,
                        bool /*valid*/) {
-    std::vector<double> row = compiler::unpack_key(plan, key);
-    for (std::size_t d = 0; d < value.dims(); ++d) row.push_back(value[d]);
-    rows.push_back(std::move(row));
+    std::vector<double>& row = rows.emplace_back();
+    row.reserve(plan.key.size() + value.dims());
+    compiler::unpack_key_into(plan, key, row);
+    row.insert(row.end(), value.span().begin(), value.span().end());
+    order.push_back(RowOrder::of(key, order.size()));
   });
-  // Keys are unique and lead each row, so the lexicographic compare is
-  // decided within the (finite, integer-valued) key columns.
-  std::sort(rows.begin(), rows.end());
+  std::sort(order.begin(), order.end());
   ResultTable table(q.output);
-  for (auto& row : rows) table.add_row(std::move(row));
+  table.reserve(rows.size());
+  for (const RowOrder& o : order) table.add_row(std::move(rows[o.row]));
   return table;
 }
 

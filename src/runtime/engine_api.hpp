@@ -151,7 +151,7 @@
 //   - detach_query(name, now) ends the query's window at the current record
 //     boundary: its cache slice is flushed at `now`, the final table is
 //     materialized and returned, and every resource the attach allocated
-//     (cache slice, fold-core scratch, backing store, plan storage) is
+//     (cache slice, backing store, key-class membership, plan storage) is
 //     freed. Only dynamically attached queries can be detached — detaching a
 //     base-program query would orphan the collection layer and is a
 //     ConfigError. Resident queries are NOT perturbed: their caches are not

@@ -1,8 +1,8 @@
 // The fold hot path shared by both executors of runtime::Engine: the key
-// classes, the per-query fold core, the refresh clock and the wire front.
-// The inline executor runs all of them on the caller; the threaded executor
+// classes, the per-member fold, the refresh clock and the wire front. The
+// inline executor runs all of them on the caller; the threaded executor
 // runs the key classes, the clock and the wire front on the caller and the
-// fold cores on its shard workers.
+// folds on its shard workers.
 //
 // Key classes: live queries whose plans have the same key identity
 // (compiler::same_key) pack bit-identical keys for every record, so a
@@ -30,7 +30,7 @@
 
 #include "common/failpoint.hpp"
 #include "compiler/program.hpp"
-#include "kvstore/cache.hpp"
+#include "kvstore/kvstore.hpp"
 #include "obs/metrics.hpp"
 #include "packet/wire.hpp"
 #include "packet/wire_view.hpp"
@@ -139,27 +139,14 @@ void for_each_member(std::uint32_t mask, Fn&& fn) {
   }
 }
 
-/// One query's fold into one cache, under a key its class extracted.
-class SwitchFoldCore {
- public:
-  /// Non-owning: `cache` must outlive the core.
-  explicit SwitchFoldCore(kv::Cache& cache) : cache_(&cache) {}
-
-  /// Pass 1: prefetch the bucket that owns `key`.
-  void prefetch(const kv::Key& key) const { cache_->prefetch(key); }
-
-  /// Pass 2: fold `rec` under `key`.
-  template <typename Rec>
-  void fold(const kv::Key& key, const Rec& rec) {
-    PERFQ_FAILPOINT("fold_core.fold");
-    cache_->process(key, rec);
-  }
-
-  void flush(Nanos now) { cache_->flush(now); }
-
- private:
-  kv::Cache* cache_;
-};
+/// Pass 2 for one class member: fold `rec` into the member's store under
+/// the key its class extracted. Pass 1 prefetched `store.prefetch(key)`.
+template <typename Rec>
+void fold_member(kv::KeyValueStore& store, const kv::Key& key,
+                 const Rec& rec) {
+  PERFQ_FAILPOINT("fold_core.fold");
+  store.process(key, rec);
+}
 
 /// The wire front: validate each frame (damaged ones are skipped and
 /// counted into `stats`, never thrown on) and hand each survivor, in order,

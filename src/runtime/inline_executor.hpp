@@ -1,11 +1,10 @@
 // The inline executor of runtime::Engine (the default, no sharded(N)): the
-// caller extracts each record's key once per key class and folds it through
-// each admitting member's SwitchFoldCore into that query's KeyValueStore,
-// evictions absorb straight into the query's backing store, and the record
-// boundary is always "now". Everything above the fold
-// (registry, attach validation, refresh detection, stream delivery, results,
-// telemetry, the fault gate) lives in Engine; this class is only the place
-// where folding happens.
+// caller extracts each record's key once per key class and folds it into
+// each admitting member's KeyValueStore, evictions absorb straight into the
+// query's backing store, and the record boundary is always "now".
+// Everything above the fold (registry, attach validation, refresh
+// detection, stream delivery, results, telemetry, the fault gate) lives in
+// Engine; this class is only the place where folding happens.
 #pragma once
 
 #include <algorithm>
@@ -26,11 +25,8 @@ class InlineExecutor {
  public:
   static constexpr const char* kName = "serial";
 
-  /// One query's store and fold core, built before it is installed.
-  struct Prepared {
-    std::unique_ptr<kv::KeyValueStore> store;
-    std::unique_ptr<SwitchFoldCore> core;
-  };
+  /// One query's store, built before it is installed.
+  using Prepared = std::unique_ptr<kv::KeyValueStore>;
 
   /// `refresh` and `stream` belong to the engine and outlive the executor.
   InlineExecutor(const EngineConfig& config, RefreshClock& refresh,
@@ -41,28 +37,25 @@ class InlineExecutor {
   [[nodiscard]] Prepared prepare(std::size_t /*slot*/,
                                  const compiler::SwitchQueryPlan& plan,
                                  const kv::CacheGeometry& geometry) const {
-    Prepared p;
-    p.store = std::make_unique<kv::KeyValueStore>(
+    return std::make_unique<kv::KeyValueStore>(
         geometry, plan.kernel, config_.hash_seed, config_.eviction_policy);
-    p.core = std::make_unique<SwitchFoldCore>(p.store->cache());
-    return p;
   }
 
   /// Install a prepared query at registry slot `slot`.
   void install(std::size_t slot, const compiler::SwitchQueryPlan& plan,
                Prepared&& prepared) {
-    if (slot >= slots_.size()) {
-      slots_.resize(slot + 1);
+    if (slot >= stores_.size()) {
+      stores_.resize(slot + 1);
       plans_.resize(slot + 1);
     }
-    slots_[slot] = std::move(prepared);
+    stores_[slot] = std::move(prepared);
     plans_[slot] = &plan;
     relink();
   }
 
   /// Free slot `slot` and everything its query allocated.
   void remove(std::size_t slot) {
-    slots_[slot] = Prepared{};
+    stores_[slot].reset();
     plans_[slot] = nullptr;
     relink();
   }
@@ -102,7 +95,7 @@ class InlineExecutor {
   /// `now` would leave it (KeyValueStore::merged_backing).
   template <typename Fn>
   decltype(auto) merged_store(std::size_t slot, Nanos now, Fn&& fn) {
-    const kv::BackingStore merged = slots_[slot].store->merged_backing(now);
+    const kv::BackingStore merged = stores_[slot]->merged_backing(now);
     return fn(merged);
   }
 
@@ -112,11 +105,11 @@ class InlineExecutor {
   /// `fn` receives `slot`'s backing store (as of the last eviction).
   template <typename Fn>
   decltype(auto) with_backing(std::size_t slot, Fn&& fn) const {
-    return fn(slots_[slot].store->backing());
+    return fn(stores_[slot]->backing());
   }
 
   [[nodiscard]] kv::CacheStats cache_stats(std::size_t slot) const {
-    return slots_[slot].store->cache().stats();
+    return stores_[slot]->cache().stats();
   }
 
   /// No pipeline threads: nothing to report.
@@ -125,11 +118,11 @@ class InlineExecutor {
  private:
   static constexpr std::size_t kChunk = kFoldChunk;
 
-  /// One key class as the chunk loop walks it: its members' fold cores and
-  /// the pass-1 results for the chunk in flight.
+  /// One key class as the chunk loop walks it: its members' stores and the
+  /// pass-1 results for the chunk in flight.
   struct ClassFold {
     const KeyClasses::Class* cls = nullptr;
-    std::vector<SwitchFoldCore*> cores;  ///< member b's core
+    std::vector<kv::KeyValueStore*> stores;  ///< member b's store
     std::array<std::uint32_t, kChunk> masks{};  ///< members admitting record i
     std::array<kv::Key, kChunk> keys;           ///< record i's class key
   };
@@ -150,7 +143,7 @@ class InlineExecutor {
         if (cf.masks[i] == 0) continue;
         cf.keys[i] = compiler::extract_key(cf.cls->key_plan(), chunk[i]);
         for_each_member(cf.masks[i], [&](std::size_t b) {
-          cf.cores[b]->prefetch(cf.keys[i]);
+          cf.stores[b]->prefetch(cf.keys[i]);
         });
       }
     }
@@ -167,7 +160,7 @@ class InlineExecutor {
       }
       for (ClassFold& cf : folds_) {
         for_each_member(cf.masks[i], [&](std::size_t b) {
-          cf.cores[b]->fold(cf.keys[i], rec);
+          fold_member(*cf.stores[b], cf.keys[i], rec);
         });
       }
       if (streams) stream_.observe(rec);
@@ -177,7 +170,7 @@ class InlineExecutor {
   /// Flush every live query's cache into its backing store.
   void flush(Nanos now) {
     for (const ClassFold& cf : folds_) {
-      for (SwitchFoldCore* core : cf.cores) core->flush(now);
+      for (kv::KeyValueStore* store : cf.stores) store->flush(now);
     }
   }
 
@@ -189,7 +182,7 @@ class InlineExecutor {
       ClassFold& cf = folds_.emplace_back();
       cf.cls = &cls;
       for (const std::size_t slot : cls.slots) {
-        cf.cores.push_back(slots_[slot].core.get());
+        cf.stores.push_back(stores_[slot].get());
       }
     }
   }
@@ -197,7 +190,8 @@ class InlineExecutor {
   const EngineConfig& config_;
   RefreshClock& refresh_;
   StreamStage& stream_;
-  std::vector<Prepared> slots_;  ///< by registry slot; empty when free
+  /// By registry slot; null when free.
+  std::vector<std::unique_ptr<kv::KeyValueStore>> stores_;
   /// By registry slot; null when free.
   std::vector<const compiler::SwitchQueryPlan*> plans_;
   KeyClasses classes_;

@@ -24,6 +24,9 @@ class ResultTable {
 
   void add_row(std::vector<double> row);
 
+  /// Make room for `rows` rows in all.
+  void reserve(std::size_t rows) { rows_.reserve(rows); }
+
   /// Column index by (canonical or alias) name; throws if absent.
   [[nodiscard]] std::size_t column(std::string_view name) const;
 

@@ -66,8 +66,6 @@ ThreadedExecutor::Prepared ThreadedExecutor::prepare(
     p.stores.push_back(std::make_unique<kv::KeyValueStore>(
         slice, plan.kernel, engine_.hash_seed, engine_.eviction_policy,
         /*bucket_scale=*/n_shards));
-    p.cores.push_back(
-        std::make_unique<SwitchFoldCore>(p.stores.back()->cache()));
   }
   p.router = compiler::KeyRouter::make(plan);
   return p;
@@ -81,23 +79,18 @@ void ThreadedExecutor::install(std::size_t slot,
     routers_.resize(slot + 1);
     for (auto& shard : shards_) {
       shard->stores.resize(slot + 1);
-      shard->cores.resize(slot + 1);
     }
   }
   plans_[slot] = &plan;
   routers_[slot] = std::move(prepared.router);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->stores[slot] = std::move(prepared.stores[s]);
-    shards_[s]->cores[slot] = std::move(prepared.cores[s]);
   }
   classes_.rebuild(plans_);
 }
 
 void ThreadedExecutor::remove(std::size_t slot) {
-  for (auto& shard : shards_) {
-    shard->stores[slot].reset();
-    shard->cores[slot].reset();
-  }
+  for (auto& shard : shards_) shard->stores[slot].reset();
   routers_[slot].reset();
   plans_[slot] = nullptr;
   classes_.rebuild(plans_);
@@ -380,7 +373,7 @@ void ThreadedExecutor::worker_prepare(Shard& sh, kv::Key& key,
             : compiler::extract_key_prehashed(cls.key_plan(), msg.rec,
                                               msg.raw_hash);
   for_each_member(msg.members, [&](std::size_t b) {
-    sh.cores[cls.slots[b]]->prefetch(key);
+    sh.stores[cls.slots[b]]->prefetch(key);
   });
 }
 
@@ -390,7 +383,7 @@ void ThreadedExecutor::worker_process(Shard& sh, const kv::Key& key,
     case ShardMsg::Kind::kRecord: {
       const KeyClasses::Class& cls = classes_.classes()[msg.query];
       for_each_member(msg.members, [&](std::size_t b) {
-        sh.cores[cls.slots[b]]->fold(key, msg.rec);
+        fold_member(*sh.stores[cls.slots[b]], key, msg.rec);
       });
       break;
     }

@@ -23,7 +23,7 @@
 //     - pop their ring in order, re-pack the class key once on their own
 //       core (reusing the caller's hash via Key::pack_prehashed — the
 //       byte-level hash is still computed once per record and class), and
-//       fold it into every masked member through the same SwitchFoldCore
+//       fold it into every masked member through the same fold_member
 //       hot path the inline executor uses;
 //     - fold each query into their own kv::KeyValueStore: a bucket slice of
 //       the query's cache over a private BackingStore that absorbs the
@@ -82,11 +82,9 @@ class ThreadedExecutor {
  public:
   static constexpr const char* kName = "sharded";
 
-  /// One query's per-shard stores and fold cores, built before it is
-  /// installed.
+  /// One query's per-shard stores, built before it is installed.
   struct Prepared {
     std::vector<std::unique_ptr<kv::KeyValueStore>> stores;  ///< one per shard
-    std::vector<std::unique_ptr<SwitchFoldCore>> cores;
     /// Record-direct router; nullopt = computed key, expression path.
     std::optional<compiler::KeyRouter> router;
   };
@@ -277,7 +275,6 @@ class ThreadedExecutor {
     /// is free (a key class maps its member bits to these slots).
     alignas(kCacheLineBytes) std::vector<std::unique_ptr<kv::KeyValueStore>>
         stores;
-    std::vector<std::unique_ptr<SwitchFoldCore>> cores;  ///< parallel to stores
     /// Latency of each flush of this shard's stores (refresh or final).
     obs::LatencyHistogram flush_ns;
     obs::RelaxedU64 idle_ns;  ///< time spent in idle_wait on an empty ring

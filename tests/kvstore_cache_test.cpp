@@ -1,8 +1,11 @@
 // Cache mechanics: geometries, LRU behaviour, eviction accounting (Fig. 4),
 // and the tag-probed index: cross-checks against an unordered_map shadow,
-// hash decorrelation, and the zero-allocation steady state.
+// hash decorrelation, and the zero-allocation steady state. Then the pull
+// path: a flushed cache against a fresh one, the flush counters, and the
+// heap blocks a flush and a table materialization allocate.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -12,12 +15,15 @@
 #include "common/error.hpp"
 #include "fig2_corpus.hpp"
 #include "kvstore/cache.hpp"
+#include "kvstore/kvstore.hpp"
+#include "runtime/collection.hpp"
 #include "trace/simple.hpp"
 
 // Counting global allocator: lets tests assert that steady-state
 // Cache::process performs zero heap allocations (tag-probed index + pooled
-// aux arena). Counts every new/delete in the test binary; tests snapshot the
-// counter around the region of interest.
+// aux arena), and count the blocks a pull allocates. Counts every new/delete
+// in the test binary; tests snapshot the counter around the region of
+// interest.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
@@ -353,6 +359,178 @@ TEST(Cache, SteadyStateProcessAllocatesNothingForConstAKernels) {
     EXPECT_GT(cache.stats().evictions, 0u)
         << "workload too small to exercise the eviction path";
   }
+}
+
+// ------------------------------------------------------------ the pull --
+
+/// One entry as an eviction sink sees it, to compare two caches event by
+/// event.
+struct Emitted {
+  Key key;
+  double count = 0;
+  std::uint64_t packets = 0;
+  Nanos first_tin;
+  Nanos evict_time;
+  bool final_flush = false;
+
+  friend bool operator==(const Emitted&, const Emitted&) = default;
+};
+
+Cache::EvictionSink record_into(std::vector<Emitted>& out) {
+  return [&out](EvictedValue&& ev) {
+    out.push_back(Emitted{ev.key, ev.state[0], ev.packets, ev.first_tin,
+                          ev.evict_time, ev.final_flush});
+  };
+}
+
+TEST(Cache, FlushedCacheBehavesLikeAFreshOne) {
+  // The flush empties tags, bucket lists and the n = 1 side index in one
+  // sweep. Afterwards the cache must evict the same victims, emit the same
+  // entries in the same order and answer peek() the same as a cache that
+  // never held anything. Phase 1 fills buckets only up to their ways, so no
+  // policy evicts and kRandom's victim stream is untouched when phase 2
+  // starts on both caches.
+  constexpr std::uint64_t kSeed = 42;
+  for (const CacheGeometry geom : {CacheGeometry::set_associative(256, 4),
+                                   CacheGeometry::fully_associative(64)}) {
+    for (const EvictionPolicy policy :
+         {EvictionPolicy::kLru, EvictionPolicy::kFifo, EvictionPolicy::kRandom}) {
+      SCOPED_TRACE(geom.to_string() + " " + to_cstring(policy));
+      Cache flushed(geom, count_kernel(), kSeed, policy);
+      Cache fresh(geom, count_kernel(), kSeed, policy);
+      std::vector<Emitted> a;
+      std::vector<Emitted> b;
+      flushed.set_eviction_sink(record_into(a));
+      fresh.set_eviction_sink(record_into(b));
+
+      std::vector<std::uint64_t> fill(geom.num_buckets, 0);
+      std::vector<std::uint32_t> phase1;
+      for (std::uint32_t f = 0;
+           phase1.size() < geom.total_slots() * 3 / 4 && f < 100'000; ++f) {
+        const std::uint64_t bucket =
+            reduce_range(key_of(f).hash(kSeed), geom.num_buckets);
+        if (fill[bucket] == geom.associativity) continue;
+        ++fill[bucket];
+        phase1.push_back(f);
+      }
+      // Three rounds with different strides, so LRU lists get reordered.
+      for (std::size_t round = 0; round < 3; ++round) {
+        for (std::size_t i = round; i < phase1.size(); i += round + 1) {
+          flushed.process(key_of(phase1[i]),
+                          rec_of(phase1[i], static_cast<std::int64_t>(round)));
+        }
+      }
+      ASSERT_EQ(flushed.stats().evictions, 0u);
+      flushed.flush(Nanos{50});
+      ASSERT_EQ(a.size(), phase1.size());
+      ASSERT_EQ(flushed.occupancy(), 0u);
+      a.clear();
+      const CacheStats before = flushed.stats();
+
+      const auto records = trace::zipf_records(20'000, 1'000, 1.1, 9);
+      for (const auto& rec : records) {
+        const auto bytes = rec.pkt.flow.to_bytes();
+        const Key key{std::span<const std::byte>{bytes.data(), bytes.size()}};
+        flushed.process(key, rec);
+        fresh.process(key, rec);
+      }
+      EXPECT_GT(fresh.stats().evictions, 0u);
+      EXPECT_EQ(a, b) << "capacity evictions differ";
+      EXPECT_EQ(flushed.stats().hits - before.hits, fresh.stats().hits);
+      EXPECT_EQ(flushed.stats().initializations - before.initializations,
+                fresh.stats().initializations);
+      EXPECT_EQ(flushed.stats().evictions - before.evictions,
+                fresh.stats().evictions);
+      EXPECT_EQ(flushed.occupancy(), fresh.occupancy());
+      for (std::uint32_t f = 0; f < 1'100; ++f) {
+        EXPECT_EQ(flushed.peek(key_of(f)), fresh.peek(key_of(f))) << f;
+      }
+      a.clear();
+      b.clear();
+      flushed.flush(Nanos{1 << 30});
+      fresh.flush(Nanos{1 << 30});
+      EXPECT_EQ(a, b) << "the next flush emits different entries or order";
+    }
+  }
+}
+
+TEST(Cache, FlushCountersAndBackingWrites) {
+  // flushes counts entries written back, occupancy drops to zero, and every
+  // eviction and flushed entry is one backing-store write, flush after
+  // flush (the refresh pattern).
+  KeyValueStore store(CacheGeometry::set_associative(256, 4), count_kernel());
+  const auto records = trace::zipf_records(30'000, 2'000, 1.1, 3);
+  std::uint64_t flushed = 0;
+  for (std::size_t part = 0; part < 3; ++part) {
+    for (std::size_t i = part * 10'000; i < (part + 1) * 10'000; ++i) {
+      const auto bytes = records[i].pkt.flow.to_bytes();
+      store.process(Key{std::span<const std::byte>{bytes.data(), bytes.size()}},
+                    records[i]);
+    }
+    const std::size_t resident = store.cache().occupancy();
+    ASSERT_GT(resident, 0u);
+    store.flush(Nanos{static_cast<std::int64_t>(part + 1) << 40});
+    flushed += resident;
+    const CacheStats& stats = store.cache().stats();
+    EXPECT_EQ(stats.flushes, flushed);
+    EXPECT_EQ(store.cache().occupancy(), 0u);
+    EXPECT_EQ(store.backing().writes(), stats.evictions + stats.flushes);
+    EXPECT_EQ(store.backing().capacity_writes(), stats.evictions);
+    EXPECT_EQ(store.backing().packets(), (part + 1) * 10'000);
+  }
+  store.flush(Nanos{std::int64_t{1} << 50});  // nothing resident: nothing written
+  EXPECT_EQ(store.cache().stats().flushes, flushed);
+  EXPECT_EQ(store.backing().writes(),
+            store.cache().stats().evictions + flushed);
+}
+
+TEST(Cache, StoreFlushAllocatesAConstantNumberOfBlocks) {
+  // KeyValueStore::flush presizes the backing store for every resident key,
+  // so flushing N const-A entries (whose merge allocates nothing per key)
+  // costs the same few blocks whatever N is, not ~log2 N regrowths.
+  std::array<std::uint64_t, 2> blocks{};
+  const std::array<std::uint32_t, 2> sizes{1'000, 16'000};
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    KeyValueStore store(CacheGeometry::set_associative(1 << 16, 8),
+                        count_kernel());
+    for (std::uint32_t f = 0; f < sizes[i]; ++f) {
+      store.process(key_of(f), rec_of(f));
+    }
+    const std::uint64_t before = g_allocations.load();
+    store.flush(Nanos{1});
+    blocks[i] = g_allocations.load() - before;
+    ASSERT_EQ(store.backing().key_count(), sizes[i]);
+  }
+  EXPECT_EQ(blocks[0], blocks[1]);
+  EXPECT_LE(blocks[1], 2u) << "one entry array and one index";
+}
+
+TEST(Cache, MaterializeAllocatesOneBlockPerRowPlusAConstant) {
+  // Each row is allocated once at its final width; everything else (the
+  // row order, the row array, the table) is a constant number of blocks.
+  const compiler::CompiledProgram program =
+      compiler::compile_source(fig2_source("count_sum"), kFig2Params);
+  const compiler::SwitchQueryPlan& plan = program.switch_plans.at(0);
+  std::array<std::uint64_t, 2> extra{};
+  const std::array<std::uint32_t, 2> sizes{500, 8'000};
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    KeyValueStore store(CacheGeometry::set_associative(1 << 12, 8),
+                        plan.kernel);
+    for (std::uint32_t f = 0; f < sizes[i]; ++f) {
+      const PacketRecord rec = rec_of(f);
+      store.process(compiler::extract_key(plan, rec), rec);
+    }
+    store.flush(Nanos{1});
+    const std::uint64_t before = g_allocations.load();
+    const runtime::ResultTable table =
+        runtime::materialize_switch_table(program, plan, store.backing());
+    const std::uint64_t blocks = g_allocations.load() - before;
+    ASSERT_EQ(table.row_count(), sizes[i]);
+    ASSERT_GE(blocks, sizes[i]);
+    extra[i] = blocks - sizes[i];
+  }
+  EXPECT_EQ(extra[0], extra[1]);
+  EXPECT_LT(extra[1], 32u);
 }
 
 }  // namespace

@@ -1,9 +1,20 @@
 // ResultTable behaviours: column resolution through aliases, sorting,
-// rendering, and arity enforcement.
+// rendering, and arity enforcement; then the canonical row order of
+// materialize_switch_table on every kind of store it reads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
+#include "kvstore/federated.hpp"
+#include "kvstore/kvstore.hpp"
+#include "runtime/collection.hpp"
 #include "runtime/table.hpp"
+#include "runtime_test_util.hpp"
 
 namespace perfq::runtime {
 namespace {
@@ -66,6 +77,166 @@ TEST(ResultTable, EmptyTableRenders) {
   const std::string text = t.to_text("empty");
   EXPECT_NE(text.find("srcip"), std::string::npos);
   EXPECT_EQ(t.row_count(), 0u);
+}
+
+// ------------------------------------------- materialized row order --
+
+using Entries = std::vector<std::pair<kv::Key, kv::StateVector>>;
+using Rows = std::vector<std::vector<double>>;
+
+/// (key, value) of every entry `store` visits.
+template <typename Store>
+Entries entries_of(const Store& store) {
+  Entries out;
+  store.for_each([&](const kv::Key& key, const kv::StateVector& value,
+                     bool /*valid*/) { out.emplace_back(key, value); });
+  return out;
+}
+
+Entries entries_of(const std::vector<kv::ExportedEntry>& exported) {
+  Entries out;
+  for (const kv::ExportedEntry& e : exported) out.emplace_back(e.key, e.value);
+  return out;
+}
+
+/// The reference order wherever key columns unpack exactly: unpack every
+/// row, then sort the rows as vectors of doubles.
+Rows unpack_and_sort(const compiler::SwitchQueryPlan& plan,
+                     const Entries& entries) {
+  Rows rows;
+  for (const auto& [key, value] : entries) {
+    std::vector<double> row = compiler::unpack_key(plan, key);
+    for (std::size_t d = 0; d < value.dims(); ++d) row.push_back(value[d]);
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// Rows equal bit for bit (NaN payloads and signed zeros included).
+void expect_bitwise(const Rows& got, const Rows& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size()) << "row " << r;
+    for (std::size_t c = 0; c < got[r].size(); ++c) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[r][c]),
+                std::bit_cast<std::uint64_t>(want[r][c]))
+          << "row " << r << " column " << c;
+    }
+  }
+}
+
+constexpr const char* kFlowSource = R"(
+def ewma (lat_est, (tin, tout)):
+    lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)
+
+R1 = SELECT 5tuple, COUNT, ewma GROUPBY 5tuple
+)";
+
+compiler::CompiledProgram flow_program() {
+  return compiler::compile_source(kFlowSource, {{"alpha", 0.125}});
+}
+
+TEST(MaterializeOrder, FiveTupleRowsMatchUnpackAndSortOnEveryStore) {
+  // A 5-tuple's components are at most 4 bytes and unpack exactly, so the
+  // key-byte order must reproduce the old order bit for bit.
+  const auto records = test_workload();
+  const Nanos end = records.back().tin + 1_s;
+  const compiler::CompiledProgram program = flow_program();
+  const compiler::SwitchQueryPlan& plan = program.switch_plans.at(0);
+  const kv::CacheGeometry geometry = kv::CacheGeometry::set_associative(256, 4);
+
+  kv::KeyValueStore store(geometry, plan.kernel);
+  for (const PacketRecord& rec : records) {
+    store.process(compiler::extract_key(plan, rec), rec);
+  }
+  store.flush(end);
+  ASSERT_GT(store.cache().stats().evictions, 0u);
+  {
+    SCOPED_TRACE("BackingStore");
+    expect_bitwise(materialize_switch_table(program, plan, store.backing()).rows(),
+                   unpack_and_sort(plan, entries_of(store.backing())));
+  }
+
+  // Two sources, each exporting the whole store: every key has two
+  // contributions to reduce.
+  kv::FederatedStore federated(plan.kernel);
+  for (std::uint32_t source = 0; source < 2; ++source) {
+    kv::StoreExport part{"R1", records.size(), end,
+                         store.backing().export_entries()};
+    federated.absorb(source, part);
+  }
+  {
+    SCOPED_TRACE("FederatedStore");
+    expect_bitwise(materialize_switch_table(program, plan, federated).rows(),
+                   unpack_and_sort(plan, entries_of(federated)));
+  }
+
+  EngineConfig config;
+  config.geometry = geometry;
+  for (const Topology topology :
+       {kSerial, Topology{"s2", 2}, Topology{"s4", 4}}) {
+    SCOPED_TRACE(topology.name);
+    auto engine = build_engine(flow_program(), topology, config);
+    engine->process_batch(records);
+    engine->finish(end);
+    expect_bitwise(engine->table("R1").rows(),
+                   unpack_and_sort(plan, entries_of(
+                                             engine->export_store("R1", end).entries)));
+  }
+}
+
+TEST(MaterializeOrder, WideKeyComponentsSortByExactKey) {
+  // GROUPBY pkt_uniq keys on the 5-tuple and an 8-byte pkt_uniq. Ids
+  // 2^53 and 2^53 + 1 unpack to the same double, so sorting unpacked rows
+  // would order those two by their COUNT column. Rows must follow the
+  // exact keys: the COUNT column then reads kCounts in id order.
+  const compiler::CompiledProgram program =
+      compiler::compile_source("SELECT pkt_uniq, COUNT GROUPBY pkt_uniq");
+  const compiler::SwitchQueryPlan& plan = program.switch_plans.at(0);
+  ASSERT_EQ(plan.key.size(), 6u);
+  constexpr std::uint64_t k53 = std::uint64_t{1} << 53;
+  const std::vector<std::uint64_t> ids{k53 - 1, k53, k53 + 1, k53 + 2};
+  const std::vector<double> counts{4, 7, 2, 9};
+  ASSERT_EQ(static_cast<double>(ids[1]), static_cast<double>(ids[2]));
+
+  std::vector<std::uint8_t> widths;
+  for (const compiler::KeyComponent& c : plan.key) {
+    widths.push_back(static_cast<std::uint8_t>(c.bytes));
+  }
+  const auto key_of = [&](std::uint64_t id) {
+    const std::vector<std::uint64_t> values{0x0A000001, 0x0B000001, 1000, 80,
+                                            6, id};
+    return kv::Key::pack(values, widths);
+  };
+
+  // Absorbed in reverse id order, so insertion order is no help.
+  kv::BackingStore backing(plan.kernel);
+  kv::FederatedStore federated(plan.kernel);
+  for (std::size_t i = ids.size(); i-- > 0;) {
+    kv::EvictedValue ev;
+    ev.key = key_of(ids[i]);
+    ev.state = kv::StateVector(1, counts[i]);
+    ev.packets = static_cast<std::uint64_t>(counts[i]);
+    ev.state_after_h = kv::StateVector(1, 0.0);
+    ev.final_flush = true;
+    backing.absorb(ev);
+    // One source per key.
+    federated.absorb(static_cast<std::uint32_t>(i),
+                     kv::StoreExport{"R1", ev.packets, Nanos{1},
+                                     {kv::ExportedEntry{ev.key, ev.state, {},
+                                                        ev.packets, true}}});
+  }
+
+  const auto count_column = [](const ResultTable& table) {
+    std::vector<double> out;
+    for (const auto& row : table.rows()) out.push_back(row.back());
+    return out;
+  };
+  EXPECT_EQ(count_column(materialize_switch_table(program, plan, backing)),
+            counts);
+  EXPECT_EQ(count_column(materialize_switch_table(program, plan, federated)),
+            counts);
 }
 
 }  // namespace
