@@ -1,4 +1,4 @@
-#include "common/hugepage.hpp"
+#include "common/page_alloc.hpp"
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -10,8 +10,6 @@
 namespace perfq {
 
 namespace {
-constexpr std::size_t kHugePageBytes = 2u << 20;
-
 std::size_t round_up_pages(std::size_t bytes) {
 #if defined(__linux__)
   static const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
@@ -23,21 +21,14 @@ std::size_t round_up_pages(std::size_t bytes) {
 }
 }  // namespace
 
-void* map_pages(std::size_t bytes, bool huge) {
+void* map_pages(std::size_t bytes) {
   const std::size_t len = round_up_pages(bytes);
 #if defined(__linux__)
   void* p = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc{};
-  if (huge && len >= kHugePageBytes) {
-#if defined(MADV_HUGEPAGE)
-    // Best-effort: THP disabled or unaligned lengths just leave 4K pages.
-    (void)::madvise(p, len, MADV_HUGEPAGE);
-#endif
-  }
   return p;
 #else
-  (void)huge;
   void* p = std::calloc(1, len);
   if (p == nullptr) throw std::bad_alloc{};
   return p;
@@ -51,14 +42,6 @@ void unmap_pages(void* p, std::size_t bytes) noexcept {
 #else
   (void)bytes;
   std::free(p);
-#endif
-}
-
-bool huge_pages_supported() {
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-  return true;
-#else
-  return false;
 #endif
 }
 

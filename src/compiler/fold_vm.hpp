@@ -4,8 +4,9 @@
 // AST for every record: one virtual ValueSource call per name plus one
 // recursive eval_node() frame per operator. This VM lowers a compiled
 // FoldBody once into straight-line register code so the per-packet path is
-// a short dispatch loop over a few instructions. Design, tuned against
-// BM_CompiledEwmaUpdate and its AST-walking twin in bench/kvstore_micro.cpp:
+// a short dispatch loop over a few instructions. Design (compiler_test holds
+// it bit for bit to the AST interpreter; perfbench's traced
+// compiler.fold_ns.* rows time it per query):
 //
 //   - Dispatch-free preamble. Constants (deduplicated, constant-only
 //     subtrees folded with the interpreter's own operator semantics),

@@ -17,7 +17,7 @@
 //
 // Equivalence contract: raw_hash(rec) == extract_key(plan, rec).raw_hash()
 // and make_key(rec, raw_hash(rec)) == extract_key(plan, rec), bit for bit
-// (same field_value() reads, same clamp, same big-endian packing).
+// (same key_field_value() reads, same big-endian packing).
 #pragma once
 
 #include <array>
@@ -86,16 +86,15 @@ class KeyRouter {
  private:
   explicit KeyRouter(const SwitchQueryPlan& plan);
 
-  /// Pack the key's fields (field_value read + clamp + truncate, identical
-  /// to extract_key's fast path) into `values`/`widths`; returns arity.
+  /// Pack the key's fields (key_field_value, identical to extract_key's
+  /// fast path) into `values`/`widths`; returns arity.
   template <typename Rec>
   std::size_t pack_values(const Rec& rec, std::uint64_t* values,
                           std::uint8_t* widths) const {
     for (std::size_t i = 0; i < arity_; ++i) {
-      // Same read + truncation as extract_key (shared key_component_value):
-      // the packed bytes, and therefore the hash, must be bit-identical
+      // The packed bytes, and therefore the hash, must be bit-identical
       // between both paths.
-      values[i] = key_component_value(field_value(rec, components_[i].field));
+      values[i] = key_field_value(rec, components_[i].field);
       widths[i] = components_[i].bytes;
     }
     return arity_;

@@ -141,13 +141,27 @@ struct CompiledStreamSelect {
   return static_cast<std::uint64_t>(clamped);
 }
 
+/// The packed value of a plain-field key component, shared by both
+/// plain-field packers (extract_key_values' fast path and KeyRouter). A
+/// PacketRecord's pkt_uniq, the one 64-bit field, packs as its integer, so
+/// ids above 2^53 stay distinct; every other field, and pkt_uniq on a wire
+/// view (the 16-bit IP ident), is exact as a double.
+template <typename Rec>
+[[nodiscard]] inline std::uint64_t key_field_value(const Rec& rec, FieldId f) {
+  if constexpr (std::is_same_v<Rec, PacketRecord>) {
+    if (f == FieldId::kPktUniq) return rec.pkt.pkt_uniq;
+  }
+  return key_component_value(field_value(rec, f));
+}
+
 /// Shared value extraction of extract_key/extract_key_prehashed: fill
 /// `values`/`widths` for every key component (fast field path or expression
-/// tree), with the clamp/truncation both packers must agree on. Generic over
-/// the record representation: the fast path reads fields through the
-/// field_value overload set (lazy decode on wire views), the expression path
-/// through record_source(). Both packers below produce bit-identical keys
-/// for a PacketRecord and the wire view it parses from.
+/// tree). Generic over the record representation: the fast path reads
+/// fields through key_field_value (lazy decode on wire views), the
+/// expression path through record_source(). A key with a computed
+/// component evaluates every component as a double, like every expression,
+/// so a computed value above 2^53 packs rounded. Both packers below produce
+/// bit-identical keys for a PacketRecord and the wire view it parses from.
 template <typename Rec>
 void extract_key_values(const SwitchQueryPlan& plan, const Rec& rec,
                         std::uint64_t* values, std::uint8_t* widths) {
@@ -158,7 +172,7 @@ void extract_key_values(const SwitchQueryPlan& plan, const Rec& rec,
     // tree walk. This is the dispatcher's per-record routing cost in the
     // sharded runtime.
     for (std::size_t i = 0; i < plan.key.size(); ++i) {
-      values[i] = key_component_value(field_value(rec, plan.fast_key_fields[i]));
+      values[i] = key_field_value(rec, plan.fast_key_fields[i]);
       widths[i] = static_cast<std::uint8_t>(plan.key[i].bytes);
     }
     return;

@@ -17,9 +17,7 @@ Cache::Cache(CacheGeometry geometry, std::shared_ptr<const FoldKernel> kernel,
       seed_mix_(mix64(hash_seed)),
       policy_(policy),
       bucket_scale_(bucket_scale),
-      victim_rng_state_(mix64(hash_seed ^ 0xF00DF00DULL) | 1),
-      slots_(PageAllocator<Slot>(geometry.huge_pages)),
-      tags_(PageAllocator<std::uint8_t>(geometry.huge_pages)) {
+      victim_rng_state_(mix64(hash_seed ^ 0xF00DF00DULL) | 1) {
   if (kernel_ == nullptr) throw ConfigError{"Cache: null kernel"};
   initial_ = kernel_->initial_state();
   if (bucket_scale_ == 0) throw ConfigError{"Cache: zero bucket scale"};

@@ -40,7 +40,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/hugepage.hpp"
+#include "common/page_alloc.hpp"
 #include "common/time.hpp"
 #include "obs/metrics.hpp"
 #include "kvstore/fold.hpp"
@@ -253,8 +253,9 @@ class Cache {
   StateVector initial_;  ///< kernel_->initial_state(), read once
   std::uint64_t bucket_scale_ = 1;  ///< shard slice scale (see constructor)
   std::uint64_t victim_rng_state_;  ///< xorshift state for kRandom
-  /// Slot arena and tag row are page-allocated so CacheGeometry::huge_pages
-  /// can put the DTLB-heavy arrays on 2 MiB pages.
+  /// Slot arena and tag row are mapped straight from the OS
+  /// (common/page_alloc.hpp): every page goes back to it when the cache is
+  /// freed.
   std::vector<Slot, PageAllocator<Slot>> slots_;  ///< bucket b owns [b*m, (b+1)*m)
   std::vector<std::uint8_t, PageAllocator<std::uint8_t>> tags_;  ///< probe tags
   std::vector<LinearAux> aux_;  ///< parallel to slots_; empty unless needs_aux()

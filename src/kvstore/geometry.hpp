@@ -35,20 +35,9 @@ enum class EvictionPolicy : std::uint8_t {
 struct CacheGeometry {
   std::uint64_t num_buckets = 0;  ///< n
   std::uint32_t associativity = 0;  ///< m (slots per bucket)
-  /// Back the slot arena with transparent huge pages (MADV_HUGEPAGE). The
-  /// slot array of a DRAM-sized cache is DTLB-capped under random bucket
-  /// access; huge pages recover most of the batched-prefetch gain. Falls
-  /// back gracefully where THP is unavailable.
-  bool huge_pages = false;
 
   [[nodiscard]] std::uint64_t total_slots() const {
     return num_buckets * associativity;
-  }
-
-  [[nodiscard]] CacheGeometry with_huge_pages(bool enabled = true) const {
-    CacheGeometry g = *this;
-    g.huge_pages = enabled;
-    return g;
   }
 
   /// m = 1: evict on hash collision.

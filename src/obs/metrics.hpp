@@ -16,11 +16,13 @@
 // at quiescent points (batch boundaries, after finish()) and approximately
 // (within the in-flight window) mid-run.
 //
-// Compile-time kill switch: -DPERFQ_TELEMETRY=OFF (CMake) defines
-// PERFQ_TELEMETRY_OFF and swaps the slots for bare uint64s and the clock
-// reads for nothing. That build loses the mid-run coherence guarantee and
-// the latency histograms; it exists ONLY as the baseline ("B") side of the
-// CI overhead check that proves the always-on default ("A") costs <= 2%.
+// Compile-time kill switch: defining PERFQ_TELEMETRY_OFF (e.g.
+// -DCMAKE_CXX_FLAGS=-DPERFQ_TELEMETRY_OFF=1) swaps the slots for bare
+// uint64s and the clock reads for nothing. That build loses the mid-run
+// coherence guarantee and the latency histograms; it exists ONLY as the
+// baseline side of the CI overhead check (perfbench hot-serial, telemetry on
+// against off, tools/check_telemetry_overhead.py) that proves the always-on
+// default costs <= 2%.
 #pragma once
 
 #include <array>
@@ -34,7 +36,7 @@
 
 namespace perfq::obs {
 
-/// True in the default build; false only under -DPERFQ_TELEMETRY=OFF.
+/// True in the default build; false only under PERFQ_TELEMETRY_OFF.
 #if defined(PERFQ_TELEMETRY_OFF)
 inline constexpr bool kTelemetryEnabled = false;
 #else

@@ -9,10 +9,11 @@
 //
 // The query language accesses record fields by name; FieldId plus
 // field_value() form that reflection layer. Values are IEEE doubles: every
-// field we expose fits in 53 bits of mantissa (timestamps over multi-hour
+// field but pkt_uniq fits in 53 bits of mantissa (timestamps over multi-hour
 // simulations, 32-bit sequence numbers, byte counts), and "infinity" maps to
 // the IEEE infinity so dropped-packet predicates work with ordinary
-// comparison semantics.
+// comparison semantics. pkt_uniq is 64 bits and rounds above 2^53 as a
+// value; a plain GROUPBY key packs it exactly (compiler::key_field_value).
 #pragma once
 
 #include <bit>

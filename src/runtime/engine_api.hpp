@@ -90,11 +90,13 @@
 //
 // metrics() returns an EngineMetrics — the engine's own telemetry: what the
 // pipeline is doing, as opposed to what the queries computed. It is always on
-// (the slots cost <= 2% of throughput; CI's telemetry-overhead job enforces
-// that bound) and readable from ANY thread at ANY time, including while
-// process_batch() runs on another thread — it never blocks, perturbs, or
-// synchronizes with the pipeline, and it is TSan-clean. The price of that is
-// a relaxed coherence guarantee, which is the right one for a live monitor:
+// (the slots cost <= 2% of throughput and burst latency on perfbench's
+// hot-serial workload; CI's telemetry-overhead job enforces that bound
+// against a PERFQ_TELEMETRY_OFF build) and readable from ANY thread at ANY
+// time, including while process_batch() runs on another thread — it never
+// blocks, perturbs, or synchronizes with the pipeline, and it is TSan-clean.
+// The price of that is a relaxed coherence guarantee, which is the right one
+// for a live monitor:
 //
 //   - Every counter is individually torn-free and monotone (single-writer
 //     relaxed slots, obs/metrics.hpp); gauges (ring occupancy) are

@@ -1,6 +1,6 @@
 // Concurrency primitives of the threaded executor: the SPSC record ring and
-// page-granular (huge-page-advised) allocation. The threaded ring test is
-// one the CI ThreadSanitizer job gates on.
+// the page-granular allocation behind the cache's slot arena. The threaded
+// ring test is one the CI ThreadSanitizer job gates on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/hugepage.hpp"
+#include "common/page_alloc.hpp"
 #include "common/spsc_ring.hpp"
 
 namespace perfq {
@@ -87,20 +87,15 @@ TEST(SpscRing, TwoThreadsPreserveOrderUnderBulkTransfer) {
   EXPECT_TRUE(ring.empty());
 }
 
-TEST(PageAllocator, BacksVectorsWithAndWithoutHugeAdvice) {
-  for (const bool huge : {false, true}) {
-    std::vector<int, PageAllocator<int>> v{PageAllocator<int>(huge)};
-    v.resize(1 << 20);  // 4 MiB: above the huge-page threshold
-    v[0] = 42;
-    v[v.size() - 1] = 43;
-    EXPECT_EQ(v[0], 42);
-    EXPECT_EQ(v[v.size() - 1], 43);
-    // mmap'd memory arrives zeroed.
-    EXPECT_EQ(v[v.size() / 2], 0);
-  }
-#if defined(__linux__)
-  EXPECT_TRUE(huge_pages_supported());
-#endif
+TEST(PageAllocator, BacksVectors) {
+  std::vector<int, PageAllocator<int>> v;
+  v.resize(1 << 20);  // 4 MiB
+  v[0] = 42;
+  v[v.size() - 1] = 43;
+  EXPECT_EQ(v[0], 42);
+  EXPECT_EQ(v[v.size() - 1], 43);
+  // mmap'd memory arrives zeroed.
+  EXPECT_EQ(v[v.size() / 2], 0);
 }
 
 }  // namespace

@@ -366,19 +366,41 @@ TEST(KeyRouter, MatchesExtractKeyBitForBit) {
   // The record-direct router must agree with extract_key exactly: same
   // packed bytes, same cached hash — the dispatcher routes by the router's
   // hash while the worker re-packs via make_key.
+  const auto expect_match = [](const SwitchQueryPlan& plan,
+                                 const KeyRouter& router,
+                                 const PacketRecord& rec) {
+    const kv::Key want = extract_key(plan, rec);
+    const std::uint64_t raw = router.raw_hash(rec);
+    EXPECT_EQ(raw, want.raw_hash());
+    const kv::Key got = router.make_key(rec, raw);
+    EXPECT_TRUE(got == want);
+    EXPECT_EQ(got.raw_hash(), want.raw_hash());
+    EXPECT_EQ(got.hash(0x5eedcafe), want.hash(0x5eedcafe));
+  };
   const CompiledProgram p = compile_source("SELECT COUNT GROUPBY 5tuple");
   const auto router = KeyRouter::make(p.switch_plans[0]);
   ASSERT_TRUE(router.has_value());
   for (std::uint32_t f = 0; f < 200; ++f) {
-    const auto rec = trace::RecordBuilder{}.flow_index(f).build();
-    const kv::Key want = extract_key(p.switch_plans[0], rec);
-    const std::uint64_t raw = router->raw_hash(rec);
-    EXPECT_EQ(raw, want.raw_hash());
-    const kv::Key got = router->make_key(rec, raw);
-    EXPECT_TRUE(got == want);
-    EXPECT_EQ(got.raw_hash(), want.raw_hash());
-    EXPECT_EQ(got.hash(0x5eedcafe), want.hash(0x5eedcafe));
+    expect_match(p.switch_plans[0], *router,
+                 trace::RecordBuilder{}.flow_index(f).build());
   }
+
+  // pkt_uniq, the one 64-bit field, packs as its integer on both paths:
+  // ids a double cannot tell apart still give distinct keys.
+  const CompiledProgram uniq =
+      compile_source("SELECT pkt_uniq, COUNT GROUPBY pkt_uniq");
+  const SwitchQueryPlan& uniq_plan = uniq.switch_plans[0];
+  const auto uniq_router = KeyRouter::make(uniq_plan);
+  ASSERT_TRUE(uniq_router.has_value());
+  constexpr std::uint64_t k53 = std::uint64_t{1} << 53;
+  std::vector<kv::Key> keys;
+  for (const std::uint64_t id : {k53, k53 + 1, ~std::uint64_t{0}}) {
+    const auto rec = trace::RecordBuilder{}.flow_index(7).uniq(id).build();
+    expect_match(uniq_plan, *uniq_router, rec);
+    keys.push_back(extract_key(uniq_plan, rec));
+  }
+  EXPECT_FALSE(keys[0] == keys[1]);
+  EXPECT_FALSE(keys[1] == keys[2]);
 
   // Computed-key plans are not routable record-direct.
   const CompiledProgram computed =

@@ -1,6 +1,7 @@
 // ResultTable behaviours: column resolution through aliases, sorting,
 // rendering, and arity enforcement; then the canonical row order of
-// materialize_switch_table on every kind of store it reads.
+// materialize_switch_table on every kind of store it reads, and 64-bit key
+// components kept exact on every engine topology.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "runtime/collection.hpp"
 #include "runtime/table.hpp"
 #include "runtime_test_util.hpp"
+#include "trace/simple.hpp"
 
 namespace perfq::runtime {
 namespace {
@@ -237,6 +239,30 @@ TEST(MaterializeOrder, WideKeyComponentsSortByExactKey) {
             counts);
   EXPECT_EQ(count_column(materialize_switch_table(program, plan, federated)),
             counts);
+}
+
+TEST(WideKeyComponents, EveryTopologyKeepsIdsAbove2To53Distinct) {
+  // Records of one 5-tuple with pkt_uniq ids a double cannot tell apart
+  // (2^53 and 2^53 + 1) or hold (2^64 - 1): every topology must fold them
+  // into three keys of one packet each.
+  constexpr std::uint64_t k53 = std::uint64_t{1} << 53;
+  std::vector<PacketRecord> records;
+  for (const std::uint64_t id : {k53, k53 + 1, ~std::uint64_t{0}}) {
+    records.push_back(trace::RecordBuilder{}.flow_index(3).uniq(id).build());
+  }
+  for (const Topology& topology : kTopologies) {
+    SCOPED_TRACE(topology.name);
+    auto engine = build_engine(
+        compiler::compile_source("SELECT pkt_uniq, COUNT GROUPBY pkt_uniq"),
+        topology);
+    engine->process_batch(records);
+    engine->finish(1_s);
+    const ResultTable& table = engine->result();
+    ASSERT_EQ(table.row_count(), 3u);
+    for (const auto& row : table.rows()) {
+      EXPECT_EQ(row[table.column("COUNT")], 1.0);
+    }
+  }
 }
 
 }  // namespace
