@@ -100,53 +100,53 @@ SwitchQueryPlan build_switch_plan(const AnalyzedProgram& analysis,
         ScalarExpr::compile(*plan.prefilter_ast, base_record_resolver());
   }
 
-  // Key components: column expressions composed down to T.
+  // Key components: column expressions composed down to T. Sema caps an
+  // on-switch key at kv::Key::kCapacity bytes, and the schema's columns fit
+  // at most 12 components into that, so the layout's bound is an invariant,
+  // checked here once rather than per record.
+  check(q.key_columns.size() <= KeyLayout::kMaxComponents,
+        "switch plan: too many key components");
+  KeyLayout& layout = plan.key_layout;
   for (const auto& col : q.key_columns) {
     KeyComponent comp;
     comp.column = col;
+    const lang::Column* column = nullptr;
     if (const auto ck = q.computed_keys.find(col); ck != q.computed_keys.end()) {
       // Computed key: bind the expression through the stream view and keep
-      // the tree — computed keys are never eligible for the fast-field path.
-      const lang::Column* column = q.output.find(col);
+      // the tree.
+      column = q.output.find(col);
       check(column != nullptr, "switch plan: computed key missing from schema");
-      comp.bytes = (column->bits + 7) / 8;
       const ExprPtr bound = substitute_names(*ck->second, bindings);
       comp.expr = ScalarExpr::compile(*bound, base_record_resolver());
     } else {
-      const lang::Column* column = in_schema.find(col);
+      column = in_schema.find(col);
       check(column != nullptr, "switch plan: key column missing from schema");
-      comp.bytes = (column->bits + 7) / 8;
       const auto it = bindings.find(col);
       const ExprPtr name_expr = lang::make_name(col);
       const Expr& source_expr = it != bindings.end() ? *it->second : *name_expr;
       comp.expr = ScalarExpr::compile(source_expr, base_record_resolver());
     }
+    layout.widths[plan.key.size()] =
+        static_cast<std::uint8_t>((column->bits + 7) / 8);
     plan.key.push_back(std::move(comp));
   }
 
-  // Precompute the fast extractor when every component is a plain field
-  // reference (record-context slots index FieldId).
-  for (const auto& comp : plan.key) {
-    const auto slot = comp.expr.as_slot_load();
+  // Plain-field key: every component a bare field load (record-context
+  // slots index FieldId). Byte-direct on the wire when, in addition, every
+  // field sits there big-endian at a fixed offset with exactly its packed
+  // width, so gathered frame bytes equal kv::Key::pack's output.
+  layout.plain = layout.wire_direct = true;
+  for (std::size_t i = 0; i < plan.key.size(); ++i) {
+    const auto slot = plan.key[i].expr.as_slot_load();
     if (!slot.has_value()) {
-      plan.fast_key_fields.clear();
+      layout.plain = layout.wire_direct = false;
       break;
     }
-    plan.fast_key_fields.push_back(static_cast<FieldId>(slot->index));
-  }
-
-  // Byte-direct wire layout: valid only when every fast key field sits on
-  // the wire big-endian at a fixed offset with exactly the component's
-  // packed width, so gathered frame bytes equal kv::Key::pack's output.
-  if (!plan.fast_key_fields.empty()) {
-    plan.wire_direct_key = true;
-    for (std::size_t i = 0; i < plan.key.size(); ++i) {
-      const WireFieldSlice s = wire_field_slice(plan.fast_key_fields[i]);
-      if (s.width == 0 || static_cast<int>(s.width) != plan.key[i].bytes) {
-        plan.wire_direct_key = false;
-        break;
-      }
-      plan.wire_key_slices[i] = s;
+    layout.fields[i] = static_cast<FieldId>(slot->index);
+    layout.slices[i] = wire_field_slice(layout.fields[i]);
+    if (layout.slices[i].width == 0 ||
+        layout.slices[i].width != layout.widths[i]) {
+      layout.wire_direct = false;
     }
   }
 
@@ -231,10 +231,14 @@ CompiledProgram compile_source(std::string_view source,
 }
 
 bool same_key(const SwitchQueryPlan& a, const SwitchQueryPlan& b) {
-  return std::equal(a.key.begin(), a.key.end(), b.key.begin(), b.key.end(),
-                    [](const KeyComponent& x, const KeyComponent& y) {
-                      return x.bytes == y.bytes && x.expr == y.expr;
-                    });
+  if (a.key.size() != b.key.size()) return false;
+  for (std::size_t i = 0; i < a.key.size(); ++i) {
+    if (a.key_layout.widths[i] != b.key_layout.widths[i] ||
+        a.key[i].expr != b.key[i].expr) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::vector<double> unpack_key(const SwitchQueryPlan& plan, const kv::Key& key) {
@@ -247,11 +251,11 @@ void unpack_key_into(const SwitchQueryPlan& plan, const kv::Key& key,
                      std::vector<double>& out) {
   const auto bytes = key.bytes();
   std::size_t pos = 0;
-  for (const auto& comp : plan.key) {
-    check(pos + static_cast<std::size_t>(comp.bytes) <= bytes.size(),
-          "unpack_key: key too short");
+  for (std::size_t i = 0; i < plan.key.size(); ++i) {
+    const std::uint8_t width = plan.key_layout.widths[i];
+    check(pos + width <= bytes.size(), "unpack_key: key too short");
     std::uint64_t v = 0;
-    for (int b = 0; b < comp.bytes; ++b) {
+    for (std::uint8_t b = 0; b < width; ++b) {
       v = (v << 8) | std::to_integer<std::uint64_t>(bytes[pos++]);
     }
     out.push_back(static_cast<double>(v));
@@ -265,9 +269,7 @@ SwitchQueryPlan SwitchQueryPlan::clone() const {
   out.prefilter = prefilter;
   if (prefilter_ast) out.prefilter_ast = prefilter_ast->clone();
   out.key = key;
-  out.fast_key_fields = fast_key_fields;
-  out.wire_direct_key = wire_direct_key;
-  out.wire_key_slices = wire_key_slices;
+  out.key_layout = key_layout;
   out.kernel = kernel;  // shared: kernels are immutable after construction
   out.value_columns = value_columns;
   out.linearity = linearity;

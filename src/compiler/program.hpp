@@ -31,12 +31,36 @@
 
 namespace perfq::compiler {
 
-/// One key component: which output column it fills, how to compute it from a
-/// packet, and how many bytes of the packed key it occupies.
+/// One key component: which output column it fills and how to compute it
+/// from a packet. Its packed width lives in the plan's KeyLayout.
 struct KeyComponent {
   std::string column;
   ScalarExpr expr;
-  int bytes = 8;
+};
+
+/// How a plan's key packs: the one record of the packed-key format, filled
+/// once by compile_program() and read by extract_key() and
+/// extract_key_prehashed(), the one packer. Fixed arrays indexed by key
+/// component, so packing reads a few contiguous bytes per component instead
+/// of walking KeyComponent.
+struct KeyLayout {
+  /// Most components a key may have; compile_program() checks the bound.
+  static constexpr std::size_t kMaxComponents = 16;
+
+  /// Each component's packed width in bytes (big-endian in the key).
+  std::array<std::uint8_t, kMaxComponents> widths{};
+  /// Plain-field key: every component is a bare field reference (5tuple,
+  /// srcip, qid, pkt_len, ...), read straight from the record as `fields`.
+  /// False when any component is computed: then every component evaluates
+  /// its expression tree.
+  bool plain = false;
+  std::array<FieldId, kMaxComponents> fields{};
+  /// Byte-direct wire key (plain keys only): every field sits on the wire
+  /// big-endian at a fixed offset with exactly its packed width (the 5-tuple
+  /// case), so the packed key bytes ARE frame bytes, gathered from `slices`.
+  /// False for sidecar fields and width mismatches such as pkt_len.
+  bool wire_direct = false;
+  std::array<WireFieldSlice, kMaxComponents> slices{};
 };
 
 /// Configuration of one on-switch GROUPBY (one key-value store instance).
@@ -46,21 +70,7 @@ struct SwitchQueryPlan {
   std::optional<ScalarExpr> prefilter;  ///< composed WHERE chain over T
   lang::ExprPtr prefilter_ast;  ///< same predicate as AST (for TCAM lowering)
   std::vector<KeyComponent> key;
-  /// Fast extractor: when every key component is a plain field reference
-  /// (the common case — e.g. 5tuple, srcip, qid), the FieldIds are
-  /// precomputed here and extract_key() reads fields directly instead of
-  /// evaluating expression trees. This is the sharded dispatcher's per-
-  /// record routing cost, so it matters doubly there. Empty = slow path.
-  std::vector<FieldId> fast_key_fields;
-  /// Byte-direct wire extraction: when every fast key field lives on the
-  /// wire at a fixed offset with exactly the component's packed width (the
-  /// 5-tuple case — big-endian on the wire, big-endian in the key), the
-  /// packed key bytes ARE frame bytes. extract_key on a WireRecordView then
-  /// gathers those slices and hashes once, skipping the double round-trips
-  /// entirely. False whenever any component is computed, sidecar-sourced, or
-  /// width-mismatched; those take the fast_key_fields / expression paths.
-  bool wire_direct_key = false;
-  std::array<WireFieldSlice, 16> wire_key_slices{};
+  KeyLayout key_layout;  ///< how `key` packs, component by component
   /// The GROUPBY's one fold (lang::AnalyzedQuery::fold) bound to the stream.
   std::shared_ptr<const CompiledFoldKernel> kernel;
   std::vector<std::string> value_columns;  ///< per state dim, output order
@@ -72,7 +82,7 @@ struct SwitchQueryPlan {
 
   [[nodiscard]] int key_bytes() const {
     int total = 0;
-    for (const auto& k : key) total += k.bytes;
+    for (std::size_t i = 0; i < key.size(); ++i) total += key_layout.widths[i];
     return total;
   }
 
@@ -133,19 +143,21 @@ struct CompiledStreamSelect {
     std::string_view source, const std::map<std::string, double>& params = {});
 
 /// The one definition of how a key component's double value becomes the
-/// unsigned integer that gets packed: clamp defensively (key fields are
-/// integer-valued, but expressions can produce infinity) and truncate.
-/// extract_key and the sharded runtime's KeyRouter must agree bit-for-bit.
+/// unsigned integer that gets packed: key fields are integer-valued, but
+/// expressions can produce anything, so values below 0 and NaN (e.g.
+/// `(tout - tin) * 0` for a dropped packet's infinite tout) pack as 0 and
+/// values past 2^64 saturate; the rest truncate.
 [[nodiscard]] inline std::uint64_t key_component_value(double v) {
-  const double clamped = std::clamp(v, 0.0, 18446744073709549568.0 /* ~2^64 */);
-  return static_cast<std::uint64_t>(clamped);
+  // NaN fails every comparison, so it takes the first branch.
+  if (!(v > 0.0)) return 0;
+  return static_cast<std::uint64_t>(
+      std::min(v, 18446744073709549568.0 /* ~2^64 */));
 }
 
-/// The packed value of a plain-field key component, shared by both
-/// plain-field packers (extract_key_values' fast path and KeyRouter). A
-/// PacketRecord's pkt_uniq, the one 64-bit field, packs as its integer, so
-/// ids above 2^53 stay distinct; every other field, and pkt_uniq on a wire
-/// view (the 16-bit IP ident), is exact as a double.
+/// The packed value of a plain-field key component. A PacketRecord's
+/// pkt_uniq, the one 64-bit field, packs as its integer, so ids above 2^53
+/// stay distinct; every other field, and pkt_uniq on a wire view (the 16-bit
+/// IP ident), is exact as a double.
 template <typename Rec>
 [[nodiscard]] inline std::uint64_t key_field_value(const Rec& rec, FieldId f) {
   if constexpr (std::is_same_v<Rec, PacketRecord>) {
@@ -154,37 +166,33 @@ template <typename Rec>
   return key_component_value(field_value(rec, f));
 }
 
-/// Shared value extraction of extract_key/extract_key_prehashed: fill
-/// `values`/`widths` for every key component (fast field path or expression
-/// tree). Generic over the record representation: the fast path reads
-/// fields through key_field_value (lazy decode on wire views), the
-/// expression path through record_source(). A key with a computed
-/// component evaluates every component as a double, like every expression,
-/// so a computed value above 2^53 packs rounded. Both packers below produce
-/// bit-identical keys for a PacketRecord and the wire view it parses from.
+/// The value half of the packer: fill `values[0, plan.key.size())`, one per
+/// key component, from the layout's fields for a plain key and from each
+/// component's expression tree otherwise; the widths are the layout's.
+/// Generic over the record representation: fields read through
+/// key_field_value (lazy decode on wire views), expressions through
+/// record_source(). A key with a computed component evaluates every
+/// component as a double, like every expression, so a computed value above
+/// 2^53 packs rounded. A PacketRecord and the wire view it parses from pack
+/// bit-identical keys. Declared inline so GCC inlines it into both packers:
+/// out of line it costs a call and a reload of `values` per record.
 template <typename Rec>
-void extract_key_values(const SwitchQueryPlan& plan, const Rec& rec,
-                        std::uint64_t* values, std::uint8_t* widths) {
-  check(plan.key.size() <= 16, "extract_key: too many key components");
-  if (!plan.fast_key_fields.empty()) {
-    // Plain-field key (5tuple, srcip, qid, ...): read the fields directly —
-    // same value, clamp and pack as the expression path below, minus the
-    // tree walk. This is the dispatcher's per-record routing cost in the
-    // sharded runtime.
-    for (std::size_t i = 0; i < plan.key.size(); ++i) {
-      values[i] = key_field_value(rec, plan.fast_key_fields[i]);
-      widths[i] = static_cast<std::uint8_t>(plan.key[i].bytes);
+inline void extract_key_values(const SwitchQueryPlan& plan, const Rec& rec,
+                               std::uint64_t* values) {
+  const std::size_t n = plan.key.size();
+  if (plan.key_layout.plain) {
+    for (std::size_t i = 0; i < n; ++i) {
+      values[i] = key_field_value(rec, plan.key_layout.fields[i]);
     }
     return;
   }
   const auto source = record_source(rec);
-  for (std::size_t i = 0; i < plan.key.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     values[i] = key_component_value(plan.key[i].expr.eval(source));
-    widths[i] = static_cast<std::uint8_t>(plan.key[i].bytes);
   }
 }
 
-/// Gather a wire-direct key's bytes (precondition: plan.wire_direct_key)
+/// Gather a wire-direct key's bytes (precondition: key_layout.wire_direct)
 /// into `buf` (at least kv::Key::kCapacity bytes); returns the key length.
 /// Produces exactly the bytes kv::Key::pack would: each slice is the
 /// component's big-endian canonical encoding, already laid out on the wire.
@@ -194,42 +202,45 @@ void extract_key_values(const SwitchQueryPlan& plan, const Rec& rec,
   const std::byte* b = rec.bytes.data();
   std::size_t len = 0;
   for (std::size_t i = 0; i < plan.key.size(); ++i) {
-    const WireFieldSlice s = plan.wire_key_slices[i];
+    const WireFieldSlice s = plan.key_layout.slices[i];
     std::memcpy(buf + len, b + s.offset, s.width);
     len += s.width;
   }
   return len;
 }
 
-/// Extract the packed key for one record under a plan.
+/// Extract the packed key for one record under a plan: the one packer. On a
+/// wire view a byte-direct key is gathered from frame bytes and hashed once.
 template <typename Rec>
-[[nodiscard]] kv::Key extract_key(const SwitchQueryPlan& plan, const Rec& rec) {
+[[nodiscard]] inline kv::Key extract_key(const SwitchQueryPlan& plan,
+                                         const Rec& rec) {
   if constexpr (std::is_same_v<Rec, WireRecordView>) {
-    if (plan.wire_direct_key) {
+    if (plan.key_layout.wire_direct) {
       std::array<std::byte, kv::Key::kCapacity> buf;
       const std::size_t len = gather_wire_key(plan, rec, buf.data());
       return kv::Key({buf.data(), len});
     }
   }
-  std::array<std::uint64_t, 16> values{};
-  std::array<std::uint8_t, 16> widths{};
-  extract_key_values(plan, rec, values.data(), widths.data());
-  return kv::Key::pack({values.data(), plan.key.size()},
-                       {widths.data(), plan.key.size()});
+  // Not zero-filled: extract_key_values writes exactly the n values read.
+  std::array<std::uint64_t, KeyLayout::kMaxComponents> values;
+  extract_key_values(plan, rec, values.data());
+  const std::size_t n = plan.key.size();
+  return kv::Key::pack({values.data(), n}, {plan.key_layout.widths.data(), n});
 }
 
-/// extract_key() with the byte-level hash supplied (from a dispatcher that
-/// already extracted this record's key) instead of recomputed — the sharded
-/// worker's path for computed-key plans, keeping one hash per record.
+/// extract_key() with the byte-level hash supplied instead of recomputed:
+/// the threaded executor's worker rebuilds the key its caller routed by
+/// extract_key(plan, rec).raw_hash(), so each record and key class is
+/// hashed once.
 template <typename Rec>
-[[nodiscard]] kv::Key extract_key_prehashed(const SwitchQueryPlan& plan,
-                                            const Rec& rec,
-                                            std::uint64_t raw_hash) {
-  std::array<std::uint64_t, 16> values{};
-  std::array<std::uint8_t, 16> widths{};
-  extract_key_values(plan, rec, values.data(), widths.data());
-  return kv::Key::pack_prehashed({values.data(), plan.key.size()},
-                                 {widths.data(), plan.key.size()}, raw_hash);
+[[nodiscard]] inline kv::Key extract_key_prehashed(const SwitchQueryPlan& plan,
+                                                   const Rec& rec,
+                                                   std::uint64_t raw_hash) {
+  std::array<std::uint64_t, KeyLayout::kMaxComponents> values;
+  extract_key_values(plan, rec, values.data());
+  const std::size_t n = plan.key.size();
+  return kv::Key::pack_prehashed({values.data(), n},
+                                 {plan.key_layout.widths.data(), n}, raw_hash);
 }
 
 /// Inverse of extract_key: unpack component values from a packed key.

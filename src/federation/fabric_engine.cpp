@@ -52,7 +52,7 @@ FabricEngine::FabricEngine(net::Network& network,
     slot.label =
         net_->node_name(n).empty() ? "sw" + std::to_string(n) : net_->node_name(n);
     runtime::EngineBuilder builder{program_.clone()};
-    builder.hash_seed(options_.hash_seed).refresh(options_.refresh_interval);
+    builder.refresh(options_.refresh_interval);
     if (options_.geometry.has_value()) builder.geometry(*options_.geometry);
     if (options_.shards > 0) builder.sharded(options_.shards);
     slot.engine = builder.build();

@@ -54,14 +54,14 @@ struct FabricOptions {
   std::vector<net::NodeId> switches;
   /// Per-switch engine sharding (0 = the inline executor on every switch).
   std::size_t shards = 0;
-  /// Per-switch cache geometry; engine default when unset.
+  /// Per-switch cache geometry; engine default when unset. Every switch
+  /// places keys with the same seed (EngineConfig::hash_seed).
   std::optional<kv::CacheGeometry> geometry;
   /// Per-switch periodic refresh (§3.2); zero disables. NOTE the FP caveat
   /// in collector.hpp: each engine's refresh clock anchors at ITS first
   /// record, so refresh changes flush instants per switch — free for
   /// additive kernels, ULP-level for other linear folds.
   Nanos refresh_interval{0};
-  std::uint64_t hash_seed = 0x5eedcafe;
   /// Records a tap buffers before handing the switch engine one batch.
   std::size_t tap_batch = 256;
 };

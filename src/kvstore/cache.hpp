@@ -49,16 +49,6 @@
 
 namespace perfq::kv {
 
-/// The bucket-placement hash every cache derives bucket indices from: the
-/// key's cached hash mixed with the structure's seed. Exposed so the sharded
-/// runtime's dispatcher can route keys with the *same* function the caches
-/// use (shard = high bits, in-shard bucket = the remaining bits), keeping
-/// shard bucket slices exactly aligned with the single-cache layout.
-[[nodiscard]] inline std::uint64_t placement_hash(const Key& key,
-                                                  std::uint64_t seed) {
-  return key.hash(seed);  // the cache's bucket_hash() computes this same value
-}
-
 /// Everything the backing store needs to absorb one evicted entry. Every
 /// eviction, flushed entry and snapshot entry builds one, so it holds the
 /// 520-byte running product only where the merge reads it: for kLinear
@@ -199,10 +189,12 @@ class Cache {
     std::uint32_t used = 0;
   };
 
-  /// Bucket-placement hash: the key's cached hash mixed with this cache's
-  /// seed (precomputed in `seed_mix_`); identical to placement_hash().
+  /// Bucket-placement hash: kv::placement_hash (key.hpp) of the key's
+  /// cached hash under this cache's seed. The threaded executor routes a
+  /// key to shard s by the high bits of the same value, so a shard's slice
+  /// holds exactly the buckets it would in one cache.
   [[nodiscard]] std::uint64_t bucket_hash(const Key& key) const {
-    return hash_seed_ == 0 ? key.raw_hash() : mix64(key.raw_hash() ^ seed_mix_);
+    return placement_hash(key.raw_hash(), hash_seed_, seed_mix_);
   }
   /// With the default scale of 1 this is plain reduce_range; with scale N it
   /// selects this slice's local bucket (see the constructor comment).

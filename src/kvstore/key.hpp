@@ -51,39 +51,18 @@ class Key {
   }
 
   /// pack() with the byte-level hash supplied by the caller instead of
-  /// recomputed. The sharded runtime's record-direct dispatcher hashes the
-  /// packed key bytes without materializing a Key; the shard worker re-packs
-  /// the key on its own core and installs that hash here. The caller
-  /// guarantees `raw_hash == hash_bytes(packed bytes, 0)` — every downstream
-  /// consumer (bucket index, probe tag, std::hash) derives from it.
+  /// recomputed. The threaded executor's caller routes each record by its
+  /// key's hash and ships that hash to the shard worker, which re-packs the
+  /// key on its own core and installs the hash here (through
+  /// compiler::extract_key_prehashed). The caller guarantees
+  /// `raw_hash == hash_bytes(packed bytes, 0)` — every downstream consumer
+  /// (bucket index, probe tag, std::hash) derives from it.
   static Key pack_prehashed(std::span<const std::uint64_t> values,
                             std::span<const std::uint8_t> widths,
                             std::uint64_t raw_hash) {
     Key k = pack_bytes(values, widths);
     k.hash_ = raw_hash;
     return k;
-  }
-
-  /// Key(bytes) with the byte-level hash supplied by the caller instead of
-  /// recomputed — the byte-gather analogue of pack_prehashed(). The caller
-  /// guarantees `raw_hash == hash_bytes(bytes, 0)`.
-  static Key from_bytes_prehashed(std::span<const std::byte> bytes,
-                                  std::uint64_t raw_hash) {
-    if (bytes.size() > kCapacity) throw ConfigError{"kv::Key: key too long"};
-    Key k;
-    k.len_ = static_cast<std::uint8_t>(bytes.size());
-    std::memcpy(k.bytes_.data(), bytes.data(), bytes.size());
-    k.hash_ = raw_hash;
-    return k;
-  }
-
-  /// The hash pack() would cache for these values/widths, without keeping
-  /// the Key. Shares pack_bytes() so the byte layout the hash covers has
-  /// exactly one definition — hash_packed(v, w) == pack(v, w).raw_hash().
-  [[nodiscard]] static std::uint64_t hash_packed(
-      std::span<const std::uint64_t> values,
-      std::span<const std::uint8_t> widths) {
-    return hash_bytes(pack_bytes(values, widths).bytes(), 0);
   }
 
   [[nodiscard]] std::span<const std::byte> bytes() const {
@@ -95,12 +74,11 @@ class Key {
   /// The cached seed-0 hash of the key bytes; never rehashes.
   [[nodiscard]] std::uint64_t raw_hash() const { return hash_; }
 
-  /// Seeded hash derived from the cached hash by mixing, not rehashing.
-  /// Equal keys agree for every seed; distinct seeds give decorrelated
-  /// values (mix64 is bijective, so no information is lost).
-  [[nodiscard]] std::uint64_t hash(std::uint64_t seed = 0) const {
-    return seed == 0 ? hash_ : mix64(hash_ ^ mix64(seed));
-  }
+  /// Seeded hash derived from the cached hash by mixing, not rehashing
+  /// (placement_hash below). Equal keys agree for every seed; distinct
+  /// seeds give decorrelated values (mix64 is bijective, so no information
+  /// is lost).
+  [[nodiscard]] std::uint64_t hash(std::uint64_t seed = 0) const;
 
   friend bool operator==(const Key& a, const Key& b) {
     return a.len_ == b.len_ &&
@@ -121,17 +99,23 @@ class Key {
 
  private:
   /// Shared packing loop of pack()/pack_prehashed(): bytes and length only,
-  /// hash left for the caller to install.
+  /// hash left for the caller to install. Each value, width and the length
+  /// sit in locals: a std::byte store may alias anything, so reading them
+  /// through memory would reload them after every byte.
   static Key pack_bytes(std::span<const std::uint64_t> values,
                         std::span<const std::uint8_t> widths) {
     check(values.size() == widths.size(), "kv::Key::pack: arity mismatch");
     Key k;
+    std::size_t len = 0;
     for (std::size_t i = 0; i < values.size(); ++i) {
-      if (k.len_ + widths[i] > kCapacity) throw ConfigError{"kv::Key: key too long"};
-      for (int b = widths[i] - 1; b >= 0; --b) {
-        k.bytes_[k.len_++] = static_cast<std::byte>(values[i] >> (8 * b));
+      const std::uint64_t value = values[i];
+      const int width = widths[i];
+      if (len + width > kCapacity) throw ConfigError{"kv::Key: key too long"};
+      for (int b = width - 1; b >= 0; --b) {
+        k.bytes_[len++] = static_cast<std::byte>(value >> (8 * b));
       }
     }
+    k.len_ = static_cast<std::uint8_t>(len);
     return k;
   }
 
@@ -146,6 +130,21 @@ class Key {
   std::uint64_t hash_ = 0;  ///< seed-0 hash of bytes(), maintained on mutation
   std::uint8_t len_ = 0;
 };
+
+/// The one seeded-hash formula: a key's raw (seed-0) hash mixed with a
+/// structure's `seed`, given `seed_mix` == mix64(seed). Key::hash(seed)
+/// computes it; the cache places buckets and the threaded executor routes
+/// shards by calling it on the raw hash with their precomputed mix, so
+/// shard slices stay bit-aligned with the one-cache layout (cache.hpp).
+[[nodiscard]] inline std::uint64_t placement_hash(std::uint64_t raw_hash,
+                                                  std::uint64_t seed,
+                                                  std::uint64_t seed_mix) {
+  return seed == 0 ? raw_hash : mix64(raw_hash ^ seed_mix);
+}
+
+inline std::uint64_t Key::hash(std::uint64_t seed) const {
+  return placement_hash(hash_, seed, mix64(seed));
+}
 
 /// Seed of the backing store's probe hash and of `std::hash<Key>` (any map
 /// user). Chosen distinct from Cache's default bucket seed (0x5eedcafe) AND

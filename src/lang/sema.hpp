@@ -41,7 +41,7 @@ struct AnalyzedQuery {
   /// output column name (the expression's canonical rendering). Only legal
   /// for on-switch GROUPBYs, where the key-value store evaluates the
   /// expression per record; absent for plain-name keys. Computed keys never
-  /// take the compiler's fast-field extraction path.
+  /// take the compiler's plain-field extraction path.
   std::map<std::string, ExprPtr> computed_keys;
   /// The select list's aggregations as one fold over one state vector, in
   /// select-list order: COUNT is `#i = #i + 1`, SUM(e) is `#i = #i + e`, and

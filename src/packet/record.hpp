@@ -70,7 +70,7 @@ inline constexpr std::size_t kNumFields = 16;
 /// contract between sema and the lazy wire-ingest path: a WireRecordView
 /// only ever decodes fields set here, so the bitset is exactly the per-frame
 /// decode work. Built in compile_program from the same slot-load analysis
-/// that feeds fast_key_fields; set_all() is the safe default for anything
+/// that feeds KeyLayout::fields; set_all() is the safe default for anything
 /// the analysis cannot see through.
 struct FieldUsage {
   std::uint32_t bits = 0;

@@ -69,8 +69,7 @@ Engine::Engine(compiler::CompiledProgram program, EngineConfig config,
   on_executor(exec_, [&](auto& ex) {
     for (const auto& plan : program_.switch_plans) {
       const std::size_t slot = queries_.size();
-      const kv::CacheGeometry geometry = geometry_for(plan.name, std::nullopt);
-      ex.install(slot, plan, ex.prepare(slot, plan, geometry));
+      ex.install(slot, plan, ex.prepare(slot, plan, config_.geometry));
       queries_.push_back(Query{&plan, nullptr, 0});
     }
   });
@@ -186,15 +185,6 @@ const compiler::CompiledProgram& Engine::program_of(const Query& query) const {
   return query.attached != nullptr ? *query.attached : program_;
 }
 
-kv::CacheGeometry Engine::geometry_for(
-    const std::string& name,
-    const std::optional<kv::CacheGeometry>& override) const {
-  if (override.has_value()) return *override;
-  const auto it = config_.per_query_geometry.find(name);
-  return it != config_.per_query_geometry.end() ? it->second
-                                                 : config_.geometry;
-}
-
 void Engine::attach_query(compiler::CompiledProgram program,
                           const AttachOptions& options) {
   throw_if_faulted();
@@ -232,7 +222,7 @@ void Engine::attach_query(compiler::CompiledProgram program,
   compiler::SwitchQueryPlan& plan = owned->switch_plans.front();
   plan.name = options.name;
   const kv::CacheGeometry geometry =
-      geometry_for(options.name, options.geometry);
+      options.geometry.value_or(config_.geometry);
   std::size_t slot = 0;
   while (slot < queries_.size() && queries_[slot].plan != nullptr) ++slot;
   on_executor(exec_, [&](auto& ex) {

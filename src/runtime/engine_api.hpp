@@ -202,12 +202,16 @@ namespace perfq::runtime {
 /// Construction-time settings of the engine (EngineBuilder fills one; the
 /// threaded executor adds ThreadedConfig).
 struct EngineConfig {
-  /// Cache geometry for every on-switch GROUPBY (overridable per query).
+  /// Cache geometry for every on-switch GROUPBY (an attached tenant may
+  /// bring its own: AttachOptions::geometry).
   kv::CacheGeometry geometry = kv::CacheGeometry::set_associative(1u << 16, 8);
-  std::map<std::string, kv::CacheGeometry> per_query_geometry;
-  std::uint64_t hash_seed = 0x5eedcafe;
-  /// In-bucket replacement policy (the paper uses LRU).
-  kv::EvictionPolicy eviction_policy = kv::EvictionPolicy::kLru;
+  /// Seed of every cache's bucket-placement hash, and so of the threaded
+  /// executor's shard routing.
+  static constexpr std::uint64_t hash_seed = 0x5eedcafe;
+  /// In-bucket replacement policy: LRU, as in the paper. kv::Cache keeps
+  /// FIFO and random replacement for the eviction-policy ablation.
+  static constexpr kv::EvictionPolicy eviction_policy =
+      kv::EvictionPolicy::kLru;
   /// Cap on rows buffered by a *default* (table) stream sink. User-provided
   /// sinks implement their own bounds.
   std::size_t max_stream_rows = 1'000'000;
@@ -234,7 +238,7 @@ struct AttachOptions {
   /// bytes and unique among live queries.
   std::string name;
   /// Cache slice geometry for an on-switch GROUPBY tenant; falls back to the
-  /// engine's EngineConfig::geometry (then per_query_geometry by name).
+  /// engine's EngineConfig::geometry.
   std::optional<kv::CacheGeometry> geometry;
   /// Sink for a stream-SELECT tenant; a default TableStreamSink if empty.
   std::shared_ptr<StreamSink> sink;
@@ -504,10 +508,6 @@ class Engine {
                                     const char* what) const;
   [[nodiscard]] const compiler::CompiledProgram& program_of(
       const Query& query) const;
-  /// EngineConfig::geometry, then per_query_geometry, then `override`.
-  [[nodiscard]] kv::CacheGeometry geometry_for(
-      const std::string& name,
-      const std::optional<kv::CacheGeometry>& override) const;
   /// store_stats() minus the fault gate and lock (metrics() works poisoned).
   [[nodiscard]] std::vector<StoreStats> collect_store_stats() const;
 

@@ -12,6 +12,9 @@
 // the choice is purely a deployment knob. Threaded-only tuning knobs
 // (ring_capacity, dispatch_batch, drain_timeout) are rejected at build()
 // when no sharding was requested, so a config can't silently misapply.
+// The placement-hash seed and the LRU policy are EngineConfig constants,
+// not setters; a tenant attached later brings its own cache geometry
+// (AttachOptions::geometry).
 #pragma once
 
 #include <chrono>
@@ -33,20 +36,6 @@ class EngineBuilder {
   /// executor slices it across shards).
   EngineBuilder& geometry(const kv::CacheGeometry& g) {
     config_.geometry = g;
-    return *this;
-  }
-  /// Per-query geometry override.
-  EngineBuilder& query_geometry(const std::string& query,
-                                const kv::CacheGeometry& g) {
-    config_.per_query_geometry[query] = g;
-    return *this;
-  }
-  EngineBuilder& hash_seed(std::uint64_t seed) {
-    config_.hash_seed = seed;
-    return *this;
-  }
-  EngineBuilder& eviction_policy(kv::EvictionPolicy policy) {
-    config_.eviction_policy = policy;
     return *this;
   }
   /// Row cap of default (table) stream sinks; see EngineConfig.

@@ -45,7 +45,10 @@ std::string ResultTable::to_text(const std::string& title,
       // IP-valued columns render dotted-quad for readability.
       if (col.base_field == FieldId::kSrcIp || col.base_field == FieldId::kDstIp) {
         cells.push_back(ipv4_to_string(static_cast<std::uint32_t>(v)));
-      } else if (v == static_cast<double>(static_cast<long long>(v))) {
+      } else if (v >= -0x1p63 && v < 0x1p63 &&
+                 v == static_cast<double>(static_cast<long long>(v))) {
+        // Integral and in long long's range; the cast is undefined for
+        // ±inf, NaN and |v| >= 2^63, which render as doubles.
         cells.push_back(std::to_string(static_cast<long long>(v)));
       } else {
         cells.push_back(fmt_double(v, 3));

@@ -20,8 +20,7 @@ ThreadedExecutor::ThreadedExecutor(const EngineConfig& engine,
       config_(config),
       refresh_(refresh),
       stream_(stream),
-      fault_(fault),
-      seed_mix_(mix64(engine.hash_seed)) {
+      fault_(fault) {
   if (config_.dispatch_batch == 0) {
     throw ConfigError{"sharded engine: zero dispatch batch"};
   }
@@ -67,7 +66,6 @@ ThreadedExecutor::Prepared ThreadedExecutor::prepare(
         slice, plan.kernel, engine_.hash_seed, engine_.eviction_policy,
         /*bucket_scale=*/n_shards));
   }
-  p.router = compiler::KeyRouter::make(plan);
   return p;
 }
 
@@ -76,13 +74,11 @@ void ThreadedExecutor::install(std::size_t slot,
                                Prepared&& prepared) {
   if (slot >= plans_.size()) {
     plans_.resize(slot + 1);
-    routers_.resize(slot + 1);
     for (auto& shard : shards_) {
       shard->stores.resize(slot + 1);
     }
   }
   plans_[slot] = &plan;
-  routers_[slot] = std::move(prepared.router);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->stores[slot] = std::move(prepared.stores[s]);
   }
@@ -91,7 +87,6 @@ void ThreadedExecutor::install(std::size_t slot,
 
 void ThreadedExecutor::remove(std::size_t slot) {
   for (auto& shard : shards_) shard->stores[slot].reset();
-  routers_[slot].reset();
   plans_[slot] = nullptr;
   classes_.rebuild(plans_);
 }
@@ -240,10 +235,6 @@ void ThreadedExecutor::idle_wait(std::uint32_t& idle_polls) {
 
 // ---- dispatch ---------------------------------------------------------------
 
-std::uint64_t ThreadedExecutor::placement_of_raw(std::uint64_t raw) const {
-  return engine_.hash_seed == 0 ? raw : mix64(raw ^ seed_mix_);
-}
-
 void ThreadedExecutor::stage(Shard& sh, ShardMsg&& msg) {
   sh.staging.push_back(std::move(msg));
   if (sh.staging.size() >= config_.dispatch_batch) publish(sh);
@@ -324,27 +315,24 @@ void ThreadedExecutor::fold(std::span<const PacketRecord> records) {
     }
 
     // Route: one message per key class with a member that admits the
-    // record. Only the class key's hash is computed here — record-direct
-    // for plain-field keys (no kv::Key materialized); the worker re-packs
-    // the key on its own core.
+    // record, by the class key's hash; only the hash travels, and the
+    // worker re-packs the key on its own core.
     const std::vector<KeyClasses::Class>& classes = classes_.classes();
     for (std::size_t c = 0; c < classes.size(); ++c) {
       const KeyClasses::Class& cls = classes[c];
       const std::uint32_t members = cls.admitted(rec);
       if (members == 0) continue;
-      const std::optional<compiler::KeyRouter>& router =
-          routers_[cls.slots.front()];
       const std::uint64_t raw =
-          router.has_value()
-              ? router->raw_hash(rec)
-              : compiler::extract_key(cls.key_plan(), rec).raw_hash();
+          compiler::extract_key(cls.key_plan(), rec).raw_hash();
       ShardMsg msg;
       msg.kind = ShardMsg::Kind::kRecord;
       msg.query = static_cast<std::uint16_t>(c);
       msg.members = members;
       msg.raw_hash = raw;
       msg.rec = rec;
-      Shard& sh = *shards_[reduce_range(placement_of_raw(raw), n_shards)];
+      const std::uint64_t placement =
+          kv::placement_hash(raw, EngineConfig::hash_seed, kSeedMix);
+      Shard& sh = *shards_[reduce_range(placement, n_shards)];
       stage(sh, std::move(msg));
       ++sh.ring_records;
     }
@@ -361,17 +349,10 @@ void ThreadedExecutor::fold(std::span<const PacketRecord> records) {
 
 void ThreadedExecutor::worker_prepare(Shard& sh, kv::Key& key,
                                       const ShardMsg& msg) {
-  // Re-pack the class key once on this core — installing the caller's hash
-  // (no rehash) via the class's KeyRouter; computed keys re-walk the
-  // expression tree here, off the caller — and prefetch the bucket of every
-  // masked member.
+  // Re-pack the class key once on this core, installing the caller's hash
+  // (no rehash), and prefetch the bucket of every masked member.
   const KeyClasses::Class& cls = classes_.classes()[msg.query];
-  const std::optional<compiler::KeyRouter>& router =
-      routers_[cls.slots.front()];
-  key = router.has_value()
-            ? router->make_key(msg.rec, msg.raw_hash)
-            : compiler::extract_key_prehashed(cls.key_plan(), msg.rec,
-                                              msg.raw_hash);
+  key = compiler::extract_key_prehashed(cls.key_plan(), msg.rec, msg.raw_hash);
   for_each_member(msg.members, [&](std::size_t b) {
     sh.stores[cls.slots[b]]->prefetch(key);
   });

@@ -9,20 +9,20 @@
 //
 //   the caller thread, the only dispatcher
 //     - per key class (fold_core.hpp), evaluates the members' prefilters
-//       into a member mask and, when any member admits the record, computes
-//       the class key's hash once straight from the record (record-direct
-//       routing — for plain-field keys the compiler::KeyRouter packs and
-//       hashes on the stack, no kv::Key materialized) and routes the record
-//       to shard = high bits of the cache-placement hash (RSS-style): one
-//       message per record and class, carrying the mask;
+//       into a member mask and, when any member admits the record, packs
+//       and hashes the class key once (compiler::extract_key, the one
+//       packer) and routes the record to shard = high bits of the key's
+//       kv::placement_hash, the hash the caches place buckets by
+//       (RSS-style): one message per record and class, carrying the mask
+//       and the key's raw hash;
 //     - publishes batched messages into that shard's SPSC ring. The caller
 //       is every ring's one producer and the shard's worker its one
 //       consumer, so no ring needs a lock, and each ring is FIFO in global
 //       record order.
 //   N shard workers
 //     - pop their ring in order, re-pack the class key once on their own
-//       core (reusing the caller's hash via Key::pack_prehashed — the
-//       byte-level hash is still computed once per record and class), and
+//       core (compiler::extract_key_prehashed installs the caller's hash, so
+//       the byte-level hash is still computed once per record and class), and
 //       fold it into every masked member through the same fold_member
 //       hot path the inline executor uses;
 //     - fold each query into their own kv::KeyValueStore: a bucket slice of
@@ -41,9 +41,7 @@
 // query (identical value-segment sets and AccuracyStats for non-linear
 // kernels). Refresh boundaries are detected on the caller, record by record,
 // by the engine's RefreshClock and broadcast in-band ahead of the record they
-// precede. Requires num_buckets % num_shards == 0 per query geometry (and
-// LRU/FIFO eviction; kRandom draws per-shard RNG streams and is only
-// statistically equivalent).
+// precede. Requires num_buckets % num_shards == 0 per query geometry.
 //
 // Failure domains: every worker body is wrapped so the first escaping
 // exception is captured into the engine's FaultSlot. The slot doubles as
@@ -60,15 +58,14 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/spsc_ring.hpp"
-#include "compiler/key_router.hpp"
 #include "compiler/program.hpp"
 #include "kvstore/kvstore.hpp"
 #include "runtime/engine_api.hpp"
@@ -85,8 +82,6 @@ class ThreadedExecutor {
   /// One query's per-shard stores, built before it is installed.
   struct Prepared {
     std::vector<std::unique_ptr<kv::KeyValueStore>> stores;  ///< one per shard
-    /// Record-direct router; nullopt = computed key, expression path.
-    std::optional<compiler::KeyRouter> router;
   };
 
   /// One query's N per-shard backing stores read as one. Their keys are
@@ -141,8 +136,8 @@ class ThreadedExecutor {
   ThreadedExecutor(const ThreadedExecutor&) = delete;
   ThreadedExecutor& operator=(const ThreadedExecutor&) = delete;
 
-  /// Validate `geometry` against the shard count and build a query for slot
-  /// `slot`, its key router included. Touches no executor state, so a
+  /// Validate `geometry` against the shard count and build a query's
+  /// stores for slot `slot`. Touches no executor state, so a
   /// ConfigError (num_buckets not divisible by num_shards, slot past the
   /// message index range) leaves the engine as it was.
   [[nodiscard]] Prepared prepare(std::size_t slot,
@@ -228,6 +223,8 @@ class ThreadedExecutor {
   static constexpr std::chrono::microseconds kIdleSleep{100};
   /// kSnapshot's query when the rendezvous collects no cache copy.
   static constexpr std::uint16_t kNoQuery = 0xffff;
+  /// The caches' seed mix, for routing by their placement hash.
+  static constexpr std::uint64_t kSeedMix = mix64(EngineConfig::hash_seed);
 
   /// One message of a shard ring. The caller stages messages in record
   /// order, so a kFlush or kSnapshot reaches the worker exactly at the
@@ -352,9 +349,6 @@ class ThreadedExecutor {
   /// workers. `watchdog` guards the joins with the drain deadline (finish()
   /// path); the destructor passes false and joins unboundedly.
   void stop_pipeline(bool flush, Nanos now, bool watchdog);
-  /// The cache-placement hash from a key's raw (seed-0) hash; identical to
-  /// kv::placement_hash(key, hash_seed) without needing the key.
-  [[nodiscard]] std::uint64_t placement_of_raw(std::uint64_t raw) const;
 
   const EngineConfig& engine_;
   ThreadedConfig config_;
@@ -363,12 +357,9 @@ class ThreadedExecutor {
   /// The engine's first-exception-wins slot: every thread records into it,
   /// and it is the pipeline's stop flag (stopping()).
   FaultSlot& fault_;
-  std::uint64_t seed_mix_ = 0;  ///< mix64(hash_seed), precomputed
   /// Per switch-query slot; a free slot's entries are null, and a resident
   /// query's slot never moves.
   std::vector<const compiler::SwitchQueryPlan*> plans_;
-  /// Record-direct router per slot; nullopt = computed key, expression path.
-  std::vector<std::optional<compiler::KeyRouter>> routers_;
   /// The live queries by key identity; kRecord `query` fields index it.
   KeyClasses classes_;
   std::vector<std::unique_ptr<Shard>> shards_;

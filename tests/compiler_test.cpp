@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "compiler/key_router.hpp"
@@ -319,22 +322,23 @@ R1 = SELECT COUNT, SUM(pkt_len) FROM R0 GROUPBY 5tuple WHERE proto == TCP
 
 TEST(ProgramCompiler, MixedComputedKeyClearsFastPathEntirely) {
   // Regression: a plan mixing one plain-field key component with one
-  // expression component must clear fast_key_fields entirely — a partial
-  // fast-field list would pack a key from the wrong components. Both the
-  // engine's extraction and the sharded dispatcher's routing key off this.
+  // expression component must not be a plain key — reading fields for some
+  // components would pack a key from the wrong values. Both the engine's
+  // extraction and the threaded caller's routing key off this.
   const CompiledProgram mixed =
       compile_source("SELECT COUNT GROUPBY srcip, pkt_len / 256");
   ASSERT_EQ(mixed.switch_plans.size(), 1u);
   const SwitchQueryPlan& plan = mixed.switch_plans[0];
   ASSERT_EQ(plan.key.size(), 2u);
-  EXPECT_TRUE(plan.fast_key_fields.empty());
+  EXPECT_FALSE(plan.key_layout.plain);
+  EXPECT_FALSE(plan.key_layout.wire_direct);
   EXPECT_FALSE(plan.key[0].expr.as_slot_load().has_value() &&
                plan.key[1].expr.as_slot_load().has_value());
 
-  // The all-plain twin keeps the fast path.
+  // The all-plain twin keeps the field path.
   const CompiledProgram plain =
       compile_source("SELECT COUNT GROUPBY srcip, pkt_len");
-  ASSERT_EQ(plain.switch_plans[0].fast_key_fields.size(), 2u);
+  EXPECT_TRUE(plain.switch_plans[0].key_layout.plain);
 
   // And extraction matches the expression tree's values: srcip passed
   // through, pkt_len / 256 truncated to an 8-byte unsigned integer.
@@ -362,50 +366,108 @@ R2 = SELECT COUNT FROM R1 GROUPBY srcip / 256
                QueryError);
 }
 
-TEST(KeyRouter, MatchesExtractKeyBitForBit) {
-  // The record-direct router must agree with extract_key exactly: same
-  // packed bytes, same cached hash — the dispatcher routes by the router's
-  // hash while the worker re-packs via make_key.
+/// The key shapes the one packer must get right: wire-direct, plain but
+/// not wire-direct (pkt_len adds the Ethernet header; pkt_uniq packs 8
+/// bytes from a 2-byte wire field), and computed.
+struct KeyShape {
+  const char* source;
+  std::vector<std::uint8_t> widths;
+  bool plain;
+  bool wire_direct;
+};
+
+const std::vector<KeyShape>& key_shapes() {
+  static const std::vector<KeyShape> kShapes{
+      {"SELECT COUNT GROUPBY 5tuple", {4, 4, 2, 2, 1}, true, true},
+      {"SELECT COUNT GROUPBY srcip", {4}, true, true},
+      {"SELECT COUNT GROUPBY pkt_len", {2}, true, false},
+      {"SELECT COUNT GROUPBY srcip, pkt_len / 256", {4, 8}, false, false},
+      {"SELECT pkt_uniq, COUNT GROUPBY pkt_uniq", {4, 4, 2, 2, 1, 8}, true,
+       false}};
+  return kShapes;
+}
+
+TEST(KeyLayout, MatchesPlanKey) {
+  for (const KeyShape& shape : key_shapes()) {
+    SCOPED_TRACE(shape.source);
+    const CompiledProgram p = compile_source(shape.source);
+    const SwitchQueryPlan& plan = p.switch_plans.at(0);
+    const KeyLayout& layout = plan.key_layout;
+    ASSERT_EQ(plan.key.size(), shape.widths.size());
+    EXPECT_EQ(layout.plain, shape.plain);
+    EXPECT_EQ(layout.wire_direct, shape.wire_direct);
+    int total = 0;
+    for (std::size_t i = 0; i < plan.key.size(); ++i) {
+      EXPECT_EQ(layout.widths[i], shape.widths[i]) << i;
+      total += shape.widths[i];
+      if (!layout.plain) continue;
+      const auto slot = plan.key[i].expr.as_slot_load();
+      ASSERT_TRUE(slot.has_value()) << i;
+      EXPECT_EQ(layout.fields[i], static_cast<FieldId>(slot->index)) << i;
+      const WireFieldSlice want = wire_field_slice(layout.fields[i]);
+      EXPECT_EQ(layout.slices[i].offset, want.offset) << i;
+      EXPECT_EQ(layout.slices[i].width, want.width) << i;
+      if (layout.wire_direct) EXPECT_EQ(want.width, layout.widths[i]) << i;
+    }
+    EXPECT_EQ(plan.key_bytes(), total);
+  }
+}
+
+TEST(OnePacker, PrehashedRebuildMatchesExtractKeyBitForBit) {
+  // The threaded executor routes by extract_key's raw hash on the caller
+  // and rebuilds the key with extract_key_prehashed on the worker: the
+  // rebuilt key must carry the same bytes and the same hashes, and the
+  // hash must be the bytes' own. perfbench's KeyRouter adapter forwards to
+  // extract_key, and has no router for a computed key.
   const auto expect_match = [](const SwitchQueryPlan& plan,
-                                 const KeyRouter& router,
-                                 const PacketRecord& rec) {
+                               const PacketRecord& rec) {
     const kv::Key want = extract_key(plan, rec);
-    const std::uint64_t raw = router.raw_hash(rec);
-    EXPECT_EQ(raw, want.raw_hash());
-    const kv::Key got = router.make_key(rec, raw);
+    EXPECT_EQ(want.raw_hash(), kv::Key(want.bytes()).raw_hash());
+    const kv::Key got = extract_key_prehashed(plan, rec, want.raw_hash());
     EXPECT_TRUE(got == want);
     EXPECT_EQ(got.raw_hash(), want.raw_hash());
     EXPECT_EQ(got.hash(0x5eedcafe), want.hash(0x5eedcafe));
+    const auto router = KeyRouter::make(plan);
+    ASSERT_EQ(router.has_value(), plan.key_layout.plain);
+    if (router.has_value()) EXPECT_EQ(router->raw_hash(rec), want.raw_hash());
   };
-  const CompiledProgram p = compile_source("SELECT COUNT GROUPBY 5tuple");
-  const auto router = KeyRouter::make(p.switch_plans[0]);
-  ASSERT_TRUE(router.has_value());
-  for (std::uint32_t f = 0; f < 200; ++f) {
-    expect_match(p.switch_plans[0], *router,
-                 trace::RecordBuilder{}.flow_index(f).build());
+  for (const KeyShape& shape : key_shapes()) {
+    SCOPED_TRACE(shape.source);
+    const CompiledProgram p = compile_source(shape.source);
+    for (std::uint32_t f = 0; f < 200; ++f) {
+      const std::uint32_t len = 64 + 7 * f;
+      const auto rec =
+          trace::RecordBuilder{}.flow_index(f).len(len, len - 54).build();
+      expect_match(p.switch_plans[0], rec);
+    }
   }
 
-  // pkt_uniq, the one 64-bit field, packs as its integer on both paths:
-  // ids a double cannot tell apart still give distinct keys.
+  // pkt_uniq, the one 64-bit field, packs as its integer: ids a double
+  // cannot tell apart still give distinct keys.
   const CompiledProgram uniq =
       compile_source("SELECT pkt_uniq, COUNT GROUPBY pkt_uniq");
   const SwitchQueryPlan& uniq_plan = uniq.switch_plans[0];
-  const auto uniq_router = KeyRouter::make(uniq_plan);
-  ASSERT_TRUE(uniq_router.has_value());
   constexpr std::uint64_t k53 = std::uint64_t{1} << 53;
   std::vector<kv::Key> keys;
   for (const std::uint64_t id : {k53, k53 + 1, ~std::uint64_t{0}}) {
     const auto rec = trace::RecordBuilder{}.flow_index(7).uniq(id).build();
-    expect_match(uniq_plan, *uniq_router, rec);
+    expect_match(uniq_plan, rec);
     keys.push_back(extract_key(uniq_plan, rec));
   }
   EXPECT_FALSE(keys[0] == keys[1]);
   EXPECT_FALSE(keys[1] == keys[2]);
+}
 
-  // Computed-key plans are not routable record-direct.
-  const CompiledProgram computed =
-      compile_source("SELECT COUNT GROUPBY srcip, pkt_len / 256");
-  EXPECT_FALSE(KeyRouter::make(computed.switch_plans[0]).has_value());
+TEST(OnePacker, NonFiniteComponentsPackLikeTheClamp) {
+  // Values below 0 and NaN pack as 0, values past 2^64 saturate: a
+  // computed key never reaches an undefined float-to-integer cast.
+  EXPECT_EQ(key_component_value(std::nan("")), 0u);
+  EXPECT_EQ(key_component_value(-std::numeric_limits<double>::infinity()), 0u);
+  EXPECT_EQ(key_component_value(-1.5), 0u);
+  EXPECT_EQ(key_component_value(0.0), 0u);
+  EXPECT_EQ(key_component_value(42.9), 42u);
+  EXPECT_EQ(key_component_value(std::numeric_limits<double>::infinity()),
+            18446744073709549568ull);
 }
 
 TEST(KeyIdentity, EqualIdentityPacksBitIdenticalKeys) {

@@ -86,8 +86,7 @@ TEST(EngineBuilder, KnobsReachTheEngine) {
   const auto records = workload();
   auto engine =
       EngineBuilder(compiler::compile_source("R1 = SELECT COUNT GROUPBY srcip"))
-          .geometry(small_geometry())
-          .query_geometry("R1", kv::CacheGeometry::set_associative(16, 2))
+          .geometry(kv::CacheGeometry::set_associative(16, 2))
           .refresh(500_ms)
           .build();
   engine->process_batch(records);
@@ -95,8 +94,8 @@ TEST(EngineBuilder, KnobsReachTheEngine) {
   engine->finish(6_s);
   const auto stats = engine->store_stats();
   ASSERT_EQ(stats.size(), 1u);
-  // The 32-slot per-query override must thrash (200 flows), proving the
-  // override took precedence over the 512-slot default.
+  // The 32-slot geometry must thrash (200 flows), proving it replaced the
+  // 2^19-slot default.
   EXPECT_GT(stats[0].cache.evictions, 0u);
 }
 

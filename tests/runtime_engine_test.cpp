@@ -457,13 +457,13 @@ TEST(Engine, ApiMisuseThrows) {
 
 TEST(Engine, ComputedKeyGroupByMatchesGroundTruth) {
   // A computed-key GROUPBY (expression component alongside a plain field)
-  // must take the expression-tree extraction path — the fast-field path is
-  // cleared for mixed plans — and still produce exactly the grouping the
-  // expression defines.
+  // must take the expression-tree extraction path — a mixed plan's key is
+  // not plain — and still produce exactly the grouping the expression
+  // defines.
   auto engine = build_engine(
       compile_source("SELECT COUNT GROUPBY srcip, pkt_len / 256"), kSerial,
       small_cache_config());
-  EXPECT_TRUE(engine->program().switch_plans.at(0).fast_key_fields.empty());
+  EXPECT_FALSE(engine->program().switch_plans.at(0).key_layout.plain);
   const auto records = mixed_workload(5000, 40, 7);
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> truth;
   for (const auto& rec : records) {

@@ -198,14 +198,6 @@ TEST(ShardedEngine, RejectsGeometryNotDivisibleByShards) {
                    .sharded(2)
                    .build(),
                ConfigError);
-  // Also when only a per-query override is misaligned.
-  EXPECT_THROW(EngineBuilder(count_by_srcip())
-                   .geometry(kv::CacheGeometry::set_associative(64, 8))
-                   .query_geometry("result",  // 4 buckets, 8 shards
-                                   kv::CacheGeometry::set_associative(36, 9))
-                   .sharded(8)
-                   .build(),
-               ConfigError);
 }
 
 TEST(ShardedEngine, RejectsZeroShards) {
@@ -233,7 +225,7 @@ TEST(ShardedEngine, FinishTwiceAndProcessAfterFinishThrowCleanly) {
 }
 
 TEST(ShardedEngine, ComputedKeyProgramMatchesSingleEngine) {
-  // Computed-key GROUPBYs take the slow (expression-tree) dispatch path:
+  // Computed-key GROUPBYs take the expression-tree path of the one packer:
   // the caller extracts the key just for its hash and the worker
   // re-extracts it on its own core. Results must still be bit-identical.
   const char* source = "SELECT COUNT GROUPBY srcip, pkt_len / 256";
@@ -246,8 +238,7 @@ TEST(ShardedEngine, ComputedKeyProgramMatchesSingleEngine) {
   trace::replay_into(*sharded, records, /*batch=*/777);
   sharded->finish(12_s);
 
-  EXPECT_TRUE(
-      sharded->program().switch_plans.at(0).fast_key_fields.empty());
+  EXPECT_FALSE(sharded->program().switch_plans.at(0).key_layout.plain);
   expect_tables_bit_identical(single->result(), sharded->result(),
                               "computed key");
 }

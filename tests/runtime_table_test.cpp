@@ -1,12 +1,15 @@
 // ResultTable behaviours: column resolution through aliases, sorting,
 // rendering, and arity enforcement; then the canonical row order of
 // materialize_switch_table on every kind of store it reads, and 64-bit key
-// components kept exact on every engine topology.
+// components kept exact, and NaN ones packed as 0, on every engine topology.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -72,6 +75,28 @@ TEST(ResultTable, TextRenderingFormatsIpsAndLimits) {
   const std::string full = t.to_text("demo");
   EXPECT_NE(full.find("3.500"), std::string::npos)
       << "non-integral values keep decimals";
+}
+
+TEST(ResultTable, NonFiniteAndHugeCellsRender) {
+  // Only cells in [-2^63, 2^63) render as integers: a cast of the others to
+  // long long would be undefined. SUM(tout) over a dropped packet is inf.
+  lang::Schema schema;
+  lang::Column sum;
+  sum.name = "SUM";
+  schema.add(std::move(sum));
+  ResultTable t(std::move(schema));
+  for (const double v : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(), 0x1p63,
+                         -0x1p63}) {
+    t.add_row({v});
+  }
+  const std::string text = t.to_text("cells");
+  EXPECT_NE(text.find("| inf"), std::string::npos) << text;
+  EXPECT_NE(text.find("-inf"), std::string::npos) << text;
+  EXPECT_NE(text.find("nan"), std::string::npos) << text;
+  EXPECT_NE(text.find("9223372036854775808.000"), std::string::npos) << text;
+  EXPECT_NE(text.find("-9223372036854775808 "), std::string::npos) << text;
 }
 
 TEST(ResultTable, EmptyTableRenders) {
@@ -202,10 +227,10 @@ TEST(MaterializeOrder, WideKeyComponentsSortByExactKey) {
   const std::vector<double> counts{4, 7, 2, 9};
   ASSERT_EQ(static_cast<double>(ids[1]), static_cast<double>(ids[2]));
 
-  std::vector<std::uint8_t> widths;
-  for (const compiler::KeyComponent& c : plan.key) {
-    widths.push_back(static_cast<std::uint8_t>(c.bytes));
-  }
+  const auto& layout_widths = plan.key_layout.widths;
+  const std::vector<std::uint8_t> widths(
+      layout_widths.begin(),
+      layout_widths.begin() + static_cast<std::ptrdiff_t>(plan.key.size()));
   const auto key_of = [&](std::uint64_t id) {
     const std::vector<std::uint64_t> values{0x0A000001, 0x0B000001, 1000, 80,
                                             6, id};
@@ -262,6 +287,35 @@ TEST(WideKeyComponents, EveryTopologyKeepsIdsAbove2To53Distinct) {
     for (const auto& row : table.rows()) {
       EXPECT_EQ(row[table.column("COUNT")], 1.0);
     }
+  }
+}
+
+TEST(NanKeys, DeliveredAndDroppedFoldIntoOneRowKeyedZero) {
+  // A dropped packet's tout is infinite, so (tout - tin) * 0 is NaN for it
+  // and 0 for a delivered one. NaN packs as 0, like a value below 0, so
+  // every topology folds both into one row keyed 0.
+  std::vector<PacketRecord> records;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    trace::RecordBuilder b;
+    b.flow_index(i);
+    if (i % 2 == 0) {
+      b.times(Nanos{1000 * (i + 1)}, Nanos{1000 * (i + 1) + 500});
+    } else {
+      b.dropped_at(Nanos{1000 * (i + 1)});
+    }
+    records.push_back(b.build());
+  }
+  for (const Topology& topology : kTopologies) {
+    SCOPED_TRACE(topology.name);
+    auto engine = build_engine(
+        compiler::compile_source("SELECT COUNT GROUPBY (tout - tin) * 0"),
+        topology);
+    engine->process_batch(records);
+    engine->finish(1_s);
+    const ResultTable& table = engine->result();
+    ASSERT_EQ(table.row_count(), 1u);
+    EXPECT_EQ(table.rows()[0][0], 0.0);
+    EXPECT_EQ(table.rows()[0][table.column("COUNT")], 6.0);
   }
 }
 

@@ -39,14 +39,9 @@ inline std::unique_ptr<Engine> build_engine(
     const std::function<void(EngineBuilder&)>& tune = {}) {
   EngineBuilder builder(std::move(program));
   builder.geometry(config.geometry)
-      .hash_seed(config.hash_seed)
-      .eviction_policy(config.eviction_policy)
       .max_stream_rows(config.max_stream_rows)
       .refresh(config.refresh_interval)
       .verify_checksums(config.verify_checksums);
-  for (const auto& [query, geometry] : config.per_query_geometry) {
-    builder.query_geometry(query, geometry);
-  }
   for (const auto& [query, sink] : config.stream_sinks) {
     builder.stream_sink(query, sink);
   }
