@@ -64,8 +64,8 @@ std::string read_source(const char* arg) {
 
 void print_compilation_report(const compiler::CompiledProgram& program) {
   std::printf("-- compilation report --------------------------------------\n");
-  for (std::size_t i = 0; i < program.analysis.queries.size(); ++i) {
-    const auto& q = program.analysis.queries[i];
+  for (std::size_t i = 0; i < program.analysis->queries.size(); ++i) {
+    const auto& q = program.analysis->queries[i];
     const char* kind = q.def.kind == lang::QueryDef::Kind::kGroupBy
                            ? (q.on_switch ? "GROUPBY (on-switch KV store)"
                                           : "GROUPBY (collection layer)")

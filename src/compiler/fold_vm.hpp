@@ -19,8 +19,8 @@
 //   - Store fusion. Every value-producing opcode has a twin (+1 in the
 //     enum) that writes its result straight to a state variable, so
 //     `assign` statements cost zero extra dispatches.
-//   - Direct-threaded dispatch (computed goto) on GCC/Clang, a switch loop
-//     elsewhere. Instructions are 8 bytes.
+//   - Direct-threaded dispatch (computed goto, a GNU extension the tree
+//     already needs elsewhere). Instructions are 8 bytes.
 //   - No fused arithmetic (e.g. no mul+add): each instruction performs
 //     exactly one IEEE operation, so results stay bit-identical to the
 //     AST-walking interpreter, which FoldBody::execute_interpreted() keeps
@@ -180,7 +180,6 @@ void FoldVm::run(LoadFn&& load, std::span<double> state) const {
 
   const Instr* pc = code_.data();
 
-#if defined(__GNUC__) || defined(__clang__)
   // Direct-threaded dispatch. Table order MUST match the Op enum.
   static const void* const kTbl[] = {
       &&L_Halt,
@@ -272,62 +271,6 @@ L_Jmp:
   PERFQ_VM_NEXT;
 #undef PERFQ_VM_BIN
 #undef PERFQ_VM_NEXT
-
-#else  // portable fallback: switch dispatch
-  for (;;) {
-    const Instr& i = *pc;
-    switch (i.op) {
-      case Op::kHalt: return;
-      case Op::kLoadState: r[i.dst] = st[i.a]; break;
-      case Op::kLoadStateSt: st[i.dst] = st[i.a]; break;
-      case Op::kStoreState: st[i.dst] = r[i.a]; break;
-#define PERFQ_VM_CASE(NAME, EXPR)                                      \
-  case Op::k##NAME: {                                                  \
-    const double x = r[i.a], y = r[i.b];                               \
-    (void)y;                                                           \
-    r[i.dst] = (EXPR);                                                 \
-    break;                                                             \
-  }                                                                    \
-  case Op::k##NAME##St: {                                              \
-    const double x = r[i.a], y = r[i.b];                               \
-    (void)y;                                                           \
-    st[i.dst] = (EXPR);                                                \
-    break;                                                             \
-  }
-      PERFQ_VM_CASE(Add, x + y)
-      PERFQ_VM_CASE(Sub, x - y)
-      PERFQ_VM_CASE(Mul, x* y)
-      PERFQ_VM_CASE(Div, x / y)
-      PERFQ_VM_CASE(Eq, x == y ? 1.0 : 0.0)
-      PERFQ_VM_CASE(Ne, x != y ? 1.0 : 0.0)
-      PERFQ_VM_CASE(Lt, x < y ? 1.0 : 0.0)
-      PERFQ_VM_CASE(Le, x <= y ? 1.0 : 0.0)
-      PERFQ_VM_CASE(Gt, x > y ? 1.0 : 0.0)
-      PERFQ_VM_CASE(Ge, x >= y ? 1.0 : 0.0)
-      PERFQ_VM_CASE(And, (x != 0.0 && y != 0.0) ? 1.0 : 0.0)
-      PERFQ_VM_CASE(Or, (x != 0.0 || y != 0.0) ? 1.0 : 0.0)
-      PERFQ_VM_CASE(Max, x < y ? y : x)
-      PERFQ_VM_CASE(Min, y < x ? y : x)
-      PERFQ_VM_CASE(Not, x == 0.0 ? 1.0 : 0.0)
-      PERFQ_VM_CASE(Neg, -x)
-#undef PERFQ_VM_CASE
-      case Op::kSelect:
-        r[i.dst] = r[i.a] != 0.0 ? r[i.b] : r[i.target];
-        break;
-      case Op::kSelectSt:
-        st[i.dst] = r[i.a] != 0.0 ? r[i.b] : r[i.target];
-        break;
-      case Op::kJz:
-        if (r[i.a] == 0.0) {
-          pc = code_.data() + i.target;
-          continue;
-        }
-        break;
-      case Op::kJmp: pc = code_.data() + i.target; continue;
-    }
-    ++pc;
-  }
-#endif
 }
 
 inline void FoldVm::execute_record(std::span<double> state,

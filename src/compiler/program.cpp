@@ -189,12 +189,12 @@ CompiledStreamSelect compile_stream_select(const AnalyzedProgram& analysis,
 
 CompiledProgram compile_program(AnalyzedProgram analysis) {
   CompiledProgram out;
-  out.analysis = std::move(analysis);
-  for (std::size_t i = 0; i < out.analysis.queries.size(); ++i) {
-    const AnalyzedQuery& q = out.analysis.queries[i];
+  out.analysis = std::make_shared<const AnalyzedProgram>(std::move(analysis));
+  const AnalyzedProgram& a = *out.analysis;
+  for (std::size_t i = 0; i < a.queries.size(); ++i) {
+    const AnalyzedQuery& q = a.queries[i];
     if (q.def.kind == lang::QueryDef::Kind::kGroupBy && q.on_switch) {
-      out.switch_plans.push_back(
-          build_switch_plan(out.analysis, static_cast<int>(i)));
+      out.switch_plans.push_back(build_switch_plan(a, static_cast<int>(i)));
     }
   }
 
@@ -204,19 +204,19 @@ CompiledProgram compile_program(AnalyzedProgram analysis) {
   // needs decoding from frame bytes on the wire ingest path.
   for (const auto& plan : out.switch_plans) out.field_usage |= plan.used_fields;
   std::set<int> consumed;
-  for (const auto& q : out.analysis.queries) {
+  for (const auto& q : a.queries) {
     consumed.insert(q.input);
     consumed.insert(q.left);
     consumed.insert(q.right);
   }
-  for (std::size_t i = 0; i < out.analysis.queries.size(); ++i) {
-    const AnalyzedQuery& q = out.analysis.queries[i];
+  for (std::size_t i = 0; i < a.queries.size(); ++i) {
+    const AnalyzedQuery& q = a.queries[i];
     if (q.def.kind != lang::QueryDef::Kind::kSelect ||
         !q.output.stream_over_base || consumed.count(static_cast<int>(i)) > 0) {
       continue;
     }
     const CompiledStreamSelect sel =
-        compile_stream_select(out.analysis, static_cast<int>(i));
+        compile_stream_select(a, static_cast<int>(i));
     if (sel.filter.has_value()) sel.filter->collect_fields(out.field_usage);
     for (const auto& [name, expr] : sel.projections) {
       expr.collect_fields(out.field_usage);
@@ -260,30 +260,6 @@ void unpack_key_into(const SwitchQueryPlan& plan, const kv::Key& key,
     }
     out.push_back(static_cast<double>(v));
   }
-}
-
-SwitchQueryPlan SwitchQueryPlan::clone() const {
-  SwitchQueryPlan out;
-  out.query_index = query_index;
-  out.name = name;
-  out.prefilter = prefilter;
-  if (prefilter_ast) out.prefilter_ast = prefilter_ast->clone();
-  out.key = key;
-  out.key_layout = key_layout;
-  out.kernel = kernel;  // shared: kernels are immutable after construction
-  out.value_columns = value_columns;
-  out.linearity = linearity;
-  out.used_fields = used_fields;
-  return out;
-}
-
-CompiledProgram CompiledProgram::clone() const {
-  CompiledProgram out;
-  out.analysis = analysis.clone();
-  out.switch_plans.reserve(switch_plans.size());
-  for (const auto& p : switch_plans) out.switch_plans.push_back(p.clone());
-  out.field_usage = field_usage;
-  return out;
 }
 
 }  // namespace perfq::compiler

@@ -68,7 +68,8 @@ struct SwitchQueryPlan {
   int query_index = -1;  ///< into AnalyzedProgram::queries
   std::string name;      ///< result table name (or "result")
   std::optional<ScalarExpr> prefilter;  ///< composed WHERE chain over T
-  lang::ExprPtr prefilter_ast;  ///< same predicate as AST (for TCAM lowering)
+  /// Same predicate as AST (for TCAM lowering); shared, like the kernel.
+  std::shared_ptr<const lang::Expr> prefilter_ast;
   std::vector<KeyComponent> key;
   KeyLayout key_layout;  ///< how `key` packs, component by component
   /// The GROUPBY's one fold (lang::AnalyzedQuery::fold) bound to the stream.
@@ -85,11 +86,6 @@ struct SwitchQueryPlan {
     for (std::size_t i = 0; i < key.size(); ++i) total += key_layout.widths[i];
     return total;
   }
-
-  /// Deep copy (prefilter_ast is an owned AST). The fold kernel is SHARED:
-  /// kernels are immutable after construction, so clones fold through the
-  /// same instance — exactly as the sharded engine's workers already do.
-  [[nodiscard]] SwitchQueryPlan clone() const;
 };
 
 /// Key identity: whether two plans pack bit-identical keys for every record
@@ -99,27 +95,18 @@ struct SwitchQueryPlan {
 /// SELECT chains and attached tenants; computed keys compare the same way.
 [[nodiscard]] bool same_key(const SwitchQueryPlan& a, const SwitchQueryPlan& b);
 
+/// A compiled program is a value: a copy shares the analysis (and its ASTs)
+/// and the fold kernels, all immutable once compile_program() returns, and
+/// owns only its switch plans, which an attach renames per engine. So one
+/// program runs on many engines (the federation layer: one engine per
+/// switch) as copies of one compilation.
 struct CompiledProgram {
-  lang::AnalyzedProgram analysis;
+  std::shared_ptr<const lang::AnalyzedProgram> analysis;
   std::vector<SwitchQueryPlan> switch_plans;
   /// Union of every plan's used_fields plus the filters/projections of
   /// unconsumed stream SELECTs — the program's whole per-packet read set.
   /// wire_fields_skipped() is the lazy path's decode saving per frame.
   FieldUsage field_usage;
-
-  /// The switch plan for query index `q`, or nullptr.
-  [[nodiscard]] const SwitchQueryPlan* plan_for(int q) const {
-    for (const auto& p : switch_plans) {
-      if (p.query_index == q) return &p;
-    }
-    return nullptr;
-  }
-
-  /// Deep copy — compiled programs are move-only (owned ASTs inside), and
-  /// one engine consumes one program, so running the SAME program on many
-  /// engines (the federation layer: one engine per switch) clones it per
-  /// engine. Clones share the (immutable) fold kernels.
-  [[nodiscard]] CompiledProgram clone() const;
 };
 
 /// A stream SELECT compiled down to the base table: the composed filter and

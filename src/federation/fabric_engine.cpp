@@ -17,7 +17,6 @@ FabricEngine::FabricEngine(net::Network& network,
   if (program_.switch_plans.empty()) {
     throw ConfigError{"fabric: program has no on-switch GROUPBY to federate"};
   }
-  if (options_.tap_batch == 0) options_.tap_batch = 1;
 
   std::vector<net::NodeId> nodes = options_.switches;
   if (nodes.empty()) {
@@ -51,12 +50,12 @@ FabricEngine::FabricEngine(net::Network& network,
     slot.node = n;
     slot.label =
         net_->node_name(n).empty() ? "sw" + std::to_string(n) : net_->node_name(n);
-    runtime::EngineBuilder builder{program_.clone()};
+    runtime::EngineBuilder builder{program_};
     builder.refresh(options_.refresh_interval);
     if (options_.geometry.has_value()) builder.geometry(*options_.geometry);
     if (options_.shards > 0) builder.sharded(options_.shards);
     slot.engine = builder.build();
-    slot.buf.reserve(options_.tap_batch);
+    slot.buf.reserve(kTapBatch);
     slots_.push_back(std::move(slot));
   }
   for (std::size_t i = 0; i < slots_.size(); ++i) {
@@ -65,7 +64,7 @@ FabricEngine::FabricEngine(net::Network& network,
           SwitchSlot& s = slots_[i];
           s.buf.push_back(rec);
           if (rec.tin > end_) end_ = rec.tin;
-          if (s.buf.size() >= options_.tap_batch) {
+          if (s.buf.size() >= kTapBatch) {
             s.engine->process_batch(s.buf);
             s.buf.clear();
           }
@@ -120,7 +119,7 @@ void FabricEngine::finish(Nanos now) {
     finals_.emplace(name,
                     federate(*owned, owned->switch_plans.front(), now));
   }
-  for (std::size_t i = 0; i < program_.analysis.queries.size(); ++i) {
+  for (std::size_t i = 0; i < program_.analysis->queries.size(); ++i) {
     if (tables_.count(static_cast<int>(i)) > 0) continue;
     runtime::run_collection_query(program_, static_cast<int>(i), tables_);
   }
@@ -128,7 +127,7 @@ void FabricEngine::finish(Nanos now) {
 
 const runtime::ResultTable& FabricEngine::result() const {
   check(finished_, "fabric: result before finish");
-  const int last = static_cast<int>(program_.analysis.queries.size()) - 1;
+  const int last = static_cast<int>(program_.analysis->queries.size()) - 1;
   const runtime::ResultTable* t = runtime::find_collection_table(tables_, last);
   check(t != nullptr, "fabric: program result not materialized");
   return *t;
@@ -136,7 +135,7 @@ const runtime::ResultTable& FabricEngine::result() const {
 
 const runtime::ResultTable& FabricEngine::table(std::string_view name) const {
   check(finished_, "fabric: table before finish");
-  const int idx = program_.analysis.query_index(name);
+  const int idx = program_.analysis->query_index(name);
   if (idx >= 0) {
     const runtime::ResultTable* t = runtime::find_collection_table(tables_, idx);
     if (t == nullptr) {
@@ -195,7 +194,7 @@ void FabricEngine::attach_query(const compiler::CompiledProgram& program,
     throw ConfigError{"fabric attach: query name must not be empty"};
   }
   if (attached_.count(options.name) > 0 ||
-      program_.analysis.query_index(options.name) >= 0) {
+      program_.analysis->query_index(options.name) >= 0) {
     throw ConfigError{"fabric attach: query '" + options.name +
                       "' already exists"};
   }
@@ -203,16 +202,16 @@ void FabricEngine::attach_query(const compiler::CompiledProgram& program,
   // attach epoch relative to its tap stream.
   flush_taps();
 
-  // The fabric keeps its own renamed copy — the plan the collectors read.
-  auto owned = std::make_shared<compiler::CompiledProgram>(program.clone());
-  owned->analysis.queries.back().def.result_name = options.name;
+  // The fabric keeps its own copy, its plan renamed: the plan the
+  // collectors read. Every copy shares the program's one analysis.
+  auto owned = std::make_shared<compiler::CompiledProgram>(program);
   owned->switch_plans.front().name = options.name;
 
   // All-or-nothing across switches: roll back on any per-engine failure.
   std::size_t attached_count = 0;
   try {
     for (SwitchSlot& slot : slots_) {
-      slot.engine->attach_query(program.clone(), options);
+      slot.engine->attach_query(program, options);
       ++attached_count;
     }
   } catch (...) {

@@ -62,8 +62,6 @@ struct FabricOptions {
   /// record, so refresh changes flush instants per switch — free for
   /// additive kernels, ULP-level for other linear folds.
   Nanos refresh_interval{0};
-  /// Records a tap buffers before handing the switch engine one batch.
-  std::size_t tap_batch = 256;
 };
 
 /// Per-switch engine metrics plus the fabric-wide rollup, rendered through
@@ -78,8 +76,9 @@ struct FabricMetrics {
 
 class FabricEngine {
  public:
-  /// Builds one engine per instrumented switch (each gets its own copy of
-  /// `program`) and installs the per-node taps. Throws ConfigError if the
+  /// Builds one engine per instrumented switch, each from a copy of
+  /// `program` (the copies share its one analysis and its fold kernels),
+  /// and installs the per-node taps. Throws ConfigError if the
   /// program has no on-switch GROUPBY, a selected node is a host, or a
   /// selected node repeats.
   FabricEngine(net::Network& network, compiler::CompiledProgram program,
@@ -144,11 +143,14 @@ class FabricEngine {
   }
 
  private:
+  /// Records a tap buffers before handing the switch engine one batch.
+  static constexpr std::size_t kTapBatch = 256;
+
   struct SwitchSlot {
     net::NodeId node = 0;
     std::string label;
     std::unique_ptr<runtime::Engine> engine;
-    std::vector<PacketRecord> buf;  ///< tap buffer, flushed at tap_batch
+    std::vector<PacketRecord> buf;  ///< tap buffer, flushed at kTapBatch
   };
 
   /// Resolve a GROUPBY by resident name to its (program, plan) pair — base
@@ -166,8 +168,8 @@ class FabricEngine {
   compiler::CompiledProgram program_;
   FabricOptions options_;
   std::vector<SwitchSlot> slots_;
-  /// Fabric-attached programs by resident name (the renamed copies whose
-  /// plans the collectors read).
+  /// Fabric-attached programs by resident name: the fabric's own copies,
+  /// their plans renamed, which the collectors read.
   std::map<std::string, std::shared_ptr<const compiler::CompiledProgram>,
            std::less<>>
       attached_;

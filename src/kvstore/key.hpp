@@ -32,9 +32,10 @@ class Key {
  public:
   static constexpr std::size_t kCapacity = 32;
 
-  Key() : hash_(empty_hash()) {}
+  /// The empty key, zero-filled: cache slots start as it.
+  Key() : bytes_{}, hash_(empty_hash()) {}
 
-  explicit Key(std::span<const std::byte> bytes) {
+  explicit Key(std::span<const std::byte> bytes) : Key(Unfilled{}) {
     if (bytes.size() > kCapacity) throw ConfigError{"kv::Key: key too long"};
     len_ = static_cast<std::uint8_t>(bytes.size());
     std::memcpy(bytes_.data(), bytes.data(), bytes.size());
@@ -105,7 +106,7 @@ class Key {
   static Key pack_bytes(std::span<const std::uint64_t> values,
                         std::span<const std::uint8_t> widths) {
     check(values.size() == widths.size(), "kv::Key::pack: arity mismatch");
-    Key k;
+    Key k{Unfilled{}};
     std::size_t len = 0;
     for (std::size_t i = 0; i < values.size(); ++i) {
       const std::uint64_t value = values[i];
@@ -119,6 +120,14 @@ class Key {
     return k;
   }
 
+  /// A key that the packers and the span constructor fill in next: its
+  /// bytes and hash are neither zero-filled nor set to the empty key's hash
+  /// first. Nothing reads a key's bytes past size() — ==, the hashes,
+  /// to_hex and runtime::RowOrder::of all stop at len_ — so the tail may
+  /// stay unset.
+  struct Unfilled {};
+  explicit Key(Unfilled) {}
+
   /// Hash of the empty key, computed once: caches of millions of slots
   /// default-construct that many Keys, which must not each rehash.
   static std::uint64_t empty_hash() {
@@ -126,8 +135,8 @@ class Key {
     return kEmptyHash;
   }
 
-  std::array<std::byte, kCapacity> bytes_{};
-  std::uint64_t hash_ = 0;  ///< seed-0 hash of bytes(), maintained on mutation
+  std::array<std::byte, kCapacity> bytes_;
+  std::uint64_t hash_;  ///< seed-0 hash of bytes(), maintained on mutation
   std::uint8_t len_ = 0;
 };
 

@@ -469,22 +469,4 @@ LinearityResult analyze_linearity(const FoldDef& fold) {
   return Analyzer{fold}.run();
 }
 
-AffineRow AffineRow::clone() const {
-  AffineRow out;
-  out.coeffs.reserve(coeffs.size());
-  for (const auto& c : coeffs) out.coeffs.push_back(c ? c->clone() : nullptr);
-  if (constant) out.constant = constant->clone();
-  return out;
-}
-
-LinearityResult LinearityResult::clone() const {
-  LinearityResult out;
-  out.classification = classification;
-  out.history_window = history_window;
-  out.reason = reason;
-  out.rows.reserve(rows.size());
-  for (const auto& r : rows) out.rows.push_back(r.clone());
-  return out;
-}
-
 }  // namespace perfq::lang

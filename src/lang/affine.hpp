@@ -45,8 +45,6 @@ inline constexpr std::string_view kSelectFn = "__select";
 struct AffineRow {
   std::vector<ExprPtr> coeffs;  ///< packet-pure; size = state dims
   ExprPtr constant;             ///< packet-pure
-
-  [[nodiscard]] AffineRow clone() const;
 };
 
 struct LinearityResult {
@@ -58,8 +56,6 @@ struct LinearityResult {
   [[nodiscard]] bool linear() const {
     return classification != kv::Linearity::kNotLinear;
   }
-
-  [[nodiscard]] LinearityResult clone() const;
 };
 
 /// Analyze a fold body. Preconditions: free constants already folded to

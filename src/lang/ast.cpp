@@ -76,36 +76,6 @@ Stmt Stmt::clone() const {
   return out;
 }
 
-FoldDef FoldDef::clone() const {
-  FoldDef out;
-  out.name = name;
-  out.state_vars = state_vars;
-  out.packet_args = packet_args;
-  for (const auto& s : body) out.body.push_back(s.clone());
-  out.line = line;
-  return out;
-}
-
-QueryDef QueryDef::clone() const {
-  QueryDef out;
-  out.kind = kind;
-  out.result_name = result_name;
-  for (const auto& item : select_list) {
-    SelectItem copy;
-    copy.star = item.star;
-    if (item.expr) copy.expr = item.expr->clone();
-    out.select_list.push_back(std::move(copy));
-  }
-  out.from = from;
-  if (where) out.where = where->clone();
-  for (const auto& f : groupby_fields) out.groupby_fields.push_back(f->clone());
-  out.join_left = join_left;
-  out.join_right = join_right;
-  out.join_keys = join_keys;
-  out.line = line;
-  return out;
-}
-
 namespace {
 
 int precedence(BinaryOp op) {

@@ -91,8 +91,6 @@ struct FoldDef {
   std::vector<std::string> packet_args; ///< bound to input columns by name
   std::vector<Stmt> body;
   int line = 0;
-
-  [[nodiscard]] FoldDef clone() const;
 };
 
 // ------------------------------------------------------------------ query --
@@ -117,8 +115,6 @@ struct QueryDef {
   std::string join_right;
   std::vector<std::string> join_keys;
   int line = 0;
-
-  [[nodiscard]] QueryDef clone() const;
 };
 
 struct Program {

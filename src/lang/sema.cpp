@@ -722,43 +722,4 @@ AnalyzedProgram analyze_source(std::string_view source,
   return analyze(program, params);
 }
 
-AnalyzedFold AnalyzedFold::clone() const {
-  AnalyzedFold out;
-  out.def = def.clone();
-  out.linearity = linearity.clone();
-  return out;
-}
-
-AnalyzedQuery AnalyzedQuery::clone() const {
-  AnalyzedQuery out;
-  out.def = def.clone();
-  out.input = input;
-  out.left = left;
-  out.right = right;
-  out.output = output;
-  out.joined_schema = joined_schema;
-  out.key_columns = key_columns;
-  for (const auto& [name, expr] : computed_keys) {
-    out.computed_keys.emplace(name, expr->clone());
-  }
-  out.fold = fold.clone();
-  out.value_columns = value_columns;
-  out.on_switch = on_switch;
-  out.projections.reserve(projections.size());
-  for (const auto& p : projections) {
-    out.projections.push_back(Projection{p.column, p.expr->clone()});
-  }
-  return out;
-}
-
-AnalyzedProgram AnalyzedProgram::clone() const {
-  AnalyzedProgram out;
-  out.params = params;
-  out.folds.reserve(folds.size());
-  for (const auto& f : folds) out.folds.push_back(f.clone());
-  out.queries.reserve(queries.size());
-  for (const auto& q : queries) out.queries.push_back(q.clone());
-  return out;
-}
-
 }  // namespace perfq::lang

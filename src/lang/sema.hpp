@@ -21,8 +21,6 @@ namespace perfq::lang {
 struct AnalyzedFold {
   FoldDef def;               ///< with free constants folded to literals
   LinearityResult linearity;
-
-  [[nodiscard]] AnalyzedFold clone() const;
 };
 
 struct AnalyzedQuery {
@@ -57,10 +55,11 @@ struct AnalyzedQuery {
     ExprPtr expr;
   };
   std::vector<Projection> projections;
-
-  [[nodiscard]] AnalyzedQuery clone() const;
 };
 
+/// Move-only (its ASTs are owned). compile_program() takes it over and it
+/// stays const from then on: every copy of the compiled program, on every
+/// engine and switch, shares that one analysis.
 struct AnalyzedProgram {
   std::map<std::string, double> params;
   std::vector<AnalyzedFold> folds;
@@ -70,10 +69,6 @@ struct AnalyzedProgram {
   [[nodiscard]] int query_index(std::string_view result_name) const;
   /// The last query is the program's primary result.
   [[nodiscard]] const AnalyzedQuery& result() const { return queries.back(); }
-
-  /// Deep copy (the structs hold ExprPtr ASTs, so they are move-only; the
-  /// federation layer clones one compiled program per switch engine).
-  [[nodiscard]] AnalyzedProgram clone() const;
 };
 
 /// Analyze a parsed program. `params` provides values for free constants.

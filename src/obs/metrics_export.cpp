@@ -1,5 +1,6 @@
 #include "obs/metrics_export.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -189,58 +190,26 @@ std::string metrics_to_prometheus(const runtime::EngineMetrics& m) {
 }
 
 std::string format_metrics(const runtime::EngineMetrics& m) {
+  // Label sets in order of first appearance, each with its samples' text.
+  std::vector<std::pair<MetricLabels, std::string>> lines;
+  visit_metrics(m, [&](std::string_view name, const MetricLabels& labels,
+                       double value) {
+    auto it = std::find_if(lines.begin(), lines.end(),
+                           [&](const auto& l) { return l.first == labels; });
+    if (it == lines.end()) {
+      it = lines.emplace(lines.end(), labels, std::string{});
+    } else {
+      it->second += ' ';
+    }
+    it->second += std::string{name} + "=" + num(value);
+  });
   std::string out = "engine: " + m.engine + "\n";
-  out += "records=" + num(static_cast<double>(m.records)) +
-         " batches=" + num(static_cast<double>(m.batches)) +
-         " refreshes=" + num(static_cast<double>(m.refreshes)) +
-         " snapshots=" + num(static_cast<double>(m.snapshots)) +
-         (m.faulted ? " FAULTED" : "") + "\n";
-  for (const runtime::StoreStats& q : m.queries) {
-    const std::uint64_t packets = q.cache.packets;
-    const std::uint64_t hits = q.cache.hits;
-    const double hit_rate =
-        packets == 0 ? 0.0
-                     : 100.0 * static_cast<double>(hits) /
-                           static_cast<double>(packets);
-    out += "query '" + q.name +
-           "': packets=" + num(static_cast<double>(packets)) +
-           " hits=" + num(static_cast<double>(hits)) + " (" + num(hit_rate) +
-           "%) evictions=" + num(static_cast<double>(q.cache.evictions)) +
-           " keys=" + num(static_cast<double>(q.keys)) +
-           " accuracy=" + num(q.accuracy.accuracy()) +
-           (q.attached ? " attached@" +
-                             num(static_cast<double>(q.attach_records))
-                       : "") +
-           "\n";
-  }
-  for (const runtime::StreamSinkMetrics& s : m.streams) {
-    out += "stream '" + s.query +
-           "': delivered=" + num(static_cast<double>(s.rows_delivered)) +
-           " dropped=" + num(static_cast<double>(s.rows_dropped)) +
-           (s.saturated ? " saturated" : "") +
-           (s.attached ? " attached@" +
-                             num(static_cast<double>(s.attach_records))
-                       : "") +
-           "\n";
-  }
-  const auto hist_line = [&](const char* label,
-                             const obs::HistogramSnapshot& h) {
-    if (h.count == 0) return;
-    out += std::string{label} + ": count=" +
-           num(static_cast<double>(h.count)) +
-           " mean_ns=" + num(h.mean_ns()) +
-           " p50_ns=" + num(h.quantile_ns(0.50)) +
-           " p99_ns=" + num(h.quantile_ns(0.99)) + "\n";
-  };
-  hist_line("batch latency", m.batch_ns);
-  hist_line("snapshot latency", m.snapshot_ns);
-  hist_line("shard flush latency", m.absorb_ns);
-  if (!m.shards.empty()) out += "pipeline:" + format_pipeline(m) + "\n";
-  if (m.ingest.total() > 0) out += m.ingest.to_string() + "\n";
-  if (m.replay_records > 0) {
-    const double secs = static_cast<double>(m.replay_nanos) * 1e-9;
-    out += "replay: records=" + num(static_cast<double>(m.replay_records)) +
-           " seconds=" + num(secs) + "\n";
+  for (const auto& [labels, samples] : lines) {
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      out += (i > 0 ? " " : "") + labels[i].first + " '" + labels[i].second +
+             "'";
+    }
+    out += (labels.empty() ? "" : ": ") + samples + "\n";
   }
   return out;
 }

@@ -4,9 +4,10 @@
 // Everything is built on ONE enumeration — visit_metrics() — which walks
 // every scalar the metrics struct carries as (name, labels, value) triples.
 // The JSON and Prometheus exporters are both thin renderers over that walk,
-// so the round-trip property ("every registered metric appears in every
-// exporter") holds by construction: adding a metric to visit_metrics() adds
-// it to both formats; adding it anywhere else is a compile-time dead end.
+// and so is format_metrics(), the text view; so the round-trip property
+// ("every registered metric appears in every exporter") holds by
+// construction: adding a metric to visit_metrics() adds it to all three;
+// adding it anywhere else is a compile-time dead end.
 #pragma once
 
 #include <functional>
@@ -59,7 +60,10 @@ using MetricEmitter = std::function<void(const MetricFn&)>;
 /// # TYPE line per metric family.
 [[nodiscard]] std::string metrics_to_prometheus(const runtime::EngineMetrics& m);
 
-/// Human-readable multi-line summary (the REPL's .stats view).
+/// The same enumeration as text (STATS on the line protocol, the REPL's
+/// .stats): an "engine:" line, then one line per label set, e.g.
+/// `query 'loss': store_packets=... store_hits=...`, its samples as
+/// name=value in visit order.
 [[nodiscard]] std::string format_metrics(const runtime::EngineMetrics& m);
 
 /// The per-thread pipeline state dump (merge/worker liveness,

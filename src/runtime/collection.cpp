@@ -46,7 +46,7 @@ const ResultTable* find_collection_table(
 
 void run_collection_query(const compiler::CompiledProgram& program, int index,
                           std::map<int, ResultTable>& tables) {
-  const auto& q = program.analysis.queries[static_cast<std::size_t>(index)];
+  const auto& q = program.analysis->queries[static_cast<std::size_t>(index)];
 
   switch (q.def.kind) {
     case lang::QueryDef::Kind::kSelect: {

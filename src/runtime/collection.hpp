@@ -60,7 +60,7 @@ template <typename Backing>
     const compiler::CompiledProgram& program,
     const compiler::SwitchQueryPlan& plan, const Backing& backing) {
   const auto& q =
-      program.analysis.queries[static_cast<std::size_t>(plan.query_index)];
+      program.analysis->queries[static_cast<std::size_t>(plan.query_index)];
   std::vector<std::vector<double>> rows;
   std::vector<RowOrder> order;
   rows.reserve(backing.key_count());

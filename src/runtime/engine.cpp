@@ -24,7 +24,7 @@ decltype(auto) on_executor(Exec& exec, Fn&& fn) {
 }  // namespace
 
 AttachKind attachable_kind(const compiler::CompiledProgram& program) {
-  const auto& queries = program.analysis.queries;
+  const auto& queries = program.analysis->queries;
   if (queries.empty()) {
     throw ConfigError{"attach: program has no queries"};
   }
@@ -205,12 +205,12 @@ void Engine::attach_query(compiler::CompiledProgram program,
   }
   if (find_slot(options.name) != queries_.size() ||
       stream_->has(options.name) ||
-      program_.analysis.query_index(options.name) >= 0) {
+      program_.analysis->query_index(options.name) >= 0) {
     throw ConfigError{"attach: query '" + options.name + "' already exists"};
   }
-  // The tenant owns its program; rename its result to the resident name.
+  // The tenant owns its copy of the program; its plan takes the resident
+  // name, which is all that tables, stats and exports go by.
   auto owned = std::make_shared<compiler::CompiledProgram>(std::move(program));
-  owned->analysis.queries.back().def.result_name = options.name;
   if (kind == AttachKind::kStreamSelect) {
     // Stream tenants live on the caller only: no boundary to reach, just
     // the topology lock against metrics readers.
@@ -351,7 +351,7 @@ void Engine::finish(Nanos now) {
       }
     });
     stream_->finish(tables_, attached_tables_);
-    for (std::size_t i = 0; i < program_.analysis.queries.size(); ++i) {
+    for (std::size_t i = 0; i < program_.analysis->queries.size(); ++i) {
       if (tables_.count(static_cast<int>(i)) > 0) continue;
       run_collection_query(program_, static_cast<int>(i), tables_);
     }
@@ -361,7 +361,7 @@ void Engine::finish(Nanos now) {
 const ResultTable& Engine::result() const {
   throw_if_faulted();
   check(finished_, "Engine: result before finish");
-  const int last = static_cast<int>(program_.analysis.queries.size()) - 1;
+  const int last = static_cast<int>(program_.analysis->queries.size()) - 1;
   const ResultTable* t = find_collection_table(tables_, last);
   check(t != nullptr, "Engine: program result not materialized");
   return *t;
@@ -374,7 +374,7 @@ const ResultTable& Engine::table(std::string_view name) const {
       it != attached_tables_.end()) {
     return it->second;
   }
-  const int idx = program_.analysis.query_index(name);
+  const int idx = program_.analysis->query_index(name);
   if (idx < 0) {
     throw QueryError{"result", "unknown table '" + std::string{name} + "'"};
   }

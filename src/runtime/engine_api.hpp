@@ -130,8 +130,10 @@
 //
 //   - attach_query(program, options) accepts a SINGLE-query compiled program:
 //     either one on-switch GROUPBY chain (exactly one switch plan, no
-//     collection layer) or one unconsumed stream SELECT. The query is renamed
-//     to options.name, which must be non-empty, free of control bytes (below
+//     collection layer) or one unconsumed stream SELECT. The query runs
+//     under options.name: the engine's copy of the program renames its
+//     switch plan (or stream entry), and the shared analysis is left as
+//     compiled. The name must be non-empty, free of control bytes (below
 //     0x20, or 0x7f) and unique across every resident query and base-program
 //     table. Anything else — a bad name, multi-query programs,
 //     collection-layer queries, invalid geometry (the threaded executor
@@ -473,8 +475,8 @@ class Engine {
   /// both executors; a free slot has a null plan and is reused by attach.
   struct Query {
     const compiler::SwitchQueryPlan* plan = nullptr;
-    /// Owner of an attached query's program (the plan points into it); null
-    /// for base-program queries.
+    /// The engine's copy of an attached query's program (the plan points
+    /// into it); null for base-program queries.
     std::shared_ptr<const compiler::CompiledProgram> attached;
     std::uint64_t attach_records = 0;  ///< attach epoch
   };

@@ -8,7 +8,7 @@
 namespace perfq::runtime {
 
 std::vector<int> stream_sink_queries(const compiler::CompiledProgram& program) {
-  const auto& queries = program.analysis.queries;
+  const auto& queries = program.analysis->queries;
   std::set<int> consumed;
   for (const auto& q : queries) {
     consumed.insert(q.input);
@@ -30,9 +30,9 @@ StreamStage::StreamStage(const compiler::CompiledProgram& program,
                          const EngineConfig& config) {
   std::set<std::string> matched;
   for (const int i : stream_sink_queries(program)) {
-    const auto& q = program.analysis.queries[static_cast<std::size_t>(i)];
+    const auto& q = program.analysis->queries[static_cast<std::size_t>(i)];
     Entry entry;
-    entry.compiled = compiler::compile_stream_select(program.analysis, i);
+    entry.compiled = compiler::compile_stream_select(*program.analysis, i);
     entry.name = q.def.result_name;
     entry.schema = q.output;
     if (const auto it = config.stream_sinks.find(entry.name);
@@ -102,10 +102,10 @@ void StreamStage::attach(
     const std::string& name, std::shared_ptr<StreamSink> sink,
     const EngineConfig& config, std::uint64_t epoch) {
   const int index =
-      static_cast<int>(program->analysis.queries.size()) - 1;
-  const auto& q = program->analysis.queries[index];
+      static_cast<int>(program->analysis->queries.size()) - 1;
+  const auto& q = program->analysis->queries[index];
   Entry entry;
-  entry.compiled = compiler::compile_stream_select(program->analysis, index);
+  entry.compiled = compiler::compile_stream_select(*program->analysis, index);
   entry.name = name;
   entry.schema = q.output;
   if (sink != nullptr) {

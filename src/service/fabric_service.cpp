@@ -1,6 +1,5 @@
 #include "service/fabric_service.hpp"
 
-#include <cstdio>
 #include <utility>
 
 #include "common/error.hpp"
@@ -9,7 +8,7 @@
 namespace perfq::service {
 
 FabricService::FabricService(federation::FabricEngine& fabric,
-                             FabricServiceConfig config)
+                             ServiceConfig config)
     : config_(std::move(config)), fabric_(&fabric) {}
 
 FabricTenantInfo FabricService::attach(const std::string& name,
@@ -26,31 +25,13 @@ FabricTenantInfo FabricService::attach(const std::string& name,
                       "per-switch state"};
   }
 
+  // All switches carry identical slices, so one per-switch price is charged
+  // once against the shared per-die budget (see the file comment).
   const std::scoped_lock lock(mu_);
-  if (tenants_.count(name) > 0) {
-    throw ConfigError{"fabric attach: tenant '" + name + "' already exists"};
-  }
-  if (tenants_.size() >= config_.max_tenants) {
-    throw ConfigError{"fabric attach: tenant limit (" +
-                      std::to_string(config_.max_tenants) + ") reached"};
-  }
-
-  // Price the per-switch cache slice BEFORE any engine allocates it. All
-  // switches carry identical slices, so one per-switch price is charged once
-  // against the shared per-die budget (see the file comment).
   const kv::CacheGeometry g = geometry.value_or(config_.tenant_geometry);
-  const auto& plan = program.switch_plans.front();
-  const double bpp = analysis::AdmissionBudget::bits_per_pair(
-      plan.key_bytes(), plan.kernel->state_dims());
-  const double fraction = config_.budget.price(g.total_slots(), bpp);
-  if (!config_.budget.would_admit(fraction)) {
-    char frac[64];
-    std::snprintf(frac, sizeof(frac), "%.4f%% + %.4f%% > %.4f%%",
-                  config_.budget.used_die_fraction * 100.0, fraction * 100.0,
-                  config_.budget.max_die_fraction * 100.0);
-    throw ConfigError{"fabric attach: '" + name +
-                      "' exceeds the per-switch die-area budget (" + frac + ")"};
-  }
+  const double fraction =
+      admit_tenant(config_, "fabric attach", name, tenants_.count(name) > 0,
+                   tenants_.size(), &program.switch_plans.front(), g);
 
   runtime::AttachOptions options;
   options.name = name;

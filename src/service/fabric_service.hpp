@@ -24,21 +24,10 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/area_model.hpp"
 #include "federation/fabric_engine.hpp"
+#include "service/query_service.hpp"
 
 namespace perfq::service {
-
-struct FabricServiceConfig {
-  /// Per-switch die-area budget for attached tenants (§3.3 arithmetic).
-  analysis::AdmissionBudget budget;
-  std::size_t max_tenants = 64;
-  /// Per-switch cache slice geometry for tenants that do not override it.
-  kv::CacheGeometry tenant_geometry = kv::CacheGeometry::set_associative(1u << 12, 8);
-  /// Named constants available to tenant query text.
-  std::map<std::string, double> params{
-      {"alpha", 0.125}, {"K", 32.0}, {"L", 1'000'000.0}};
-};
 
 /// One fabric tenant (LIST output).
 struct FabricTenantInfo {
@@ -51,12 +40,13 @@ class FabricService {
  public:
   /// Non-owning: `fabric` (and its Network) must outlive the service.
   explicit FabricService(federation::FabricEngine& fabric,
-                         FabricServiceConfig config = {});
+                         ServiceConfig config = {});
 
-  /// Compile `source` and attach it network-wide under `name`. Only
-  /// on-switch GROUPBY tenants are fabric-attachable (stream SELECTs are
-  /// per-switch; FabricEngine rejects them). Over-budget or malformed
-  /// queries throw before the fabric is touched.
+  /// Compile `source` and attach it network-wide under `name`, through
+  /// admit_tenant() (query_service.hpp). Only on-switch GROUPBY tenants are
+  /// fabric-attachable (stream SELECTs are per-switch; FabricEngine rejects
+  /// them). Rejected or malformed queries throw before the fabric is
+  /// touched.
   FabricTenantInfo attach(const std::string& name, const std::string& source,
                           std::optional<kv::CacheGeometry> geometry = std::nullopt);
 
@@ -72,7 +62,7 @@ class FabricService {
   [[nodiscard]] federation::FabricMetrics metrics() const {
     return fabric_->metrics();
   }
-  [[nodiscard]] const FabricServiceConfig& config() const { return config_; }
+  [[nodiscard]] const ServiceConfig& config() const { return config_; }
 
  private:
   struct Tenant {
@@ -80,7 +70,7 @@ class FabricService {
     std::uint64_t attach_records = 0;
   };
 
-  FabricServiceConfig config_;
+  ServiceConfig config_;
   federation::FabricEngine* fabric_;
   mutable std::mutex mu_;
   std::map<std::string, Tenant, std::less<>> tenants_;

@@ -1,11 +1,40 @@
 #include "service/query_service.hpp"
 
+#include <cstdio>
 #include <utility>
 
 #include "common/error.hpp"
 #include "compiler/program.hpp"
 
 namespace perfq::service {
+
+double admit_tenant(const ServiceConfig& config, std::string_view verb,
+                    const std::string& name, bool exists, std::size_t tenants,
+                    const compiler::SwitchQueryPlan* plan,
+                    const kv::CacheGeometry& geometry) {
+  const std::string prefix = std::string{verb} + ": ";
+  if (exists) {
+    throw ConfigError{prefix + "tenant '" + name + "' already exists"};
+  }
+  if (tenants >= kMaxTenants) {
+    throw ConfigError{prefix + "tenant limit (" + std::to_string(kMaxTenants) +
+                      ") reached"};
+  }
+  if (plan == nullptr) return 0.0;
+  const analysis::AdmissionBudget& budget = config.budget;
+  const double fraction = budget.price(
+      geometry.total_slots(), analysis::AdmissionBudget::bits_per_pair(
+                                  plan->key_bytes(), plan->kernel->state_dims()));
+  if (!budget.would_admit(fraction)) {
+    char frac[64];
+    std::snprintf(frac, sizeof(frac), "%.4f%% + %.4f%% > %.4f%%",
+                  budget.used_die_fraction * 100.0, fraction * 100.0,
+                  budget.max_die_fraction * 100.0);
+    throw ConfigError{prefix + "'" + name + "' exceeds the die-area budget (" +
+                      frac + ")"};
+  }
+  return fraction;
+}
 
 QueryService::QueryService(std::unique_ptr<runtime::Engine> engine,
                            ServiceConfig config)
@@ -55,44 +84,26 @@ TenantInfo QueryService::attach(const std::string& name,
 
   const std::scoped_lock lock(mu_);
   check(!finished_, "QueryService: attach after finish");
-  if (tenants_.count(name) > 0) {
-    throw ConfigError{"attach: tenant '" + name + "' already exists"};
-  }
-  if (tenants_.size() >= config_.max_tenants) {
-    throw ConfigError{"attach: tenant limit (" +
-                      std::to_string(config_.max_tenants) + ") reached"};
-  }
-
+  // The service resolves the geometry itself (caller override or the
+  // configured tenant default) and passes it down explicitly, so the
+  // admission price and the engine's allocation can never disagree.
+  const bool switch_tenant = kind == runtime::AttachKind::kSwitchQuery;
+  const kv::CacheGeometry g = geometry.value_or(config_.tenant_geometry);
   Tenant tenant;
   tenant.kind = kind;
+  tenant.die_fraction = admit_tenant(
+      config_, "attach", name, tenants_.count(name) > 0, tenants_.size(),
+      switch_tenant ? &program.switch_plans.front() : nullptr, g);
   runtime::AttachOptions options;
   options.name = name;
-  if (kind == runtime::AttachKind::kSwitchQuery) {
-    // Price the cache slice in die area BEFORE the engine allocates it. The
-    // service always resolves the geometry itself (caller override or the
-    // configured tenant default) and passes it down explicitly, so the
-    // admission price and the engine's allocation can never disagree.
-    const kv::CacheGeometry g = geometry.value_or(config_.tenant_geometry);
-    const auto& plan = program.switch_plans.front();
-    const double bpp = analysis::AdmissionBudget::bits_per_pair(
-        plan.key_bytes(), plan.kernel->state_dims());
-    tenant.die_fraction = config_.budget.price(g.total_slots(), bpp);
-    if (!config_.budget.would_admit(tenant.die_fraction)) {
-      char frac[64];
-      std::snprintf(frac, sizeof(frac), "%.4f%% + %.4f%% > %.4f%%",
-                    config_.budget.used_die_fraction * 100.0,
-                    tenant.die_fraction * 100.0,
-                    config_.budget.max_die_fraction * 100.0);
-      throw ConfigError{"attach: '" + name +
-                        "' exceeds the die-area budget (" + frac + ")"};
-    }
+  if (switch_tenant) {
     options.geometry = g;
   } else {
     // Stream tenants hold no switch state: free. If the caller gave no
     // sink, wire a ring the DRAIN surface can pull from another thread.
     if (sink == nullptr) {
-      tenant.ring = std::make_shared<runtime::RingStreamSink>(
-          config_.stream_ring_capacity);
+      tenant.ring =
+          std::make_shared<runtime::RingStreamSink>(kStreamRingCapacity);
       sink = tenant.ring;
     }
     options.sink = std::move(sink);

@@ -42,21 +42,38 @@
 
 namespace perfq::service {
 
+/// The configuration of both front ends, QueryService and FabricService.
 struct ServiceConfig {
   /// Admission pricing (die-area budget for dynamically attached tenants).
   /// The default budget is the paper's "< 2.5% additional die area" claim.
+  /// A fabric prices per switch: every switch carries the same slice.
   analysis::AdmissionBudget budget;
-  /// Hard cap on concurrently attached tenants (socket-facing sanity bound).
-  std::size_t max_tenants = 64;
   /// Cache slice geometry for switch tenants that do not override it. Kept
   /// deliberately small: tenants share the die budget.
   kv::CacheGeometry tenant_geometry = kv::CacheGeometry::set_associative(1u << 12, 8);
-  /// Ring capacity of the auto-created RingStreamSink per stream tenant.
-  std::size_t stream_ring_capacity = 4096;
   /// Named constants available to tenant query text (WHERE qsize > K, ...).
   std::map<std::string, double> params{
       {"alpha", 0.125}, {"K", 32.0}, {"L", 1'000'000.0}};
 };
+
+/// Hard cap on concurrently attached tenants per service (socket-facing
+/// sanity bound).
+inline constexpr std::size_t kMaxTenants = 64;
+
+/// The admission step both front ends run under their lock, before any
+/// engine sees a tenant. It rejects a name in use (`exists`), a full tenant
+/// list (`tenants` at kMaxTenants) and an on-switch GROUPBY (`plan`
+/// non-null) whose `geometry` slice would take the die-area budget past its
+/// limit, each with a ConfigError that starts with `verb` and changes
+/// nothing. Returns the price to charge once the attach commits:
+/// total_slots() × bits_per_pair(key, state dims) in die area, 0 for a
+/// stream tenant.
+[[nodiscard]] double admit_tenant(const ServiceConfig& config,
+                                  std::string_view verb,
+                                  const std::string& name, bool exists,
+                                  std::size_t tenants,
+                                  const compiler::SwitchQueryPlan* plan,
+                                  const kv::CacheGeometry& geometry);
 
 /// What the service knows about one attached tenant (LIST output).
 struct TenantInfo {
@@ -85,10 +102,11 @@ class QueryService {
 
   // ---- tenant lifecycle ----------------------------------------------------
 
-  /// Compile `source` and attach it under `name`. Admission: switch tenants
-  /// are priced at geometry.total_slots() × bits_per_pair(key, state dims)
-  /// against the die budget; over budget → ConfigError, engine untouched.
-  /// Returns the tenant's info (kind, charge, attach epoch).
+  /// Compile `source` and attach it under `name`, through admit_tenant():
+  /// a rejected tenant is a ConfigError and leaves the engine untouched.
+  /// A stream tenant given no sink gets a RingStreamSink of
+  /// kStreamRingCapacity rows. Returns the tenant's info (kind, charge,
+  /// attach epoch).
   TenantInfo attach(const std::string& name, const std::string& source,
                     std::optional<kv::CacheGeometry> geometry = std::nullopt,
                     std::shared_ptr<runtime::StreamSink> sink = nullptr);
@@ -126,6 +144,9 @@ class QueryService {
   [[nodiscard]] Nanos now() const;
 
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
+
+  /// Ring capacity of the RingStreamSink made for a stream tenant.
+  static constexpr std::size_t kStreamRingCapacity = 4096;
 
  private:
   struct Tenant {

@@ -320,6 +320,34 @@ R1 = SELECT COUNT, SUM(pkt_len) FROM R0 GROUPBY 5tuple WHERE proto == TCP
   EXPECT_TRUE(plan.prefilter->eval_bool(RecordSource({&large, 1})));
 }
 
+TEST(ProgramValue, CopiesShareTheAnalysisAndKernelsAndOwnTheirPlans) {
+  const CompiledProgram original = compile_source(R"(
+R1 = SELECT COUNT, SUM(pkt_len) GROUPBY 5tuple WHERE proto == TCP
+R2 = SELECT COUNT GROUPBY srcip
+)");
+  ASSERT_EQ(original.switch_plans.size(), 2u);
+  CompiledProgram copy = original;
+  CompiledProgram assigned;
+  assigned = copy;
+  for (const CompiledProgram* p : {&copy, &assigned}) {
+    EXPECT_EQ(p->analysis, original.analysis);
+    ASSERT_EQ(p->switch_plans.size(), original.switch_plans.size());
+    for (std::size_t i = 0; i < original.switch_plans.size(); ++i) {
+      EXPECT_EQ(p->switch_plans[i].kernel, original.switch_plans[i].kernel);
+      EXPECT_EQ(p->switch_plans[i].prefilter_ast,
+                original.switch_plans[i].prefilter_ast);
+    }
+  }
+  ASSERT_NE(original.switch_plans[0].prefilter_ast, nullptr);
+
+  // A copy owns its plans: renaming one (as an attach does) leaves the
+  // original's plan and the shared analysis as compiled.
+  copy.switch_plans[0].name = "renamed";
+  EXPECT_EQ(original.switch_plans[0].name, "R1");
+  EXPECT_EQ(assigned.switch_plans[0].name, "R1");
+  EXPECT_EQ(original.analysis->queries[0].def.result_name, "R1");
+}
+
 TEST(ProgramCompiler, MixedComputedKeyClearsFastPathEntirely) {
   // Regression: a plan mixing one plain-field key component with one
   // expression component must not be a plain key — reading fields for some
@@ -534,7 +562,7 @@ TEST(ProgramCompiler, StreamSelectCompiles) {
   const CompiledProgram p = compile_source(
       "SELECT srcip, qid FROM T WHERE tout - tin > 1ms");
   EXPECT_TRUE(p.switch_plans.empty());
-  const CompiledStreamSelect sink = compile_stream_select(p.analysis, 0);
+  const CompiledStreamSelect sink = compile_stream_select(*p.analysis, 0);
   ASSERT_TRUE(sink.filter.has_value());
   ASSERT_EQ(sink.projections.size(), 2u);
   EXPECT_EQ(sink.projections[0].first, "srcip");

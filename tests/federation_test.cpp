@@ -266,7 +266,7 @@ TEST(FabricServiceTest, AttachSnapshotDetachExactWindows) {
   FabricRun run(runtime::fabric_test_config(77), compile_source(kAdditiveSrc),
                 options);
 
-  service::FabricServiceConfig cfg;
+  service::ServiceConfig cfg;
   cfg.tenant_geometry = kv::CacheGeometry::set_associative(1u << 10, 4);
   service::FabricService svc(*run.fabric, cfg);
 
@@ -308,7 +308,7 @@ TEST(FabricServiceTest, AttachSnapshotDetachExactWindows) {
 
   // Admission control: a budget too small for any tenant rejects cleanly
   // and leaves the fabric untouched.
-  service::FabricServiceConfig tiny;
+  service::ServiceConfig tiny;
   tiny.budget.max_die_fraction = 1e-9;
   service::FabricService strict(*run.fabric, tiny);
   EXPECT_THROW((void)strict.attach("hog", "SELECT COUNT GROUPBY srcip"),
@@ -328,6 +328,68 @@ TEST(FabricServiceTest, AttachSnapshotDetachExactWindows) {
   runtime::expect_tables_bit_identical(base_oracle->result(),
                                        run.fabric->result(),
                                        "base program after tenant churn");
+}
+
+/// Admission's tenant cap on the fabric front end: tiny slices keep 64
+/// tenants far inside the budget, and the 65th is refused before any switch
+/// engine sees it.
+TEST(FabricServiceTest, TenantPastTheCapIsRejectedWithoutStateChange) {
+  FabricRun run(runtime::fabric_test_config(77), compile_source(kAdditiveSrc));
+  service::FabricService svc(*run.fabric);
+  run.net.run_until(Nanos{400'000});
+  const kv::CacheGeometry tiny = kv::CacheGeometry::set_associative(8, 4);
+  for (std::size_t i = 0; i < service::kMaxTenants; ++i) {
+    (void)svc.attach("t" + std::to_string(i), "SELECT COUNT GROUPBY srcip",
+                     tiny);
+  }
+  const double used = svc.used_die_fraction();
+  EXPECT_GT(used, 0.0);
+  const std::size_t stores = run.fabric->engine(0).store_stats().size();
+
+  EXPECT_THROW((void)svc.attach("late", "SELECT COUNT GROUPBY srcip", tiny),
+               ConfigError);
+  EXPECT_EQ(svc.tenants().size(), service::kMaxTenants);
+  EXPECT_DOUBLE_EQ(svc.used_die_fraction(), used);
+  for (std::size_t i = 0; i < run.fabric->switch_count(); ++i) {
+    EXPECT_EQ(run.fabric->engine(i).store_stats().size(), stores)
+        << run.fabric->switch_label(i);
+  }
+  EXPECT_THROW((void)run.fabric->snapshot("late", Nanos{400'000}), QueryError);
+
+  // Detaching one frees its place.
+  (void)svc.detach("t0");
+  (void)svc.attach("late", "SELECT COUNT GROUPBY srcip", tiny);
+  EXPECT_EQ(svc.tenants().size(), service::kMaxTenants);
+  run.net.run_all();
+  run.fabric->finish(run.net.now());
+}
+
+/// Programs are values: every switch engine runs a copy of the fabric's
+/// program that shares its one analysis, and a fabric-attached tenant's
+/// per-switch copies share the tenant's.
+TEST(FabricEngineTest, SwitchEnginesShareOneAnalysis) {
+  FabricRun run(runtime::fabric_test_config(77), compile_source(kAdditiveSrc));
+  const std::size_t n = run.fabric->switch_count();
+  ASSERT_GT(n, 1u);
+  const auto& analysis = run.fabric->program().analysis;
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(run.fabric->engine(i).program().analysis, analysis)
+        << run.fabric->switch_label(i);
+  }
+
+  const compiler::CompiledProgram tenant =
+      compile_source("SELECT COUNT GROUPBY srcip");
+  EXPECT_EQ(tenant.analysis.use_count(), 1);
+  runtime::AttachOptions options;
+  options.name = "tenant";
+  run.net.run_until(Nanos{400'000});
+  run.fabric->attach_query(tenant, options);
+  // The caller's program, the fabric's copy and one copy per switch engine.
+  EXPECT_EQ(tenant.analysis.use_count(), static_cast<long>(n + 2));
+  (void)run.fabric->detach_query("tenant", run.fabric->end_time());
+  EXPECT_EQ(tenant.analysis.use_count(), 1);
+  run.net.run_all();
+  run.fabric->finish(run.net.now());
 }
 
 /// Per-switch metrics + fabric rollup through the shared obs:: exporters.

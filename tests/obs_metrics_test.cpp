@@ -11,7 +11,9 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -422,14 +424,22 @@ R1 = SELECT 5tuple, counter GROUPBY 5tuple
 
   const std::string json = obs::metrics_to_json(m);
   const std::string prom = obs::metrics_to_prometheus(m);
+  // STATS and the REPL's .stats render the same enumeration as text: its
+  // name=value tokens.
+  std::set<std::string> text_names;
+  std::istringstream text(obs::format_metrics(m));
+  for (std::string token; text >> token;) {
+    const std::size_t eq = token.find('=');
+    if (eq != std::string::npos) text_names.insert(token.substr(0, eq));
+  }
   for (const std::string& name : names) {
     EXPECT_NE(json.find("\"" + name + "\""), std::string::npos)
         << "metric " << name << " missing from JSON export";
     EXPECT_NE(prom.find("perfq_" + name), std::string::npos)
         << "metric " << name << " missing from Prometheus export";
+    EXPECT_EQ(text_names.count(name), 1u)
+        << "metric " << name << " missing from format_metrics";
   }
-  // The human renderers never throw and are non-empty.
-  EXPECT_FALSE(obs::format_metrics(m).empty());
   EXPECT_FALSE(obs::format_pipeline(m).empty());
 }
 

@@ -491,6 +491,42 @@ TEST(AttachValidation, AttachEpochRecordedInStatsAndMetrics) {
   EXPECT_NE(json.find("store_attach_records"), std::string::npos);
 }
 
+TEST(AttachOracle, TwoCopiesOfOneCompiledTenantFoldBitIdentically) {
+  // A compiled program is a value: two copies of one compilation attach
+  // under two names and fold the same records into bit-identical tables.
+  // Each attach renames only its own copy's plan, so the shared analysis
+  // keeps the result name it was compiled with.
+  const auto records = test_workload();
+  const std::span<const PacketRecord> all{records};
+  const char* source = R"(
+def ewma (lat_est, (tin, tout)):
+    lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)
+
+LAT = SELECT 5tuple, COUNT, ewma GROUPBY 5tuple WHERE tout != infinity
+)";
+  const compiler::CompiledProgram tenant =
+      compiler::compile_source(source, kParams);
+  for (const Topology& topo : kTopologies) {
+    const std::string context = topo.name;
+    auto engine = make_engine(kBaseSource, topo, 0_s);
+    feed_uneven(*engine, all.subspan(0, 937));
+    AttachOptions options;
+    options.geometry = kGeom;
+    for (const char* name : {"left", "right"}) {
+      options.name = name;
+      engine->attach_query(tenant, options);
+    }
+    feed_uneven(*engine, all.subspan(937));
+    engine->finish(12_s);
+    EXPECT_GT(engine->table("left").row_count(), 0u) << context;
+    expect_tables_bit_identical(engine->table("left"), engine->table("right"),
+                                context + " copies");
+    EXPECT_EQ(tenant.switch_plans.front().name, "LAT") << context;
+    EXPECT_EQ(tenant.analysis->queries.back().def.result_name, "LAT")
+        << context;
+  }
+}
+
 // ---- detach releases resources ---------------------------------------------
 
 TEST(DetachResources, HeapReturnsToBaselineAfterDetach) {
@@ -583,6 +619,33 @@ TEST(QueryService, AdmissionAdmitsToTheLineAndRefundsOnDetach) {
   svc.process_batch(std::span{records}.subspan(1000, 1000));
   svc.finish();
   EXPECT_GT(svc.table("t2").row_count(), 0u);
+}
+
+TEST(QueryService, TenantPastTheCapIsRejectedWithoutStateChange) {
+  service::QueryService svc = make_service();
+  const auto records = test_workload();
+  svc.process_batch(std::span{records}.subspan(0, 500));
+  // Stream tenants are free, so the cap is reached with the budget at zero.
+  for (std::size_t i = 0; i < service::kMaxTenants; ++i) {
+    (void)svc.attach("s" + std::to_string(i), kStreamSource);
+  }
+  const std::size_t stores = svc.metrics().queries.size();
+  const std::size_t streams = svc.metrics().streams.size();
+  EXPECT_EQ(streams, service::kMaxTenants);
+
+  // The 65th tenant, admissible on its own, is refused before pricing.
+  EXPECT_THROW(svc.attach("switch", kEwmaSource), ConfigError);
+  EXPECT_THROW(svc.attach("stream", kStreamSource), ConfigError);
+  EXPECT_EQ(svc.tenants().size(), service::kMaxTenants);
+  EXPECT_DOUBLE_EQ(svc.used_die_fraction(), 0.0);
+  const EngineMetrics m = svc.metrics();
+  EXPECT_EQ(m.queries.size(), stores);
+  EXPECT_EQ(m.streams.size(), streams);
+
+  // Detaching one frees its place.
+  { const ResultTable t = svc.detach("s0"); }
+  EXPECT_GT(svc.attach("switch", kEwmaSource).die_fraction, 0.0);
+  EXPECT_EQ(svc.tenants().size(), service::kMaxTenants);
 }
 
 TEST(QueryService, StreamTenantDrainsConcurrentlyWithIngest) {
