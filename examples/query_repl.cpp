@@ -17,11 +17,12 @@
 // tools/make_wire_trace writes such captures.
 //
 // Interactive mode keeps the engine live between commands: .run feeds
-// synthetic traffic, .snapshot pulls a mid-run result, .attach/.detach add
-// and remove resident queries mid-stream (the same QueryService API the
-// socket server in examples/query_server.cpp speaks), and .stats/.json/.prom
-// read the engine's own telemetry (Engine::metrics()) — the operator-console
-// view of "the monitor monitoring itself".
+// synthetic traffic and .finish ends the window; every other line is a
+// command of the line protocol (service/line_protocol.hpp) that the socket
+// server in examples/query_server.cpp speaks — SNAPSHOT pulls a mid-run
+// result, ATTACH/DETACH add and remove resident queries mid-stream, LIST
+// shows them, and STATS/JSON/PROM read the engine's own telemetry — printed
+// as its payload lines, or as ERR <message>.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -30,8 +31,8 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "obs/metrics_export.hpp"
 #include "runtime/engine_builder.hpp"
+#include "service/line_protocol.hpp"
 #include "service/query_service.hpp"
 #include "switchsim/match_compiler.hpp"
 #include "trace/flow_session.hpp"
@@ -97,20 +98,16 @@ void print_compilation_report(const compiler::CompiledProgram& program) {
 void print_repl_help() {
   std::printf(
       ".run [n]            feed n synthetic records (default 10000)\n"
-      ".snapshot <name>    mid-run result pull of one on-switch GROUPBY\n"
-      ".attach <name> <q>  attach a query mid-stream (rest of line is text)\n"
-      ".detach <name>      detach it and print its final table\n"
-      ".tenants            list attached queries and the die-area budget\n"
-      ".stats              engine telemetry summary (Engine::metrics())\n"
-      ".json               telemetry as JSON\n"
-      ".prom               telemetry as Prometheus text\n"
       ".finish             end the window and print the result table\n"
-      ".quit               exit\n");
+      ".quit               exit\n"
+      "anything else       a line-protocol command: SNAPSHOT <name>,\n"
+      "                    ATTACH <name> <query>, DETACH <name>, DRAIN <name>,\n"
+      "                    LIST, STATS, JSON, PROM\n");
 }
 
 int run_interactive(std::unique_ptr<runtime::Engine> engine) {
-  // The same service the socket server fronts: the console commands below
-  // are the in-process view of the line protocol.
+  // The same service the socket server fronts, driven by the same line
+  // protocol.
   service::QueryService service(std::move(engine));
   // A long synthetic workload the operator draws from with .run.
   trace::TraceConfig workload = trace::TraceConfig::caida_like().scaled(0.002);
@@ -124,6 +121,15 @@ int run_interactive(std::unique_ptr<runtime::Engine> engine) {
     std::string cmd;
     ss >> cmd;
     if (cmd.empty()) continue;
+    if (cmd.front() != '.') {
+      const service::Response r = service::execute_line(service, line);
+      if (!r.ok) std::printf("ERR %s\n", r.error.c_str());
+      for (const std::string& payload : r.lines) {
+        std::printf("%s\n", payload.c_str());
+      }
+      if (r.shutdown) break;
+      continue;
+    }
     try {
       if (cmd == ".quit" || cmd == ".exit") break;
       if (cmd == ".help") {
@@ -154,54 +160,6 @@ int run_interactive(std::unique_ptr<runtime::Engine> engine) {
         std::printf("fed %zu records (total %llu)\n", fed,
                     static_cast<unsigned long long>(
                         service.records_processed()));
-      } else if (cmd == ".snapshot") {
-        std::string name;
-        ss >> name;
-        const runtime::EngineSnapshot snap = service.snapshot(name);
-        std::printf("%s", snap.table
-                              .to_text("snapshot '" + name + "' @ record " +
-                                           std::to_string(snap.records),
-                                       10)
-                              .c_str());
-      } else if (cmd == ".attach") {
-        std::string name;
-        ss >> name;
-        std::string source;
-        std::getline(ss, source);
-        // The language is indentation-sensitive: the query must start at
-        // column 1, so strip the separator spaces getline kept.
-        source.erase(0, source.find_first_not_of(" \t"));
-        const service::TenantInfo info = service.attach(name, source);
-        std::printf("attached '%s' (%s, %.4f%% die) at record %llu\n",
-                    info.name.c_str(),
-                    info.kind == runtime::AttachKind::kSwitchQuery ? "switch"
-                                                                   : "stream",
-                    info.die_fraction * 100.0,
-                    static_cast<unsigned long long>(info.attach_records));
-      } else if (cmd == ".detach") {
-        std::string name;
-        ss >> name;
-        const runtime::ResultTable table = service.detach(name);
-        std::printf("%s", table.to_text("final '" + name + "'", 20).c_str());
-      } else if (cmd == ".tenants") {
-        for (const auto& t : service.tenants()) {
-          std::printf("tenant '%s' (%s, %.4f%% die) since record %llu\n",
-                      t.name.c_str(),
-                      t.kind == runtime::AttachKind::kSwitchQuery ? "switch"
-                                                                  : "stream",
-                      t.die_fraction * 100.0,
-                      static_cast<unsigned long long>(t.attach_records));
-        }
-        std::printf("budget: %.4f%% of %.4f%% die in use\n",
-                    service.used_die_fraction() * 100.0,
-                    service.config().budget.max_die_fraction * 100.0);
-      } else if (cmd == ".stats") {
-        std::printf("%s", obs::format_metrics(service.metrics()).c_str());
-      } else if (cmd == ".json") {
-        std::printf("%s\n", obs::metrics_to_json(service.metrics()).c_str());
-      } else if (cmd == ".prom") {
-        std::printf("%s",
-                    obs::metrics_to_prometheus(service.metrics()).c_str());
       } else if (cmd == ".finish") {
         if (service.finished()) {
           std::printf("window already finished\n");

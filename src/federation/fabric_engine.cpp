@@ -89,12 +89,14 @@ void FabricEngine::flush_taps() {
 FederatedResult FabricEngine::federate(const compiler::CompiledProgram& program,
                                        const compiler::SwitchQueryPlan& plan,
                                        Nanos now) {
-  Collector collector(program, plan);
+  kv::FederatedStore store(plan.kernel);
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    collector.add(static_cast<std::uint32_t>(i),
-                  slots_[i].engine->export_store(plan.name, now));
+    store.absorb(static_cast<std::uint32_t>(i),
+                 slots_[i].engine->export_store(plan.name, now));
   }
-  return collector.materialize();
+  return FederatedResult{
+      runtime::materialize_switch_table(program, plan, store),
+      store.accuracy(), store.capability(), store.records(), store.time()};
 }
 
 void FabricEngine::finish(Nanos now) {
@@ -202,8 +204,8 @@ void FabricEngine::attach_query(const compiler::CompiledProgram& program,
   // attach epoch relative to its tap stream.
   flush_taps();
 
-  // The fabric keeps its own copy, its plan renamed: the plan the
-  // collectors read. Every copy shares the program's one analysis.
+  // The fabric keeps its own copy, its plan renamed: the plan federate()
+  // reads. Every copy shares the program's one analysis.
   auto owned = std::make_shared<compiler::CompiledProgram>(program);
   owned->switch_plans.front().name = options.name;
 
@@ -262,72 +264,44 @@ std::uint64_t FabricEngine::records() const {
 
 namespace {
 
-void merge_store_stats(runtime::StoreStats& dst,
-                       const runtime::StoreStats& src) {
-  dst.cache.packets += src.cache.packets;
-  dst.cache.hits += src.cache.hits;
-  dst.cache.initializations += src.cache.initializations;
-  dst.cache.evictions += src.cache.evictions;
-  dst.cache.flushes += src.cache.flushes;
-  dst.accuracy.valid_keys += src.accuracy.valid_keys;
-  dst.accuracy.total_keys += src.accuracy.total_keys;
-  dst.backing_writes += src.backing_writes;
-  dst.backing_packets += src.backing_packets;
-  dst.backing_capacity_writes += src.backing_capacity_writes;
-  dst.keys += src.keys;
-  dst.attached = dst.attached || src.attached;
-  dst.attach_records = std::max(dst.attach_records, src.attach_records);
+/// Pool `item` into the entry of `into` that has its name, or append it.
+template <typename Stats>
+void pool_by_name(std::vector<Stats>& into, const Stats& item,
+                  std::string Stats::*name) {
+  const auto same = [&](const Stats& s) { return s.*name == item.*name; };
+  if (const auto it = std::find_if(into.begin(), into.end(), same);
+      it != into.end()) {
+    *it += item;
+  } else {
+    into.push_back(item);
+  }
 }
 
 }  // namespace
 
 FabricMetrics FabricEngine::metrics() const {
   FabricMetrics fm;
-  fm.rollup.engine = "fabric";
+  runtime::EngineMetrics& r = fm.rollup;
+  r.engine = "fabric";
   for (const SwitchSlot& slot : slots_) {
     runtime::EngineMetrics m = slot.engine->metrics();
-    runtime::EngineMetrics& r = fm.rollup;
     r.records += m.records;
     r.batches += m.batches;
     r.refreshes += m.refreshes;
     r.snapshots += m.snapshots;
     r.faulted = r.faulted || m.faulted;
     for (const runtime::StoreStats& q : m.queries) {
-      const auto found =
-          std::find_if(r.queries.begin(), r.queries.end(),
-                       [&](const runtime::StoreStats& s) { return s.name == q.name; });
-      if (found == r.queries.end()) {
-        r.queries.push_back(q);
-      } else {
-        merge_store_stats(*found, q);
-      }
+      pool_by_name(r.queries, q, &runtime::StoreStats::name);
     }
     for (const runtime::StreamSinkMetrics& s : m.streams) {
-      const auto found = std::find_if(
-          r.streams.begin(), r.streams.end(),
-          [&](const runtime::StreamSinkMetrics& t) { return t.query == s.query; });
-      if (found == r.streams.end()) {
-        r.streams.push_back(s);
-      } else {
-        found->rows_delivered += s.rows_delivered;
-        found->rows_dropped += s.rows_dropped;
-        found->saturated = found->saturated || s.saturated;
-        found->attached = found->attached || s.attached;
-        found->attach_records = std::max(found->attach_records, s.attach_records);
-      }
+      pool_by_name(r.streams, s, &runtime::StreamSinkMetrics::query);
     }
     // Per-thread pipeline state (shards/rings) stays per-switch:
     // summing thread ids across engines would be meaningless.
     r.batch_ns += m.batch_ns;
     r.snapshot_ns += m.snapshot_ns;
     r.absorb_ns += m.absorb_ns;
-    r.ingest.parsed += m.ingest.parsed;
-    r.ingest.truncated += m.ingest.truncated;
-    r.ingest.unsupported += m.ingest.unsupported;
-    r.ingest.bad_length += m.ingest.bad_length;
-    r.ingest.bad_checksum += m.ingest.bad_checksum;
-    r.replay_records += m.replay_records;
-    r.replay_nanos += m.replay_nanos;
+    r.ingest += m.ingest;
     fm.switches.emplace_back(slot.label, std::move(m));
   }
   return fm;

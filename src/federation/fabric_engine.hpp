@@ -5,8 +5,10 @@
 // is that model over the simulator: it attaches one runtime::Engine (inline
 // or sharded executor — a per-switch deployment knob) to every switch of a
 // netsim::Network via per-node telemetry taps, so each engine folds exactly
-// the records of its own switch's queues, and federates their stores through
-// federation::Collector into network-wide result tables.
+// the records of its own switch's queues, and federates their stores into
+// network-wide result tables: each switch's export is absorbed into one
+// kv::FederatedStore (kvstore/federated.hpp, the merge algebra), which is
+// then materialized.
 //
 //   net::Network net;  ... build topology, add flows ...
 //   FabricEngine fabric(net, compiler::compile_source(src), options);
@@ -16,10 +18,35 @@
 //   fabric.finish(net.now());
 //   const runtime::ResultTable& result = fabric.result();
 //
-// Exactness is the collector's contract (collector.hpp): additive kernels
-// federate bit-for-bit against an all-packets oracle; order-sensitive
-// kernels are exact per single-source key with §3.2's segment escape hatch
-// for keys that crossed switches.
+// ---- Exactness / merge-order contract ---------------------------------------
+//
+// The federated merge is the cross-store reduction of kvstore/federated.hpp,
+// so its guarantees are exactly MergeCapability's:
+//
+//   - ADDITIVE kernels (COUNT, SUM over integer-valued fields, and GROUPBYs
+//     that keep only those): the federated table is BIT-FOR-BIT the table a
+//     single oracle engine fed every switch's records in global emission
+//     order would produce — under any cache geometry, serial or sharded
+//     per-switch engines, refresh on or off, because additive totals are
+//     independent of stream interleaving and eviction timing. FP caveat
+//     (mirroring the attach/detach contract note in runtime/engine_api.hpp):
+//     this bit-exactness rests on the additions being FP-exact, which holds
+//     for integer counters/sums up to 2^53; fractional addends merge at
+//     ULP-level accuracy instead.
+//   - Everything else is SINGLE-SOURCE exact: keys whose whole record stream
+//     lived on one switch (e.g. queue-keyed EWMA — a qid belongs to exactly
+//     one switch) are exact under the per-switch engine's own contract; keys
+//     seen at several switches are reported invalid with one value segment
+//     per switch, and AccuracyStats counts them — §3.2's non-mergeable
+//     escape hatch lifted to fabric scope. A further FP caveat for order-
+//     sensitive linear folds: the per-switch refresh clock anchors at each
+//     engine's FIRST record, so refresh-on runs reproduce a global oracle
+//     only to ULP level even for single-source keys (refresh-off runs are
+//     bit-exact).
+//   - MERGE ORDER CANNOT MATTER, byte-for-byte: the store reduces its
+//     sources in ascending source id at read time, and
+//     materialize_switch_table() sorts rows into canonical key order, so
+//     the switches' exports may arrive in any order.
 //
 // Stream SELECTs stay per-switch: their rows are delivered through each
 // switch engine's own sinks (engine(label) reaches them) and have no exact
@@ -42,7 +69,7 @@
 #include <vector>
 
 #include "compiler/program.hpp"
-#include "federation/collector.hpp"
+#include "kvstore/federated.hpp"
 #include "netsim/network.hpp"
 #include "obs/metrics_export.hpp"
 #include "runtime/engine_api.hpp"
@@ -58,10 +85,19 @@ struct FabricOptions {
   /// places keys with the same seed (EngineConfig::hash_seed).
   std::optional<kv::CacheGeometry> geometry;
   /// Per-switch periodic refresh (§3.2); zero disables. NOTE the FP caveat
-  /// in collector.hpp: each engine's refresh clock anchors at ITS first
+  /// in the file comment: each engine's refresh clock anchors at ITS first
   /// record, so refresh changes flush instants per switch — free for
   /// additive kernels, ULP-level for other linear folds.
   Nanos refresh_interval{0};
+};
+
+/// One materialized network-wide result.
+struct FederatedResult {
+  runtime::ResultTable table;
+  kv::AccuracyStats accuracy;    ///< federated validity (multi-source keys)
+  kv::MergeCapability capability = kv::MergeCapability::kSingleSource;
+  std::uint64_t records = 0;     ///< sum of source engines' record counts
+  Nanos time;                    ///< max source export stamp
 };
 
 /// Per-switch engine metrics plus the fabric-wide rollup, rendered through
@@ -69,8 +105,10 @@ struct FabricOptions {
 /// {"switch": label} base label).
 struct FabricMetrics {
   std::vector<std::pair<std::string, runtime::EngineMetrics>> switches;
-  /// engine = "fabric"; counters summed (a mid-run fabric snapshot() is one
-  /// pull per switch engine, whatever its executor).
+  /// engine = "fabric": each switch's counters, per-query and per-stream
+  /// stats (by name), histograms and ingest pooled with their `+=` (a
+  /// mid-run fabric snapshot() is one pull per switch engine, whatever its
+  /// executor). Shard and ring state stays per switch.
   runtime::EngineMetrics rollup;
 };
 
@@ -159,7 +197,8 @@ class FabricEngine {
                           const compiler::SwitchQueryPlan*>
   resolve(std::string_view query_name) const;
 
-  /// Export every switch engine's store for `plan` into a collector.
+  /// Absorb every switch engine's export of `plan` into one
+  /// kv::FederatedStore and materialize it.
   [[nodiscard]] FederatedResult federate(const compiler::CompiledProgram& program,
                                          const compiler::SwitchQueryPlan& plan,
                                          Nanos now);
@@ -169,7 +208,7 @@ class FabricEngine {
   FabricOptions options_;
   std::vector<SwitchSlot> slots_;
   /// Fabric-attached programs by resident name: the fabric's own copies,
-  /// their plans renamed, which the collectors read.
+  /// their plans renamed, which federate() reads.
   std::map<std::string, std::shared_ptr<const compiler::CompiledProgram>,
            std::less<>>
       attached_;

@@ -70,6 +70,13 @@ struct AccuracyStats {
                ? 1.0
                : static_cast<double>(valid_keys) / static_cast<double>(total_keys);
   }
+
+  /// Pool `other`'s keys into these (stores with disjoint keys).
+  AccuracyStats& operator+=(const AccuracyStats& other) {
+    total_keys += other.total_keys;
+    valid_keys += other.valid_keys;
+    return *this;
+  }
 };
 
 /// One key's merged state lifted out of a store — the cross-store federation

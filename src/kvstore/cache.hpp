@@ -85,6 +85,17 @@ struct CacheStats {
     return p == 0 ? 0.0
                   : static_cast<double>(evictions.load()) / static_cast<double>(p);
   }
+
+  /// Pool `other`'s counts into these: the one place the fields are summed
+  /// (a sharded query's slices, a fabric's switches).
+  CacheStats& operator+=(const CacheStats& other) {
+    packets += other.packets;
+    hits += other.hits;
+    initializations += other.initializations;
+    evictions += other.evictions;
+    flushes += other.flushes;
+    return *this;
+  }
 };
 
 class Cache {

@@ -103,15 +103,14 @@ void visit_metrics(const runtime::EngineMetrics& m, const MetricFn& fn) {
 
   visit_histogram("batch_ns", m.batch_ns, fn);
   visit_histogram("snapshot_ns", m.snapshot_ns, fn);
-  if (m.engine == "sharded") visit_histogram("absorb_ns", m.absorb_ns, fn);
+  // Only threaded executors flush shards (and a fabric pools theirs).
+  if (m.absorb_ns.count > 0) visit_histogram("absorb_ns", m.absorb_ns, fn);
 
   fn("ingest_parsed", none, static_cast<double>(m.ingest.parsed));
   fn("ingest_truncated", none, static_cast<double>(m.ingest.truncated));
   fn("ingest_unsupported", none, static_cast<double>(m.ingest.unsupported));
   fn("ingest_bad_length", none, static_cast<double>(m.ingest.bad_length));
   fn("ingest_bad_checksum", none, static_cast<double>(m.ingest.bad_checksum));
-  fn("replay_records", none, static_cast<double>(m.replay_records));
-  fn("replay_nanos", none, static_cast<double>(m.replay_nanos));
 }
 
 void visit_metrics(const runtime::EngineMetrics& m, const MetricFn& fn,
@@ -153,29 +152,44 @@ std::string samples_to_json(std::string_view engine,
 }
 
 std::string samples_to_prometheus(const MetricEmitter& emit) {
-  std::string out;
-  std::map<std::string, bool, std::less<>> typed;
+  // The exposition format wants each family in one group, but label sets
+  // interleave in visit order: collect each family's lines in first-seen
+  // order, then concatenate.
+  std::vector<std::string> families;
+  std::map<std::string, std::size_t, std::less<>> index;
   emit([&](std::string_view name, const MetricLabels& labels, double value) {
-    const std::string full = "perfq_" + std::string{name};
-    if (!typed.count(full)) {
+    auto it = index.find(name);
+    if (it == index.end()) {
+      it = index.emplace(std::string{name}, families.size()).first;
       // Gauge is the honest universal type here: counters are monotone but
       // a scraper restarting mid-run must not assume resets.
-      out += "# TYPE " + full + " gauge\n";
-      typed.emplace(full, true);
+      std::string& type = families.emplace_back("# TYPE perfq_");
+      type += name;
+      type += " gauge\n";
     }
-    out += full;
+    std::string& out = families[it->second];
+    out += "perfq_";
+    out += name;
     if (!labels.empty()) {
-      out += "{";
+      out += '{';
       for (std::size_t i = 0; i < labels.size(); ++i) {
-        if (i > 0) out += ",";
-        out += labels[i].first + "=\"" + escape(labels[i].second) + "\"";
+        if (i > 0) out += ',';
+        out += labels[i].first;
+        out += "=\"";
+        out += escape(labels[i].second);
+        out += '"';
       }
-      out += "}";
+      out += '}';
     }
     out += ' ';
     out += num(value);
     out += '\n';
   });
+  std::size_t size = 0;
+  for (const std::string& family : families) size += family.size();
+  std::string out;
+  out.reserve(size);
+  for (const std::string& family : families) out += family;
   return out;
 }
 

@@ -50,25 +50,26 @@ using MetricEmitter = std::function<void(const MetricFn&)>;
                                           const MetricEmitter& emit);
 
 /// Prometheus text exposition of whatever samples `emit` produces:
-/// perfq_<name>{label="value"} value, one # TYPE line per metric family.
+/// perfq_<name>{label="value"} value, each metric family in one group under
+/// its # TYPE line, families in order of first appearance.
 [[nodiscard]] std::string samples_to_prometheus(const MetricEmitter& emit);
 
 /// {"engine": ..., "metrics": [{"name", "labels", "value"}, ...]}
 [[nodiscard]] std::string metrics_to_json(const runtime::EngineMetrics& m);
 
-/// Prometheus text exposition: perfq_<name>{label="value"} value, with one
-/// # TYPE line per metric family.
+/// Prometheus text exposition: perfq_<name>{label="value"} value, grouped
+/// by metric family as samples_to_prometheus() groups them.
 [[nodiscard]] std::string metrics_to_prometheus(const runtime::EngineMetrics& m);
 
-/// The same enumeration as text (STATS on the line protocol, the REPL's
-/// .stats): an "engine:" line, then one line per label set, e.g.
+/// The same enumeration as text (STATS on the line protocol, in the REPL
+/// console too): an "engine:" line, then one line per label set, e.g.
 /// `query 'loss': store_packets=... store_hits=...`, its samples as
 /// name=value in visit order.
 [[nodiscard]] std::string format_metrics(const runtime::EngineMetrics& m);
 
-/// The per-thread pipeline state dump (merge/worker liveness,
-/// eviction flow, ring occupancy) — the body of the sharded engine's
-/// watchdog diagnostic. Uses only the lock-free pipeline fields.
+/// The per-thread pipeline state dump (worker liveness and idle time,
+/// ring occupancy, records and push stalls) — the body of the sharded
+/// engine's watchdog diagnostic. Uses only the lock-free pipeline fields.
 [[nodiscard]] std::string format_pipeline(const runtime::EngineMetrics& m);
 
 }  // namespace perfq::obs

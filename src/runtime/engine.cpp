@@ -146,16 +146,7 @@ trace::IngestStats Engine::process_wire_batch(
 }
 
 void Engine::record_ingest(const trace::IngestStats& stats) {
-  ingest_telemetry_.parsed += stats.parsed;
-  ingest_telemetry_.truncated += stats.truncated;
-  ingest_telemetry_.unsupported += stats.unsupported;
-  ingest_telemetry_.bad_length += stats.bad_length;
-  ingest_telemetry_.bad_checksum += stats.bad_checksum;
-}
-
-void Engine::record_replay(std::uint64_t records, std::uint64_t nanos) {
-  ingest_telemetry_.replay_records += records;
-  ingest_telemetry_.replay_nanos += nanos;
+  ingest_ += stats;
 }
 
 // ---- the query registry -----------------------------------------------------
@@ -389,6 +380,18 @@ const ResultTable& Engine::table(std::string_view name) const {
 
 // ---- telemetry --------------------------------------------------------------
 
+StoreStats StoreStats::of(const kv::KeyValueStore& store) {
+  StoreStats s;
+  s.cache = store.cache().stats();
+  const kv::BackingStore& backing = store.backing();
+  s.accuracy = backing.accuracy();
+  s.backing_writes = backing.writes();
+  s.backing_capacity_writes = backing.capacity_writes();
+  s.backing_packets = backing.packets();
+  s.keys = backing.key_count();
+  return s;
+}
+
 std::vector<StoreStats> Engine::store_stats() const {
   throw_if_faulted();
   std::lock_guard<std::mutex> lock(topology_mu_);
@@ -401,17 +404,9 @@ std::vector<StoreStats> Engine::collect_store_stats() const {
     for (std::size_t slot = 0; slot < queries_.size(); ++slot) {
       const Query& query = queries_[slot];
       if (query.plan == nullptr) continue;
-      StoreStats s;
+      StoreStats s = ex.store_stats(slot);
       s.name = query.plan->name;
       s.linearity = query.plan->linearity;
-      s.cache = ex.cache_stats(slot);
-      ex.with_backing(slot, [&s](const auto& backing) {
-        s.accuracy = backing.accuracy();
-        s.backing_writes = backing.writes();
-        s.backing_capacity_writes = backing.capacity_writes();
-        s.backing_packets = backing.packets();
-        s.keys = backing.key_count();
-      });
       s.attached = query.attached != nullptr;
       s.attach_records = query.attach_records;
       out.push_back(std::move(s));
@@ -441,13 +436,7 @@ EngineMetrics Engine::metrics() const {
   }
   m.batch_ns = batch_ns_.snapshot();
   m.snapshot_ns = snapshot_ns_.snapshot();
-  m.ingest.parsed = ingest_telemetry_.parsed;
-  m.ingest.truncated = ingest_telemetry_.truncated;
-  m.ingest.unsupported = ingest_telemetry_.unsupported;
-  m.ingest.bad_length = ingest_telemetry_.bad_length;
-  m.ingest.bad_checksum = ingest_telemetry_.bad_checksum;
-  m.replay_records = ingest_telemetry_.replay_records;
-  m.replay_nanos = ingest_telemetry_.replay_nanos;
+  m.ingest += ingest_;
   return m;
 }
 

@@ -176,6 +176,7 @@
 //     QueryError — and do NOT poison the engine.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -274,6 +275,26 @@ struct StoreStats {
   std::size_t keys = 0;
   bool attached = false;              ///< dynamically attached (vs base program)
   std::uint64_t attach_records = 0;   ///< attach epoch (records seen before it)
+
+  /// One store's cache and backing-store counters, read live (the name,
+  /// linearity and attach fields are left for the engine to fill).
+  [[nodiscard]] static StoreStats of(const kv::KeyValueStore& store);
+
+  /// Pool `other` into these: the one place the fields are summed (a
+  /// sharded query's shards, a fabric's switches). Counters add, the
+  /// attached flag ORs and the attach epoch keeps the later one; the name
+  /// and linearity stay.
+  StoreStats& operator+=(const StoreStats& other) {
+    cache += other.cache;
+    accuracy += other.accuracy;
+    backing_writes += other.backing_writes;
+    backing_capacity_writes += other.backing_capacity_writes;
+    backing_packets += other.backing_packets;
+    keys += other.keys;
+    attached = attached || other.attached;
+    attach_records = std::max(attach_records, other.attach_records);
+    return *this;
+  }
 };
 
 /// A mid-run result pull, stamped with the record boundary it is exact at.
@@ -291,6 +312,16 @@ struct StreamSinkMetrics {
   bool saturated = false;            ///< sink hit its bound at least once
   bool attached = false;             ///< dynamically attached (vs base program)
   std::uint64_t attach_records = 0;  ///< attach epoch (records seen before it)
+
+  /// Pool `other` into these (a fabric's switches), as StoreStats does.
+  StreamSinkMetrics& operator+=(const StreamSinkMetrics& other) {
+    rows_delivered += other.rows_delivered;
+    rows_dropped += other.rows_dropped;
+    saturated = saturated || other.saturated;
+    attached = attached || other.attached;
+    attach_records = std::max(attach_records, other.attach_records);
+    return *this;
+  }
 };
 
 /// Per-shard pipeline accounting (threaded executor only).
@@ -343,14 +374,13 @@ struct EngineMetrics {
   /// or exporting the result is not included).
   obs::HistogramSnapshot snapshot_ns;
   /// Latency of each shard's refresh or final flush into its backing
-  /// stores, pooled over the shards (threaded executor only).
+  /// stores, pooled over the shards (threaded executor only; empty until
+  /// the first flush).
   obs::HistogramSnapshot absorb_ns;
 
-  // Ingest/replay accounting recorded by the trace layer (record_ingest /
-  // record_replay) — zero if no driver reported any.
+  /// Wire ingest accounting: process_wire_batch() and record_ingest() —
+  /// zero if no wire feed reported any.
   trace::IngestStats ingest;
-  std::uint64_t replay_records = 0;
-  std::uint64_t replay_nanos = 0;
 };
 
 /// The threaded executor's topology knobs, as the EngineBuilder setters of
@@ -461,9 +491,6 @@ class Engine {
   /// multiple times (stats accumulate).
   void record_ingest(const trace::IngestStats& stats);
 
-  /// Record one replay pass (trace::replay) for metrics().replay_*.
-  void record_replay(std::uint64_t records, std::uint64_t nanos);
-
  private:
   friend class EngineBuilder;
 
@@ -479,13 +506,6 @@ class Engine {
     /// into it); null for base-program queries.
     std::shared_ptr<const compiler::CompiledProgram> attached;
     std::uint64_t attach_records = 0;  ///< attach epoch
-  };
-
-  /// Driver-fed ingest/replay slots. Written by the driver (caller) thread,
-  /// read by metrics() — single-writer relaxed, like every other slot.
-  struct IngestTelemetry {
-    obs::RelaxedU64 parsed, truncated, unsupported, bad_length, bad_checksum;
-    obs::RelaxedU64 replay_records, replay_nanos;
   };
 
   /// The poisoned-state gate at every mutating entry point.
@@ -537,7 +557,8 @@ class Engine {
   std::uint32_t batch_tick_ = 0;  ///< sampling phase for small-batch timing
   obs::LatencyHistogram batch_ns_;
   obs::LatencyHistogram snapshot_ns_;
-  IngestTelemetry ingest_telemetry_;
+  /// Ingest counts, written by the driver (caller) thread.
+  trace::BasicIngestStats<obs::RelaxedU64> ingest_;
   bool finished_ = false;
   /// Chosen once at construction; last, so it is destroyed (and its
   /// threads joined) before everything it references.

@@ -102,14 +102,15 @@ class InlineExecutor {
   /// End the window: flush every cache into its backing store.
   void close(Nanos now) { flush(now); }
 
-  /// `fn` receives `slot`'s backing store (as of the last eviction).
+  /// `fn` receives `slot`'s backing store. Only after close().
   template <typename Fn>
   decltype(auto) with_backing(std::size_t slot, Fn&& fn) const {
     return fn(stores_[slot]->backing());
   }
 
-  [[nodiscard]] kv::CacheStats cache_stats(std::size_t slot) const {
-    return stores_[slot]->cache().stats();
+  /// `slot`'s cache and backing-store counters.
+  [[nodiscard]] StoreStats store_stats(std::size_t slot) const {
+    return StoreStats::of(*stores_[slot]);
   }
 
   /// No pipeline threads: nothing to report.

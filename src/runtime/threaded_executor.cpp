@@ -91,15 +91,10 @@ void ThreadedExecutor::remove(std::size_t slot) {
   classes_.rebuild(plans_);
 }
 
-kv::CacheStats ThreadedExecutor::cache_stats(std::size_t slot) const {
-  kv::CacheStats sum;
+StoreStats ThreadedExecutor::store_stats(std::size_t slot) const {
+  StoreStats sum;
   for (const auto& shard : shards_) {
-    const kv::CacheStats& cs = shard->stores[slot]->cache().stats();
-    sum.packets += cs.packets;
-    sum.hits += cs.hits;
-    sum.initializations += cs.initializations;
-    sum.evictions += cs.evictions;
-    sum.flushes += cs.flushes;
+    sum += StoreStats::of(*shard->stores[slot]);
   }
   return sum;
 }
@@ -114,16 +109,6 @@ std::vector<kv::ExportedEntry> ThreadedExecutor::StoreView::export_entries()
                std::make_move_iterator(entries.end()));
   }
   return out;
-}
-
-kv::AccuracyStats ThreadedExecutor::StoreView::accuracy() const {
-  kv::AccuracyStats sum;
-  for (const kv::BackingStore* part : parts_) {
-    const kv::AccuracyStats a = part->accuracy();
-    sum.total_keys += a.total_keys;
-    sum.valid_keys += a.valid_keys;
-  }
-  return sum;
 }
 
 // ---- failure-domain machinery ----------------------------------------------

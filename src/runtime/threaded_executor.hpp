@@ -84,10 +84,10 @@ class ThreadedExecutor {
     std::vector<std::unique_ptr<kv::KeyValueStore>> stores;  ///< one per shard
   };
 
-  /// One query's N per-shard backing stores read as one. Their keys are
-  /// disjoint, so visiting each in turn visits every key once. Read-only
-  /// and lock-free: it is only handed out over stores no worker is writing,
-  /// except that with_backing() lets metrics readers sum live counters.
+  /// One query's N per-shard backing stores read as one, for the entries
+  /// finish, materialize and export need. Their keys are disjoint, so
+  /// visiting each in turn visits every key once. Read-only and lock-free:
+  /// it is only handed out over stores no worker is writing.
   class StoreView {
    public:
     explicit StoreView(std::vector<const kv::BackingStore*> parts)
@@ -98,29 +98,14 @@ class ThreadedExecutor {
     void for_each(F&& fn) const {
       for (const kv::BackingStore* part : parts_) part->for_each(fn);
     }
-    [[nodiscard]] std::vector<kv::ExportedEntry> export_entries() const;
-    [[nodiscard]] kv::AccuracyStats accuracy() const;
     [[nodiscard]] std::size_t key_count() const {
-      return sum(&kv::BackingStore::key_count);
-    }
-    [[nodiscard]] std::uint64_t writes() const {
-      return sum(&kv::BackingStore::writes);
-    }
-    [[nodiscard]] std::uint64_t capacity_writes() const {
-      return sum(&kv::BackingStore::capacity_writes);
-    }
-    [[nodiscard]] std::uint64_t packets() const {
-      return sum(&kv::BackingStore::packets);
-    }
-
-   private:
-    template <typename Counter>
-    [[nodiscard]] std::uint64_t sum(Counter counter) const {
-      std::uint64_t n = 0;
-      for (const kv::BackingStore* part : parts_) n += (part->*counter)();
+      std::size_t n = 0;
+      for (const kv::BackingStore* part : parts_) n += part->key_count();
       return n;
     }
+    [[nodiscard]] std::vector<kv::ExportedEntry> export_entries() const;
 
+   private:
     std::vector<const kv::BackingStore*> parts_;
   };
 
@@ -196,20 +181,21 @@ class ThreadedExecutor {
   /// drain faults.
   void close(Nanos now);
 
-  /// `fn` receives `slot`'s N live backing stores as one StoreView. Mid-run
-  /// only its counters may be read (the workers are absorbing into the
-  /// stores); they lag by whatever is cache-resident or still in the rings.
+  /// `fn` receives `slot`'s N backing stores as one StoreView. Only after
+  /// close(), when no worker writes them.
   template <typename Fn>
   decltype(auto) with_backing(std::size_t slot, Fn&& fn) const {
-    std::vector<const kv::BackingStore*> live;
+    std::vector<const kv::BackingStore*> parts;
     for (const auto& shard : shards_) {
-      live.push_back(&shard->stores[slot]->backing());
+      parts.push_back(&shard->stores[slot]->backing());
     }
-    return fn(StoreView{std::move(live)});
+    return fn(StoreView{std::move(parts)});
   }
 
-  /// `slot`'s cache counters, summed across shards.
-  [[nodiscard]] kv::CacheStats cache_stats(std::size_t slot) const;
+  /// `slot`'s cache and backing-store counters: the += of its N shards'.
+  /// Safe mid-run from any thread; the counters lag by whatever is
+  /// cache-resident or still in the rings.
+  [[nodiscard]] StoreStats store_stats(std::size_t slot) const;
 
   /// Fill the pipeline part of an EngineMetrics (shards, rings, flush
   /// latency). Lock-free — also safe from the watchdog's

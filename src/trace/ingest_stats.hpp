@@ -16,12 +16,16 @@
 
 namespace perfq::trace {
 
-struct IngestStats {
-  std::uint64_t parsed = 0;       ///< records/frames delivered to the engine
-  std::uint64_t truncated = 0;    ///< fewer bytes than the headers require
-  std::uint64_t unsupported = 0;  ///< non-IPv4 / non-TCP/UDP frames
-  std::uint64_t bad_length = 0;   ///< self-inconsistent headers
-  std::uint64_t bad_checksum = 0;  ///< IPv4 checksum mismatch (opt-in check)
+/// Ingest counts over a counter type: IngestStats (plain integers) is a
+/// feed's own accounting; the engine keeps BasicIngestStats<obs::RelaxedU64>,
+/// single-writer slots that metrics() reads from any thread.
+template <typename Count>
+struct BasicIngestStats {
+  Count parsed{};       ///< records/frames delivered to the engine
+  Count truncated{};    ///< fewer bytes than the headers require
+  Count unsupported{};  ///< non-IPv4 / non-TCP/UDP frames
+  Count bad_length{};   ///< self-inconsistent headers
+  Count bad_checksum{};  ///< IPv4 checksum mismatch (opt-in check)
 
   /// Frames skipped for any reason.
   [[nodiscard]] std::uint64_t dropped() const {
@@ -38,7 +42,9 @@ struct IngestStats {
            " bad_checksum=" + std::to_string(bad_checksum);
   }
 
-  IngestStats& operator+=(const IngestStats& other) {
+  /// Pool `other`'s counts into these: the one place the fields are summed.
+  template <typename Other>
+  BasicIngestStats& operator+=(const BasicIngestStats<Other>& other) {
     parsed += other.parsed;
     truncated += other.truncated;
     unsupported += other.unsupported;
@@ -47,6 +53,8 @@ struct IngestStats {
     return *this;
   }
 };
+
+using IngestStats = BasicIngestStats<std::uint64_t>;
 
 /// The one mapping from a parse failure to its stats bucket — every resilient
 /// feed (replay_frames, process_wire_batch) classifies through this so the

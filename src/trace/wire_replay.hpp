@@ -5,7 +5,9 @@
 // EtherTypes, self-inconsistent headers) are SKIPPED AND COUNTED, never
 // thrown on: one bad frame in a billion-packet capture must not abort the
 // run, but the caller gets an exact IngestStats accounting of what was
-// dropped. Statically polymorphic over the engine like replay.hpp.
+// dropped. Statically polymorphic over the engine (a template, not
+// runtime::Engine&), so the trace layer keeps no dependency on the runtime
+// and a test double exposing process_batch() works too.
 //
 // This is the eager (materialize-per-frame) reference path. Engines expose
 // process_wire_batch() (runtime/engine_api.hpp) for the fused lazy path that

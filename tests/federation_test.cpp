@@ -20,8 +20,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "federation/fabric_engine.hpp"
@@ -104,7 +107,7 @@ struct FabricRun {
 
 /// A finished oracle engine over `records` (always serial, refresh off:
 /// additive results are flush-schedule independent, and the single-source
-/// suites pin refresh-off semantics — see collector.hpp's FP caveat).
+/// suites pin refresh-off semantics — see fabric_engine.hpp's FP caveat).
 std::unique_ptr<runtime::Engine> run_oracle(
     compiler::CompiledProgram program, const std::vector<PacketRecord>& records,
     Nanos now, kv::CacheGeometry geometry = kv::CacheGeometry::set_associative(
@@ -417,6 +420,64 @@ TEST(FabricMetricsTest, RollupSumsSwitchesAndExportersLabelThem) {
   const std::string prom = fabric_metrics_to_prometheus(m);
   EXPECT_NE(prom.find("switch=\""), std::string::npos);
   EXPECT_NE(prom.find("records"), std::string::npos);
+}
+
+/// The rollup pools its switches through each stats struct's `+=`: every
+/// additive sample a switch engine exports (visit_metrics) sums, across the
+/// switches, to the rollup's sample of the same name and labels. Per-thread
+/// state, quantiles, ratios, flags and attach epochs do not add.
+TEST(FabricMetricsTest, RollupIsTheSumOfItsSwitches) {
+  FabricOptions options;
+  options.shards = 2;
+  options.geometry = kv::CacheGeometry::set_associative(256, 4);
+  options.refresh_interval = Nanos{250'000};
+  FabricRun run(runtime::fabric_test_config(77), compile_source(kAdditiveSrc),
+                options);
+  run.net.run_until(Nanos{1'000'000});
+  (void)run.fabric->snapshot("R1", run.net.now());
+  run.net.run_all();
+  run.fabric->finish(run.net.now());
+
+  const auto additive = [](std::string_view name) {
+    const auto ends_with = [&](std::string_view suffix) {
+      return name.size() >= suffix.size() &&
+             name.substr(name.size() - suffix.size()) == suffix;
+    };
+    return !name.starts_with("shard_") && !name.starts_with("ring_") &&
+           !ends_with("_p50_ns") && !ends_with("_p99_ns") &&
+           name != "store_accuracy" && name != "engine_faulted" &&
+           name != "stream_saturated" && !ends_with("_attached") &&
+           !ends_with("_attach_records");
+  };
+  using Sample = std::pair<std::string, obs::MetricLabels>;
+  const auto collect = [&](const runtime::EngineMetrics& em,
+                           std::map<Sample, double>& into) {
+    obs::visit_metrics(em, [&](std::string_view name,
+                               const obs::MetricLabels& labels, double value) {
+      if (additive(name)) into[{std::string{name}, labels}] += value;
+    });
+  };
+
+  const FabricMetrics m = run.fabric->metrics();
+  ASSERT_EQ(m.switches.size(), 4u);
+  std::map<Sample, double> switches;
+  for (const auto& [label, em] : m.switches) {
+    EXPECT_GT(em.absorb_ns.count, 0u) << label;
+    collect(em, switches);
+  }
+  std::map<Sample, double> rollup;
+  collect(m.rollup, rollup);
+
+  EXPECT_GE(switches.size(), 37u);  // 4 engine, 2 x 11 store, 6 histogram, 5 ingest
+  for (const auto& [sample, sum] : switches) {
+    const auto it = rollup.find(sample);
+    if (it == rollup.end()) {
+      ADD_FAILURE() << sample.first << " is missing from the rollup";
+      continue;
+    }
+    EXPECT_EQ(it->second, sum) << sample.first;
+  }
+  EXPECT_EQ(rollup.size(), switches.size());
 }
 
 /// Construction-time contract checks.

@@ -19,13 +19,13 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "federation/fabric_engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_export.hpp"
 #include "obs/sampler.hpp"
 #include "runtime/engine_builder.hpp"
 #include "runtime/stream_sink.hpp"
 #include "runtime_test_util.hpp"
-#include "trace/replay.hpp"
 
 namespace perfq::runtime {
 namespace {
@@ -307,7 +307,7 @@ TEST(MetricsExactness, EveryMidRunPullCountsOnce) {
   }
 }
 
-// ---- ingest / replay accounting ---------------------------------------------
+// ---- ingest accounting ------------------------------------------------------
 
 TEST(MetricsIngest, RecordIngestAccumulatesAcrossFeeds) {
   auto engine = build_count_engine(kSerial,
@@ -325,18 +325,6 @@ TEST(MetricsIngest, RecordIngestAccumulatesAcrossFeeds) {
   EXPECT_EQ(static_cast<std::uint64_t>(m.ingest.truncated), 2u);
   EXPECT_EQ(static_cast<std::uint64_t>(m.ingest.bad_length), 1u);
   EXPECT_EQ(m.ingest.dropped(), 3u);
-}
-
-TEST(MetricsIngest, ReplayDriverRecordsItself) {
-  const auto records = test_workload();
-  auto engine = build_count_engine(kSerial,
-                                   kv::CacheGeometry::set_associative(1024, 8));
-  const auto stats = trace::replay_into(*engine, records, /*batch=*/512);
-  const EngineMetrics m = engine->metrics();
-  EXPECT_EQ(m.replay_records, stats.records);
-  EXPECT_EQ(m.replay_records, records.size());
-  EXPECT_GT(m.replay_nanos, 0u);
-  engine->finish(11_s);
 }
 
 // ---- stream sink drop accounting --------------------------------------------
@@ -443,6 +431,57 @@ R1 = SELECT 5tuple, counter GROUPBY 5tuple
   EXPECT_FALSE(obs::format_pipeline(m).empty());
 }
 
+/// Each perfq_* family of a Prometheus exposition has exactly one # TYPE
+/// line, and every sample of the family follows it before the next family.
+void expect_grouped_by_family(const std::string& prom) {
+  std::set<std::string> typed;
+  std::string family;
+  std::size_t samples = 0;
+  std::istringstream in(prom);
+  for (std::string line; std::getline(in, line);) {
+    if (line.starts_with("# TYPE ")) {
+      std::istringstream words(line.substr(7));
+      words >> family;
+      EXPECT_TRUE(typed.insert(family).second) << family << " typed twice";
+      continue;
+    }
+    EXPECT_EQ(line.substr(0, line.find_first_of("{ ")), family)
+        << "sample outside its family's group: " << line;
+    ++samples;
+  }
+  EXPECT_GT(samples, typed.size());
+}
+
+TEST(MetricsExport, PrometheusGroupsEachFamilyOnce) {
+  // Two GROUPBYs interleave their store_* samples in visit order.
+  auto engine = EngineBuilder(compiler::compile_source(R"(
+A = SELECT 5tuple, COUNT GROUPBY 5tuple
+B = SELECT srcip, COUNT GROUPBY srcip
+)"))
+                    .geometry(kv::CacheGeometry::set_associative(1024, 8))
+                    .build();
+  engine->process_batch(test_workload());
+  expect_grouped_by_family(obs::metrics_to_prometheus(engine->metrics()));
+
+  // A fabric scrape interleaves the rollup and every switch engine too.
+  federation::FabricOptions options;
+  options.shards = 2;
+  options.geometry = kv::CacheGeometry::set_associative(256, 4);
+  options.refresh_interval = Nanos{250'000};
+  net::Network net;
+  (void)build_test_fabric(net, fabric_test_config(77));
+  federation::FabricEngine fabric(net, compiler::compile_source(R"(
+R1 = SELECT COUNT, SUM(pkt_len) GROUPBY 5tuple
+R2 = SELECT COUNT GROUPBY 5tuple WHERE tout == infinity
+)"), options);
+  net.run_until(Nanos{1'000'000});
+  (void)fabric.snapshot("R1", net.now());
+  net.run_all();
+  fabric.finish(net.now());
+  expect_grouped_by_family(
+      federation::fabric_metrics_to_prometheus(fabric.metrics()));
+}
+
 // ---- background sampler -----------------------------------------------------
 
 TEST(MetricsSampler, CollectsABoundedMonotoneSeries) {
@@ -504,7 +543,15 @@ TEST(MetricsConcurrency, ReadableWhileShardedEngineFolds) {
       (void)obs::metrics_to_prometheus(m);
     }
   });
-  trace::replay_into(*engine, records, /*batch=*/512, /*repeats=*/4);
+  // Four passes over the trace: with no refresh and no stream query, the
+  // repeated timestamps only lengthen the run.
+  const std::span<const PacketRecord> span(records);
+  for (int pass = 0; pass < 4; ++pass) {
+    for (std::size_t base = 0; base < span.size(); base += 512) {
+      engine->process_batch(
+          span.subspan(base, std::min<std::size_t>(512, span.size() - base)));
+    }
+  }
   engine->finish(41_s);
   done.store(true, std::memory_order_relaxed);
   reader.join();

@@ -19,7 +19,6 @@
 #include "fig2_corpus.hpp"
 #include "runtime_test_util.hpp"
 #include "trace/flow_session.hpp"
-#include "trace/replay.hpp"
 
 namespace perfq::runtime {
 namespace {
@@ -49,6 +48,15 @@ std::unique_ptr<Engine> build_sharded(compiler::CompiledProgram program,
       [](EngineBuilder& b) { b.ring_capacity(512).dispatch_batch(64); });
 }
 
+/// Feed `records` in `batch`-sized process_batch() calls.
+void feed(Engine& engine, std::span<const PacketRecord> records,
+          std::size_t batch) {
+  for (std::size_t base = 0; base < records.size(); base += batch) {
+    engine.process_batch(
+        records.subspan(base, std::min(batch, records.size() - base)));
+  }
+}
+
 void run_equivalence(const Fig2Query& entry, std::size_t shards,
                      Nanos refresh) {
   const std::string context = std::string(entry.name) + " shards=" +
@@ -63,7 +71,7 @@ void run_equivalence(const Fig2Query& entry, std::size_t shards,
 
   auto sharded = build_sharded(
       compiler::compile_source(entry.source, kFig2Params), shards, refresh);
-  trace::replay_into(*sharded, records, /*batch=*/777);
+  feed(*sharded, records, /*batch=*/777);
   sharded->finish(12_s);
 
   EXPECT_EQ(sharded->records_processed(), single->records_processed());
@@ -235,7 +243,7 @@ TEST(ShardedEngine, ComputedKeyProgramMatchesSingleEngine) {
   single->finish(12_s);
 
   auto sharded = build_sharded(compiler::compile_source(source), 8, 0_s);
-  trace::replay_into(*sharded, records, /*batch=*/777);
+  feed(*sharded, records, /*batch=*/777);
   sharded->finish(12_s);
 
   EXPECT_FALSE(sharded->program().switch_plans.at(0).key_layout.plain);
@@ -277,14 +285,6 @@ std::string key_class_source(
     source += name + " = " + query + "\n";
   }
   return source;
-}
-
-void feed(Engine& engine, std::span<const PacketRecord> records,
-          std::size_t batch) {
-  for (std::size_t base = 0; base < records.size(); base += batch) {
-    engine.process_batch(
-        records.subspan(base, std::min(batch, records.size() - base)));
-  }
 }
 
 TEST(ShardedEngine, KeyClassesMatchEachQueryRunAlone) {

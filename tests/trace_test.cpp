@@ -14,7 +14,6 @@
 #include "common/stats.hpp"
 #include "packet/wire.hpp"
 #include "trace/flow_session.hpp"
-#include "trace/replay.hpp"
 #include "trace/wire_replay.hpp"
 #include "trace/wire_trace.hpp"
 
@@ -140,50 +139,13 @@ TEST(FlowSession, ValidatesConfig) {
   EXPECT_THROW(FlowSessionGenerator{c}, ConfigError);
 }
 
-/// Captures everything replay_into delivers (duck-typed engine surface).
+/// Captures everything replay_frames delivers (duck-typed engine surface).
 struct RecordingEngine {
   std::vector<PacketRecord> seen;
   void process_batch(std::span<const PacketRecord> records) {
     seen.insert(seen.end(), records.begin(), records.end());
   }
 };
-
-TEST(Replay, RepeatedReplayStaysTimeOrdered) {
-  // Regression: repeats > 1 used to re-deliver the same timestamps each
-  // pass, so refresh-epoch logic saw time go backwards at every repeat
-  // boundary. Each repeat must now be shifted by the trace's time span.
-  TraceConfig c = small_config();
-  c.num_flows = 50;
-  const auto records = generate_all(c, 500);
-  ASSERT_FALSE(records.empty());
-
-  RecordingEngine engine;
-  const auto stats = replay_into(engine, records, /*batch=*/64, /*repeats=*/2);
-  ASSERT_EQ(stats.records, 2 * records.size());
-  ASSERT_EQ(engine.seen.size(), 2 * records.size());
-
-  // Time-ordered across the whole delivery, including the repeat boundary.
-  for (std::size_t i = 1; i < engine.seen.size(); ++i) {
-    ASSERT_LE(engine.seen[i - 1].tin, engine.seen[i].tin) << "at " << i;
-  }
-  EXPECT_LT(engine.seen[records.size() - 1].tin, engine.seen[records.size()].tin)
-      << "repeat boundary must move strictly forward";
-
-  // The second pass is the first pass shifted by a constant offset; dropped
-  // packets keep the tout = infinity sentinel.
-  const Nanos offset = engine.seen[records.size()].tin - engine.seen[0].tin;
-  EXPECT_GT(offset, Nanos{0});
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const PacketRecord& a = engine.seen[i];
-    const PacketRecord& b = engine.seen[records.size() + i];
-    EXPECT_EQ(b.tin, a.tin + offset);
-    if (a.tout.is_infinite()) {
-      EXPECT_TRUE(b.tout.is_infinite());
-    } else {
-      EXPECT_EQ(b.tout, a.tout + offset);
-    }
-  }
-}
 
 TEST(WireReplay, SkipsAndCountsDamagedFrames) {
   // A capture feed with damage sprinkled in: good frames reach the engine
