@@ -23,6 +23,7 @@
 // result, ATTACH/DETACH add and remove resident queries mid-stream, LIST
 // shows them, and STATS/JSON/PROM read the engine's own telemetry — printed
 // as its payload lines, or as ERR <message>.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -147,7 +148,8 @@ int run_interactive(std::unique_ptr<runtime::Engine> engine) {
           const auto rec = gen.next();
           if (!rec) break;
           batch.push_back(*rec);
-          if (batch.size() == 512) {
+          // The last batch stops at n - fed, so exactly n records go in.
+          if (batch.size() == std::min<std::size_t>(512, n - fed)) {
             service.process_batch(batch);
             fed += batch.size();
             batch.clear();

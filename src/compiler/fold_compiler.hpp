@@ -76,8 +76,8 @@ class FoldBody {
   /// to the program-level FieldUsage union.
   void collect_fields(FieldUsage& usage) const { collect_block(body_, usage); }
 
-  /// Reference semantics: walk the resolved statement tree. Kept for
-  /// differential tests and the interpreted-vs-VM microbenchmark.
+  /// Reference semantics: walk the resolved statement tree. Kept for the
+  /// differential tests that check the VM against it.
   void execute_interpreted(std::span<double> state,
                            const ValueSource& input) const;
 
@@ -157,7 +157,7 @@ class CompiledFoldKernel final : public kv::FoldKernel {
     }
     return usage;
   }
-  /// update() via the AST-walking reference path (tests, benchmarks).
+  /// update() via the AST-walking reference path (differential tests).
   void update_interpreted(kv::StateVector& state, const PacketRecord& rec) const;
   [[nodiscard]] const FoldBody& body() const { return body_; }
   [[nodiscard]] kv::Linearity linearity() const override { return linearity_; }

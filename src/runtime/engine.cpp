@@ -1,11 +1,13 @@
 #include "runtime/engine_api.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "common/error.hpp"
+#include "packet/wire.hpp"
 #include "runtime/collection.hpp"
 #include "runtime/inline_executor.hpp"
 #include "runtime/stream_stage.hpp"
@@ -59,10 +61,9 @@ Engine::Engine(compiler::CompiledProgram program, EngineConfig config,
       refresh_(config_.refresh_interval),
       stream_(std::make_unique<StreamStage>(program_, config_)) {
   if (threaded) {
-    exec_ = std::make_unique<ThreadedExecutor>(config_, *threaded, refresh_,
-                                               *stream_, fault_);
+    exec_ = std::make_unique<ThreadedExecutor>(*threaded, fault_);
   } else {
-    exec_ = std::make_unique<InlineExecutor>(config_, refresh_, *stream_);
+    exec_ = std::make_unique<InlineExecutor>();
   }
   // Nothing has been dispatched yet, so the base queries install without a
   // boundary.
@@ -125,9 +126,37 @@ void Engine::run_batch(std::size_t size, Body&& body) {
   throw_if_faulted();
 }
 
+template <typename Exec, typename Rec>
+void Engine::feed(Exec& ex, std::span<const Rec> records) {
+  // Stream rows are order-sensitive, so the stream stage observes each
+  // record on the caller, in record order, whichever executor folds: the
+  // executor calls back right after it folds or routes the record, so the
+  // evaluation overlaps the fold's memory stalls. run_batch delivers them.
+  const bool streams = !stream_->empty();
+  const auto observe = [&](const Rec& rec) {
+    if (streams) stream_->observe(rec);
+  };
+  // Periodic refresh (§3.2): each boundary splits the records, so the
+  // executor flushes after every record before it and before the record
+  // that crossed it, on both executors alike.
+  std::size_t begin = 0;
+  if (refresh_.enabled()) {
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      if (!refresh_.due(records[i].tin)) continue;
+      ex.fold(records.subspan(begin, i - begin), observe);
+      ex.refresh(records[i].tin);
+      begin = i;
+    }
+  }
+  ex.fold(records.subspan(begin), observe);
+}
+
 void Engine::process_batch(std::span<const PacketRecord> records) {
   run_batch(records.size(), [&] {
-    on_executor(exec_, [&](auto& ex) { ex.fold(records); });
+    on_executor(exec_, [&](auto& ex) {
+      feed(ex, records);
+      ex.end_batch();
+    });
     records_ += records.size();
   });
 }
@@ -137,7 +166,27 @@ trace::IngestStats Engine::process_wire_batch(
   trace::IngestStats stats;
   run_batch(frames.size(), [&] {
     on_executor(exec_, [&](auto& ex) {
-      ex.fold_wire(frames, config_.verify_checksums, stats);
+      // The wire front: check each frame (damaged ones are skipped and
+      // counted, never thrown on) and fold the survivors as lazy views, a
+      // chunk at a time, while their header bytes are still hot.
+      std::array<WireRecordView, kFoldChunk> views;
+      std::size_t n = 0;
+      for (const FrameObservation& frame : frames) {
+        wire::ParseError err{};
+        if (wire::check_frame(frame.bytes, &err, config_.verify_checksums) ==
+            0) {
+          trace::count_parse_error(stats, err);
+          continue;
+        }
+        ++stats.parsed;
+        views[n++] = wire_record_view(frame);
+        if (n == views.size()) {
+          feed(ex, std::span<const WireRecordView>{views.data(), n});
+          n = 0;
+        }
+      }
+      feed(ex, std::span<const WireRecordView>{views.data(), n});
+      ex.end_batch();
     });
     records_ += stats.parsed;
   });

@@ -5,19 +5,26 @@
 // the benches, the service) targets it. It is one mechanism — the paper's
 // programmable key-value store (§3.2) — over two executors, the places
 // where folding happens:
-//   - InlineExecutor (the default): the caller folds each record into one
+//   - InlineExecutor (the default): the caller folds each record, a
+//     PacketRecord or a lazy view of a frame's bytes, into one
 //     KeyValueStore per on-switch GROUPBY; evictions absorb directly.
-//   - ThreadedExecutor (EngineBuilder::sharded(N)): the caller routes
-//     records through one ring per shard to N shard workers, and each
-//     worker folds into its own KeyValueStore per query (a bucket slice of
-//     the cache over a private backing store); evictions absorb directly
-//     there too.
+//   - ThreadedExecutor (EngineBuilder::sharded(N)): the caller decodes each
+//     wire view once and routes records through one ring per shard to N
+//     shard workers, and each worker folds into its own KeyValueStore per
+//     query (a bucket slice of the cache over a private backing store);
+//     evictions absorb directly there too.
 // Everything above the fold is written once, in Engine: the query registry,
-// attach validation, refresh-boundary detection, stream delivery, the wire
-// front, finish and the collection layer, result/table, telemetry and the
-// fault gate. The executor is chosen at construction (EngineBuilder is the
-// only way to build an engine) and dispatched per batch without a virtual
-// call; results are the same either way (bit-identical for linear kernels).
+// attach validation, the wire front (each frame checked, damaged ones
+// skipped and counted, survivors viewed lazily in chunks of kFoldChunk),
+// refresh-boundary detection, the stream stage, finish and the collection
+// layer, result/table, telemetry and the fault gate. An executor only
+// folds: the engine hands it records in order with a callback that runs
+// the stream stage on each record once it is folded (or routed), calls
+// refresh(now) at each boundary between them, and end_batch() once per
+// call. The executor is chosen at
+// construction (EngineBuilder is the only way to build an engine) and
+// dispatched per batch without a virtual call; results are the same either
+// way (bit-identical for linear kernels).
 //
 // Lifecycle:  build (EngineBuilder) → process_batch()* → finish(now) →
 // result()/table(). Two reads work MID-RUN, before finish():
@@ -195,7 +202,6 @@
 #include "obs/metrics.hpp"
 #include "packet/wire_view.hpp"
 #include "runtime/engine_fault.hpp"
-#include "runtime/fold_core.hpp"
 #include "runtime/stream_sink.hpp"
 #include "runtime/table.hpp"
 #include "trace/ingest_stats.hpp"
@@ -419,7 +425,8 @@ class Engine {
   /// metrics().ingest. Results over the surviving frames are bit-identical
   /// to parsing each frame into a PacketRecord and calling process_batch().
   /// The inline executor folds straight off the frame bytes, decoding only
-  /// the fields the program reads (CompiledProgram::field_usage).
+  /// the fields the program reads (CompiledProgram::field_usage); the
+  /// threaded one decodes each surviving frame once, into its ring message.
   trace::IngestStats process_wire_batch(
       std::span<const FrameObservation> frames);
 
@@ -498,6 +505,35 @@ class Engine {
   Engine(compiler::CompiledProgram program, EngineConfig config,
          const std::optional<ThreadedConfig>& threaded);
 
+  /// Periodic refresh boundaries (§3.2), detected once in global record
+  /// order: a refresh fires before the first record whose tin reaches one
+  /// interval past the previous refresh (the first interval starts at the
+  /// engine's first record).
+  class RefreshClock {
+   public:
+    explicit RefreshClock(Nanos interval) : interval_(interval) {}
+
+    [[nodiscard]] bool enabled() const { return interval_ > Nanos{0}; }
+
+    /// Whether a refresh fires before the record stamped `tin` (call once
+    /// per record, in order, and only when enabled()).
+    bool due(Nanos tin) {
+      if (next_ == Nanos{0}) next_ = tin + interval_;
+      if (tin < next_) return false;
+      next_ = tin + interval_;
+      ++count_;
+      return true;
+    }
+
+    /// Refreshes fired so far; readable from any thread.
+    [[nodiscard]] std::uint64_t count() const { return count_; }
+
+   private:
+    Nanos interval_;
+    Nanos next_{0};
+    obs::RelaxedU64 count_;
+  };
+
   /// One on-switch GROUPBY of the registry. Its index is its stable slot in
   /// both executors; a free slot has a null plan and is reused by attach.
   struct Query {
@@ -519,6 +555,12 @@ class Engine {
   /// the fault machinery, and one stream delivery per call.
   template <typename Body>
   void run_batch(std::size_t size, Body&& body);
+  /// Hand `records` (PacketRecords, or lazy views of checked frames) to
+  /// `ex` in record order: the records before each refresh boundary, the
+  /// refresh, then the rest, with the stream stage observing each record
+  /// right after the executor folds or routes it.
+  template <typename Exec, typename Rec>
+  void feed(Exec& ex, std::span<const Rec> records);
   /// A mid-run pull of `slot` (snapshot, export): counted, with the shared
   /// primitive timed into snapshot_ns; `fn` receives the merged store.
   template <typename Fn>

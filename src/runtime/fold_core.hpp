@@ -1,8 +1,10 @@
 // The fold hot path shared by both executors of runtime::Engine: the key
-// classes, the per-member fold, the refresh clock and the wire front. The
-// inline executor runs all of them on the caller; the threaded executor
-// runs the key classes, the clock and the wire front on the caller and the
-// folds on its shard workers.
+// classes and the per-member fold. The engine hands an executor records
+// that already passed the wire front, in order, with each refresh boundary
+// between them and a callback for its stream stage (engine.cpp). The
+// inline executor runs both parts on the caller; the threaded executor
+// runs the key classes on the caller, to route, and the folds on its shard
+// workers.
 //
 // Key classes: live queries whose plans have the same key identity
 // (compiler::same_key) pack bit-identical keys for every record, so a
@@ -31,44 +33,13 @@
 #include "common/failpoint.hpp"
 #include "compiler/program.hpp"
 #include "kvstore/kvstore.hpp"
-#include "obs/metrics.hpp"
-#include "packet/wire.hpp"
-#include "packet/wire_view.hpp"
-#include "trace/ingest_stats.hpp"
 
 namespace perfq::runtime {
 
-/// Periodic refresh boundaries (§3.2), detected once in global record
-/// order: a refresh fires before the first record whose tin reaches one
-/// interval past the previous refresh (the first interval starts at the
-/// engine's first record).
-class RefreshClock {
- public:
-  explicit RefreshClock(Nanos interval) : interval_(interval) {}
-
-  [[nodiscard]] bool enabled() const { return interval_ > Nanos{0}; }
-
-  /// Whether a refresh fires before the record stamped `tin` (call once per
-  /// record, in order, and only when enabled()).
-  bool due(Nanos tin) {
-    if (next_ == Nanos{0}) next_ = tin + interval_;
-    if (tin < next_) return false;
-    next_ = tin + interval_;
-    ++count_;
-    return true;
-  }
-
-  /// Refreshes fired so far; readable from any thread.
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-
- private:
-  Nanos interval_;
-  Nanos next_{0};
-  obs::RelaxedU64 count_;
-};
-
-/// Records per prefetch chunk: large enough to hide bucket fetch latency,
-/// small enough that prefetched lines survive until their fold.
+/// Records per prefetch chunk, and per chunk of wire views the engine
+/// hands an executor: large enough to hide bucket fetch latency, small
+/// enough that prefetched lines (and the frames' header bytes) survive
+/// until their fold.
 inline constexpr std::size_t kFoldChunk = 32;
 
 /// The live on-switch GROUPBYs grouped by key identity. Both executors
@@ -146,24 +117,6 @@ void fold_member(kv::KeyValueStore& store, const kv::Key& key,
                  const Rec& rec) {
   PERFQ_FAILPOINT("fold_core.fold");
   store.process(key, rec);
-}
-
-/// The wire front: validate each frame (damaged ones are skipped and
-/// counted into `stats`, never thrown on) and hand each survivor, in order,
-/// to `on_frame` as a lazy view while its header bytes are still hot.
-template <typename OnFrame>
-void for_each_valid_frame(std::span<const FrameObservation> frames,
-                          bool verify_checksums, trace::IngestStats& stats,
-                          OnFrame&& on_frame) {
-  for (const FrameObservation& frame : frames) {
-    wire::ParseError err{};
-    if (wire::check_frame(frame.bytes, &err, verify_checksums) == 0) {
-      trace::count_parse_error(stats, err);
-      continue;
-    }
-    ++stats.parsed;
-    on_frame(wire_record_view(frame));
-  }
 }
 
 }  // namespace perfq::runtime

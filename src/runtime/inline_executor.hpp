@@ -2,9 +2,11 @@
 // caller extracts each record's key once per key class and folds it into
 // each admitting member's KeyValueStore, evictions absorb straight into the
 // query's backing store, and the record boundary is always "now".
-// Everything above the fold (registry, attach validation, refresh
-// detection, stream delivery, results, telemetry, the fault gate) lives in
-// Engine; this class is only the place where folding happens.
+// Everything above the fold (registry, attach validation, the wire front,
+// refresh detection, the stream stage, results, telemetry, the fault gate)
+// lives in Engine. The engine finds each refresh boundary and calls
+// refresh() between the records before it and the records after it; this
+// class is only the place where folding happens.
 #pragma once
 
 #include <algorithm>
@@ -17,7 +19,6 @@
 #include "kvstore/kvstore.hpp"
 #include "runtime/engine_api.hpp"
 #include "runtime/fold_core.hpp"
-#include "runtime/stream_stage.hpp"
 
 namespace perfq::runtime {
 
@@ -28,17 +29,13 @@ class InlineExecutor {
   /// One query's store, built before it is installed.
   using Prepared = std::unique_ptr<kv::KeyValueStore>;
 
-  /// `refresh` and `stream` belong to the engine and outlive the executor.
-  InlineExecutor(const EngineConfig& config, RefreshClock& refresh,
-                 StreamStage& stream)
-      : config_(config), refresh_(refresh), stream_(stream) {}
-
   /// Build a query's store; touches no executor state.
   [[nodiscard]] Prepared prepare(std::size_t /*slot*/,
                                  const compiler::SwitchQueryPlan& plan,
                                  const kv::CacheGeometry& geometry) const {
-    return std::make_unique<kv::KeyValueStore>(
-        geometry, plan.kernel, config_.hash_seed, config_.eviction_policy);
+    return std::make_unique<kv::KeyValueStore>(geometry, plan.kernel,
+                                               EngineConfig::hash_seed,
+                                               EngineConfig::eviction_policy);
   }
 
   /// Install a prepared query at registry slot `slot`.
@@ -60,33 +57,29 @@ class InlineExecutor {
     relink();
   }
 
-  /// Fold a batch of records: the two-pass chunk loop, chunk by chunk.
-  void fold(std::span<const PacketRecord> records) {
+  /// Fold records in order: the two-pass chunk loop, chunk by chunk, with
+  /// `folded(rec)` called right after each record's folds. Over lazy wire
+  /// views only the fields the program reads are decoded.
+  template <typename Rec, typename Folded>
+  void fold(std::span<const Rec> records, const Folded& folded) {
     for (std::size_t base = 0; base < records.size(); base += kChunk) {
       process_chunk(
-          records.subspan(base, std::min(kChunk, records.size() - base)));
+          records.subspan(base, std::min(kChunk, records.size() - base)),
+          folded);
     }
   }
 
-  /// Fold a burst of frames straight off their bytes: the same chunk loop
-  /// over lazy views, so only the fields the program reads are decoded.
-  void fold_wire(std::span<const FrameObservation> frames,
-                 bool verify_checksums, trace::IngestStats& stats) {
-    std::array<WireRecordView, kChunk> views;
-    std::size_t n = 0;
-    for_each_valid_frame(frames, verify_checksums, stats,
-                         [&](const WireRecordView& view) {
-                           views[n++] = view;
-                           if (n == kChunk) {
-                             process_chunk(std::span<const WireRecordView>{
-                                 views.data(), n});
-                             n = 0;
-                           }
-                         });
-    if (n > 0) {
-      process_chunk(std::span<const WireRecordView>{views.data(), n});
+  /// Periodic refresh (§3.2): flush every live query's cache into its
+  /// backing store. Exact for linear folds; a non-linear fold records one
+  /// more segment (accounted in accuracy).
+  void refresh(Nanos now) {
+    for (const ClassFold& cf : folds_) {
+      for (kv::KeyValueStore* store : cf.stores) store->flush(now);
     }
   }
+
+  /// Nothing is staged between folds.
+  void end_batch() {}
 
   /// The record boundary is always "now": nothing is in flight.
   void reach_boundary() {}
@@ -100,7 +93,7 @@ class InlineExecutor {
   }
 
   /// End the window: flush every cache into its backing store.
-  void close(Nanos now) { flush(now); }
+  void close(Nanos now) { refresh(now); }
 
   /// `fn` receives `slot`'s backing store. Only after close().
   template <typename Fn>
@@ -128,11 +121,9 @@ class InlineExecutor {
     std::array<kv::Key, kChunk> keys;           ///< record i's class key
   };
 
-  template <typename Rec>
-  void process_chunk(std::span<const Rec> chunk) {
+  template <typename Rec, typename Folded>
+  void process_chunk(std::span<const Rec> chunk, const Folded& folded) {
     const std::size_t n = chunk.size();
-    const bool streams = !stream_.empty();
-    const bool refresh = refresh_.enabled();
 
     // Pass 1: per class, the members each record passes and, once for all
     // of them, its key (computing its cached hash once); prefetch each
@@ -149,29 +140,15 @@ class InlineExecutor {
       }
     }
 
-    // Pass 2: fold records in time order (refresh boundaries included;
-    // prefetches above have no side effects, so ordering is preserved).
+    // Pass 2: fold records in time order (prefetches above have no side
+    // effects, so ordering is preserved).
     for (std::size_t i = 0; i < n; ++i) {
-      const Rec& rec = chunk[i];
-      if (refresh && refresh_.due(rec.tin)) {
-        // Periodic backing-store refresh (§3.2): exact for linear folds,
-        // and non-linear folds record one more segment (accounted in
-        // accuracy).
-        flush(rec.tin);
-      }
       for (ClassFold& cf : folds_) {
         for_each_member(cf.masks[i], [&](std::size_t b) {
-          fold_member(*cf.stores[b], cf.keys[i], rec);
+          fold_member(*cf.stores[b], cf.keys[i], chunk[i]);
         });
       }
-      if (streams) stream_.observe(rec);
-    }
-  }
-
-  /// Flush every live query's cache into its backing store.
-  void flush(Nanos now) {
-    for (const ClassFold& cf : folds_) {
-      for (kv::KeyValueStore* store : cf.stores) store->flush(now);
+      folded(chunk[i]);
     }
   }
 
@@ -188,9 +165,6 @@ class InlineExecutor {
     }
   }
 
-  const EngineConfig& config_;
-  RefreshClock& refresh_;
-  StreamStage& stream_;
   /// By registry slot; null when free.
   std::vector<std::unique_ptr<kv::KeyValueStore>> stores_;
   /// By registry slot; null when free.

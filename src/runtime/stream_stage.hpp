@@ -2,9 +2,9 @@
 // unconsumed stream SELECTs, wires each to its StreamSink (user-provided via
 // EngineConfig::stream_sinks, or a default TableStreamSink), evaluates
 // filters/projections per record on the caller thread (row appends are
-// order-sensitive, so both executors observe records there, in record
-// order), and delivers the buffered rows once per engine-level
-// process_batch() call.
+// order-sensitive, so the engine observes every record there, in record
+// order, whichever executor folds it), and delivers the buffered rows once
+// per engine-level process_batch() call.
 #pragma once
 
 #include <functional>

@@ -12,15 +12,8 @@
 
 namespace perfq::runtime {
 
-ThreadedExecutor::ThreadedExecutor(const EngineConfig& engine,
-                                   ThreadedConfig config,
-                                   RefreshClock& refresh, StreamStage& stream,
-                                   FaultSlot& fault)
-    : engine_(engine),
-      config_(config),
-      refresh_(refresh),
-      stream_(stream),
-      fault_(fault) {
+ThreadedExecutor::ThreadedExecutor(ThreadedConfig config, FaultSlot& fault)
+    : config_(config), fault_(fault) {
   if (config_.dispatch_batch == 0) {
     throw ConfigError{"sharded engine: zero dispatch batch"};
   }
@@ -38,9 +31,7 @@ ThreadedExecutor::ThreadedExecutor(const EngineConfig& engine,
 }
 
 ThreadedExecutor::~ThreadedExecutor() {
-  if (!threads_stopped_) {
-    stop_pipeline(/*flush=*/false, Nanos{0}, /*watchdog=*/false);
-  }
+  if (!threads_stopped_) stop_pipeline(/*watchdog=*/false);
 }
 
 // ---- query slots ------------------------------------------------------------
@@ -63,8 +54,8 @@ ThreadedExecutor::Prepared ThreadedExecutor::prepare(
   Prepared p;
   for (std::size_t s = 0; s < n_shards; ++s) {
     p.stores.push_back(std::make_unique<kv::KeyValueStore>(
-        slice, plan.kernel, engine_.hash_seed, engine_.eviction_policy,
-        /*bucket_scale=*/n_shards));
+        slice, plan.kernel, EngineConfig::hash_seed,
+        EngineConfig::eviction_policy, /*bucket_scale=*/n_shards));
   }
   return p;
 }
@@ -220,13 +211,13 @@ void ThreadedExecutor::idle_wait(std::uint32_t& idle_polls) {
 
 // ---- dispatch ---------------------------------------------------------------
 
-void ThreadedExecutor::stage(Shard& sh, ShardMsg&& msg) {
-  sh.staging.push_back(std::move(msg));
+void ThreadedExecutor::stage(Shard& sh, const ShardMsg& msg) {
+  sh.staging.push_back(msg);
   if (sh.staging.size() >= config_.dispatch_batch) publish(sh);
 }
 
 void ThreadedExecutor::broadcast(const ShardMsg& msg) {
-  for (auto& shard : shards_) stage(*shard, ShardMsg{msg});
+  for (auto& shard : shards_) stage(*shard, msg);
 }
 
 void ThreadedExecutor::publish(Shard& sh) {
@@ -265,69 +256,15 @@ void ThreadedExecutor::publish(Shard& sh) {
   sh.staging.clear();
 }
 
-void ThreadedExecutor::fold_wire(std::span<const FrameObservation> frames,
-                                 bool verify_checksums,
-                                 trace::IngestStats& stats) {
-  // Steady state: zero allocations once the scratch has grown to the burst
-  // size.
-  wire_pending_.clear();
-  wire_pending_.reserve(frames.size());
-  for_each_valid_frame(frames, verify_checksums, stats,
-                       [this](const WireRecordView& view) {
-                         wire_pending_.push_back(view.materialize());
-                       });
-  fold(wire_pending_);
+void ThreadedExecutor::refresh(Nanos now) {
+  ShardMsg flush;
+  flush.kind = ShardMsg::Kind::kFlush;
+  flush.rec.tin = now;
+  broadcast(flush);
 }
 
-void ThreadedExecutor::fold(std::span<const PacketRecord> records) {
-  const bool refresh = refresh_.enabled();
-  const std::uint64_t n_shards = shards_.size();
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    // Poisoned mid-batch: stop routing (publishes are being abandoned
-    // anyway). Checked every 64 records to keep the dispatch hot path free
-    // of per-record synchronization.
-    if ((i & 63u) == 0 && stopping()) break;
-    const PacketRecord& rec = records[i];
-
-    // Periodic refresh (§3.2): a boundary firing before this record goes
-    // in-band down every ring ahead of it, so each worker flushes at
-    // exactly the inline executor's trace time.
-    if (refresh && refresh_.due(rec.tin)) {
-      ShardMsg flush;
-      flush.kind = ShardMsg::Kind::kFlush;
-      flush.rec.tin = rec.tin;
-      broadcast(flush);
-    }
-
-    // Route: one message per key class with a member that admits the
-    // record, by the class key's hash; only the hash travels, and the
-    // worker re-packs the key on its own core.
-    const std::vector<KeyClasses::Class>& classes = classes_.classes();
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-      const KeyClasses::Class& cls = classes[c];
-      const std::uint32_t members = cls.admitted(rec);
-      if (members == 0) continue;
-      const std::uint64_t raw =
-          compiler::extract_key(cls.key_plan(), rec).raw_hash();
-      ShardMsg msg;
-      msg.kind = ShardMsg::Kind::kRecord;
-      msg.query = static_cast<std::uint16_t>(c);
-      msg.members = members;
-      msg.raw_hash = raw;
-      msg.rec = rec;
-      const std::uint64_t placement =
-          kv::placement_hash(raw, EngineConfig::hash_seed, kSeedMix);
-      Shard& sh = *shards_[reduce_range(placement, n_shards)];
-      stage(sh, std::move(msg));
-      ++sh.ring_records;
-    }
-  }
+void ThreadedExecutor::end_batch() {
   for (auto& shard : shards_) publish(*shard);
-  // Stream sinks stay on the caller: their row streams are order-sensitive
-  // and must match the inline executor exactly (the engine delivers them).
-  if (!stream_.empty()) {
-    for (const PacketRecord& rec : records) stream_.observe(rec);
-  }
 }
 
 // ---- workers ----------------------------------------------------------------
@@ -433,16 +370,10 @@ void ThreadedExecutor::worker_loop(Shard& sh) {
 
 // ---- boundaries and teardown ------------------------------------------------
 
-void ThreadedExecutor::stop_pipeline(bool flush, Nanos now, bool watchdog) {
-  // Final flush (ordered after every record) + kStop down every ring. On
-  // the poisoned path the flush is pointless (results are forfeit) and the
-  // pushes are best-effort — workers exit on the stop flag regardless.
-  if (flush && !stopping()) {
-    ShardMsg msg;
-    msg.kind = ShardMsg::Kind::kFlush;
-    msg.rec.tin = now;
-    broadcast(msg);
-  }
+void ThreadedExecutor::stop_pipeline(bool watchdog) {
+  // kStop down every ring, after everything staged before it. On the
+  // poisoned path the pushes are best-effort: workers exit on the stop flag
+  // regardless.
   ShardMsg stop;
   stop.kind = ShardMsg::Kind::kStop;
   broadcast(stop);
@@ -463,7 +394,8 @@ void ThreadedExecutor::stop_pipeline(bool flush, Nanos now, bool watchdog) {
 }
 
 void ThreadedExecutor::close(Nanos now) {
-  stop_pipeline(/*flush=*/true, now, /*watchdog=*/true);
+  refresh(now);
+  stop_pipeline(/*watchdog=*/true);
   // A fault recorded during the drain (thread death discovered on join,
   // watchdog expiry) forfeits the results.
   if (fault_.faulted()) fault_.raise();

@@ -1,8 +1,8 @@
 // The threaded executor of runtime::Engine (EngineBuilder::sharded(N)): the
 // place where folding happens when the store is scaled across cores. The
-// engine above it (registry, attach validation, refresh detection, stream
-// delivery, results, telemetry, the fault gate) is the same as for the
-// inline executor.
+// engine above it (registry, attach validation, the wire front, refresh
+// detection, the stream stage, results, telemetry, the fault gate) is the
+// same as for the inline executor.
 //
 // Topology (caller → one SPSC ring per shard → shard workers, each owning
 // one store per query):
@@ -39,9 +39,10 @@
 // contents, same LRU order, same capacity evictions, same flush times — and
 // results are bit-identical to the inline executor's for every linear-kernel
 // query (identical value-segment sets and AccuracyStats for non-linear
-// kernels). Refresh boundaries are detected on the caller, record by record,
-// by the engine's RefreshClock and broadcast in-band ahead of the record they
-// precede. Requires num_buckets % num_shards == 0 per query geometry.
+// kernels). The engine detects refresh boundaries on the caller, record by
+// record, and calls refresh() between the records they separate, which
+// broadcasts a flush in-band ahead of the record it precedes. Requires
+// num_buckets % num_shards == 0 per query geometry.
 //
 // Failure domains: every worker body is wrapped so the first escaping
 // exception is captured into the engine's FaultSlot. The slot doubles as
@@ -71,7 +72,6 @@
 #include "runtime/engine_api.hpp"
 #include "runtime/engine_fault.hpp"
 #include "runtime/fold_core.hpp"
-#include "runtime/stream_stage.hpp"
 
 namespace perfq::runtime {
 
@@ -109,11 +109,9 @@ class ThreadedExecutor {
     std::vector<const kv::BackingStore*> parts_;
   };
 
-  /// Starts the worker threads. `refresh`, `stream` and `fault` belong to
-  /// the engine and outlive the executor.
-  ThreadedExecutor(const EngineConfig& engine, ThreadedConfig config,
-                   RefreshClock& refresh, StreamStage& stream,
-                   FaultSlot& fault);
+  /// Starts the worker threads. `fault` belongs to the engine and outlives
+  /// the executor.
+  ThreadedExecutor(ThreadedConfig config, FaultSlot& fault);
   /// Tears the pipeline down without the final flush (bench, abort and
   /// poisoned paths); joins are unbounded here but every thread is
   /// stop-aware.
@@ -139,16 +137,51 @@ class ThreadedExecutor {
   /// reach_boundary().
   void remove(std::size_t slot);
 
-  /// Dispatch a batch on the caller: the refresh check, routing into the
-  /// shard rings, and the stream evaluation. Returns once every record is
-  /// published; folding proceeds on the workers.
-  void fold(std::span<const PacketRecord> records);
+  /// Route records on the caller, in order, into the shard rings' staging,
+  /// with `routed(rec)` called right after each record's messages are
+  /// staged; folding proceeds on the workers. Records travel BY VALUE
+  /// through the rings (workers outlive the caller's frame buffers), so
+  /// each wire view is decoded once, straight into its ring message, and
+  /// routing reads it there, off the slow wire-view key packer.
+  template <typename Rec, typename Routed>
+  void fold(std::span<const Rec> records, const Routed& routed) {
+    const std::uint64_t n_shards = shards_.size();
+    const std::vector<KeyClasses::Class>& classes = classes_.classes();
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      // Poisoned mid-batch: stop routing (publishes are being abandoned
+      // anyway). Checked every 64 records to keep the dispatch hot path
+      // free of per-record synchronization.
+      if ((i & 63u) == 0 && stopping()) break;
+      ShardMsg msg;
+      msg.rec = materialized(records[i]);
+      // One message per key class with a member that admits the record, by
+      // the class key's hash; only the hash travels, and the worker
+      // re-packs the key on its own core.
+      for (std::size_t c = 0; c < classes.size(); ++c) {
+        const KeyClasses::Class& cls = classes[c];
+        msg.members = cls.admitted(msg.rec);
+        if (msg.members == 0) continue;
+        msg.query = static_cast<std::uint16_t>(c);
+        msg.raw_hash =
+            compiler::extract_key(cls.key_plan(), msg.rec).raw_hash();
+        const std::uint64_t placement = kv::placement_hash(
+            msg.raw_hash, EngineConfig::hash_seed, kSeedMix);
+        Shard& sh = *shards_[reduce_range(placement, n_shards)];
+        stage(sh, msg);
+        ++sh.ring_records;
+      }
+      routed(records[i]);
+    }
+  }
 
-  /// The wire front's survivors, decoded once into a reusable caller-owned
-  /// buffer (records travel BY VALUE through the rings, since workers
-  /// outlive the caller's frame buffers), then dispatched like fold().
-  void fold_wire(std::span<const FrameObservation> frames,
-                 bool verify_checksums, trace::IngestStats& stats);
+  /// Periodic refresh (§3.2): stage a flush down every ring, so each worker
+  /// flushes its slices at exactly the record boundary the inline executor
+  /// does.
+  void refresh(Nanos now);
+
+  /// Push every shard's staged messages to its ring: once per engine call,
+  /// not once per fold.
+  void end_batch();
 
   /// Quiesce at the current record boundary: an in-band marker through
   /// every ring and every worker's ack. On return nothing is in flight and
@@ -176,9 +209,9 @@ class ThreadedExecutor {
     return fn(StoreView{std::move(parts)});
   }
 
-  /// End the window at the current record boundary: final in-band flush,
-  /// drain the rings, join every worker. Throws EngineFaultError if the
-  /// drain faults.
+  /// End the window at the current record boundary: the refresh flush,
+  /// then stop: drain the rings, join every worker. Throws EngineFaultError
+  /// if the drain faults.
   void close(Nanos now);
 
   /// `fn` receives `slot`'s N backing stores as one StoreView. Only after
@@ -319,7 +352,7 @@ class ThreadedExecutor {
   /// deadline plus one grace period expired with the thread still wedged —
   /// the join is then deferred to the destructor.
   bool wait_exited(const std::atomic<bool>& exited, const char* what);
-  void stage(Shard& sh, ShardMsg&& msg);
+  void stage(Shard& sh, const ShardMsg& msg);
   /// Stage a copy of `msg` for every shard.
   void broadcast(const ShardMsg& msg);
   /// Push the shard's staging to its ring, backing off while the ring is
@@ -331,15 +364,12 @@ class ThreadedExecutor {
   /// every worker's ack (each copies its merged slice of `query` first
   /// unless kNoQuery).
   void rendezvous(std::size_t query, Nanos now);
-  /// Send final kFlush (optionally) + kStop through every ring and join all
-  /// workers. `watchdog` guards the joins with the drain deadline (finish()
-  /// path); the destructor passes false and joins unboundedly.
-  void stop_pipeline(bool flush, Nanos now, bool watchdog);
+  /// Send kStop through every ring and join all workers. `watchdog` guards
+  /// the joins with the drain deadline (finish() path); the destructor
+  /// passes false and joins unboundedly.
+  void stop_pipeline(bool watchdog);
 
-  const EngineConfig& engine_;
   ThreadedConfig config_;
-  RefreshClock& refresh_;
-  StreamStage& stream_;
   /// The engine's first-exception-wins slot: every thread records into it,
   /// and it is the pipeline's stop flag (stopping()).
   FaultSlot& fault_;
@@ -349,7 +379,6 @@ class ThreadedExecutor {
   /// The live queries by key identity; kRecord `query` fields index it.
   KeyClasses classes_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<PacketRecord> wire_pending_;  ///< wire-burst scratch (caller only)
   std::uint64_t snapshot_gen_ = 0;  ///< caller-side rendezvous generation
   bool threads_stopped_ = false;
 };

@@ -96,16 +96,6 @@ struct TraceConfig {
 
   /// Preset mirroring the paper's CAIDA trace at full scale.
   [[nodiscard]] static TraceConfig caida_like() { return TraceConfig{}; }
-
-  /// Preset mirroring the Benson et al. datacenter mix used for the rate
-  /// conversion in §4 (850-byte average packets).
-  [[nodiscard]] static TraceConfig datacenter_like() {
-    TraceConfig c;
-    c.mean_pkt_bytes = 850;
-    c.median_flow_duration = 500_ms;
-    c.flow_duration_sigma = 1.2;
-    return c;
-  }
 };
 
 }  // namespace perfq::trace

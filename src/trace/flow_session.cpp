@@ -151,7 +151,6 @@ PacketRecord FlowSessionGenerator::emit_packet(ActiveFlow& flow, Nanos now) {
     rec.tout = queue_busy_until_;
   }
   last_emit_time_ = now;
-  ++packets_emitted_;
   return rec;
 }
 

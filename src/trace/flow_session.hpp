@@ -31,8 +31,6 @@ class FlowSessionGenerator {
   /// Next record in timestamp order, or nullopt at end of trace.
   [[nodiscard]] std::optional<PacketRecord> next();
 
-  [[nodiscard]] std::uint64_t packets_emitted() const { return packets_emitted_; }
-  [[nodiscard]] std::uint64_t flows_started() const { return flows_started_; }
   [[nodiscard]] const TraceConfig& config() const { return config_; }
 
  private:
@@ -65,8 +63,7 @@ class FlowSessionGenerator {
   std::vector<ActiveFlow> active_;
   std::vector<std::uint32_t> free_slots_;
   double arrival_rate_per_ns_;
-  std::uint64_t packets_emitted_ = 0;
-  std::uint64_t flows_started_ = 0;
+  std::uint64_t flows_started_ = 0;  ///< numbers each flow's flow_label
   std::uint64_t uniq_counter_ = 0;
   // Synthetic bottleneck queue state for telemetry fields.
   Nanos queue_busy_until_;

@@ -1,4 +1,4 @@
-// Small deterministic record builders for tests and microbenchmarks.
+// Small deterministic record builders for tests.
 #pragma once
 
 #include <cstdint>

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstddef>
 #include <span>
 #include <thread>
 
+#include "packet/wire.hpp"
 #include "runtime_test_util.hpp"
 #include "trace/flow_session.hpp"
 
@@ -111,6 +113,54 @@ SELECT 5tuple, nonmt GROUPBY 5tuple WHERE proto == TCP
     EXPECT_GE(acc, prev_accuracy)
         << "less frequent refresh must not lower non-linear validity";
     prev_accuracy = acc;
+  }
+}
+
+TEST(Refresh, FiresBeforeTheRecordThatCrossesTheInterval) {
+  // One flow, one record per ms from 1 ms on: with a 10 ms interval the
+  // clock fires before the records stamped 11 ms and 21 ms, so of 25
+  // records the backing store holds exactly the first 20 (the flow's key is
+  // never evicted). Fed whole, in 7s and in 10s, as records and as wire
+  // frames, on every topology: where a batch or a fold chunk splits the
+  // records must not move a boundary.
+  std::vector<PacketRecord> records(25);
+  std::vector<std::vector<std::byte>> storage;
+  std::vector<FrameObservation> frames;
+  storage.reserve(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    PacketRecord& rec = records[i];
+    rec.pkt.flow = FiveTuple{0x0A000001, 0x0A000002, 40000, 80, 6};
+    rec.pkt.payload_len = 64;
+    rec.pkt.pkt_len = 64 + 54;
+    rec.tin = Nanos{static_cast<std::int64_t>(i + 1) * 1'000'000};
+    rec.tout = rec.tin + Nanos{1'000};
+    storage.push_back(wire::serialize(rec.pkt));
+    frames.push_back(
+        FrameObservation{storage.back(), rec.qid, rec.tin, rec.tout, rec.qsize});
+  }
+  for (const Topology& topo : kTopologies) {
+    for (const bool wire_path : {false, true}) {
+      for (const std::size_t batch : {25, 7, 10}) {
+        SCOPED_TRACE(std::string{topo.name} + (wire_path ? " wire" : "") +
+                     " batch " + std::to_string(batch));
+        auto engine =
+            build_engine(compile_source("R1 = SELECT COUNT GROUPBY 5tuple"),
+                         topo, config_with_refresh(10_ms));
+        for (std::size_t base = 0; base < records.size(); base += batch) {
+          const std::size_t n = std::min(batch, records.size() - base);
+          if (wire_path) {
+            engine->process_wire_batch(
+                std::span<const FrameObservation>(frames).subspan(base, n));
+          } else {
+            engine->process_batch(
+                std::span<const PacketRecord>(records).subspan(base, n));
+          }
+        }
+        (void)engine->snapshot("R1");  // the threaded executor's boundary
+        EXPECT_EQ(engine->refresh_count(), 2u);
+        EXPECT_EQ(engine->store_stats().at(0).backing_packets, 20u);
+      }
+    }
   }
 }
 

@@ -1,15 +1,17 @@
 // Wire-rate ingest: the lazy wire-view path (Engine::process_wire_batch,
 // folding straight off frame bytes) must be BIT-IDENTICAL to the eager
-// reference (wire::try_parse then process_batch) — same tables, same
-// counters, exact double equality — on both engines, with damage sprinkled
-// in and refresh on or off. Plus the sema FieldUsage contract the lazy
-// decode relies on, and the burst truncation property: a frame cut at any
-// byte offset is skipped-and-counted (or parses identically, if the cut
-// spared the headers) without perturbing its burst neighbors.
+// reference (wire::try_parse then process_batch) — same tables, stream rows
+// and refresh count, same counters, exact double equality — on both
+// engines, with damage sprinkled in and refresh off, every second, or every
+// few records. Plus the sema FieldUsage contract the lazy decode relies on,
+// and the burst truncation property: a frame cut at any byte offset is
+// skipped-and-counted (or parses identically, if the cut spared the
+// headers) without perturbing its burst neighbors.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -59,19 +61,33 @@ EngineConfig engine_config(Nanos refresh) {
   return config;
 }
 
+/// A GROUPBY beside an unconsumed stream SELECT, whose rows (the program's
+/// result) must leave both paths in record order.
+constexpr Fig2Query kGroupByBesideStream{"groupby_beside_stream", R"(
+R1 = SELECT 5tuple, COUNT, SUM(pkt_len) GROUPBY 5tuple
+BIG = SELECT 5tuple, pkt_len, tin WHERE pkt_len > 1000
+)",
+                                         true};
+
+/// Refresh intervals the harness runs at: every second, and every 3 ms,
+/// which puts a boundary about every other record of test_workload() (6,953
+/// records over 10 s), so boundaries land on every offset of a fold chunk.
+constexpr Nanos kRefreshIntervals[] = {1_s, 3_ms};
+
 /// Eager reference: try_parse every frame, feed the survivors through
-/// process_batch. Everything downstream of the parse is the pre-wire-view
-/// code path, so this is the semantic anchor the lazy path must match.
-ResultTable eager_reference(const char* source,
-                            std::span<const FrameObservation> frames,
-                            Nanos refresh, trace::IngestStats* stats_out) {
+/// process_batch, finish. Everything downstream of the parse is the
+/// pre-wire-view code path, so this is the semantic anchor the lazy path
+/// must match.
+std::unique_ptr<Engine> eager_reference(
+    const char* source, std::span<const FrameObservation> frames,
+    Nanos refresh, trace::IngestStats* stats_out) {
   auto engine = build_engine(compiler::compile_source(source, kFig2Params),
                              kSerial, engine_config(refresh));
   const trace::IngestStats stats =
       trace::replay_frames(*engine, frames, /*batch=*/777);
   engine->finish(12_s);
   if (stats_out != nullptr) *stats_out = stats;
-  return engine->result();
+  return engine;
 }
 
 void run_wire_equivalence(const Fig2Query& entry,
@@ -80,8 +96,10 @@ void run_wire_equivalence(const Fig2Query& entry,
   const std::string context =
       std::string(entry.name) + " refresh=" + std::to_string(refresh.count());
   trace::IngestStats want_stats;
-  const ResultTable want =
-      eager_reference(entry.source, frames, refresh, &want_stats);
+  const auto want = eager_reference(entry.source, frames, refresh, &want_stats);
+  if (refresh > 0_s) {
+    ASSERT_GT(want->refresh_count(), 0u) << context;
+  }
 
   // Every topology, deliberately odd burst size (chunking must not show).
   // The inline executor folds off the frame bytes; the threaded one decodes
@@ -101,7 +119,11 @@ void run_wire_equivalence(const Fig2Query& entry,
     EXPECT_EQ(lazy_stats.parsed, want_stats.parsed) << where;
     EXPECT_EQ(lazy_stats.dropped(), want_stats.dropped()) << where;
     EXPECT_EQ(lazy->records_processed(), want_stats.parsed) << where;
-    expect_tables_bit_identical(want, lazy->result(), where);
+    EXPECT_EQ(lazy->refresh_count(), want->refresh_count()) << where;
+    // Every program's GROUPBY is R1; result() is its last query, which is
+    // R1 again or the stream SELECT beside it.
+    expect_tables_bit_identical(want->table("R1"), lazy->table("R1"), where);
+    expect_tables_bit_identical(want->result(), lazy->result(), where);
   }
 }
 
@@ -110,14 +132,18 @@ TEST(WireIngest, Fig2CorpusBitIdenticalToEagerParse) {
   for (const auto& entry : kFig2Corpus) {
     run_wire_equivalence(entry, set.frames, /*refresh=*/0_s);
   }
+  run_wire_equivalence(kGroupByBesideStream, set.frames, /*refresh=*/0_s);
 }
 
 TEST(WireIngest, Fig2CorpusBitIdenticalWithPeriodicRefresh) {
   // Refresh boundaries are found from the record's tin, which a wire view
   // carries in its sidecar — epochs must land identically on both paths.
   const auto set = serialize_workload(test_workload());
-  for (const auto& entry : kFig2Corpus) {
-    run_wire_equivalence(entry, set.frames, /*refresh=*/1_s);
+  for (const Nanos refresh : kRefreshIntervals) {
+    for (const auto& entry : kFig2Corpus) {
+      run_wire_equivalence(entry, set.frames, refresh);
+    }
+    run_wire_equivalence(kGroupByBesideStream, set.frames, refresh);
   }
 }
 
