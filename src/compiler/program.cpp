@@ -163,13 +163,11 @@ SwitchQueryPlan build_switch_plan(const AnalyzedProgram& analysis,
   return plan;
 }
 
-}  // namespace
-
+/// A stream SELECT (kind kSelect with stream_over_base output), composed
+/// down to T.
 CompiledStreamSelect compile_stream_select(const AnalyzedProgram& analysis,
                                            int query_index) {
-  const AnalyzedQuery& q = analysis.queries.at(static_cast<std::size_t>(query_index));
-  check(q.def.kind == lang::QueryDef::Kind::kSelect && q.output.stream_over_base,
-        "compile_stream_select: not a stream SELECT");
+  const AnalyzedQuery& q = analysis.queries[static_cast<std::size_t>(query_index)];
   const StreamView view = build_stream_view(analysis, query_index);
 
   CompiledStreamSelect out;
@@ -187,22 +185,15 @@ CompiledStreamSelect compile_stream_select(const AnalyzedProgram& analysis,
   return out;
 }
 
+}  // namespace
+
 CompiledProgram compile_program(AnalyzedProgram analysis) {
   CompiledProgram out;
   out.analysis = std::make_shared<const AnalyzedProgram>(std::move(analysis));
   const AnalyzedProgram& a = *out.analysis;
-  for (std::size_t i = 0; i < a.queries.size(); ++i) {
-    const AnalyzedQuery& q = a.queries[i];
-    if (q.def.kind == lang::QueryDef::Kind::kGroupBy && q.on_switch) {
-      out.switch_plans.push_back(build_switch_plan(a, static_cast<int>(i)));
-    }
-  }
-
-  // Program-wide read set: every plan's per-packet reads, plus the filters
-  // and projections of unconsumed stream SELECTs (the runtime's StreamStage
-  // evaluates those per record too). Whatever is NOT in this union never
-  // needs decoding from frame bytes on the wire ingest path.
-  for (const auto& plan : out.switch_plans) out.field_usage |= plan.used_fields;
+  // The one rule for which SELECTs stream: a SELECT over T that no query
+  // reads (as input or join side) streams its rows out; a consumed one is
+  // composed into its consumer.
   std::set<int> consumed;
   for (const auto& q : a.queries) {
     consumed.insert(q.input);
@@ -211,12 +202,21 @@ CompiledProgram compile_program(AnalyzedProgram analysis) {
   }
   for (std::size_t i = 0; i < a.queries.size(); ++i) {
     const AnalyzedQuery& q = a.queries[i];
-    if (q.def.kind != lang::QueryDef::Kind::kSelect ||
-        !q.output.stream_over_base || consumed.count(static_cast<int>(i)) > 0) {
-      continue;
+    const int index = static_cast<int>(i);
+    if (q.def.kind == lang::QueryDef::Kind::kGroupBy && q.on_switch) {
+      out.switch_plans.push_back(build_switch_plan(a, index));
+    } else if (q.def.kind == lang::QueryDef::Kind::kSelect &&
+               q.output.stream_over_base && consumed.count(index) == 0) {
+      out.stream_selects.push_back(compile_stream_select(a, index));
     }
-    const CompiledStreamSelect sel =
-        compile_stream_select(a, static_cast<int>(i));
+  }
+
+  // Program-wide read set: every plan's per-packet reads, plus the filters
+  // and projections of the stream selects (the runtime's StreamStage
+  // evaluates those per record too). Whatever is NOT in this union never
+  // needs decoding from frame bytes on the wire ingest path.
+  for (const auto& plan : out.switch_plans) out.field_usage |= plan.used_fields;
+  for (const auto& sel : out.stream_selects) {
     if (sel.filter.has_value()) sel.filter->collect_fields(out.field_usage);
     for (const auto& [name, expr] : sel.projections) {
       expr.collect_fields(out.field_usage);

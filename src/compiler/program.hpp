@@ -5,10 +5,11 @@
 // programmable key-value store instances keyed by the aggregation fields.
 // compile_program() walks each on-switch GROUPBY's upstream SELECT chain,
 // pushes projections/renames into the fold's argument bindings and the
-// composed prefilter, and emits one SwitchQueryPlan per GROUPBY. Everything
-// downstream of an aggregate (SELECT over results, soft GROUPBYs, JOINs) is
-// executed by the collection layer in src/runtime directly from the
-// analysis.
+// composed prefilter, and emits one SwitchQueryPlan per GROUPBY. A SELECT
+// over T that no query consumes streams its rows out instead; it compiles,
+// once, to a CompiledStreamSelect. Everything downstream of an aggregate
+// (SELECT over results, soft GROUPBYs, JOINs) is executed by the collection
+// layer in src/runtime directly from the analysis.
 #pragma once
 
 #include <algorithm>
@@ -95,32 +96,33 @@ struct SwitchQueryPlan {
 /// SELECT chains and attached tenants; computed keys compare the same way.
 [[nodiscard]] bool same_key(const SwitchQueryPlan& a, const SwitchQueryPlan& b);
 
-/// A compiled program is a value: a copy shares the analysis (and its ASTs)
-/// and the fold kernels, all immutable once compile_program() returns, and
-/// owns only its switch plans, which an attach renames per engine. So one
-/// program runs on many engines (the federation layer: one engine per
-/// switch) as copies of one compilation.
-struct CompiledProgram {
-  std::shared_ptr<const lang::AnalyzedProgram> analysis;
-  std::vector<SwitchQueryPlan> switch_plans;
-  /// Union of every plan's used_fields plus the filters/projections of
-  /// unconsumed stream SELECTs — the program's whole per-packet read set.
-  /// wire_fields_skipped() is the lazy path's decode saving per frame.
-  FieldUsage field_usage;
-};
-
 /// A stream SELECT compiled down to the base table: the composed filter and
-/// per-output-column expressions over T. Used by the runtime to deliver
-/// streaming results (e.g. §2's "SELECT srcip, qid WHERE tout - tin > 1ms").
+/// per-output-column expressions over T. The runtime's StreamStage
+/// evaluates them per record to stream rows out (e.g. §2's
+/// "SELECT srcip, qid WHERE tout - tin > 1ms").
 struct CompiledStreamSelect {
-  int query_index = -1;
+  int query_index = -1;  ///< into AnalyzedProgram::queries
   std::optional<ScalarExpr> filter;
   std::vector<std::pair<std::string, ScalarExpr>> projections;  ///< schema order
 };
 
-/// Compile a stream SELECT query (kind kSelect with stream_over_base output).
-[[nodiscard]] CompiledStreamSelect compile_stream_select(
-    const lang::AnalyzedProgram& analysis, int query_index);
+/// A compiled program is a value: a copy shares the analysis (and its ASTs)
+/// and the fold kernels, all immutable once compile_program() returns, and
+/// owns its switch plans, which an attach renames per engine, and its
+/// stream selects. So one program runs on many engines (the federation
+/// layer: one engine per switch) as copies of one compilation.
+struct CompiledProgram {
+  std::shared_ptr<const lang::AnalyzedProgram> analysis;
+  std::vector<SwitchQueryPlan> switch_plans;
+  /// The stream SELECTs over T that no other query consumes, in program
+  /// order: the queries whose rows stream out through a StreamSink. A
+  /// consumed SELECT is composed into its consumer instead.
+  std::vector<CompiledStreamSelect> stream_selects;
+  /// Union of every plan's used_fields plus the filters/projections of the
+  /// stream selects — the program's whole per-packet read set.
+  /// wire_fields_skipped() is the lazy path's decode saving per frame.
+  FieldUsage field_usage;
+};
 
 /// Lower an analyzed program. Throws QueryError on uncompilable constructs.
 [[nodiscard]] CompiledProgram compile_program(lang::AnalyzedProgram analysis);

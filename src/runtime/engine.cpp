@@ -30,7 +30,7 @@ AttachKind attachable_kind(const compiler::CompiledProgram& program) {
   if (queries.empty()) {
     throw ConfigError{"attach: program has no queries"};
   }
-  const std::vector<int> streams = stream_sink_queries(program);
+  const auto& streams = program.stream_selects;
   const int last = static_cast<int>(queries.size()) - 1;
   if (program.switch_plans.size() == 1) {
     if (program.switch_plans.front().query_index != last) {
@@ -46,7 +46,7 @@ AttachKind attachable_kind(const compiler::CompiledProgram& program) {
     return AttachKind::kSwitchQuery;
   }
   if (program.switch_plans.empty() && streams.size() == 1 &&
-      streams.front() == last) {
+      streams.front().query_index == last) {
     return AttachKind::kStreamSelect;
   }
   throw ConfigError{
@@ -248,17 +248,16 @@ void Engine::attach_query(compiler::CompiledProgram program,
       program_.analysis->query_index(options.name) >= 0) {
     throw ConfigError{"attach: query '" + options.name + "' already exists"};
   }
-  // The tenant owns its copy of the program; its plan takes the resident
-  // name, which is all that tables, stats and exports go by.
-  auto owned = std::make_shared<compiler::CompiledProgram>(std::move(program));
   if (kind == AttachKind::kStreamSelect) {
     // Stream tenants live on the caller only: no boundary to reach, just
     // the topology lock against metrics readers.
     std::lock_guard<std::mutex> lock(topology_mu_);
-    stream_->attach(std::move(owned), options.name, options.sink, config_,
-                    records_);
+    stream_->attach(program, options.name, options.sink, records_);
     return;
   }
+  // The tenant owns its copy of the program; its plan takes the resident
+  // name, which is all that tables, stats and exports go by.
+  auto owned = std::make_shared<compiler::CompiledProgram>(std::move(program));
   compiler::SwitchQueryPlan& plan = owned->switch_plans.front();
   plan.name = options.name;
   const kv::CacheGeometry geometry =

@@ -28,7 +28,7 @@
 //
 // Lifecycle:  build (EngineBuilder) → process_batch()* → finish(now) →
 // result()/table(). Two reads work MID-RUN, before finish():
-//   - snapshot(query[, now]): the paper's §3.2 application pull (below);
+//   - snapshot(query, now): the paper's §3.2 application pull (below);
 //   - a RingStreamSink (stream_sink.hpp) drained from another thread.
 //
 // ---- snapshot() consistency contract ---------------------------------------
@@ -138,15 +138,15 @@
 //   - attach_query(program, options) accepts a SINGLE-query compiled program:
 //     either one on-switch GROUPBY chain (exactly one switch plan, no
 //     collection layer) or one unconsumed stream SELECT. The query runs
-//     under options.name: the engine's copy of the program renames its
-//     switch plan (or stream entry), and the shared analysis is left as
-//     compiled. The name must be non-empty, free of control bytes (below
-//     0x20, or 0x7f) and unique across every resident query and base-program
-//     table. Anything else — a bad name, multi-query programs,
-//     collection-layer queries, invalid geometry (the threaded executor
-//     still requires num_buckets % num_shards == 0) — is a clean ConfigError
-//     thrown BEFORE any state changes: a rejected attach leaves the engine
-//     exactly as it was, never with degraded results.
+//     under options.name: a GROUPBY tenant's copy of the program renames
+//     its switch plan, a stream tenant's entry takes the name, and the
+//     shared analysis is left as compiled. The name must be non-empty, free
+//     of control bytes (below 0x20, or 0x7f) and unique across every
+//     resident query and base-program table. Anything else — a bad name,
+//     multi-query programs, collection-layer queries, invalid geometry (the
+//     threaded executor still requires num_buckets % num_shards == 0) — is
+//     a clean ConfigError thrown BEFORE any state changes: a rejected attach
+//     leaves the engine exactly as it was, never with degraded results.
 //   - The ATTACH EPOCH is the record boundary at which attach_query returns:
 //     records processed before it are out of scope for the new query by
 //     contract; every record after it folds into the new query in exact
@@ -221,18 +221,17 @@ struct EngineConfig {
   /// FIFO and random replacement for the eviction-policy ablation.
   static constexpr kv::EvictionPolicy eviction_policy =
       kv::EvictionPolicy::kLru;
-  /// Cap on rows buffered by a *default* (table) stream sink. User-provided
-  /// sinks implement their own bounds.
-  std::size_t max_stream_rows = 1'000'000;
   /// Periodically flush caches to the backing store while processing (§3.2:
   /// "keys can be periodically evicted to ensure the backing store is
   /// fresh, and monitoring applications can pull results"). Zero disables.
   /// Thanks to the exact merge this is free of correctness cost for linear
   /// queries; refresh_count() reports how many refreshes happened.
   Nanos refresh_interval{0};
-  /// User stream sinks by query result name; stream SELECTs not named here
-  /// get a default TableStreamSink(max_stream_rows). Unknown names (or names
-  /// of non-stream queries) are a ConfigError at engine construction.
+  /// User stream sinks by result name, one per stream select
+  /// (CompiledProgram::stream_selects); a stream select not named here gets
+  /// a default TableStreamSink, capped at 1,000,000 rows. Unknown names (or
+  /// names of non-stream or consumed queries) are a ConfigError at engine
+  /// construction.
   std::map<std::string, std::shared_ptr<StreamSink>> stream_sinks;
   /// Opt-in IPv4 header checksum verification on the wire ingest path
   /// (process_wire_batch). Off by default: software captures rarely carry
@@ -446,9 +445,6 @@ class Engine {
   /// only affects non-linear kernels' segment intervals).
   [[nodiscard]] EngineSnapshot snapshot(std::string_view query_name,
                                         Nanos now);
-  [[nodiscard]] EngineSnapshot snapshot(std::string_view query_name) {
-    return snapshot(query_name, Nanos{0});
-  }
 
   /// Lift one on-switch GROUPBY's merged store out of the engine as the
   /// cross-engine federation unit (kvstore/federated.hpp): every key's

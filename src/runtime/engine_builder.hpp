@@ -38,11 +38,6 @@ class EngineBuilder {
     config_.geometry = g;
     return *this;
   }
-  /// Row cap of default (table) stream sinks; see EngineConfig.
-  EngineBuilder& max_stream_rows(std::size_t rows) {
-    config_.max_stream_rows = rows;
-    return *this;
-  }
   /// Periodic cache→backing refresh interval (§3.2); zero disables.
   EngineBuilder& refresh(Nanos interval) {
     config_.refresh_interval = interval;

@@ -1,18 +1,19 @@
 // Pluggable delivery of stream SELECT rows (§3.1: "SELECT ... FROM T"
 // queries that stream per-packet rows instead of aggregating on-switch).
 //
-// Every stream SELECT a program leaves unconsumed gets a StreamSink. The
-// engine evaluates the query's filter/projections per record (in record
-// order, on the caller thread whichever executor folds) and
-// delivers the matching rows in batches: exactly one on_batch() call per
-// engine-level process_batch() call that produced at least one row, carrying
-// the rows of exactly those records, in record order. finish() flushes any
-// remaining rows and then calls on_finish() once.
+// Every stream SELECT a program leaves unconsumed (its
+// CompiledProgram::stream_selects) gets a StreamSink. The engine evaluates
+// the query's filter/projections per record (in record order, on the caller
+// thread whichever executor folds) and delivers the matching rows in
+// batches: exactly one on_batch() call per engine-level process_batch() call
+// that produced at least one row, carrying the rows of exactly those
+// records, in record order. finish() flushes any remaining rows and then
+// calls on_finish() once.
 //
 // Three implementations cover the paper's deployment modes:
-//   TableStreamSink    buffer everything into a ResultTable (the default —
-//                      preserves the pre-sink engine behavior, including the
-//                      max_stream_rows cap and its overflow flag);
+//   TableStreamSink    buffer rows into a ResultTable up to a row cap, then
+//                      saturate (the default, capped at 1,000,000 rows; a
+//                      user sink of this type may set its own cap);
 //   CallbackStreamSink hand each batch to a user function (export to an
 //                      external collector without any engine-side buffering);
 //   RingStreamSink     bounded drop-oldest ring a monitoring thread drains
@@ -83,8 +84,7 @@ class StreamSink {
 };
 
 /// The default sink: buffer rows into a ResultTable, capped at `max_rows`.
-/// Past the cap rows are dropped and overflowed() latches true — exactly the
-/// engine-internal behavior before sinks were pluggable.
+/// Past the cap rows are dropped, counted, and saturated() latches true.
 class TableStreamSink : public StreamSink {
  public:
   explicit TableStreamSink(std::size_t max_rows = 1'000'000)
@@ -104,8 +104,6 @@ class TableStreamSink : public StreamSink {
   [[nodiscard]] std::uint64_t rows_dropped() const override { return dropped_; }
 
   [[nodiscard]] const ResultTable& table() const { return table_; }
-  [[nodiscard]] bool overflowed() const { return saturated(); }
-  [[nodiscard]] std::size_t max_rows() const { return max_rows_; }
   /// Engine-internal (default-sink) path: move the table out at finish().
   [[nodiscard]] ResultTable take_table() { return std::move(table_); }
 

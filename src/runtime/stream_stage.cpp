@@ -7,49 +7,23 @@
 
 namespace perfq::runtime {
 
-std::vector<int> stream_sink_queries(const compiler::CompiledProgram& program) {
-  const auto& queries = program.analysis->queries;
-  std::set<int> consumed;
-  for (const auto& q : queries) {
-    consumed.insert(q.input);
-    consumed.insert(q.left);
-    consumed.insert(q.right);
-  }
-  std::vector<int> out;
-  for (int i = 0; i < static_cast<int>(queries.size()); ++i) {
-    const auto& q = queries[static_cast<std::size_t>(i)];
-    if (q.def.kind == lang::QueryDef::Kind::kSelect &&
-        q.output.stream_over_base && consumed.count(i) == 0) {
-      out.push_back(i);
-    }
-  }
-  return out;
-}
-
 StreamStage::StreamStage(const compiler::CompiledProgram& program,
                          const EngineConfig& config) {
   std::set<std::string> matched;
-  for (const int i : stream_sink_queries(program)) {
-    const auto& q = program.analysis->queries[static_cast<std::size_t>(i)];
-    Entry entry;
-    entry.compiled = compiler::compile_stream_select(*program.analysis, i);
-    entry.name = q.def.result_name;
-    entry.schema = q.output;
-    if (const auto it = config.stream_sinks.find(entry.name);
-        !entry.name.empty() && it != config.stream_sinks.end()) {
+  for (const compiler::CompiledStreamSelect& select : program.stream_selects) {
+    const std::string& name =
+        program.analysis->queries[static_cast<std::size_t>(select.query_index)]
+            .def.result_name;
+    std::shared_ptr<StreamSink> sink;
+    if (const auto it = config.stream_sinks.find(name);
+        !name.empty() && it != config.stream_sinks.end()) {
       if (it->second == nullptr) {
-        throw ConfigError{"stream sink for '" + entry.name + "' is null"};
+        throw ConfigError{"stream sink for '" + name + "' is null"};
       }
-      entry.sink = it->second;
-      matched.insert(entry.name);
-    } else {
-      auto table_sink =
-          std::make_shared<TableStreamSink>(config.max_stream_rows);
-      entry.default_sink = table_sink.get();
-      entry.sink = std::move(table_sink);
+      sink = it->second;
+      matched.insert(name);
     }
-    entry.sink->open(entry.name, entry.schema);
-    entries_.push_back(std::move(entry));
+    open_entry(program, select, name, std::move(sink));
   }
   for (const auto& [name, sink] : config.stream_sinks) {
     if (matched.count(name) == 0) {
@@ -57,6 +31,27 @@ StreamStage::StreamStage(const compiler::CompiledProgram& program,
                         "' does not name an unconsumed stream SELECT query"};
     }
   }
+}
+
+StreamStage::Entry& StreamStage::open_entry(
+    const compiler::CompiledProgram& program,
+    const compiler::CompiledStreamSelect& select, std::string name,
+    std::shared_ptr<StreamSink> sink) {
+  Entry entry;
+  entry.compiled = select;
+  entry.name = std::move(name);
+  entry.schema =
+      program.analysis->queries[static_cast<std::size_t>(select.query_index)]
+          .output;
+  if (sink != nullptr) {
+    entry.sink = std::move(sink);
+  } else {
+    auto table_sink = std::make_shared<TableStreamSink>();
+    entry.default_sink = table_sink.get();
+    entry.sink = std::move(table_sink);
+  }
+  entry.sink->open(entry.name, entry.schema);
+  return entries_.emplace_back(std::move(entry));
 }
 
 template <typename Rec>
@@ -97,46 +92,33 @@ void StreamStage::deliver() {
   for (Entry& entry : entries_) deliver_entry(entry);
 }
 
-void StreamStage::attach(
-    std::shared_ptr<const compiler::CompiledProgram> program,
-    const std::string& name, std::shared_ptr<StreamSink> sink,
-    const EngineConfig& config, std::uint64_t epoch) {
-  const int index =
-      static_cast<int>(program->analysis->queries.size()) - 1;
-  const auto& q = program->analysis->queries[index];
-  Entry entry;
-  entry.compiled = compiler::compile_stream_select(*program->analysis, index);
-  entry.name = name;
-  entry.schema = q.output;
-  if (sink != nullptr) {
-    entry.sink = std::move(sink);
-  } else {
-    auto table_sink = std::make_shared<TableStreamSink>(config.max_stream_rows);
-    entry.default_sink = table_sink.get();
-    entry.sink = std::move(table_sink);
-  }
-  entry.attached_program = std::move(program);
+void StreamStage::attach(const compiler::CompiledProgram& program,
+                         const std::string& name,
+                         std::shared_ptr<StreamSink> sink,
+                         std::uint64_t epoch) {
+  Entry& entry = open_entry(program, program.stream_selects.front(), name,
+                            std::move(sink));
+  entry.attached = true;
   entry.attach_records = epoch;
-  entry.sink->open(entry.name, entry.schema);
-  entries_.push_back(std::move(entry));
+}
+
+std::optional<ResultTable> StreamStage::close_entry(Entry& entry) {
+  deliver_entry(entry);
+  entry.sink->on_finish();
+  if (entry.default_sink != nullptr) return entry.default_sink->take_table();
+  if (const ResultTable* t = entry.sink->finished_table()) return *t;
+  return std::nullopt;
 }
 
 ResultTable StreamStage::detach(std::string_view name) {
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->name != name) continue;
-    if (it->attached_program == nullptr) {
+    if (!it->attached) {
       throw QueryError{"result",
                        "detach: '" + std::string(name) +
                            "' is a base-program stream, not a dynamic attach"};
     }
-    deliver_entry(*it);
-    it->sink->on_finish();
-    ResultTable table{it->schema};
-    if (it->default_sink != nullptr) {
-      table = it->default_sink->take_table();
-    } else if (const ResultTable* t = it->sink->finished_table()) {
-      table = *t;
-    }
+    ResultTable table = close_entry(*it).value_or(ResultTable{it->schema});
     entries_.erase(it);
     return table;
   }
@@ -153,7 +135,7 @@ bool StreamStage::has(std::string_view name) const {
 
 bool StreamStage::has_attached(std::string_view name) const {
   for (const Entry& entry : entries_) {
-    if (entry.name == name) return entry.attached_program != nullptr;
+    if (entry.name == name) return entry.attached;
   }
   return false;
 }
@@ -165,7 +147,7 @@ void StreamStage::collect(std::vector<StreamSinkMetrics>& out) const {
     m.rows_delivered = entry.delivered;
     m.rows_dropped = entry.sink->rows_dropped();
     m.saturated = entry.sink->saturated();
-    m.attached = entry.attached_program != nullptr;
+    m.attached = entry.attached;
     m.attach_records = entry.attach_records;
     out.push_back(std::move(m));
   }
@@ -174,22 +156,13 @@ void StreamStage::collect(std::vector<StreamSinkMetrics>& out) const {
 void StreamStage::finish(
     std::map<int, ResultTable>& tables,
     std::map<std::string, ResultTable, std::less<>>& attached_tables) {
-  deliver();
   for (Entry& entry : entries_) {
-    entry.sink->on_finish();
-    ResultTable table{entry.schema};
-    bool have = false;
-    if (entry.default_sink != nullptr) {
-      table = entry.default_sink->take_table();
-      have = true;
-    } else if (const ResultTable* t = entry.sink->finished_table()) {
-      table = *t;
-      have = true;
-    }
-    if (entry.attached_program != nullptr) {
-      attached_tables.emplace(entry.name, std::move(table));
-    } else if (have) {
-      tables.emplace(entry.compiled.query_index, std::move(table));
+    std::optional<ResultTable> table = close_entry(entry);
+    if (entry.attached) {
+      if (!table.has_value()) table.emplace(entry.schema);
+      attached_tables.emplace(entry.name, std::move(*table));
+    } else if (table.has_value()) {
+      tables.emplace(entry.compiled.query_index, std::move(*table));
     }
   }
 }

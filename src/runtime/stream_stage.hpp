@@ -1,5 +1,6 @@
-// The engine-internal driver of stream SELECT sinks: finds the program's
-// unconsumed stream SELECTs, wires each to its StreamSink (user-provided via
+// The engine-internal stage behind stream SELECT sinks: wires each of the
+// program's stream selects (CompiledProgram::stream_selects, compiled with
+// the program) to its StreamSink (user-provided via
 // EngineConfig::stream_sinks, or a default TableStreamSink), evaluates
 // filters/projections per record on the caller thread (row appends are
 // order-sensitive, so the engine observes every record there, in record
@@ -10,6 +11,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,16 +21,10 @@
 
 namespace perfq::runtime {
 
-/// Indices of the program's stream SELECTs that no other query consumes —
-/// the queries that get a StreamSink — in program order.
-[[nodiscard]] std::vector<int> stream_sink_queries(
-    const compiler::CompiledProgram& program);
-
 class StreamStage {
  public:
-  /// Compiles the program's stream sinks and validates
+  /// Opens a sink for each of the program's stream selects and validates
   /// `config.stream_sinks` (unknown or non-stream names throw ConfigError).
-  /// `program` must outlive the stage.
   StreamStage(const compiler::CompiledProgram& program,
               const EngineConfig& config);
 
@@ -54,13 +50,14 @@ class StreamStage {
               std::map<std::string, ResultTable, std::less<>>& attached_tables);
 
   /// Dynamically attach one stream-SELECT tenant. `program` must classify as
-  /// AttachKind::kStreamSelect (the engine validates before calling) and is
-  /// kept alive by the entry. `epoch` is the attach record boundary reported
-  /// via StreamSinkMetrics::attach_records. Caller-thread only, serialized
-  /// with observe()/deliver() by the engine's lifecycle contract.
-  void attach(std::shared_ptr<const compiler::CompiledProgram> program,
+  /// AttachKind::kStreamSelect (the engine validates before calling); a null
+  /// `sink` gets a default TableStreamSink. `epoch` is the attach record
+  /// boundary reported via StreamSinkMetrics::attach_records. Caller-thread
+  /// only, serialized with observe()/deliver() by the engine's lifecycle
+  /// contract.
+  void attach(const compiler::CompiledProgram& program,
               const std::string& name, std::shared_ptr<StreamSink> sink,
-              const EngineConfig& config, std::uint64_t epoch);
+              std::uint64_t epoch);
 
   /// Detach a dynamically attached tenant: deliver its buffered rows, signal
   /// on_finish(), return its table (empty-by-schema if the sink exposes
@@ -90,13 +87,20 @@ class StreamStage {
     TableStreamSink* default_sink = nullptr;  ///< set iff engine-owned
     std::vector<std::vector<double>> batch;   ///< rows since last deliver()
     obs::RelaxedU64 delivered;  ///< rows offered via on_batch (caller thread)
-    /// Attached tenants own their compiled program (base entries borrow the
-    /// engine's); doubles as the is-attached flag.
-    std::shared_ptr<const compiler::CompiledProgram> attached_program;
+    bool attached = false;             ///< a dynamically attached tenant
     std::uint64_t attach_records = 0;  ///< attach epoch
   };
 
+  /// Build the entry for one of `program`'s stream selects and open its
+  /// sink: `sink`, or a default TableStreamSink when null.
+  Entry& open_entry(const compiler::CompiledProgram& program,
+                    const compiler::CompiledStreamSelect& select,
+                    std::string name, std::shared_ptr<StreamSink> sink);
   void deliver_entry(Entry& entry);
+  /// Deliver the entry's tail rows, signal on_finish() and hand back its
+  /// table: the default sink's (moved), a user sink's finished_table()
+  /// (copied), or nullopt when the sink exposes none.
+  std::optional<ResultTable> close_entry(Entry& entry);
 
   std::vector<Entry> entries_;
 };

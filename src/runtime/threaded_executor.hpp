@@ -142,7 +142,9 @@ class ThreadedExecutor {
   /// staged; folding proceeds on the workers. Records travel BY VALUE
   /// through the rings (workers outlive the caller's frame buffers), so
   /// each wire view is decoded once, straight into its ring message, and
-  /// routing reads it there, off the slow wire-view key packer.
+  /// routing packs the key from that record: a choice, not a cost avoided,
+  /// as on frames resident after check_frame the wire-view packer costs
+  /// 1.0-1.2x the record's on pkt_len and 0.75x on the 5-tuple (a gather).
   template <typename Rec, typename Routed>
   void fold(std::span<const Rec> records, const Routed& routed) {
     const std::uint64_t n_shards = shards_.size();

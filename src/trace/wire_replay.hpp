@@ -26,10 +26,6 @@
 
 namespace perfq::trace {
 
-/// FrameObservation lives in packet/wire_view.hpp with the wire-view record
-/// it feeds; aliased here for the trace-facing callers that predate it.
-using perfq::FrameObservation;
-
 /// Decode `frames` through wire::try_parse and feed the survivors into
 /// `engine` in `batch`-sized time-ordered batches (frames must arrive
 /// time-ordered; skipping preserves order). Returns the ingest accounting;

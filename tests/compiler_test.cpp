@@ -559,13 +559,53 @@ R1 = SELECT COUNT FROM R0 GROUPBY 5tuple
 }
 
 TEST(ProgramCompiler, StreamSelectCompiles) {
-  const CompiledProgram p = compile_source(
+  const CompiledProgram single = compile_source(
       "SELECT srcip, qid FROM T WHERE tout - tin > 1ms");
-  EXPECT_TRUE(p.switch_plans.empty());
-  const CompiledStreamSelect sink = compile_stream_select(*p.analysis, 0);
+  EXPECT_TRUE(single.switch_plans.empty());
+  ASSERT_EQ(single.stream_selects.size(), 1u);
+  const CompiledStreamSelect& sink = single.stream_selects[0];
+  EXPECT_EQ(sink.query_index, 0);
   ASSERT_TRUE(sink.filter.has_value());
   ASSERT_EQ(sink.projections.size(), 2u);
   EXPECT_EQ(sink.projections[0].first, "srcip");
+
+  // Only the SELECTs no query consumes stream: A feeds the GROUPBY and B
+  // feeds C, so C and D stream, in program order, each composed down to T.
+  const CompiledProgram p = compile_source(R"(
+A = SELECT srcip, pkt_len FROM T WHERE pkt_len > 100
+R1 = SELECT srcip, COUNT FROM A GROUPBY srcip
+B = SELECT srcip, pkt_len FROM T WHERE pkt_len > 200
+C = SELECT srcip FROM B WHERE pkt_len < 1000
+D = SELECT dstip, tcpseq FROM T WHERE proto == TCP
+)");
+  ASSERT_EQ(p.switch_plans.size(), 1u);
+  ASSERT_EQ(p.stream_selects.size(), 2u);
+  const CompiledStreamSelect& c = p.stream_selects[0];
+  const CompiledStreamSelect& d = p.stream_selects[1];
+  EXPECT_EQ(c.query_index, p.analysis->query_index("C"));
+  EXPECT_EQ(d.query_index, p.analysis->query_index("D"));
+  ASSERT_EQ(c.projections.size(), 1u);
+  EXPECT_EQ(c.projections[0].first, "srcip");
+  ASSERT_EQ(d.projections.size(), 2u);
+  EXPECT_EQ(d.projections[1].first, "tcpseq");
+
+  // C's filter is B's WHERE and its own; D's is its own.
+  ASSERT_TRUE(c.filter.has_value());
+  ASSERT_TRUE(d.filter.has_value());
+  PacketRecord rec;
+  rec.pkt.flow.proto = 6;
+  for (const auto [len, want] : {std::pair{150, false}, std::pair{500, true},
+                                 std::pair{1500, false}}) {
+    rec.pkt.pkt_len = static_cast<std::uint32_t>(len);
+    EXPECT_EQ(c.filter->eval_bool(record_source(rec)), want) << len;
+    EXPECT_TRUE(d.filter->eval_bool(record_source(rec))) << len;
+  }
+  rec.pkt.flow.proto = 17;
+  EXPECT_FALSE(d.filter->eval_bool(record_source(rec)));
+
+  // tcpseq is read by the stream D alone, and still joins the read set.
+  EXPECT_FALSE(p.switch_plans[0].used_fields.test(FieldId::kTcpSeq));
+  EXPECT_TRUE(p.field_usage.test(FieldId::kTcpSeq));
 }
 
 TEST(ProgramCompiler, SubstituteNamesHandlesPrev) {

@@ -372,7 +372,7 @@ R1 = SELECT 5tuple, counter GROUPBY 5tuple
   const auto records = test_workload();
   auto engine = EngineBuilder(compiler::compile_source(source))
                     .geometry(kv::CacheGeometry::set_associative(1024, 8))
-                    .max_stream_rows(32)
+                    .stream_sink("S", std::make_shared<TableStreamSink>(32))
                     .build();
   engine->process_batch(records);
   engine->finish(11_s);

@@ -1,6 +1,6 @@
 // The one engine surface: EngineBuilder (the only construction path, for
 // both executors), runtime::Engine, and the pluggable StreamSink layer
-// (default table sink semantics, user sink overflow, callback batch
+// (which SELECTs get a sink, capped table sink overflow, callback batch
 // boundaries, ring sink, and sink equivalence across both executors over the
 // Fig. 2 fold corpus).
 #include <gtest/gtest.h>
@@ -187,50 +187,69 @@ R1 = SELECT 5tuple, nonmt GROUPBY 5tuple
 const std::map<std::string, double> kSinkParams{{"alpha", 0.125}};
 
 std::unique_ptr<Engine> build_case(const SinkCase& entry, bool sharded,
-                                   std::shared_ptr<StreamSink> sink,
-                                   std::size_t max_stream_rows = 1'000'000) {
+                                   std::shared_ptr<StreamSink> sink) {
   EngineBuilder builder(compiler::compile_source(entry.source, kSinkParams));
-  builder.geometry(small_geometry()).max_stream_rows(max_stream_rows);
+  builder.geometry(small_geometry());
   if (sink != nullptr) builder.stream_sink("S", std::move(sink));
   if (sharded) builder.sharded(4);
   return builder.build();
 }
 
-TEST(StreamSinks, DefaultSinkOverflowTruncatesAndPreservesPrefix) {
+TEST(StreamSinks, UserTableSinkReportsOverflow) {
   const auto records = workload();
   for (const bool sharded : {false, true}) {
-    // Unlimited reference first: the full row stream.
+    // Uncapped default sink first: the full row stream.
     auto full = build_case(kSinkCorpus[0], sharded, nullptr);
     full->process_batch(records);
     full->finish(6_s);
     const ResultTable& all_rows = full->table("S");
     ASSERT_GT(all_rows.row_count(), 32u) << "workload too small to overflow";
 
-    // Capped default sink: exactly max_stream_rows rows, the prefix.
-    auto capped = build_case(kSinkCorpus[0], sharded, nullptr,
-                             /*max_stream_rows=*/32);
-    capped->process_batch(records);
-    capped->finish(6_s);
-    const ResultTable& capped_rows = capped->table("S");
-    ASSERT_EQ(capped_rows.row_count(), 32u);
-    for (std::size_t r = 0; r < 32; ++r) {
-      EXPECT_EQ(capped_rows.rows()[r], all_rows.rows()[r]) << "row " << r;
-    }
-  }
-}
-
-TEST(StreamSinks, UserTableSinkReportsOverflow) {
-  const auto records = workload();
-  for (const bool sharded : {false, true}) {
     auto sink = std::make_shared<TableStreamSink>(/*max_rows=*/32);
     auto engine = build_case(kSinkCorpus[0], sharded, sink);
     engine->process_batch(records);
     engine->finish(6_s);
-    EXPECT_TRUE(sink->overflowed());
-    EXPECT_EQ(sink->table().row_count(), 32u);
+    EXPECT_TRUE(sink->saturated());
+    EXPECT_EQ(sink->rows_dropped(), all_rows.row_count() - 32);
+    // The capped table is exactly the stream's first 32 rows.
+    ASSERT_EQ(sink->table().row_count(), 32u);
+    for (std::size_t r = 0; r < 32; ++r) {
+      EXPECT_EQ(sink->table().rows()[r], all_rows.rows()[r]) << "row " << r;
+    }
     // A table-buffering user sink is materialized like the default one.
     expect_tables_bit_identical(sink->table(), engine->table("S"),
                                 "user table sink");
+  }
+}
+
+TEST(StreamSinks, OnlyUnconsumedSelectsGetASink) {
+  // A feeds the GROUPBY and B feeds C: neither streams. C and D do, and
+  // each gets exactly one sink on either executor.
+  const char* source = R"(
+A = SELECT srcip, pkt_len FROM T WHERE pkt_len > 100
+R1 = SELECT srcip, COUNT FROM A GROUPBY srcip
+B = SELECT srcip, dstip, qid FROM T WHERE qid == 1
+C = SELECT srcip FROM B WHERE dstip > 0
+D = SELECT dstip, pkt_len FROM T WHERE pkt_len > 1000
+)";
+  const auto records = workload();
+  for (const bool sharded : {false, true}) {
+    const std::string context = sharded ? "sharded" : "serial";
+    EngineBuilder builder(compiler::compile_source(source));
+    builder.geometry(small_geometry());
+    if (sharded) builder.sharded(4);
+    auto engine = builder.build();
+    engine->process_batch(records);
+    std::vector<std::string> streams;
+    for (const StreamSinkMetrics& m : engine->metrics().streams) {
+      streams.push_back(m.query);
+    }
+    EXPECT_EQ(streams, (std::vector<std::string>{"C", "D"})) << context;
+    engine->finish(6_s);
+    EXPECT_NO_THROW((void)engine->table("C")) << context;
+    EXPECT_NO_THROW((void)engine->table("D")) << context;
+    EXPECT_THROW((void)engine->table("A"), QueryError) << context;
+    EXPECT_THROW((void)engine->table("B"), QueryError) << context;
   }
 }
 

@@ -156,7 +156,8 @@ TEST(Refresh, FiresBeforeTheRecordThatCrossesTheInterval) {
                 std::span<const PacketRecord>(records).subspan(base, n));
           }
         }
-        (void)engine->snapshot("R1");  // the threaded executor's boundary
+        // The threaded executor's boundary.
+        (void)engine->snapshot("R1", records.back().tin);
         EXPECT_EQ(engine->refresh_count(), 2u);
         EXPECT_EQ(engine->store_stats().at(0).backing_packets, 20u);
       }

@@ -39,7 +39,6 @@ inline std::unique_ptr<Engine> build_engine(
     const std::function<void(EngineBuilder&)>& tune = {}) {
   EngineBuilder builder(std::move(program));
   builder.geometry(config.geometry)
-      .max_stream_rows(config.max_stream_rows)
       .refresh(config.refresh_interval)
       .verify_checksums(config.verify_checksums);
   for (const auto& [query, sink] : config.stream_sinks) {
